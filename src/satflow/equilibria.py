@@ -27,9 +27,8 @@ from .model import (
     STOCHASTIC_IRREDUCIBLE,
     SUBSTOCHASTIC_OUT_CONNECTED,
     NetworkSpec,
+    _pi_and_h,
     classify_routing,
-    h_operator,
-    invariant_vector,
     is_zero_sum,
 )
 
@@ -72,23 +71,22 @@ class EquilibriumSet:
     condition_value: float | None = None
 
     def distance_l1(self, x: np.ndarray) -> float:
-        """l1 distance from x to the equilibrium set (segment or point)."""
+        """l1 distance from x to the equilibrium set (segment or point).
+
+        On a segment the distance at line parameter a is
+        sum_i pi_i |(x_i - hc_i)/pi_i - a|, a convex function minimised by
+        the pi-weighted median of (x_i - hc_i)/pi_i; clamped to
+        [alpha_min, alpha_max] it gives the nearest point of the segment.
+        """
         x = np.asarray(x, dtype=float)
         if self.kind != SEGMENT:
             return float(np.abs(x - self.x_min).sum())
-        # the l1 distance to the segment is convex in the line parameter
-        lo, hi = float(self.alpha_min), float(self.alpha_max)
-
-        def dist(a):
-            return float(np.abs(x - (self.hc + a * self.pi)).sum())
-
-        for _ in range(200):
-            third = (hi - lo) / 3.0
-            if dist(lo + third) < dist(hi - third):
-                hi = hi - third
-            else:
-                lo = lo + third
-        return dist(0.5 * (lo + hi))
+        t = (x - self.hc) / self.pi
+        order = np.argsort(t)
+        weight = np.cumsum(self.pi[order])
+        median = t[order[np.searchsorted(weight, 0.5 * weight[-1])]]
+        a = min(max(median, self.alpha_min), self.alpha_max)
+        return float(np.abs(x - (self.hc + a * self.pi)).sum())
 
 
 def _picard(spec: NetworkSpec, x0: np.ndarray, increment_tol: float = 1e-12,
@@ -121,6 +119,20 @@ def picard_max(spec: NetworkSpec, increment_tol: float = 1e-12, max_iter: int = 
     return _picard(spec, spec.capacity, increment_tol, max_iter)
 
 
+def _line(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray, float, float] | None:
+    """(pi, Hc, alpha_min, alpha_max) of a spec whose routing is stochastic
+    irreducible, or None when the demand is not zero-sum.
+
+    The line {Hc + a*pi} meets the lattice for a in [alpha_min, alpha_max];
+    the condition value is alpha_max - alpha_min.
+    """
+    c = spec.demand
+    if not is_zero_sum(c):
+        return None
+    pi, hc = _pi_and_h(spec.routing, c - c.sum() / spec.n)
+    return pi, hc, float(-np.min(hc / pi)), float(np.min((spec.capacity - hc) / pi))
+
+
 def multiplicity_test(spec: NetworkSpec) -> tuple[float | None, bool]:
     """Evaluate the segment-length condition for stochastic irreducible routing.
 
@@ -132,12 +144,10 @@ def multiplicity_test(spec: NetworkSpec) -> tuple[float | None, bool]:
     cls = classify_routing(spec.routing)
     if cls.tag != STOCHASTIC_IRREDUCIBLE:
         raise PreconditionError(f"multiplicity_test requires stochastic irreducible routing ({cls.tag})")
-    c = spec.demand
-    if not is_zero_sum(c):
+    line = _line(spec)
+    if line is None:
         return None, False
-    pi = invariant_vector(spec.routing)
-    hc = h_operator(spec.routing, c - c.sum() / spec.n)
-    value = float(np.min(hc / pi) + np.min((spec.capacity - hc) / pi))
+    value = line[3] - line[2]
     return value, value > 0
 
 
@@ -149,12 +159,20 @@ def equilibrium_set(spec: NetworkSpec) -> EquilibriumSet:
     * stochastic irreducible otherwise, or sub-stochastic out-connected ->
       a unique point, computed by Picard from both ends and cross-checked;
     * reducible routing -> only the min/max pair, no claim in between.
+
+    The routing matrix is classified once.  On zero-sum demand pi and Hc
+    come from one square solve with M = I - R' + 1 1' and two right-hand
+    sides, and feed both the condition value and the segment.
     """
     cls = classify_routing(spec.routing)
     if cls.tag == STOCHASTIC_IRREDUCIBLE:
-        value, multiple = multiplicity_test(spec)
-        if multiple:
-            return _segment(spec, value)
+        line = _line(spec)
+        if line is None:
+            return _point(spec, POINT)
+        pi, hc, alpha_min, alpha_max = line
+        value = alpha_max - alpha_min
+        if value > 0:
+            return _segment(spec, pi, hc, alpha_min, alpha_max)
         return _point(spec, POINT, condition_value=value)
     if cls.tag == SUBSTOCHASTIC_OUT_CONNECTED:
         return _point(spec, POINT)
@@ -165,12 +183,7 @@ def equilibrium_set(spec: NetworkSpec) -> EquilibriumSet:
     return EquilibriumSet(kind=MINMAX_ONLY, x_min=lo.x, x_max=hi.x)
 
 
-def _segment(spec: NetworkSpec, value: float) -> EquilibriumSet:
-    pi = invariant_vector(spec.routing)
-    c = spec.demand
-    hc = h_operator(spec.routing, c - c.sum() / spec.n)
-    alpha_min = float(-np.min(hc / pi))
-    alpha_max = float(np.min((spec.capacity - hc) / pi))
+def _segment(spec: NetworkSpec, pi: np.ndarray, hc: np.ndarray, alpha_min: float, alpha_max: float) -> EquilibriumSet:
     x_min = hc + alpha_min * pi
     x_max = hc + alpha_max * pi
     for name, x in (("x_min", x_min), ("x_max", x_max)):
@@ -185,7 +198,7 @@ def _segment(spec: NetworkSpec, value: float) -> EquilibriumSet:
         pi=pi,
         alpha_min=alpha_min,
         alpha_max=alpha_max,
-        condition_value=value,
+        condition_value=alpha_max - alpha_min,
     )
 
 

@@ -13,6 +13,10 @@ The structural dichotomy that drives everything downstream:
 * R sub-stochastic out-connected -> every cell can route its mass to a
   leaky cell, so the network drains and equilibria are unique;
 * anything else                  -> only min/max equilibria are claimed.
+
+Classes are decided by frontier searches on the support digraph of R; pi
+and H come from one square solve with M = I - R' + 1 1', each certified by
+its residual.
 """
 
 from __future__ import annotations
@@ -103,7 +107,8 @@ def validate(spec: NetworkSpec) -> NetworkSpec:
 
     Raises ScenarioError on: dimension mismatch, non-finite or negative
     entries, row sum above 1 + ROW_SUM_TOL, nonzero diagonal, nonpositive
-    capacity, or demand inconsistent with inflow - outflow.
+    capacity, or demand differing from inflow - outflow by more than a few
+    ulps of the larger flow.
     """
     R, w, c = spec.routing, spec.capacity, spec.demand
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
@@ -139,8 +144,13 @@ def validate(spec: NetworkSpec) -> NetworkSpec:
             raise ScenarioError("inflow/outflow contain non-finite entries")
         if np.any(lam < 0) or np.any(mu < 0):
             raise ScenarioError("inflow and outflow must be nonnegative")
-        if np.any(lam - mu != c):
-            raise ScenarioError("demand must equal inflow - outflow exactly")
+        # 0.3 - 0.1 is not 0.2 in floats: allow a few ulps of the flows
+        mismatch = np.abs(lam - mu - c) > 4 * np.finfo(float).eps * np.maximum(lam, mu)
+        if np.any(mismatch):
+            i = int(np.argmax(mismatch))
+            raise ScenarioError(
+                f"demand of cell {i + 1} ({c[i]:.17g}) must equal inflow - outflow ({lam[i] - mu[i]:.17g})"
+            )
     return spec
 
 
@@ -148,23 +158,29 @@ def row_sums(R: np.ndarray) -> np.ndarray:
     return np.asarray(R, dtype=float).sum(axis=1)
 
 
+def _leaky_mask(R: np.ndarray) -> np.ndarray:
+    return row_sums(R) < 1 - ROW_SUM_TOL
+
+
 def leaky_nodes(R: np.ndarray) -> list[int]:
     """0-based indices of rows with sum strictly below 1 - ROW_SUM_TOL."""
-    return [int(i) for i in np.flatnonzero(row_sums(R) < 1 - ROW_SUM_TOL)]
+    return [int(i) for i in np.flatnonzero(_leaky_mask(R))]
 
 
-def _reachability(R: np.ndarray) -> np.ndarray:
-    """Boolean closure C with C[i, j] true iff j is reachable from i in the
-    support digraph of R, counting the trivial zero-length path (C[i, i])."""
-    adj = np.asarray(R) > 0
-    n = adj.shape[0]
-    closure = adj | np.eye(n, dtype=bool)
-    # squaring the boolean matrix log2(n) times suffices; n is desk-scale
-    while True:
-        nxt = closure @ closure
-        if np.array_equal(nxt, closure):
-            return closure
-        closure = nxt
+def _reached(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Mask of the cells reachable from the cells of mask ``start`` along
+    the edges of the boolean adjacency matrix ``adj``, ``start`` included.
+
+    Each round ORs the rows of the cells first reached in the round
+    before, so every row is read once: at most n^2 boolean operations.
+    Pass ``adj.T`` to get the cells that reach ``start``.
+    """
+    reached = start.copy()
+    front = start
+    while front.any():
+        front = adj[front].any(axis=0) & ~reached
+        reached |= front
+    return reached
 
 
 def is_out_connected(R: np.ndarray) -> bool:
@@ -172,13 +188,10 @@ def is_out_connected(R: np.ndarray) -> bool:
 
     A cell with row sum strictly below 1 counts as reaching itself
     (zero-length path), so e.g. the all-zero matrix is out-connected.
+    One backward search from the leaky cells decides it.
     """
     R = np.asarray(R, dtype=float)
-    leaky = leaky_nodes(R)
-    if not leaky:
-        return False
-    closure = _reachability(R)
-    return bool(np.all(closure[:, leaky].any(axis=1)))
+    return bool(np.all(_reached((R > 0).T, _leaky_mask(R))))
 
 
 def is_irreducible(R: np.ndarray) -> bool:
@@ -186,8 +199,10 @@ def is_irreducible(R: np.ndarray) -> bool:
 
     For stochastic R this is equivalent to strong connectivity of the
     support digraph: a closed subset is exactly a subset with no outgoing
-    edge and full internal row mass.  Raises PreconditionError if some row
-    leaks (the subset condition is defined only for stochastic matrices).
+    edge and full internal row mass.  Strong connectivity holds iff cell 1
+    reaches every cell and every cell reaches cell 1 (a forward and a
+    backward search).  Raises PreconditionError if some row leaks (the
+    subset condition is defined only for stochastic matrices).
     """
     R = np.asarray(R, dtype=float)
     sums = row_sums(R)
@@ -197,21 +212,27 @@ def is_irreducible(R: np.ndarray) -> bool:
             f"is_irreducible requires a stochastic matrix; row {i + 1} "
             f"sums to {sums[i]:.17g}"
         )
-    closure = _reachability(R)
-    return bool(np.all(closure & closure.T))
+    adj = R > 0
+    first = np.arange(R.shape[0]) == 0
+    return bool(np.all(_reached(adj, first)) and np.all(_reached(adj.T, first)))
 
 
 def _closed_subset(R: np.ndarray) -> list[int]:
     """A closed subset of a reducible stochastic matrix: the members of a
-    sink strongly-connected component (0-based, sorted)."""
-    closure = _reachability(np.asarray(R))
-    n = closure.shape[0]
-    # a sink SCC seen from any of its members reaches exactly the mutual set
-    for i in range(n):
-        reach = np.flatnonzero(closure[i])
-        if np.all(closure[reach][:, i]):
-            return [int(j) for j in reach]
-    raise AssertionError("unreachable: every finite digraph has a sink SCC")
+    sink strongly-connected component (0-based, sorted).
+
+    From cell 1, move to a reachable cell that does not reach back until
+    every reachable cell reaches back; each move shrinks the reachable set.
+    """
+    adj = np.asarray(R) > 0
+    cells = np.arange(adj.shape[0])
+    i = 0
+    while True:
+        reached = _reached(adj, cells == i)
+        escape = reached & ~_reached(adj.T, cells == i)
+        if not escape.any():
+            return [int(j) for j in np.flatnonzero(reached)]
+        i = int(np.argmax(escape))
 
 
 def classify_routing(R: np.ndarray) -> RoutingClass:
@@ -228,11 +249,10 @@ def classify_routing(R: np.ndarray) -> RoutingClass:
             return RoutingClass(STOCHASTIC_IRREDUCIBLE, "all rows stochastic, support digraph strongly connected")
         closed = [j + 1 for j in _closed_subset(R)]
         return RoutingClass(OTHER, f"stochastic but reducible: closed subset {{{', '.join(map(str, closed))}}}")
-    if is_out_connected(R):
+    draining = _reached((R > 0).T, _leaky_mask(R))
+    if np.all(draining):
         return RoutingClass(SUBSTOCHASTIC_OUT_CONNECTED, f"leaky rows {[i + 1 for i in leaky_nodes(R)]} reachable from every cell")
-    closure = _reachability(R)
-    leaky = leaky_nodes(R)
-    stranded = [int(i) + 1 for i in range(R.shape[0]) if not (leaky and closure[i, leaky].any())]
+    stranded = [int(i) + 1 for i in np.flatnonzero(~draining)]
     return RoutingClass(OTHER, f"cells {stranded} cannot reach a leaky cell")
 
 
@@ -242,35 +262,41 @@ def _require_stochastic_irreducible(R: np.ndarray, op: str) -> None:
         raise PreconditionError(f"{op} requires a stochastic irreducible routing matrix ({cls.tag}: {cls.detail})")
 
 
-def invariant_vector(R: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
-    """The unique probability vector pi with pi = R' pi, strictly positive.
+def _pi_and_h(R: np.ndarray, v: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """pi and the zero-sum Hv of a routing matrix known to be stochastic
+    irreducible, from one solve of M X = [1, v], M = I - R' + 1 1'.
 
-    Power iteration on the averaged matrix (I + R')/2 (which kills
-    periodicity) with 1e-14 increment stopping; falls back to a null-space
-    solve of I - R' if the iteration budget is exceeded.
+    1'(I - R') = 0, so 1'M = n 1': a solution of M x = b has 1'x = 1'b / n
+    and solves x = R'x + b - 1'b / n.  M is therefore nonsingular (its null
+    vectors would be zero-sum multiples of pi), periodic R included.  The H
+    residual bound scales with max(1, |v|_inf), so rescaling the data does
+    not decide whether the solve passes.
     """
-    R = np.asarray(R, dtype=float)
-    _require_stochastic_irreducible(R, "invariant_vector")
     n = R.shape[0]
-    M = 0.5 * (np.eye(n) + R.T)  # column-stochastic, aperiodic
-    pi = np.full(n, 1.0 / n)
-    for _ in range(10**5):
-        nxt = M @ pi
-        if np.abs(nxt - pi).sum() <= 1e-14:
-            pi = nxt
-            break
-        pi = nxt
-    else:
-        # slow mixing: null space of I - R' via SVD
-        _, _, vt = np.linalg.svd(np.eye(n) - R.T)
-        pi = vt[-1]
-        if pi.sum() < 0:
-            pi = -pi
-    pi = pi / pi.sum()
+    M = np.ones((n, n)) - R.T
+    M.flat[:: n + 1] += 1.0
+    sol = np.linalg.solve(M, np.column_stack([np.ones(n), v]))
+    pi = sol[:, 0] / sol[:, 0].sum()
+    hv = sol[:, 1]
     residual = np.abs(pi - R.T @ pi).sum()
     if residual >= residual_tol or np.any(pi <= 0):
         raise NumericalError(f"invariant vector residual {residual:.3g} not within {residual_tol:.3g}")
-    return pi
+    residual = max(np.abs(hv - R.T @ hv - v).max(), abs(hv.sum()))
+    bound = residual_tol * max(1.0, np.abs(v).max())
+    if residual >= bound:
+        raise NumericalError(f"H solve residual {residual:.3g} not within {bound:.3g}")
+    return pi, hv
+
+
+def invariant_vector(R: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+    """The unique probability vector pi with pi = R' pi, strictly positive.
+
+    Solved as M pi = 1 with M = I - R' + 1 1' (see :func:`_pi_and_h`) and
+    certified: pi > 0 and |pi - R' pi|_1 below ``residual_tol``.
+    """
+    R = np.asarray(R, dtype=float)
+    _require_stochastic_irreducible(R, "invariant_vector")
+    return _pi_and_h(R, np.zeros(R.shape[0]), residual_tol)[0]
 
 
 def zero_sum_tol(v: np.ndarray) -> float:
@@ -286,25 +312,17 @@ def is_zero_sum(v: np.ndarray) -> bool:
 def h_operator(R: np.ndarray, v: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
     """The zero-sum solution Hv of Hv = R' Hv + v.
 
-    Solved directly via the stacked system [(I - R'); 1'] x = [v; 0] in the
-    least-squares sense, which is exact to machine precision (I - R' has
-    rank n-1 for irreducible stochastic R and the zero-sum row pins the
-    remaining degree of freedom).  The averaged power series is kept in
-    :func:`h_series` as an independent oracle.
+    Solved as M x = v with M = I - R' + 1 1' (see :func:`_pi_and_h`) and
+    certified: the defining equation and sum(x) = 0 both hold within
+    ``residual_tol`` times max(1, |v|_inf).  The averaged power series is
+    kept in :func:`h_series` as an independent oracle.
     """
     R = np.asarray(R, dtype=float)
     v = np.asarray(v, dtype=float)
     _require_stochastic_irreducible(R, "h_operator")
     if not is_zero_sum(v):
         raise PreconditionError(f"h_operator requires a zero-sum vector, got sum {v.sum():.3g}")
-    n = R.shape[0]
-    A = np.vstack([np.eye(n) - R.T, np.ones((1, n))])
-    b = np.concatenate([v, [0.0]])
-    hv, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = max(np.abs(hv - R.T @ hv - v).max(), abs(hv.sum()))
-    if residual >= residual_tol:
-        raise NumericalError(f"H solve residual {residual:.3g} not within {residual_tol:.3g}")
-    return hv
+    return _pi_and_h(R, v, residual_tol)[1]
 
 
 def h_series(R: np.ndarray, v: np.ndarray, max_terms: int = 10**4, increment_tol: float = 1e-12) -> np.ndarray:

@@ -12,7 +12,7 @@ from satflow import (
     picard_min,
     validate,
 )
-from satflow.equilibria import MINMAX_ONLY, POINT, SEGMENT
+from satflow.equilibria import MINMAX_ONLY, POINT, SEGMENT, EquilibriumSet
 
 from conftest import (
     C3,
@@ -163,6 +163,37 @@ class TestEquilibriumSet:
         assert abs(eq.distance_l1(eq.x_min + np.array([0.0, -0.0, 0.0]))) < 1e-9
         off = mid + np.array([0.5, 0.0, 0.0])
         assert 0.4 < eq.distance_l1(off) <= 0.5 + 1e-9
+
+    def test_distance_l1_matches_dense_grid(self):
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            pi = rng.random(n) + 0.05
+            pi /= pi.sum()
+            hc = rng.standard_normal(n)
+            alpha_min = float(rng.uniform(-3, 1))
+            alpha_max = alpha_min + float(rng.uniform(0.1, 4))
+            eq = EquilibriumSet(kind=SEGMENT, x_min=hc + alpha_min * pi, x_max=hc + alpha_max * pi,
+                                hc=hc, pi=pi, alpha_min=alpha_min, alpha_max=alpha_max)
+            grid = np.linspace(alpha_min, alpha_max, 20001)
+            step = grid[1] - grid[0]
+            for x in (hc + rng.uniform(-6, 6) * pi + rng.standard_normal(n), rng.uniform(-5, 5, n)):
+                dense = np.abs(x[None, :] - (hc[None, :] + grid[:, None] * pi[None, :])).sum(axis=1).min()
+                exact = eq.distance_l1(x)
+                # the distance is 1-Lipschitz in a (pi sums to 1), so the grid is within half a step
+                assert dense - 0.5 * step - 1e-12 <= exact <= dense + 1e-12
+
+    @pytest.mark.parametrize("k", [1e-6, 1e6, 1e9])
+    def test_scaled_reference_network(self, spec3, k):
+        # (kw, kc) has k times the equilibria of (w, c).  k = 1e12 still fails:
+        # BOUNDARY_TOL is an absolute 1e-9, finer than the rounding of
+        # endpoints of size 1e12 (scale-aware tolerances, ROADMAP item 5).
+        base = equilibrium_set(spec3)
+        eq = equilibrium_set(validate(NetworkSpec(routing=R3, capacity=k * W3, demand=k * C3)))
+        assert eq.kind == SEGMENT
+        assert np.abs(eq.x_min - k * base.x_min).max() <= 1e-12 * k
+        assert np.abs(eq.x_max - k * base.x_max).max() <= 1e-12 * k
+        assert abs(eq.condition_value - k * base.condition_value) <= 1e-12 * k
 
 
 class TestProperties:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,15 @@ class TestValidate:
             validate(NetworkSpec(routing=SWAP2, capacity=[1, 1], demand=[0.5, 0],
                                  inflow=[1, 0], outflow=[0, 0]))
 
+    def test_demand_matches_inflow_outflow_up_to_rounding(self):
+        # 0.3 - 0.1 == 0.19999999999999998 in floats
+        spec = validate(NetworkSpec(routing=SWAP2, capacity=[1, 1], demand=[0.2, 0],
+                                    inflow=[0.3, 0], outflow=[0.1, 0]))
+        assert spec.demand[0] == 0.2
+        with pytest.raises(ScenarioError, match="inflow - outflow"):
+            validate(NetworkSpec(routing=SWAP2, capacity=[1, 1], demand=[0.25, 0],
+                                 inflow=[0.3, 0], outflow=[0.1, 0]))
+
     def test_inflow_without_outflow(self):
         with pytest.raises(ScenarioError, match="together"):
             validate(NetworkSpec(routing=SWAP2, capacity=[1, 1], demand=[1, 0],
@@ -153,6 +164,107 @@ class TestClassify:
             assert classify_routing(P @ R @ P.T).tag == classify_routing(R).tag
 
 
+def reachability_closure(R):
+    """Boolean closure C with C[i, j] true iff j is reachable from i in the
+    support digraph of R, the zero-length path included; closes the graph
+    by repeated boolean squaring, independently of the frontier search."""
+    closure = (np.asarray(R) > 0) | np.eye(R.shape[0], dtype=bool)
+    while True:
+        nxt = closure @ closure
+        if np.array_equal(nxt, closure):
+            return closure
+        closure = nxt
+
+
+def assert_classification_matches_closure(R):
+    closure = reachability_closure(R)
+    leaky = row_sums(R) < 1 - 1e-12
+    draining = closure[:, leaky].any(axis=1)
+    cls = classify_routing(R)
+    cells = [int(k) - 1 for k in re.findall(r"\d+", cls.detail)]
+    assert is_out_connected(R) == bool(draining.all())
+    if leaky.any():
+        with pytest.raises(PreconditionError):
+            is_irreducible(R)
+        if draining.all():
+            assert cls.tag == SUBSTOCHASTIC_OUT_CONNECTED
+            assert cells == list(np.flatnonzero(leaky))
+        else:
+            assert cls.tag == OTHER
+            assert cells == list(np.flatnonzero(~draining))
+        return
+    strongly_connected = bool(np.all(closure & closure.T))
+    assert is_irreducible(R) == strongly_connected
+    if strongly_connected:
+        assert cls.tag == STOCHASTIC_IRREDUCIBLE
+        return
+    # the named cells are a sink strongly connected component: each reaches exactly them
+    assert cls.tag == OTHER
+    subset = np.zeros(R.shape[0], dtype=bool)
+    subset[cells] = True
+    assert cells and all(np.array_equal(closure[i], subset) for i in cells)
+
+
+def random_sparse_routing(rng, n, density, stochastic):
+    """Random weights on a random sparse support; stochastic rows, or
+    rows scaled below 1 at random (empty rows stay leaky)."""
+    support = rng.random((n, n)) < density
+    np.fill_diagonal(support, False)
+    if stochastic:
+        for i in np.flatnonzero(~support.any(axis=1)):
+            support[i, rng.choice([j for j in range(n) if j != i])] = True
+    R = np.where(support, rng.random((n, n)) + 0.05, 0.0)
+    sums = R.sum(axis=1)
+    R[sums > 0] /= sums[sums > 0, None]
+    if not stochastic:
+        R *= np.where(rng.random(n) < 0.2, rng.uniform(0.2, 0.9, n), 1.0)[:, None]
+    return R
+
+
+def path_graph(n, last_row):
+    """Cells 1 -> 2 -> ... -> n, with ``last_row`` as the routing of cell n."""
+    R = np.zeros((n, n))
+    R[np.arange(n - 1), np.arange(1, n)] = 1.0
+    R[-1] = last_row
+    return R
+
+
+class TestClassifyAgainstClosure:
+    def test_random_sparse_digraphs(self):
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            n = int(rng.integers(2, 13))
+            R = random_sparse_routing(rng, n, rng.choice([0.1, 0.2, 0.35]), bool(rng.integers(2)))
+            assert_classification_matches_closure(R)
+
+    def test_single_cell(self):
+        assert_classification_matches_closure(np.zeros((1, 1)))
+        assert classify_routing(np.zeros((1, 1))).tag == SUBSTOCHASTIC_OUT_CONNECTED
+
+    def test_two_disjoint_cycles(self):
+        assert_classification_matches_closure(TWO_CYCLES)
+
+    def test_stranded_closed_cycle(self):
+        R = np.array([[0, 0.5, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=float)
+        assert_classification_matches_closure(R)
+        assert classify_routing(R).detail == "cells [2, 3] cannot reach a leaky cell"
+
+    def test_long_paths(self):
+        # each search needs about n rounds to cross the path
+        n = 120
+        to_first, to_previous = np.zeros(n), np.zeros(n)
+        to_first[0] = to_previous[n - 2] = 1.0
+        cases = {
+            SUBSTOCHASTIC_OUT_CONNECTED: path_graph(n, np.zeros(n)),
+            STOCHASTIC_IRREDUCIBLE: path_graph(n, to_first),
+            OTHER: path_graph(n, to_previous),
+        }
+        for tag, R in cases.items():
+            assert_classification_matches_closure(R)
+            assert classify_routing(R).tag == tag
+        assert classify_routing(cases[OTHER]).detail == f"stochastic but reducible: closed subset {{{n - 1}, {n}}}"
+
+
 class TestInvariantVector:
     def test_reference_network(self):
         pi = invariant_vector(R3)
@@ -178,6 +290,22 @@ class TestInvariantVector:
             assert np.abs(pi - R.T @ pi).sum() < 1e-10
             assert pi.min() > 0
             assert abs(pi.sum() - 1) < 1e-12
+
+
+def test_large_sparse_solve_matches_lstsq():
+    rng = np.random.default_rng(59)
+    n = 300
+    R = np.zeros((n, n))
+    R[np.arange(n), np.roll(np.arange(n), -1)] = 1.0  # a Hamiltonian cycle keeps R irreducible
+    R += np.where(rng.random((n, n)) < 0.02, rng.random((n, n)), 0.0)
+    np.fill_diagonal(R, 0.0)
+    R /= R.sum(axis=1)[:, None]
+    v = random_zero_sum(rng, n)
+    A = np.vstack([np.eye(n) - R.T, np.ones((1, n))])
+    pi_ref = np.linalg.lstsq(A, np.concatenate([np.zeros(n), [1.0]]), rcond=None)[0]
+    hv_ref = np.linalg.lstsq(A, np.concatenate([v, [0.0]]), rcond=None)[0]
+    assert np.abs(invariant_vector(R) - pi_ref).max() < 1e-13
+    assert np.abs(h_operator(R, v) - hv_ref).max() < 1e-10
 
 
 class TestHOperator:
