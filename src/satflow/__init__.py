@@ -5,8 +5,9 @@ Library layout:
 * :mod:`satflow.model`       -- network spec, validation, routing-matrix
   classification, invariant vector pi, H operator
 * :mod:`satflow.dynamics`    -- saturated vector field and RK4 integration
-* :mod:`satflow.equilibria`  -- Picard fixed-point solvers, the analytic
-  equilibrium segment, and the multiplicity condition
+* :mod:`satflow.equilibria`  -- exact least and greatest equilibria by
+  pattern iteration, the analytic equilibrium segment, the multiplicity
+  condition, and Picard iteration (reducible routing, test oracle)
 * :mod:`satflow.transitions` -- demand-path sweeps and jump detection
 * :mod:`satflow.cli`         -- ``satflow`` command (check | simulate |
   equilibria | sweep)

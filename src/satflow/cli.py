@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 invalid scenario, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -101,13 +102,9 @@ def _initial_state(arg: str, spec: model.NetworkSpec) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     spec, cfg, _ = load_scenario(args.scenario)
-    if args.t_end is not None:
-        cfg.t_end = args.t_end
-    if args.dt is not None:
-        cfg.dt = args.dt
-    cfg = dynamics.IntegratorConfig(dt=cfg.dt, t_end=cfg.t_end,
-                                    sample_every=cfg.sample_every,
-                                    residual_tol=cfg.residual_tol)
+    overrides = {k: v for k, v in (("t_end", args.t_end), ("dt", args.dt)) if v is not None}
+    # replace() re-runs IntegratorConfig's checks on the overridden values
+    cfg = dataclasses.replace(cfg, **overrides)
     x0 = _initial_state(args.x0, spec)
     traj = dynamics.integrate(spec, x0, cfg)
     header = "t," + ",".join(f"x{i + 1}" for i in range(spec.n)) + ",residual_l1"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .equilibria import POINT, SEGMENT, EquilibriumSet, equilibrium_set
+from .equilibria import POINT, SEGMENT, EquilibriumSet, _line, equilibrium_set
 from .model import (
     STOCHASTIC_IRREDUCIBLE,
     NetworkSpec,
@@ -78,7 +78,12 @@ class SweepResult:
 
 
 def on_critical_manifold(R: np.ndarray, w: np.ndarray, c: np.ndarray, tol: float | None = None) -> bool:
-    """True iff c is zero-sum (within tol) and the condition value is positive."""
+    """True iff c is zero-sum (within tol) and the condition value is positive.
+
+    The routing matrix is classified once; the condition value of the
+    zero-sum projection c - mean(c) comes from the same line data as in
+    :func:`satflow.equilibria.equilibrium_set`.
+    """
     c = np.asarray(c, dtype=float)
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=c))
     cls = classify_routing(spec.routing)
@@ -88,10 +93,8 @@ def on_critical_manifold(R: np.ndarray, w: np.ndarray, c: np.ndarray, tol: float
         tol = zero_sum_tol(c)
     if abs(c.sum()) > tol:
         return False
-    from .equilibria import multiplicity_test
-
-    value, multiple = multiplicity_test(NetworkSpec(routing=R, capacity=w, demand=c - c.sum() / c.size))
-    return bool(multiple)
+    line = _line(NetworkSpec(routing=spec.routing, capacity=spec.capacity, demand=c - c.sum() / c.size))
+    return line is not None and line[3] - line[2] > 0
 
 
 def _eval_sample(R, w, s, c) -> SweepRow:

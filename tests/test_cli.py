@@ -107,6 +107,13 @@ class TestSimulate:
                                "--out", str(tmp_path / "t.csv")])
         assert code == 2
 
+    def test_dt_above_t_end_rejected(self, capsys, scenario3, tmp_path):
+        code = main(["simulate", scenario3, "--t-end", "1", "--dt", "2",
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: dt must not exceed t_end\n"
+        assert not (tmp_path / "t.csv").exists()
+
     def test_deterministic_output(self, capsys, scenario3, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, ["simulate", scenario3, "--x0", "zero", "--out", str(a)])

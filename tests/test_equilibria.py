@@ -183,11 +183,9 @@ class TestEquilibriumSet:
                 # the distance is 1-Lipschitz in a (pi sums to 1), so the grid is within half a step
                 assert dense - 0.5 * step - 1e-12 <= exact <= dense + 1e-12
 
-    @pytest.mark.parametrize("k", [1e-6, 1e6, 1e9])
+    @pytest.mark.parametrize("k", [1e-6, 1e6, 1e9, 1e12])
     def test_scaled_reference_network(self, spec3, k):
-        # (kw, kc) has k times the equilibria of (w, c).  k = 1e12 still fails:
-        # BOUNDARY_TOL is an absolute 1e-9, finer than the rounding of
-        # endpoints of size 1e12 (scale-aware tolerances, ROADMAP item 5).
+        # (kw, kc) has k times the equilibria of (w, c)
         base = equilibrium_set(spec3)
         eq = equilibrium_set(validate(NetworkSpec(routing=R3, capacity=k * W3, demand=k * C3)))
         assert eq.kind == SEGMENT
