@@ -13,7 +13,7 @@ Library layout:
   equilibria | sweep)
 """
 
-from .dynamics import IntegratorConfig, Trajectory, integrate, linear_rhs, net_flow, saturate
+from .dynamics import IntegratorConfig, Trajectory, integrate, net_flow
 from .equilibria import (
     EquilibriumSet,
     PicardResult,
@@ -28,7 +28,6 @@ from .model import (
     RoutingClass,
     classify_routing,
     h_operator,
-    h_series,
     invariant_vector,
     is_irreducible,
     is_out_connected,
@@ -56,18 +55,15 @@ __all__ = [
     "directional_limits",
     "equilibrium_set",
     "h_operator",
-    "h_series",
     "integrate",
     "invariant_vector",
     "is_irreducible",
     "is_out_connected",
-    "linear_rhs",
     "multiplicity_test",
     "net_flow",
     "on_critical_manifold",
     "picard_max",
     "picard_min",
-    "saturate",
     "sweep",
     "validate",
 ]

@@ -109,8 +109,7 @@ def cmd_simulate(args) -> int:
     traj = dynamics.integrate(spec, x0, cfg)
     header = "t," + ",".join(f"x{i + 1}" for i in range(spec.n)) + ",residual_l1"
     lines = [header]
-    for t, x in zip(traj.times, traj.states):
-        res = float(np.abs(dynamics.net_flow(spec, x)).sum())
+    for t, x, res in zip(traj.times, traj.states, traj.residuals):
         lines.append(",".join([_fmt(t)] + [_fmt(v) for v in x] + [_fmt(res)]))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

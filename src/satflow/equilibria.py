@@ -48,6 +48,7 @@ from .model import (
     classify_routing,
     is_zero_sum,
     row_sums,
+    tolerance_scale,
 )
 
 POINT = "Point"
@@ -205,14 +206,10 @@ def equilibrium_set(spec: NetworkSpec) -> EquilibriumSet:
     return _min_max_only(spec)
 
 
-def _scale(spec: NetworkSpec) -> float:
-    return max(1.0, float(spec.capacity.max()))
-
-
 def _segment(spec: NetworkSpec, pi: np.ndarray, hc: np.ndarray, alpha_min: float, alpha_max: float) -> EquilibriumSet:
     x_min = hc + alpha_min * pi
     x_max = hc + alpha_max * pi
-    tol = BOUNDARY_TOL * _scale(spec)
+    tol = BOUNDARY_TOL * tolerance_scale(spec.capacity)
     for name, x in (("x_min", x_min), ("x_max", x_max)):
         on_boundary = np.any(np.abs(x) <= tol) or np.any(np.abs(x - spec.capacity) <= tol)
         if not on_boundary:
@@ -230,7 +227,7 @@ def _segment(spec: NetworkSpec, pi: np.ndarray, hc: np.ndarray, alpha_min: float
 
 
 def _min_max_only(spec: NetworkSpec) -> EquilibriumSet:
-    bound = _FIXED_POINT_TOL * _scale(spec)
+    bound = _FIXED_POINT_TOL * tolerance_scale(spec.capacity)
     lo = picard_min(spec)
     hi = picard_max(spec)
     for name, res in (("picard_min", lo), ("picard_max", hi)):
@@ -243,7 +240,7 @@ def _point(spec: NetworkSpec, condition_value: float | None = None) -> Equilibri
     x_min = _extreme(spec, "min")
     x_max = _extreme(spec, "max")
     gap = float(np.abs(x_max - x_min).sum())
-    if gap > POINT_AGREEMENT_TOL * _scale(spec):
+    if gap > POINT_AGREEMENT_TOL * tolerance_scale(spec.capacity):
         raise NumericalError(f"x_min and x_max disagree by {gap:.3g} in a unique-equilibrium case")
     return EquilibriumSet(kind=POINT, x_min=x_min, x_max=x_max, condition_value=condition_value)
 
@@ -264,7 +261,9 @@ def _extreme(spec: NetworkSpec, side: str) -> np.ndarray:
         climb = spec
     else:
         climb = NetworkSpec(routing=spec.routing, capacity=w, demand=w - R_t @ w - spec.demand)
-    warm = _picard(climb, np.zeros(spec.n), max_iter=spec.n)
+    # relative to |w|_inf with no floor: an absolute increment would stop
+    # the warm-up of a network with small capacities far from its limit
+    warm = _picard(climb, np.zeros(spec.n), increment_tol=1e-12 * float(w.max()), max_iter=spec.n)
     y, rounds, solves = warm.x, 0, 0
     if not warm.converged:
         # I - R'_FF is singular only for F = every cell of a stochastic R
@@ -272,7 +271,7 @@ def _extreme(spec: NetworkSpec, side: str) -> np.ndarray:
         y, rounds, solves = _climb(R_t, w, climb.demand, warm.x, stochastic)
     x = y if side == "min" else w - y
     residual = float(np.abs(np.clip(R_t @ x + spec.demand, 0.0, w) - x).sum())
-    bound = _FIXED_POINT_TOL * _scale(spec)
+    bound = _FIXED_POINT_TOL * tolerance_scale(spec.capacity)
     if not residual < bound:
         raise NumericalError(
             f"x_{side} residual {residual:.3g} not within {bound:.3g} after {warm.iterations} "

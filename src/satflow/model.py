@@ -299,6 +299,14 @@ def invariant_vector(R: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.nd
     return _pi_and_h(R, np.zeros(R.shape[0]), residual_tol)[0]
 
 
+def tolerance_scale(w: np.ndarray) -> float:
+    """max(1, |w|_inf), the factor on every tolerance for states and
+    equilibria: (kw, kc) has k times the trajectories and equilibria of
+    (w, c), so their errors scale with w; at unit scale and below the
+    tolerances are the bare constants."""
+    return max(1.0, float(np.max(w)))
+
+
 def zero_sum_tol(v: np.ndarray) -> float:
     """Scale-aware tolerance on the zero-sum condition sum(v) = 0."""
     return 1e-12 * (1.0 + np.abs(v).sum())
@@ -314,8 +322,7 @@ def h_operator(R: np.ndarray, v: np.ndarray, residual_tol: float = RESIDUAL_TOL)
 
     Solved as M x = v with M = I - R' + 1 1' (see :func:`_pi_and_h`) and
     certified: the defining equation and sum(x) = 0 both hold within
-    ``residual_tol`` times max(1, |v|_inf).  The averaged power series is
-    kept in :func:`h_series` as an independent oracle.
+    ``residual_tol`` times max(1, |v|_inf).
     """
     R = np.asarray(R, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -323,22 +330,3 @@ def h_operator(R: np.ndarray, v: np.ndarray, residual_tol: float = RESIDUAL_TOL)
     if not is_zero_sum(v):
         raise PreconditionError(f"h_operator requires a zero-sum vector, got sum {v.sum():.3g}")
     return _pi_and_h(R, v, residual_tol)[1]
-
-
-def h_series(R: np.ndarray, v: np.ndarray, max_terms: int = 10**4, increment_tol: float = 1e-12) -> np.ndarray:
-    """Truncated averaged series (1/2) sum_k ((I + R')/2)^k v.
-
-    Test oracle for :func:`h_operator`; each term is zero-sum, so the limit
-    is the zero-sum solution of Hv = R' Hv + v.
-    """
-    R = np.asarray(R, dtype=float)
-    v = np.asarray(v, dtype=float)
-    M = 0.5 * (np.eye(R.shape[0]) + R.T)
-    term = 0.5 * v.copy()
-    total = term.copy()
-    for _ in range(max_terms - 1):
-        term = M @ term
-        total += term
-        if np.abs(term).max() < increment_tol:
-            break
-    return total

@@ -13,7 +13,6 @@ from satflow import (
     directional_limits,
     equilibrium_set,
     h_operator,
-    h_series,
     integrate,
     invariant_vector,
     picard_max,
@@ -35,6 +34,7 @@ from conftest import (
     random_stochastic_irreducible,
     random_zero_sum,
 )
+from oracles import h_series
 
 PAPER_XMIN = np.array([0.32, 0.0, 1.08])
 PAPER_XMAX = np.array([1.62, 4.0, 5.41])

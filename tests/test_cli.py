@@ -120,6 +120,25 @@ class TestSimulate:
         run(capsys, ["simulate", scenario3, "--x0", "zero", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_residual_column(self, capsys, scenario3, tmp_path):
+        out_csv = tmp_path / "traj.csv"
+        run(capsys, ["simulate", scenario3, "--x0", "cap", "--out", str(out_csv)])
+        rows = np.loadtxt(out_csv, delimiter=",", skiprows=1)
+        for x, res in zip(rows[:, 1:4], rows[:, 4]):
+            assert abs(np.abs(np.clip(R3.T @ x + C3, 0, W3) - x).sum() - res) <= 1e-14
+
+    @pytest.mark.parametrize("k", [1e6, 1e9, 1e12])
+    def test_scaled_reference_converges(self, capsys, tmp_path, k):
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps({"routing": R3.tolist(), "capacity": (k * W3).tolist(),
+                                    "demand": (k * C3).tolist()}))
+        out_csv = tmp_path / "traj.csv"
+        code, out = run(capsys, ["simulate", str(path), "--x0", "zero", "--out", str(out_csv)])
+        assert code == 0
+        assert json.loads(out)["converged"] is True
+        final = np.array([float(v) for v in out_csv.read_text().strip().splitlines()[-1].split(",")][1:4])
+        assert np.abs(final - k * XMIN3).sum() < 1e-6 * k
+
 
 class TestEquilibria:
     def test_reference_segment(self, capsys, scenario3):

@@ -101,3 +101,19 @@ def test_matches_picard_on_random_networks():
         assert np.abs(eq.x_min - lo.x).sum() < 1e-9
         assert np.abs(eq.x_max - hi.x).sum() < 1e-9
     assert points >= 180
+
+
+@pytest.mark.parametrize("k", [1e-9, 1e-6])
+def test_fast_contracting_network_at_small_scale(k):
+    # row sums 0.5-0.6 contract by about 0.6 per Picard step; an absolute
+    # increment of 1e-12 ended the warm-up of this network scaled by 1e-9
+    # after 11 steps, about 1e-5 (relative) away from the equilibrium
+    rng = np.random.default_rng(61)
+    n = 40
+    R = random_substochastic(rng, n, 0.5, 0.6)
+    w, c = rng.uniform(0.5, 5.0, n), rng.uniform(-1.5, 1.5, n)
+    base = equilibrium_set(spec_at(c, R=R, w=w))
+    eq = equilibrium_set(spec_at(k * c, R=R, w=k * w))
+    assert base.kind == eq.kind == POINT
+    assert np.abs(eq.x_min - k * base.x_min).max() <= 1e-12 * k * np.abs(base.x_min).max()
+    assert np.abs(eq.x_max - k * base.x_max).max() <= 1e-12 * k * np.abs(base.x_max).max()

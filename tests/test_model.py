@@ -10,7 +10,6 @@ from satflow import (
     ScenarioError,
     classify_routing,
     h_operator,
-    h_series,
     invariant_vector,
     is_irreducible,
     is_out_connected,
@@ -34,6 +33,7 @@ from conftest import (
     random_substochastic,
     random_zero_sum,
 )
+from oracles import h_series
 
 # reducible stochastic matrix: two disjoint 2-cycles
 TWO_CYCLES = np.array([
