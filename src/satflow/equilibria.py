@@ -17,6 +17,18 @@ y = w - x.  Every result is certified by its residual ||T(x) - x||_1.
 Picard iteration to convergence (picard_min, picard_max) is kept for the
 reducible MinMaxOnly class and as a test oracle.
 
+A caller that solves many demands on one routing matrix (a demand sweep)
+classifies it once and may pass a guess, usually the equilibrium at a
+nearby demand.  The guess is used only where the class guarantees a
+unique equilibrium: sub-stochastic out-connected routing, or stochastic
+irreducible routing with a demand that is not zero-sum.  Its pattern
+(Z = {R'x + c <= 0} at 0, U = {R'x + c >= w} at w, the rest free) gives
+one linear solve of the free cells, with the mirrored system as a second
+right-hand side, re-read from the new iterate a few times if it moved.
+The answer is accepted only if its own pattern reproduces Z and U, its
+residual certifies, and the mirrored solution agrees with it; otherwise
+the cold pattern iteration above runs unchanged.
+
 For stochastic irreducible routing with zero-sum demand the full set of
 equilibria is known analytically: it is the line {Hc + a*pi} intersected
 with the lattice, a segment with positive length iff
@@ -65,6 +77,9 @@ POINT_AGREEMENT_TOL = 1e-6
 
 # a returned equilibrium x has ||T(x) - x||_1 below this, times max(1, |w|_inf)
 _FIXED_POINT_TOL = 1e-10
+
+# pattern solves a guess may take before _pattern_point gives up
+_GUESS_ROUNDS = 3
 
 
 class PicardResult(NamedTuple):
@@ -143,16 +158,15 @@ def picard_max(spec: NetworkSpec, increment_tol: float = 1e-12, max_iter: int = 
     return _picard(spec, spec.capacity, increment_tol, max_iter)
 
 
-def _line(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray, float, float] | None:
-    """(pi, Hc, alpha_min, alpha_max) of a spec whose routing is stochastic
-    irreducible, or None when the demand is not zero-sum.
+def _line(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(pi, Hc, alpha_min, alpha_max) of the zero-sum projection c - mean(c)
+    of the demand, for stochastic irreducible routing.
 
     The line {Hc + a*pi} meets the lattice for a in [alpha_min, alpha_max];
-    the condition value is alpha_max - alpha_min.
+    the condition value is alpha_max - alpha_min.  Callers decide whether
+    the demand is zero-sum.
     """
     c = spec.demand
-    if not is_zero_sum(c):
-        return None
     pi, hc = _pi_and_h(spec.routing, c - c.sum() / spec.n)
     return pi, hc, float(-np.min(hc / pi)), float(np.min((spec.capacity - hc) / pi))
 
@@ -168,9 +182,9 @@ def multiplicity_test(spec: NetworkSpec) -> tuple[float | None, bool]:
     cls = classify_routing(spec.routing)
     if cls.tag != STOCHASTIC_IRREDUCIBLE:
         raise PreconditionError(f"multiplicity_test requires stochastic irreducible routing ({cls.tag})")
-    line = _line(spec)
-    if line is None:
+    if not is_zero_sum(spec.demand):
         return None, False
+    line = _line(spec)
     value = line[3] - line[2]
     return value, value > 0
 
@@ -191,19 +205,30 @@ def equilibrium_set(spec: NetworkSpec) -> EquilibriumSet:
     come from one square solve with M = I - R' + 1 1' and two right-hand
     sides, and feed both the condition value and the segment.
     """
-    cls = classify_routing(spec.routing)
-    if cls.tag == STOCHASTIC_IRREDUCIBLE:
-        line = _line(spec)
-        if line is None:
-            return _point(spec)
-        pi, hc, alpha_min, alpha_max = line
-        value = alpha_max - alpha_min
-        if value > 0:
-            return _segment(spec, pi, hc, alpha_min, alpha_max)
-        return _point(spec, condition_value=value)
-    if cls.tag == SUBSTOCHASTIC_OUT_CONNECTED:
-        return _point(spec)
-    return _min_max_only(spec)
+    return _equilibrium(spec, classify_routing(spec.routing).tag)
+
+
+def _equilibrium(spec: NetworkSpec, tag: str, guess: np.ndarray | None = None) -> EquilibriumSet:
+    """:func:`equilibrium_set` for routing already classified as ``tag``.
+
+    A guess is tried by :func:`_pattern_point` only where the equilibrium
+    is unique and not zero-sum (see the module docstring); everywhere
+    else, and whenever the guess does not certify, the cold path runs.
+    """
+    if tag == STOCHASTIC_IRREDUCIBLE:
+        if is_zero_sum(spec.demand):
+            pi, hc, alpha_min, alpha_max = _line(spec)
+            value = alpha_max - alpha_min
+            if value > 0:
+                return _segment(spec, pi, hc, alpha_min, alpha_max)
+            return _point(spec, condition_value=value)
+    elif tag != SUBSTOCHASTIC_OUT_CONNECTED:
+        return _min_max_only(spec)
+    if guess is not None:
+        found = _pattern_point(spec, guess, stochastic=tag == STOCHASTIC_IRREDUCIBLE)
+        if found is not None:
+            return found
+    return _point(spec)
 
 
 def _segment(spec: NetworkSpec, pi: np.ndarray, hc: np.ndarray, alpha_min: float, alpha_max: float) -> EquilibriumSet:
@@ -228,8 +253,11 @@ def _segment(spec: NetworkSpec, pi: np.ndarray, hc: np.ndarray, alpha_min: float
 
 def _min_max_only(spec: NetworkSpec) -> EquilibriumSet:
     bound = _FIXED_POINT_TOL * tolerance_scale(spec.capacity)
-    lo = picard_min(spec)
-    hi = picard_max(spec)
+    # relative to |w|_inf, as in _extreme's warm-up: an absolute increment
+    # stops networks with small capacities far from their limit
+    increment_tol = 1e-12 * float(spec.capacity.max())
+    lo = picard_min(spec, increment_tol)
+    hi = picard_max(spec, increment_tol)
     for name, res in (("picard_min", lo), ("picard_max", hi)):
         if not res.converged or res.residual >= bound:
             raise NumericalError(f"{name} residual {res.residual:.3g} after {res.iterations} iterations")
@@ -243,6 +271,55 @@ def _point(spec: NetworkSpec, condition_value: float | None = None) -> Equilibri
     if gap > POINT_AGREEMENT_TOL * tolerance_scale(spec.capacity):
         raise NumericalError(f"x_min and x_max disagree by {gap:.3g} in a unique-equilibrium case")
     return EquilibriumSet(kind=POINT, x_min=x_min, x_max=x_max, condition_value=condition_value)
+
+
+def _pattern_point(spec: NetworkSpec, guess: np.ndarray, stochastic: bool) -> EquilibriumSet | None:
+    """The unique equilibrium of ``spec`` from the saturation pattern of a
+    guess, or None when it cannot be certified.
+
+    The pattern of y = R'x + c (Z = {y <= 0} at 0, U = {y >= w} at w, F
+    the rest) gives x_F from (I - R'_FF) x_F = c_F + R'_FU w_U; the same
+    solve takes the mirrored system of y = w - x (Z at w, U at 0) as a
+    second column.  A pattern that moves is re-read from the new x up to
+    _GUESS_ROUNDS times.  x is accepted only if its own pattern
+    reproduces Z and U, both solutions have residual ||T(x) - x||_1 below
+    _FIXED_POINT_TOL and they agree within POINT_AGREEMENT_TOL, each times
+    max(1, |w|_inf).  With stochastic R and Z, U both empty, I - R' is
+    singular and the guess is skipped.
+    """
+    R_t, w, c = spec.routing.T, spec.capacity, spec.demand
+    # column 0 is the system for x, column 1 the mirrored one for w - x
+    demands = np.stack([c, w - R_t @ w - c], axis=1)
+    y = R_t @ guess + c
+    zero, cap = y <= 0, y >= w
+    for _ in range(_GUESS_ROUNDS):
+        if stochastic and not (zero.any() or cap.any()):
+            return None
+        free = ~(zero | cap)
+        rows = R_t[free]
+        A = -rows[:, free]
+        A.flat[:: A.shape[0] + 1] += 1.0
+        held = w[:, None] * np.stack([cap, zero], axis=1)
+        try:
+            held[free] = np.linalg.solve(A, demands[free] + rows @ held)
+        except np.linalg.LinAlgError:
+            return None
+        x_min = held[:, 0]
+        y = R_t @ x_min + c
+        kept_zero, kept_cap = y <= 0, y >= w
+        if not ((kept_zero ^ zero).any() or (kept_cap ^ cap).any()):
+            break
+        zero, cap = kept_zero, kept_cap
+    else:
+        return None
+    x_max = w - held[:, 1]
+    X = np.stack([x_min, x_max], axis=1)
+    residuals = np.abs(np.minimum(np.maximum(R_t @ X + c[:, None], 0.0), w[:, None]) - X).sum(axis=0)
+    scale = tolerance_scale(w)
+    if not (np.all(residuals < _FIXED_POINT_TOL * scale)
+            and float(np.abs(x_max - x_min).sum()) <= POINT_AGREEMENT_TOL * scale):
+        return None
+    return EquilibriumSet(kind=POINT, x_min=x_min, x_max=x_max)
 
 
 def _extreme(spec: NetworkSpec, side: str) -> np.ndarray:

@@ -308,8 +308,9 @@ def tolerance_scale(w: np.ndarray) -> float:
 
 
 def zero_sum_tol(v: np.ndarray) -> float:
-    """Scale-aware tolerance on the zero-sum condition sum(v) = 0."""
-    return 1e-12 * (1.0 + np.abs(v).sum())
+    """Tolerance on the zero-sum condition sum(v) = 0, relative to |v|_1
+    with no floor, so that scaling v does not decide the answer."""
+    return 1e-12 * np.abs(v).sum()
 
 
 def is_zero_sum(v: np.ndarray) -> bool:

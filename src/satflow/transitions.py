@@ -6,6 +6,15 @@ positive segment-length condition value.  Crossing that set along a demand
 path produces a jump discontinuity in the asymptotic state: the unique
 equilibrium approaches the segment's lower endpoint from one side and its
 upper endpoint from the other.
+
+Away from the critical set the unique equilibrium moves piecewise
+affinely in c, with a fixed saturation pattern on each piece.  A sweep
+and a set of one-sided limits therefore classify the routing matrix once
+and solve each unique-equilibrium sample from the pattern of a nearby
+answer: one checked linear solve when the pattern still holds, the cold
+solver of :mod:`satflow.equilibria` when it cannot be certified.  The
+answers are those of :func:`satflow.equilibria.equilibrium_set` at each
+demand, up to rounding.
 """
 
 from __future__ import annotations
@@ -15,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .equilibria import POINT, SEGMENT, EquilibriumSet, _line, equilibrium_set
+from .equilibria import POINT, SEGMENT, EquilibriumSet, _equilibrium, _line, _segment
 from .model import (
     STOCHASTIC_IRREDUCIBLE,
     NetworkSpec,
+    _require_stochastic_irreducible,
     classify_routing,
     is_zero_sum,
     validate,
@@ -84,21 +94,30 @@ def on_critical_manifold(R: np.ndarray, w: np.ndarray, c: np.ndarray, tol: float
     zero-sum projection c - mean(c) comes from the same line data as in
     :func:`satflow.equilibria.equilibrium_set`.
     """
-    c = np.asarray(c, dtype=float)
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=c))
-    cls = classify_routing(spec.routing)
-    if cls.tag != STOCHASTIC_IRREDUCIBLE:
-        raise PreconditionError(f"on_critical_manifold requires stochastic irreducible routing ({cls.tag})")
-    if tol is None:
-        tol = zero_sum_tol(c)
-    if abs(c.sum()) > tol:
-        return False
-    line = _line(NetworkSpec(routing=spec.routing, capacity=spec.capacity, demand=c - c.sum() / c.size))
-    return line is not None and line[3] - line[2] > 0
+    _require_stochastic_irreducible(spec.routing, "on_critical_manifold")
+    return _critical_line(spec, tol) is not None
 
 
-def _eval_sample(R, w, s, c) -> SweepRow:
-    eq = equilibrium_set(NetworkSpec(routing=R, capacity=w, demand=c))
+def _critical_line(spec: NetworkSpec, tol: float | None = None):
+    """The line data (pi, Hc, alpha_min, alpha_max) of the demand's zero-sum
+    projection when the demand is on the critical set, else None; the
+    routing must be stochastic irreducible."""
+    c = spec.demand
+    if abs(c.sum()) > (zero_sum_tol(c) if tol is None else tol):
+        return None
+    line = _line(spec)
+    return line if line[3] - line[2] > 0 else None
+
+
+def _jump(spec: NetworkSpec, line) -> float:
+    """l1 length of the segment at a demand on the critical set, from the
+    line data of :func:`_critical_line`."""
+    seg = _segment(spec, *line)
+    return float(np.abs(seg.x_max - seg.x_min).sum())
+
+
+def _row(s, c, eq: EquilibriumSet) -> SweepRow:
     value = eq.condition_value
     return SweepRow(
         s=float(s),
@@ -112,32 +131,44 @@ def _eval_sample(R, w, s, c) -> SweepRow:
     )
 
 
-def _jump_at(R, w, c_star) -> float:
-    eq = equilibrium_set(NetworkSpec(routing=R, capacity=w, demand=c_star))
-    return float(np.abs(eq.x_max - eq.x_min).sum())
-
-
 def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     """Classify the equilibrium set along a demand path and locate crossings.
 
-    Every grid sample is evaluated with :func:`equilibrium_set`.  On an
-    affine path the total demand sum(c(s)) is affine in s, so the only
-    codimension-1 event is its zero crossing, located by one exact linear
-    solve and confirmed by the condition-value test.  Flips of the manifold
-    indicator not attributable to a zero-sum crossing are bisected on the
-    indicator itself (paths inside the zero-sum hyperplane); anything else
-    is reported unresolved, never guessed.
+    The routing matrix is classified once for the whole path, and each grid
+    sample gets the equilibrium set
+    :func:`satflow.equilibria.equilibrium_set` would give.  A sample with a
+    unique equilibrium off the zero-sum hyperplane takes the last Point
+    row's x_min as a guess, so it usually costs one checked pattern solve;
+    the cold solver runs whenever the guess does not certify (see
+    :mod:`satflow.equilibria`).  On an affine path the total demand
+    sum(c(s)) is affine in s, so the only codimension-1 event is its zero
+    crossing, located by one exact linear solve and confirmed by the
+    condition-value test, whose line data also give the jump size.
+    Flips of the manifold indicator not attributable to a zero-sum crossing
+    are bisected on the indicator itself (paths inside the zero-sum
+    hyperplane); anything else is reported unresolved, never guessed.
     """
     R = np.asarray(R, dtype=float)
     w = np.asarray(w, dtype=float)
     validate(NetworkSpec(routing=R, capacity=w, demand=path.c_start))
     validate(NetworkSpec(routing=R, capacity=w, demand=path.c_end))
+    tag = classify_routing(R).tag
 
     grid = path.grid
-    rows = [_eval_sample(R, w, s, path.c_at(s)) for s in grid]
+    rows = []
+    guess = None
+    for s in grid:
+        c = path.c_at(s)
+        eq = _equilibrium(NetworkSpec(routing=R, capacity=w, demand=c), tag, guess)
+        if eq.kind == POINT:
+            guess = eq.x_min
+        rows.append(_row(s, c, eq))
     result = SweepResult(rows=rows)
-    if classify_routing(R).tag != STOCHASTIC_IRREDUCIBLE:
+    if tag != STOCHASTIC_IRREDUCIBLE:
         return result  # no critical set for these routing classes
+
+    def at(s) -> NetworkSpec:
+        return NetworkSpec(routing=R, capacity=w, demand=path.c_at(s))
 
     sig0 = float(path.c_start.sum())
     sig1 = float(path.c_end.sum())
@@ -150,19 +181,19 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
         s_star = -sig0 / slope
         if -BISECT_TOL <= s_star <= 1 + BISECT_TOL:
             s_star = min(max(s_star, 0.0), 1.0)
-            c_star = path.c_at(s_star)
             result.critical_points.append(
                 {"s_lo": max(0.0, s_star - ds), "s_hi": min(1.0, s_star + ds)}
             )
-            if on_critical_manifold(R, w, c_star):
-                result.jumps.append({"s": s_star, "magnitude": _jump_at(R, w, c_star)})
+            line = _critical_line(at(s_star))
+            if line is not None:
+                result.jumps.append({"s": s_star, "magnitude": _jump(at(s_star), line)})
             handled.append(s_star)
     else:
         # path parallel to the zero-sum hyperplane
         if abs(sig0) <= scale_tol and np.allclose(path.c_start, path.c_end) and rows[0].on_manifold:
             # degenerate constant path sitting on the critical set
             result.critical_points.append({"s_lo": 0.0, "s_hi": 0.0})
-            result.jumps.append({"s": 0.0, "magnitude": _jump_at(R, w, path.c_at(0.0))})
+            result.jumps.append({"s": 0.0, "magnitude": _jump(at(0.0), _critical_line(at(0.0)))})
             handled.append(0.0)
 
     for i in range(len(grid) - 1):
@@ -178,13 +209,13 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
             flag_lo = rows[i].on_manifold
             while hi - lo > BISECT_TOL:
                 mid = 0.5 * (lo + hi)
-                if on_critical_manifold(R, w, path.c_at(mid)) == flag_lo:
+                if (_critical_line(at(mid)) is not None) == flag_lo:
                     lo = mid
                 else:
                     hi = mid
             s_star = hi if not flag_lo else lo
             result.critical_points.append(bracket)
-            result.jumps.append({"s": s_star, "magnitude": _jump_at(R, w, path.c_at(s_star))})
+            result.jumps.append({"s": s_star, "magnitude": _jump(at(s_star), _critical_line(at(s_star)))})
         else:
             # a kind flip with no zero-sum crossing in the bracket: refuse to guess
             result.unresolved.append(bracket)
@@ -218,12 +249,21 @@ def directional_limits(
     leaves the zero-sum hyperplane, where the equilibrium is unique.  As
     eps shrinks, the equilibrium below approaches the segment's lower
     endpoint and the one above its upper endpoint.
+
+    The routing matrix is classified once.  Each side is solved from the
+    largest eps down, the first from a guess at the segment endpoint it
+    approaches (x_min below, x_max above, from the line data of c_star),
+    each later one from the previous eps's answer; a guess that does not
+    certify falls back to the cold solver (see :mod:`satflow.equilibria`).
     """
     R = np.asarray(R, dtype=float)
     w = np.asarray(w, dtype=float)
     c_star = np.asarray(c_star, dtype=float)
     d = np.asarray(direction, dtype=float)
-    if not on_critical_manifold(R, w, c_star):
+    spec = validate(NetworkSpec(routing=R, capacity=w, demand=c_star))
+    _require_stochastic_irreducible(spec.routing, "directional_limits")
+    line = _critical_line(spec)
+    if line is None:
         raise PreconditionError("c_star is not on the critical set")
     if np.all(d == 0) or d.sum() <= 0:
         raise PreconditionError("direction must be nonzero with positive total sum")
@@ -231,16 +271,17 @@ def directional_limits(
     if not eps_list or eps_list[-1] <= 0:
         raise PreconditionError("epsilons must be positive")
 
+    pi, hc, alpha_min, alpha_max = line
+    guesses = [hc + alpha_min * pi, hc + alpha_max * pi]
     table = []
     for eps in eps_list:
-        pair = []
-        for sign in (-1.0, 1.0):
+        for side, sign in enumerate((-1.0, 1.0)):
             c = c_star + sign * eps * d
             if is_zero_sum(c):
                 raise PreconditionError(f"perturbed demand at eps={eps:g} is unexpectedly zero-sum")
-            eq = equilibrium_set(NetworkSpec(routing=R, capacity=w, demand=c))
+            eq = _equilibrium(NetworkSpec(routing=R, capacity=w, demand=c), STOCHASTIC_IRREDUCIBLE, guesses[side])
             if eq.kind != POINT:
                 raise PreconditionError(f"perturbed demand at eps={eps:g} does not have a unique equilibrium")
-            pair.append(eq.x_min)
-        table.append((eps, pair[0], pair[1]))
+            guesses[side] = eq.x_min
+        table.append((eps, guesses[0], guesses[1]))
     return DirectionalLimits(from_below=table[-1][1], from_above=table[-1][2], table=table)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from satflow import NetworkSpec, directional_limits, equilibrium_set, picard_max, picard_min, validate
-from satflow.equilibria import POINT, SEGMENT
+from satflow.equilibria import MINMAX_ONLY, POINT, SEGMENT
 
 from conftest import C3, C_STAR, R3, W3, random_spec, random_stochastic_irreducible, random_substochastic
 
@@ -117,3 +117,32 @@ def test_fast_contracting_network_at_small_scale(k):
     assert base.kind == eq.kind == POINT
     assert np.abs(eq.x_min - k * base.x_min).max() <= 1e-12 * k * np.abs(base.x_min).max()
     assert np.abs(eq.x_max - k * base.x_max).max() <= 1e-12 * k * np.abs(base.x_max).max()
+
+
+@pytest.mark.parametrize("k", [1e-12, 1e-11, 1e-10])
+def test_off_critical_demand_at_tiny_scale_is_a_point(k):
+    # sum(c) = 1e-2: an absolute floor in the zero-sum tolerance,
+    # 1e-12 (1 + |kc|_1), once called k*c zero-sum and returned a segment
+    c = C3 + 1e-2 * D
+    base = equilibrium_set(spec_at(c))
+    eq = equilibrium_set(spec_at(k * c, w=k * W3))
+    assert base.kind == eq.kind == POINT
+    assert eq.condition_value is None
+    for x, x_base in ((eq.x_min, base.x_min), (eq.x_max, base.x_max)):
+        assert np.abs(x - k * x_base).sum() <= 1e-12 * k * np.abs(x_base).sum()
+
+
+@pytest.mark.parametrize("k", [1e-9, 1e-6])
+def test_reducible_routing_at_small_scale(k):
+    # a leaky 2-cycle beside a closed stochastic one (MinMaxOnly); Picard's
+    # increment must scale with w, or at k = 1e-9 x_max stopped 9e-4
+    # (relative) short of k times the unscaled answer
+    R = np.zeros((4, 4))
+    R[0, 1] = R[1, 0] = 0.9
+    R[2, 3] = R[3, 2] = 1.0
+    w, c = np.array([2.0, 3.0, 4.0, 5.0]), np.array([0.1, 0.05, -0.2, 0.3])
+    base = equilibrium_set(spec_at(c, R=R, w=w))
+    eq = equilibrium_set(spec_at(k * c, R=R, w=k * w))
+    assert base.kind == eq.kind == MINMAX_ONLY
+    for x, x_base in ((eq.x_min, base.x_min), (eq.x_max, base.x_max)):
+        assert np.abs(x - k * x_base).sum() <= 1e-12 * k * np.abs(x_base).sum()

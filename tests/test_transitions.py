@@ -11,9 +11,11 @@ from satflow import (
     sweep,
     validate,
 )
+from satflow import equilibria
 from satflow.equilibria import POINT, SEGMENT
+from satflow.model import STOCHASTIC_IRREDUCIBLE, SUBSTOCHASTIC_OUT_CONNECTED
 
-from conftest import C3, C_STAR, COND3, R3, W3
+from conftest import C3, C_STAR, COND3, R3, W3, random_stochastic_irreducible, random_substochastic
 
 
 class TestOnCriticalManifold:
@@ -144,3 +146,142 @@ class TestDirectionalLimits:
             directional_limits(R3, W3, C_STAR, np.zeros(3))
         with pytest.raises(PreconditionError, match="direction"):
             directional_limits(R3, W3, C_STAR, np.array([1.0, 0.0, -2.0]))
+
+
+def _reducible_routing():
+    # a leaky 2-cycle (0.9) beside a closed stochastic 2-cycle: MinMaxOnly
+    R = np.zeros((4, 4))
+    R[0, 1] = R[1, 0] = 0.9
+    R[2, 3] = R[3, 2] = 1.0
+    return R
+
+
+def _random_path(rng, trial):
+    """A random network and demand path: leaky, stochastic irreducible
+    (some paths through an interior critical demand, some inside the
+    zero-sum hyperplane from a segment out to points) or the reducible
+    network."""
+    kind = trial % 6
+    if kind == 5:
+        R = _reducible_routing()
+    else:
+        n = int(rng.integers(1 if kind < 2 else 2, 13))
+        R = random_substochastic(rng, n, 0.05, 1.0) if kind < 2 else random_stochastic_irreducible(rng, n)
+    n = R.shape[0]
+    w = rng.uniform(0.5, 5.0, n)
+    # c* = (I - R')x for an interior x is zero-sum with a segment through x
+    x = w * rng.uniform(0.2, 0.8, n)
+    c_star = x - R.T @ x
+    if kind == 3:
+        d = rng.random(n)
+        span = rng.uniform(0.5, 4.0)
+        s_star = rng.uniform(0.2, 0.8)
+        c_start, c_end = c_star - s_star * span * d, c_star + (1 - s_star) * span * d
+    elif kind == 4:
+        c_start, c_end = 0.5 * c_star, rng.uniform(5.0, 50.0) * c_star
+    else:
+        c_start, c_end = rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n)
+    return R, w, DemandPath(c_start, c_end, int(rng.integers(5, 26)))
+
+
+class TestContinuation:
+    """sweep and directional_limits seed each unique-equilibrium sample with
+    a guess; every answer must match equilibrium_set at that demand."""
+
+    def test_sweep_rows_match_equilibrium_set(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        certified = []
+        real = equilibria._pattern_point
+
+        def counted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            certified.append(out is not None)
+            return out
+
+        monkeypatch.setattr(equilibria, "_pattern_point", counted)
+        for trial in range(200):
+            R, w, path = _random_path(rng, trial)
+            tol = 1e-10 * max(1.0, w.max())
+            result = sweep(R, w, path)
+            assert len(result.rows) == path.samples
+            for row in result.rows:
+                eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=row.c)))
+                assert row.kind == eq.kind
+                assert row.on_manifold == (eq.kind == SEGMENT)
+                assert row.condition_value == eq.condition_value
+                assert np.abs(row.x_min - eq.x_min).sum() <= tol
+                assert np.abs(row.x_max - eq.x_max).sum() <= tol
+            # the same sweep with every guess refused runs equilibrium_set's path
+            with monkeypatch.context() as m:
+                m.setattr(equilibria, "_pattern_point", lambda *args, **kwargs: None)
+                cold = sweep(R, w, path)
+            assert result.jumps == cold.jumps
+            assert result.critical_points == cold.critical_points
+            assert result.unresolved == cold.unresolved
+            for jump in result.jumps:
+                eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=path.c_at(jump["s"]))))
+                assert jump["magnitude"] == np.abs(eq.x_max - eq.x_min).sum()
+        assert len(certified) > 1000
+        assert sum(certified) > 0.9 * len(certified)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_directional_limits_match_equilibrium_set(self, seed):
+        eps = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+        if seed == 0:
+            R, w, c_star, d = R3, W3, C_STAR, np.array([1 / 3, 0.0, 2 / 3])
+        else:
+            rng = np.random.default_rng([71, seed])
+            n = 4 * seed
+            R = random_stochastic_irreducible(rng, n)
+            w = rng.uniform(0.5, 5.0, n)
+            x = w * rng.uniform(0.2, 0.8, n)
+            c_star, d = x - R.T @ x, rng.random(n)
+        lim = directional_limits(R, w, c_star, d, epsilons=eps)
+        assert [row[0] for row in lim.table] == list(eps)
+        tol = 1e-10 * max(1.0, w.max())
+        for e, below, above in lim.table:
+            for x, sign in ((below, -1.0), (above, 1.0)):
+                eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=c_star + sign * e * d)))
+                assert eq.kind == POINT
+                assert np.abs(x - eq.x_min).sum() <= tol
+
+    def test_wrong_guess_falls_back(self, monkeypatch):
+        # a chain fed at its head: from the guess 0 each re-read of the
+        # pattern frees one more cell, more than _GUESS_ROUNDS allow
+        n = 6
+        R = np.zeros((n, n))
+        R[np.arange(n - 1), np.arange(1, n)] = 0.99
+        w = np.ones(n)
+        c = np.zeros(n)
+        c[0] = 2.0
+        spec = validate(NetworkSpec(routing=R, capacity=w, demand=c))
+        guess = np.zeros(n)
+        assert equilibria._pattern_point(spec, guess, stochastic=False) is None
+        cold = []
+        real = equilibria._point
+        monkeypatch.setattr(equilibria, "_point", lambda *a, **k: cold.append(1) or real(*a, **k))
+        eq = equilibria._equilibrium(spec, SUBSTOCHASTIC_OUT_CONNECTED, guess)
+        assert cold == [1]
+        assert eq.kind == POINT
+        assert np.allclose(eq.x_min, 0.99 ** np.arange(n), rtol=0, atol=1e-14)
+        assert np.array_equal(eq.x_min, equilibrium_set(spec).x_min)
+
+    def test_stochastic_all_free_pattern_is_skipped(self, monkeypatch):
+        # the segment's midpoint at C3 is interior, so at a demand just off
+        # the hyperplane R'x + c is strictly inside (0, w): all cells free
+        # and I - R' singular
+        seg = equilibrium_set(validate(NetworkSpec(routing=R3, capacity=W3, demand=C3)))
+        guess = 0.5 * (seg.x_min + seg.x_max)
+        spec = validate(NetworkSpec(routing=R3, capacity=W3, demand=C3 + 1e-3 * np.ones(3)))
+        y = R3.T @ guess + spec.demand
+        assert np.all((y > 0) & (y < W3))
+        solves = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or real(*a, **k))
+        assert equilibria._pattern_point(spec, guess, stochastic=True) is None
+        assert solves == []
+        monkeypatch.undo()
+        eq = equilibria._equilibrium(spec, STOCHASTIC_IRREDUCIBLE, guess)
+        ref = equilibrium_set(spec)
+        assert eq.kind == POINT
+        assert np.array_equal(eq.x_min, ref.x_min) and np.array_equal(eq.x_max, ref.x_max)
