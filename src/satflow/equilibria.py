@@ -17,17 +17,29 @@ y = w - x.  Every result is certified by its residual ||T(x) - x||_1.
 Picard iteration to convergence (picard_min, picard_max) is kept for the
 reducible MinMaxOnly class and as a test oracle.
 
-A caller that solves many demands on one routing matrix (a demand sweep)
-classifies it once and may pass a guess, usually the equilibrium at a
-nearby demand.  The guess is used only where the class guarantees a
-unique equilibrium: sub-stochastic out-connected routing, or stochastic
-irreducible routing with a demand that is not zero-sum.  Its pattern
-(Z = {R'x + c <= 0} at 0, U = {R'x + c >= w} at w, the rest free) gives
-one linear solve of the free cells, with the mirrored system as a second
-right-hand side, re-read from the new iterate a few times if it moved.
-The answer is accepted only if its own pattern reproduces Z and U, its
-residual certifies, and the mirrored solution agrees with it; otherwise
-the cold pattern iteration above runs unchanged.
+A caller that solves many demands on one routing matrix (a demand sweep,
+one-sided limits) classifies it once and walks an affine demand path
+c0 + t*dc one saturation pattern at a time (:func:`_points_along`).  It
+does so only where the class guarantees a unique equilibrium:
+sub-stochastic out-connected routing, or stochastic irreducible routing
+off the zero-sum hyperplane.  There the equilibrium is affine in t while
+its pattern (Z = {R'x + c <= 0} at 0, U = {R'x + c >= w} at w, the rest
+free) holds.  So the pattern read from a guess at a piece's first sample,
+re-read from the new iterate a few times if it moved, gives one linear
+solve of the free cells with the mirrored system and the direction as
+further right-hand sides, and with it x_min(t) and x_max(t) at every later
+sample.  One vectorised pass accepts a sample only if its own pattern
+reproduces Z and U, both residuals certify and the two sides agree; the
+samples before the first failure form the piece.  If the path leaves the
+pattern before that sample, a ratio test on R'x(t) + c(t), affine on the
+piece, finds the breakpoint, and the next piece starts just past it with
+the pattern shown there: the continuation of parametric LCP (Murty 1988,
+ch. 5) and of homotopy paths (Efron et al., Ann. Statist. 32(2), 2004).
+Otherwise the next piece re-reads the pattern at that sample.  Where
+pieces certify nothing, the cold pattern iteration above runs unchanged
+at that sample.  Past a jump the walk starts from the segment endpoint
+the path leaves, with the cell that bounds the segment held.  One demand
+with a guess is the same walk with a single sample.
 
 For stochastic irreducible routing with zero-sum demand the full set of
 equilibria is known analytically: it is the line {Hc + a*pi} intersected
@@ -78,7 +90,7 @@ POINT_AGREEMENT_TOL = 1e-6
 # a returned equilibrium x has ||T(x) - x||_1 below this, times max(1, |w|_inf)
 _FIXED_POINT_TOL = 1e-10
 
-# pattern solves a guess may take before _pattern_point gives up
+# pattern solves a guess may take before _pattern_piece gives up
 _GUESS_ROUNDS = 3
 
 
@@ -116,8 +128,19 @@ class EquilibriumSet:
         sum_i pi_i |(x_i - hc_i)/pi_i - a|, a convex function minimised by
         the pi-weighted median of (x_i - hc_i)/pi_i; clamped to
         [alpha_min, alpha_max] it gives the nearest point of the segment.
+        A MinMaxOnly set is measured as a point only when x_min and x_max
+        agree within POINT_AGREEMENT_TOL * max(1, |x_max|_inf) (x_max <= w,
+        so this is never looser than the Point cross-check); otherwise the
+        set between them is not known and PreconditionError is raised.
         """
         x = np.asarray(x, dtype=float)
+        if self.kind == MINMAX_ONLY:
+            gap = float(np.abs(self.x_max - self.x_min).sum())
+            if gap > POINT_AGREEMENT_TOL * tolerance_scale(self.x_max):
+                raise PreconditionError(
+                    f"distance_l1 on a MinMaxOnly set whose x_min and x_max differ by {gap:.3g}: "
+                    "the equilibrium set between them is not known"
+                )
         if self.kind != SEGMENT:
             return float(np.abs(x - self.x_min).sum())
         t = (x - self.hc) / self.pi
@@ -211,9 +234,10 @@ def equilibrium_set(spec: NetworkSpec) -> EquilibriumSet:
 def _equilibrium(spec: NetworkSpec, tag: str, guess: np.ndarray | None = None) -> EquilibriumSet:
     """:func:`equilibrium_set` for routing already classified as ``tag``.
 
-    A guess is tried by :func:`_pattern_point` only where the equilibrium
-    is unique and not zero-sum (see the module docstring); everywhere
-    else, and whenever the guess does not certify, the cold path runs.
+    A guess is walked by :func:`_points_along` as a path of one sample, and
+    only where the equilibrium is unique and not zero-sum (see the module
+    docstring); everywhere else, and whenever the guess does not certify,
+    the cold path runs.
     """
     if tag == STOCHASTIC_IRREDUCIBLE:
         if is_zero_sum(spec.demand):
@@ -224,11 +248,11 @@ def _equilibrium(spec: NetworkSpec, tag: str, guess: np.ndarray | None = None) -
             return _point(spec, condition_value=value)
     elif tag != SUBSTOCHASTIC_OUT_CONNECTED:
         return _min_max_only(spec)
-    if guess is not None:
-        found = _pattern_point(spec, guess, stochastic=tag == STOCHASTIC_IRREDUCIBLE)
-        if found is not None:
-            return found
-    return _point(spec)
+    if guess is None:
+        return _point(spec)
+    seed = (0.0, spec.routing.T @ guess + spec.demand)
+    return _points_along(spec.routing, spec.capacity, spec.demand, np.zeros(spec.n), [0.0], seed,
+                         stochastic=tag == STOCHASTIC_IRREDUCIBLE)[0]
 
 
 def _segment(spec: NetworkSpec, pi: np.ndarray, hc: np.ndarray, alpha_min: float, alpha_max: float) -> EquilibriumSet:
@@ -273,53 +297,150 @@ def _point(spec: NetworkSpec, condition_value: float | None = None) -> Equilibri
     return EquilibriumSet(kind=POINT, x_min=x_min, x_max=x_max, condition_value=condition_value)
 
 
-def _pattern_point(spec: NetworkSpec, guess: np.ndarray, stochastic: bool) -> EquilibriumSet | None:
-    """The unique equilibrium of ``spec`` from the saturation pattern of a
-    guess, or None when it cannot be certified.
+def _points_along(R: np.ndarray, w: np.ndarray, c0: np.ndarray, dc: np.ndarray, ts,
+                  seed: tuple[float, np.ndarray] | None, stochastic: bool) -> list[EquilibriumSet]:
+    """The unique equilibria at the demands c0 + t*dc for ascending ts, none
+    of them zero-sum when R is stochastic.
 
-    The pattern of y = R'x + c (Z = {y <= 0} at 0, U = {y >= w} at w, F
-    the rest) gives x_F from (I - R'_FF) x_F = c_F + R'_FU w_U; the same
-    solve takes the mirrored system of y = w - x (Z at w, U at 0) as a
-    second column.  A pattern that moves is re-read from the new x up to
-    _GUESS_ROUNDS times.  x is accepted only if its own pattern
-    reproduces Z and U, both solutions have residual ||T(x) - x||_1 below
-    _FIXED_POINT_TOL and they agree within POINT_AGREEMENT_TOL, each times
-    max(1, |w|_inf).  With stochastic R and Z, U both empty, I - R' is
-    singular and the guess is skipped.
+    seed is None or (t, y): a vector y = R'x + c whose saturation pattern
+    is tried from the path parameter t <= ts[0] (see
+    :func:`_pattern_piece`).  Each piece hands the next one its restart: a
+    point between its first two breakpoints when the path leaves its
+    pattern before the first sample it did not certify, else that sample.
+    Where a piece gives up, more than 2n pieces in a row certify nothing,
+    or there is no seed, :func:`_point` runs unchanged at the sample, and
+    the next piece starts from that answer's own pattern.
     """
-    R_t, w, c = spec.routing.T, spec.capacity, spec.demand
-    # column 0 is the system for x, column 1 the mirrored one for w - x
-    demands = np.stack([c, w - R_t @ w - c], axis=1)
-    y = R_t @ guess + c
+    ts = np.asarray(ts, dtype=float)
+    R_t = R.T
+    out: list[EquilibriumSet] = []
+    restarts = 0
+    while len(out) < ts.size:
+        i = len(out)
+        if seed is not None and restarts <= 2 * w.size:
+            piece, seed = _pattern_piece(R_t, w, c0, dc, *seed, ts[i:], stochastic)
+            out.extend(piece)
+            restarts = 0 if piece else restarts + 1
+            continue
+        eq = _point(NetworkSpec(routing=R, capacity=w, demand=c0 + ts[i] * dc))
+        out.append(eq)
+        seed, restarts = (ts[i], R_t @ eq.x_min + (c0 + ts[i] * dc)), 0
+    return out
+
+
+def _pattern_piece(R_t: np.ndarray, w: np.ndarray, c0: np.ndarray, dc: np.ndarray, t0: float, y: np.ndarray,
+                   ts: np.ndarray, stochastic: bool) -> tuple[list[EquilibriumSet], tuple[float, np.ndarray] | None]:
+    """The equilibria at c0 + t*dc on the longest prefix of ts that the
+    saturation pattern of y at t0 certifies, and where the next piece
+    starts (None to give up).
+
+    The pattern (Z = {y <= 0} at 0, U = {y >= w} at w, F the rest) gives
+    x_F from (I - R'_FF) x_F = c_F + R'_FU w_U at t0; the same solve takes
+    the mirrored system of w - x (Z at w, U at 0) and the direction dc_F
+    as further columns.  When t0 = ts[0], y comes from a guess, and a
+    pattern that moves is re-read from the new x up to _GUESS_ROUNDS
+    times; a t0 before ts[0] is a point between samples whose pattern is
+    known (a segment endpoint, a piece's restart, a cold answer) and is
+    taken as it is.  On the piece x(t) = x(t0) + (t - t0)*dir on both
+    sides (the mirrored direction is -dir exactly, so it needs no column),
+    and sample t is accepted only if the pattern of x_min(t) reproduces Z
+    and U, both residuals ||T(x) - x||_1 are below _FIXED_POINT_TOL and
+    x_min, x_max agree within POINT_AGREEMENT_TOL, each times
+    max(1, |w|_inf).  The samples before the first failure are returned.
+    With stochastic R and Z, U both empty, I - R' is singular and the
+    piece is skipped.
+
+    The restart comes from y(t) = R'x(t) + c(t), affine on the piece.  If
+    a cell crosses its bound before the first rejected sample, the next
+    piece starts midway between the first crossing and the next one (or
+    that sample), where y shows the pattern past the breakpoint: the
+    ratio test of parametric LCP and homotopy methods.  Otherwise it
+    re-reads the pattern at the rejected sample from y there.
+    """
+    c = c0 + t0 * dc
+    # column 0 is the system for x, column 1 the mirrored one for w - x, column 2 the direction
+    demands = np.empty((w.size, 3))
+    demands[:, 0], demands[:, 1], demands[:, 2] = c, w - R_t @ w - c, dc
     zero, cap = y <= 0, y >= w
     for _ in range(_GUESS_ROUNDS):
         if stochastic and not (zero.any() or cap.any()):
-            return None
+            return [], None
         free = ~(zero | cap)
         rows = R_t[free]
         A = -rows[:, free]
         A.flat[:: A.shape[0] + 1] += 1.0
-        held = w[:, None] * np.stack([cap, zero], axis=1)
+        held = np.zeros((w.size, 3))
+        held[:, 0], held[:, 1] = w * cap, w * zero
         try:
             held[free] = np.linalg.solve(A, demands[free] + rows @ held)
         except np.linalg.LinAlgError:
-            return None
-        x_min = held[:, 0]
-        y = R_t @ x_min + c
+            return [], None
+        y = R_t @ held[:, 0] + c
+        if t0 < ts[0]:
+            break
         kept_zero, kept_cap = y <= 0, y >= w
         if not ((kept_zero ^ zero).any() or (kept_cap ^ cap).any()):
             break
         zero, cap = kept_zero, kept_cap
     else:
-        return None
-    x_max = w - held[:, 1]
-    X = np.stack([x_min, x_max], axis=1)
-    residuals = np.abs(np.minimum(np.maximum(R_t @ X + c[:, None], 0.0), w[:, None]) - X).sum(axis=0)
+        return [], None
+    step = (ts - t0) * held[:, 2:3]
+    x_min = held[:, 0:1] + step
+    x_max = (w - held[:, 1])[:, None] + step
+    C = c0[:, None] + ts * dc[:, None]  # the same bits as c0 + t*dc per sample
+    Y = R_t @ x_min + C
+    W = w[:, None]
     scale = tolerance_scale(w)
-    if not (np.all(residuals < _FIXED_POINT_TOL * scale)
-            and float(np.abs(x_max - x_min).sum()) <= POINT_AGREEMENT_TOL * scale):
-        return None
-    return EquilibriumSet(kind=POINT, x_min=x_min, x_max=x_max)
+    ok = ~((Y <= 0) ^ zero[:, None]).any(axis=0) & ~((Y >= W) ^ cap[:, None]).any(axis=0)
+    ok &= np.abs(np.minimum(np.maximum(Y, 0.0), W) - x_min).sum(axis=0) < _FIXED_POINT_TOL * scale
+    residual_max = np.abs(np.minimum(np.maximum(R_t @ x_max + C, 0.0), W) - x_max).sum(axis=0)
+    ok &= residual_max < _FIXED_POINT_TOL * scale
+    ok &= np.abs(x_max - x_min).sum(axis=0) <= POINT_AGREEMENT_TOL * scale
+    accepted = ts.size if ok.all() else int(np.argmin(ok))
+    lows, highs = np.ascontiguousarray(x_min[:, :accepted].T), np.ascontiguousarray(x_max[:, :accepted].T)
+    piece = [EquilibriumSet(kind=POINT, x_min=lo, x_max=hi) for lo, hi in zip(lows, highs)]
+    if accepted == ts.size:
+        return piece, None
+    t_last, t_bad = (ts[accepted - 1] if accepted else t0), ts[accepted]
+    if t_bad == t0:
+        return piece, None  # the guess's own sample: nothing to restart from
+    # when each cell leaves its region on the line y + (t - t0)*slope: Z
+    # cells cross 0 upward, U cells w downward, F cells reach 0 or w; a
+    # cell already outside it (a restart's pattern is not re-read) leaves at t0
+    slope = R_t @ held[:, 2] + dc
+    bound = np.where(zero | (~cap & (slope < 0)), 0.0, w)
+    moving = np.where(zero, slope > 0, np.where(cap, slope < 0, slope != 0))
+    leave = np.full_like(w, np.inf)
+    leave[moving] = t0 + (bound - y)[moving] / slope[moving]
+    leave[np.where(zero, y > 0, np.where(cap, y < w, (y <= 0) | (y >= w)))] = t0
+    crossing = np.sort(leave[leave < np.inf])
+    # a cell on its bound at t_last, or past it by rounding, leaves it there
+    first = max(crossing[0], t_last) if crossing.size else np.inf
+    if first < t_bad:
+        beyond = crossing[crossing > first]
+        t_next = 0.5 * (first + min(beyond[0] if beyond.size else t_bad, t_bad))
+        return piece, (t_next, y + (t_next - t0) * slope)
+    return piece, (t_bad, Y[:, accepted])
+
+
+def _endpoint_seed(line, w: np.ndarray, upper: bool) -> np.ndarray:
+    """A seed for :func:`_points_along` at a demand just off the critical
+    set: R'x + c* = x at the segment endpoint x_max (upper) or x_min, from
+    the line data (pi, Hc, alpha_min, alpha_max), with the cell that bounds
+    alpha put exactly on its bound.  Its pattern holds that cell at w or at
+    0 and frees the rest, the pattern the unique equilibrium has next to
+    the endpoint when no other cell is on a bound.
+    """
+    pi, hc, alpha_min, alpha_max = line
+    if upper:
+        y = hc + alpha_max * pi
+        cell = np.argmin((w - hc) / pi)
+        y[cell] = w[cell]
+    else:
+        y = hc + alpha_min * pi
+        cell = np.argmin(hc / pi)
+        y[cell] = 0.0
+    return y
 
 
 def _extreme(spec: NetworkSpec, side: str) -> np.ndarray:

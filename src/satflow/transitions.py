@@ -10,11 +10,14 @@ upper endpoint from the other.
 Away from the critical set the unique equilibrium moves piecewise
 affinely in c, with a fixed saturation pattern on each piece.  A sweep
 and a set of one-sided limits therefore classify the routing matrix once
-and solve each unique-equilibrium sample from the pattern of a nearby
-answer: one checked linear solve when the pattern still holds, the cold
-solver of :mod:`satflow.equilibria` when it cannot be certified.  The
-answers are those of :func:`satflow.equilibria.equilibrium_set` at each
-demand, up to rounding.
+and walk the path one piece at a time: one checked linear solve gives
+the equilibrium at every sample of a piece, certified in one vectorised
+pass, and a breakpoint between samples starts the next piece.  Past a
+jump the walk starts again from the segment endpoint the path leaves.
+The cold solver of :mod:`satflow.equilibria` runs at the first sample
+and wherever a piece cannot be certified.  The answers are those of
+:func:`satflow.equilibria.equilibrium_set` at each demand, up to
+rounding.
 """
 
 from __future__ import annotations
@@ -24,9 +27,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .equilibria import POINT, SEGMENT, EquilibriumSet, _equilibrium, _line, _segment
+from .equilibria import (
+    SEGMENT,
+    EquilibriumSet,
+    _endpoint_seed,
+    _equilibrium,
+    _line,
+    _points_along,
+    _segment,
+)
 from .model import (
     STOCHASTIC_IRREDUCIBLE,
+    SUBSTOCHASTIC_OUT_CONNECTED,
     NetworkSpec,
     _require_stochastic_irreducible,
     classify_routing,
@@ -136,14 +148,19 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
 
     The routing matrix is classified once for the whole path, and each grid
     sample gets the equilibrium set
-    :func:`satflow.equilibria.equilibrium_set` would give.  A sample with a
-    unique equilibrium off the zero-sum hyperplane takes the last Point
-    row's x_min as a guess, so it usually costs one checked pattern solve;
-    the cold solver runs whenever the guess does not certify (see
-    :mod:`satflow.equilibria`).  On an affine path the total demand
-    sum(c(s)) is affine in s, so the only codimension-1 event is its zero
-    crossing, located by one exact linear solve and confirmed by the
-    condition-value test, whose line data also give the jump size.
+    :func:`satflow.equilibria.equilibrium_set` would give.  The samples
+    with a unique equilibrium off the zero-sum hyperplane are walked one
+    saturation pattern at a time from the first of them, which the cold
+    solver answers (see :mod:`satflow.equilibria`).  Where the path
+    crosses the critical set, at s*, the walk stops and starts again past
+    the jump from the segment endpoint the path leaves: x_max when the
+    total demand rises, x_min when it falls.  Zero-sum samples and
+    reducible routing take the cold path one sample at a time.
+
+    On an affine path the total demand sum(c(s)) is affine in s, so the
+    only codimension-1 event is its zero crossing, located by one exact
+    linear solve and confirmed by the condition-value test, whose line
+    data also give the jump size and the far side's seed.
     Flips of the manifold indicator not attributable to a zero-sum crossing
     are bisected on the indicator itself (paths inside the zero-sum
     hyperplane); anything else is reported unresolved, never guessed.
@@ -153,42 +170,54 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     validate(NetworkSpec(routing=R, capacity=w, demand=path.c_start))
     validate(NetworkSpec(routing=R, capacity=w, demand=path.c_end))
     tag = classify_routing(R).tag
-
-    grid = path.grid
-    rows = []
-    guess = None
-    for s in grid:
-        c = path.c_at(s)
-        eq = _equilibrium(NetworkSpec(routing=R, capacity=w, demand=c), tag, guess)
-        if eq.kind == POINT:
-            guess = eq.x_min
-        rows.append(_row(s, c, eq))
-    result = SweepResult(rows=rows)
-    if tag != STOCHASTIC_IRREDUCIBLE:
-        return result  # no critical set for these routing classes
+    stochastic = tag == STOCHASTIC_IRREDUCIBLE
 
     def at(s) -> NetworkSpec:
         return NetworkSpec(routing=R, capacity=w, demand=path.c_at(s))
 
+    grid = path.grid
     sig0 = float(path.c_start.sum())
     sig1 = float(path.c_end.sum())
     slope = sig1 - sig0
     scale_tol = zero_sum_tol(path.c_start) + zero_sum_tol(path.c_end)
+    s_star = line = None
+    if stochastic and abs(slope) > scale_tol and -BISECT_TOL <= -sig0 / slope <= 1 + BISECT_TOL:
+        s_star = min(max(-sig0 / slope, 0.0), 1.0)
+        line = _critical_line(at(s_star))
+
+    cs = [path.c_at(s) for s in grid]
+    unique = tag in (STOCHASTIC_IRREDUCIBLE, SUBSTOCHASTIC_OUT_CONNECTED)
+    eqs: list[EquilibriumSet | None] = [None] * grid.size
+    walked = []  # the samples with a unique equilibrium off the zero-sum hyperplane
+    for i, c in enumerate(cs):
+        if unique and not (stochastic and is_zero_sum(c)):
+            walked.append(i)
+        else:
+            eqs[i] = _equilibrium(NetworkSpec(routing=R, capacity=w, demand=c), tag)
+    runs = [(walked, None)]
+    if line is not None:
+        # past the jump the equilibrium leaves the segment's upper end when
+        # the total demand rises and its lower end when it falls
+        split = sum(1 for i in walked if grid[i] <= s_star)
+        runs = [(walked[:split], None), (walked[split:], (s_star, _endpoint_seed(line, w, upper=slope > 0)))]
+    for run, seed in runs:
+        points = _points_along(R, w, path.c_start, path.c_end - path.c_start, grid[run], seed, stochastic)
+        for i, eq in zip(run, points):
+            eqs[i] = eq
+    rows = [_row(s, c, eq) for s, c, eq in zip(grid, cs, eqs)]
+    result = SweepResult(rows=rows)
+    if not stochastic:
+        return result  # no critical set for these routing classes
+
     ds = grid[1] - grid[0]
     handled: list[float] = []
 
-    if abs(slope) > scale_tol:
-        s_star = -sig0 / slope
-        if -BISECT_TOL <= s_star <= 1 + BISECT_TOL:
-            s_star = min(max(s_star, 0.0), 1.0)
-            result.critical_points.append(
-                {"s_lo": max(0.0, s_star - ds), "s_hi": min(1.0, s_star + ds)}
-            )
-            line = _critical_line(at(s_star))
-            if line is not None:
-                result.jumps.append({"s": s_star, "magnitude": _jump(at(s_star), line)})
-            handled.append(s_star)
-    else:
+    if s_star is not None:
+        result.critical_points.append({"s_lo": max(0.0, s_star - ds), "s_hi": min(1.0, s_star + ds)})
+        if line is not None:
+            result.jumps.append({"s": s_star, "magnitude": _jump(at(s_star), line)})
+        handled.append(s_star)
+    elif abs(slope) <= scale_tol:
         # path parallel to the zero-sum hyperplane
         if abs(sig0) <= scale_tol and np.allclose(path.c_start, path.c_end) and rows[0].on_manifold:
             # degenerate constant path sitting on the critical set
@@ -250,11 +279,13 @@ def directional_limits(
     eps shrinks, the equilibrium below approaches the segment's lower
     endpoint and the one above its upper endpoint.
 
-    The routing matrix is classified once.  Each side is solved from the
-    largest eps down, the first from a guess at the segment endpoint it
-    approaches (x_min below, x_max above, from the line data of c_star),
-    each later one from the previous eps's answer; a guess that does not
-    certify falls back to the cold solver (see :mod:`satflow.equilibria`).
+    The routing matrix is classified once.  Each side is one walk along
+    c_star +/- t*d with t rising through the epsilons, from the smallest up
+    (see :mod:`satflow.equilibria`): its first pattern is that of the
+    segment endpoint it approaches (x_min below, x_max above, from the line
+    data of c_star), so for small epsilons one linear solve certifies them
+    all; a breakpoint between two epsilons starts a new piece, and a piece
+    that does not certify falls back to the cold solver.
     """
     R = np.asarray(R, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -271,17 +302,12 @@ def directional_limits(
     if not eps_list or eps_list[-1] <= 0:
         raise PreconditionError("epsilons must be positive")
 
-    pi, hc, alpha_min, alpha_max = line
-    guesses = [hc + alpha_min * pi, hc + alpha_max * pi]
-    table = []
     for eps in eps_list:
-        for side, sign in enumerate((-1.0, 1.0)):
-            c = c_star + sign * eps * d
-            if is_zero_sum(c):
+        for sign in (-1.0, 1.0):
+            if is_zero_sum(c_star + sign * eps * d):
                 raise PreconditionError(f"perturbed demand at eps={eps:g} is unexpectedly zero-sum")
-            eq = _equilibrium(NetworkSpec(routing=R, capacity=w, demand=c), STOCHASTIC_IRREDUCIBLE, guesses[side])
-            if eq.kind != POINT:
-                raise PreconditionError(f"perturbed demand at eps={eps:g} does not have a unique equilibrium")
-            guesses[side] = eq.x_min
-        table.append((eps, guesses[0], guesses[1]))
+    ts = eps_list[::-1]
+    below = _points_along(R, w, c_star, -d, ts, (0.0, _endpoint_seed(line, w, upper=False)), stochastic=True)
+    above = _points_along(R, w, c_star, d, ts, (0.0, _endpoint_seed(line, w, upper=True)), stochastic=True)
+    table = [(eps, lo.x_min, hi.x_min) for eps, lo, hi in zip(eps_list, below[::-1], above[::-1])]
     return DirectionalLimits(from_below=table[-1][1], from_above=table[-1][2], table=table)

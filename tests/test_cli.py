@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +174,18 @@ class TestSweep:
         assert len(sidecar["critical"]) == 1
         assert abs(9 * sidecar["critical"][0]["s"] - 1.0) < 1e-6
         assert abs(sidecar["critical"][0]["jump"] - 356 / 37) < 1e-6
+
+    def test_demo_sidecar_is_golden(self, capsys, tmp_path):
+        # demos/three_cell.critical.json is this command's sidecar, kept byte
+        # for byte; the CSV beside it may differ in the last ulps
+        demos = Path(__file__).resolve().parents[1] / "demos"
+        code, out = run(capsys, ["sweep", str(demos / "three_cell.json"), "--c-start", "0,-1,0",
+                                 "--c-end", "3,-1,6", "--samples", "91",
+                                 "--out", str(tmp_path / "three_cell.csv")])
+        assert code == 0
+        assert json.loads(out)["rows"] == 91
+        golden = (demos / "three_cell.critical.json").read_bytes()
+        assert (tmp_path / "three_cell.critical.json").read_bytes() == golden
 
     def test_no_crossing_empty_sidecar(self, capsys, scenario3, tmp_path):
         out_csv = tmp_path / "flat.csv"

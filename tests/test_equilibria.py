@@ -164,6 +164,27 @@ class TestEquilibriumSet:
         off = mid + np.array([0.5, 0.0, 0.0])
         assert 0.4 < eq.distance_l1(off) <= 0.5 + 1e-9
 
+    def test_distance_l1_on_min_max_only(self):
+        # a leaky 2-cycle (0.9) beside a closed stochastic 2-cycle
+        R = np.zeros((4, 4))
+        R[0, 1] = R[1, 0] = 0.9
+        R[2, 3] = R[3, 2] = 1.0
+        w = np.array([2.0, 3.0, 4.0, 5.0])
+        # positive total demand on the closed cycle: x_min and x_max agree,
+        # and the set is measured as that point
+        eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=np.array([0.1, 0.05, -0.2, 0.3]))))
+        assert eq.kind == MINMAX_ONLY
+        assert eq.distance_l1(eq.x_min) == 0.0
+        assert eq.distance_l1(eq.x_max) < 1e-9
+        # zero total demand on it: x_min and x_max are 8 apart, and the set
+        # between them is not known, so no distance is given
+        eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=np.array([0.1, 0.05, -0.5, 0.5]))))
+        assert eq.kind == MINMAX_ONLY
+        assert abs(np.abs(eq.x_max - eq.x_min).sum() - 8.0) < 1e-9
+        for x in (eq.x_min, eq.x_max):
+            with pytest.raises(PreconditionError, match="not known"):
+                eq.distance_l1(x)
+
     def test_distance_l1_matches_dense_grid(self):
         rng = np.random.default_rng(47)
         for _ in range(40):

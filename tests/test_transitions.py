@@ -185,24 +185,39 @@ def _random_path(rng, trial):
 
 
 class TestContinuation:
-    """sweep and directional_limits seed each unique-equilibrium sample with
-    a guess; every answer must match equilibrium_set at that demand."""
+    """sweep and directional_limits walk each unique-equilibrium stretch of
+    the path one saturation pattern at a time; every answer must match
+    equilibrium_set at that demand."""
 
     def test_sweep_rows_match_equilibrium_set(self, monkeypatch):
         rng = np.random.default_rng(67)
-        certified = []
-        real = equilibria._pattern_point
+        pieces, cold = [], []
+        real_piece, real_point = equilibria._pattern_piece, equilibria._point
 
-        def counted(*args, **kwargs):
-            out = real(*args, **kwargs)
-            certified.append(out is not None)
+        def counted_piece(*args, **kwargs):
+            out = real_piece(*args, **kwargs)
+            pieces.append(len(out[0]))
             return out
 
-        monkeypatch.setattr(equilibria, "_pattern_point", counted)
+        def counted_point(spec, *args, **kwargs):
+            cold.append(spec.demand)
+            return real_point(spec, *args, **kwargs)
+
+        monkeypatch.setattr(equilibria, "_pattern_piece", counted_piece)
+        monkeypatch.setattr(equilibria, "_point", counted_point)
+        crossing = 0
         for trial in range(200):
             R, w, path = _random_path(rng, trial)
             tol = 1e-10 * max(1.0, w.max())
+            del cold[:]
             result = sweep(R, w, path)
+            if trial % 6 in (2, 3) and result.jumps:
+                # a path that crosses the critical set runs the cold solver
+                # at its first sample only: past the crossing the walk starts
+                # from the segment endpoint the path leaves
+                crossing += 1
+                assert len(cold) <= 1
+                assert all(np.array_equal(c, path.c_start) for c in cold)
             assert len(result.rows) == path.samples
             for row in result.rows:
                 eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=row.c)))
@@ -213,16 +228,78 @@ class TestContinuation:
                 assert np.abs(row.x_max - eq.x_max).sum() <= tol
             # the same sweep with every guess refused runs equilibrium_set's path
             with monkeypatch.context() as m:
-                m.setattr(equilibria, "_pattern_point", lambda *args, **kwargs: None)
-                cold = sweep(R, w, path)
-            assert result.jumps == cold.jumps
-            assert result.critical_points == cold.critical_points
-            assert result.unresolved == cold.unresolved
+                m.setattr(equilibria, "_pattern_piece", lambda *args, **kwargs: ([], None))
+                cold_sweep = sweep(R, w, path)
+            assert result.jumps == cold_sweep.jumps
+            assert result.critical_points == cold_sweep.critical_points
+            assert result.unresolved == cold_sweep.unresolved
             for jump in result.jumps:
                 eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=path.c_at(jump["s"]))))
                 assert jump["magnitude"] == np.abs(eq.x_max - eq.x_min).sum()
-        assert len(certified) > 1000
-        assert sum(certified) > 0.9 * len(certified)
+        assert crossing > 30
+        # one pattern solve usually certifies several samples
+        assert sum(pieces) > 1.5 * len(pieces) > 1000
+
+    def test_one_piece_per_affine_stretch(self, monkeypatch):
+        # a in [2.2, 8] of the reference path lies inside one affine piece
+        # (see TestSweep.test_piecewise_linear_between_transitions): the
+        # cold solver answers the first sample and one pattern solve the rest
+        calls = []
+        real_piece, real_point = equilibria._pattern_piece, equilibria._point
+        monkeypatch.setattr(equilibria, "_pattern_piece", lambda *a, **k: calls.append("piece") or real_piece(*a, **k))
+        monkeypatch.setattr(equilibria, "_point", lambda *a, **k: calls.append("point") or real_point(*a, **k))
+        path = DemandPath([2.2 / 3, -1.0, 4.4 / 3], [8 / 3, -1.0, 16 / 3], 25)
+        rows = sweep(R3, W3, path).rows
+        assert calls == ["point", "piece"]
+        monkeypatch.undo()
+        assert all(row.kind == POINT for row in rows)
+        for row in rows[1:]:
+            eq = equilibrium_set(validate(NetworkSpec(routing=R3, capacity=W3, demand=row.c)))
+            assert np.abs(row.x_min - eq.x_min).sum() <= 1e-10 * W3.max()
+
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_reference_crossing_runs_one_cold_solve(self, monkeypatch, rising):
+        # the paper's path crosses its critical demand at a = 1; past it the
+        # walk starts from x_max when the total demand rises, x_min when it falls
+        cold = []
+        real = equilibria._point
+        monkeypatch.setattr(equilibria, "_point", lambda spec, *a, **k: cold.append(spec.demand) or real(spec, *a, **k))
+        ends = [[0.0, -1.0, 0.0], [3.0, -1.0, 6.0]]
+        path = DemandPath(*(ends if rising else ends[::-1]), 91)
+        result = sweep(R3, W3, path)
+        assert len(result.jumps) == 1
+        assert len(cold) == 1 and np.array_equal(cold[0], path.c_start)
+
+    def test_sample_past_a_breakpoint_is_not_extrapolated(self):
+        # two cells feeding each other half their mass, x = min(2a, 1) on
+        # both: the piece of the first sample (x = 0.8, free) extrapolates to
+        # 1 + 2e-12 at the second, whose residual 4e-12 alone would pass;
+        # its pattern (both at w) rejects it
+        R, w = np.array([[0.0, 0.5], [0.5, 0.0]]), np.ones(2)
+        rows = sweep(R, w, DemandPath([0.4, 0.4], [0.5 + 1e-12, 0.5 + 1e-12], 2)).rows
+        assert np.allclose(rows[0].x_min, 0.8, rtol=0, atol=1e-15)
+        assert np.array_equal(rows[1].x_min, w) and np.array_equal(rows[1].x_max, w)
+
+    def test_breakpoints_between_samples(self, monkeypatch):
+        # a chain fed at its head with capacities 0.6**k: as the feed rises
+        # from 0 to 2 every cell saturates between the two samples, so the
+        # walk crosses all the breakpoints by restarts, not by the cold solver
+        n = 6
+        R = np.zeros((n, n))
+        R[np.arange(n - 1), np.arange(1, n)] = 0.99
+        w = 0.6 ** np.arange(n)
+        c_end = np.zeros(n)
+        c_end[0] = 2.0
+        calls = []
+        real_piece, real_point = equilibria._pattern_piece, equilibria._point
+        monkeypatch.setattr(equilibria, "_pattern_piece", lambda *a, **k: calls.append("piece") or real_piece(*a, **k))
+        monkeypatch.setattr(equilibria, "_point", lambda *a, **k: calls.append("point") or real_point(*a, **k))
+        rows = sweep(R, w, DemandPath(np.zeros(n), c_end, 2)).rows
+        assert calls[0] == "point" and calls.count("point") == 1
+        assert calls.count("piece") > 1
+        monkeypatch.undo()
+        assert np.array_equal(rows[1].x_min, w)
+        assert np.array_equal(rows[1].x_max, w)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_directional_limits_match_equilibrium_set(self, seed):
@@ -256,7 +333,8 @@ class TestContinuation:
         c[0] = 2.0
         spec = validate(NetworkSpec(routing=R, capacity=w, demand=c))
         guess = np.zeros(n)
-        assert equilibria._pattern_point(spec, guess, stochastic=False) is None
+        y = R.T @ guess + c
+        assert equilibria._pattern_piece(R.T, w, c, np.zeros(n), 0.0, y, np.zeros(1), stochastic=False) == ([], None)
         cold = []
         real = equilibria._point
         monkeypatch.setattr(equilibria, "_point", lambda *a, **k: cold.append(1) or real(*a, **k))
@@ -278,7 +356,8 @@ class TestContinuation:
         solves = []
         real = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or real(*a, **k))
-        assert equilibria._pattern_point(spec, guess, stochastic=True) is None
+        assert equilibria._pattern_piece(R3.T, W3, spec.demand, np.zeros(3), 0.0, y, np.zeros(1),
+                                         stochastic=True) == ([], None)
         assert solves == []
         monkeypatch.undo()
         eq = equilibria._equilibrium(spec, STOCHASTIC_IRREDUCIBLE, guess)
