@@ -35,11 +35,12 @@ pattern before that sample, a ratio test on R'x(t) + c(t), affine on the
 piece, finds the breakpoint, and the next piece starts just past it with
 the pattern shown there: the continuation of parametric LCP (Murty 1988,
 ch. 5) and of homotopy paths (Efron et al., Ann. Statist. 32(2), 2004).
-Otherwise the next piece re-reads the pattern at that sample.  Where
+Otherwise the next piece re-reads the pattern at that sample.  The ratio
+test runs first, so a piece checks only the samples up to its first
+breakpoint and one past it, and each sample is checked O(1) times.  Where
 pieces certify nothing, the cold pattern iteration above runs unchanged
 at that sample.  Past a jump the walk starts from the segment endpoint
-the path leaves, with the cell that bounds the segment held.  One demand
-with a guess is the same walk with a single sample.
+the path leaves, with the cell that bounds the segment held.
 
 For stochastic irreducible routing with zero-sum demand the full set of
 equilibria is known analytically: it is the line {Hc + a*pi} intersected
@@ -107,9 +108,10 @@ class EquilibriumSet:
 
     kind == SEGMENT carries the line data: x_min = hc + alpha_min*pi and
     x_max = hc + alpha_max*pi.  kind == MINMAX_ONLY (reducible stochastic
-    routing) makes no claim about the set between x_min and x_max.
-    condition_value is present whenever the demand is zero-sum on a
-    stochastic irreducible network.
+    routing) makes no claim about the set between x_min and x_max, and
+    unknown_between says whether they differ by more than
+    POINT_AGREEMENT_TOL * max(1, |w|_inf).  condition_value is present
+    whenever the demand is zero-sum on a stochastic irreducible network.
     """
 
     kind: str
@@ -120,6 +122,7 @@ class EquilibriumSet:
     alpha_min: float | None = None
     alpha_max: float | None = None
     condition_value: float | None = None
+    unknown_between: bool = False
 
     def distance_l1(self, x: np.ndarray) -> float:
         """l1 distance from x to the equilibrium set (segment or point).
@@ -128,19 +131,18 @@ class EquilibriumSet:
         sum_i pi_i |(x_i - hc_i)/pi_i - a|, a convex function minimised by
         the pi-weighted median of (x_i - hc_i)/pi_i; clamped to
         [alpha_min, alpha_max] it gives the nearest point of the segment.
-        A MinMaxOnly set is measured as a point only when x_min and x_max
-        agree within POINT_AGREEMENT_TOL * max(1, |x_max|_inf) (x_max <= w,
-        so this is never looser than the Point cross-check); otherwise the
-        set between them is not known and PreconditionError is raised.
+        A MinMaxOnly set is measured as the point x_min when x_min and
+        x_max agree within the Point cross-check's tolerance; otherwise
+        (unknown_between) the set between them is not known and
+        PreconditionError is raised.
         """
         x = np.asarray(x, dtype=float)
-        if self.kind == MINMAX_ONLY:
+        if self.unknown_between:
             gap = float(np.abs(self.x_max - self.x_min).sum())
-            if gap > POINT_AGREEMENT_TOL * tolerance_scale(self.x_max):
-                raise PreconditionError(
-                    f"distance_l1 on a MinMaxOnly set whose x_min and x_max differ by {gap:.3g}: "
-                    "the equilibrium set between them is not known"
-                )
+            raise PreconditionError(
+                f"distance_l1 on a MinMaxOnly set whose x_min and x_max differ by {gap:.3g}: "
+                "the equilibrium set between them is not known"
+            )
         if self.kind != SEGMENT:
             return float(np.abs(x - self.x_min).sum())
         t = (x - self.hc) / self.pi
@@ -231,14 +233,8 @@ def equilibrium_set(spec: NetworkSpec) -> EquilibriumSet:
     return _equilibrium(spec, classify_routing(spec.routing).tag)
 
 
-def _equilibrium(spec: NetworkSpec, tag: str, guess: np.ndarray | None = None) -> EquilibriumSet:
-    """:func:`equilibrium_set` for routing already classified as ``tag``.
-
-    A guess is walked by :func:`_points_along` as a path of one sample, and
-    only where the equilibrium is unique and not zero-sum (see the module
-    docstring); everywhere else, and whenever the guess does not certify,
-    the cold path runs.
-    """
+def _equilibrium(spec: NetworkSpec, tag: str) -> EquilibriumSet:
+    """:func:`equilibrium_set` for routing already classified as ``tag``."""
     if tag == STOCHASTIC_IRREDUCIBLE:
         if is_zero_sum(spec.demand):
             pi, hc, alpha_min, alpha_max = _line(spec)
@@ -248,11 +244,7 @@ def _equilibrium(spec: NetworkSpec, tag: str, guess: np.ndarray | None = None) -
             return _point(spec, condition_value=value)
     elif tag != SUBSTOCHASTIC_OUT_CONNECTED:
         return _min_max_only(spec)
-    if guess is None:
-        return _point(spec)
-    seed = (0.0, spec.routing.T @ guess + spec.demand)
-    return _points_along(spec.routing, spec.capacity, spec.demand, np.zeros(spec.n), [0.0], seed,
-                         stochastic=tag == STOCHASTIC_IRREDUCIBLE)[0]
+    return _point(spec)
 
 
 def _segment(spec: NetworkSpec, pi: np.ndarray, hc: np.ndarray, alpha_min: float, alpha_max: float) -> EquilibriumSet:
@@ -285,7 +277,11 @@ def _min_max_only(spec: NetworkSpec) -> EquilibriumSet:
     for name, res in (("picard_min", lo), ("picard_max", hi)):
         if not res.converged or res.residual >= bound:
             raise NumericalError(f"{name} residual {res.residual:.3g} after {res.iterations} iterations")
-    return EquilibriumSet(kind=MINMAX_ONLY, x_min=lo.x, x_max=hi.x)
+    # the Point cross-check's tolerance, relative to |w|_inf: Picard stops
+    # each end up to about 1e-12 * |w|_inf / (1 - rate) from its limit
+    gap = float(np.abs(hi.x - lo.x).sum())
+    unknown = gap > POINT_AGREEMENT_TOL * tolerance_scale(spec.capacity)
+    return EquilibriumSet(kind=MINMAX_ONLY, x_min=lo.x, x_max=hi.x, unknown_between=unknown)
 
 
 def _point(spec: NetworkSpec, condition_value: float | None = None) -> EquilibriumSet:
@@ -346,16 +342,19 @@ def _pattern_piece(R_t: np.ndarray, w: np.ndarray, c0: np.ndarray, dc: np.ndarra
     and sample t is accepted only if the pattern of x_min(t) reproduces Z
     and U, both residuals ||T(x) - x||_1 are below _FIXED_POINT_TOL and
     x_min, x_max agree within POINT_AGREEMENT_TOL, each times
-    max(1, |w|_inf).  The samples before the first failure are returned.
-    With stochastic R and Z, U both empty, I - R' is singular and the
-    piece is skipped.
+    max(1, |w|_inf).  With stochastic R and Z, U both empty, I - R' is
+    singular and the piece is skipped.
 
-    The restart comes from y(t) = R'x(t) + c(t), affine on the piece.  If
-    a cell crosses its bound before the first rejected sample, the next
-    piece starts midway between the first crossing and the next one (or
-    that sample), where y shows the pattern past the breakpoint: the
-    ratio test of parametric LCP and homotopy methods.  Otherwise it
-    re-reads the pattern at the rejected sample from y there.
+    y(t) = R'x(t) + c(t) is affine on the piece, and a ratio test on it
+    (that of parametric LCP and homotopy methods) gives the parameters at
+    which cells cross their bounds.  It runs before the check, which takes
+    only the samples up to the first crossing and one past it: later ones
+    fail the pattern test anyway.  The checked samples before the first
+    failure are returned.  If a cell crosses its bound before the first
+    sample not returned, the next piece starts midway between that
+    crossing and the next one (or that sample), where y shows the pattern
+    past the breakpoint.  Otherwise it re-reads the pattern at the
+    rejected sample from y there.
     """
     c = c0 + t0 * dc
     # column 0 is the system for x, column 1 the mirrored one for w - x, column 2 the direction
@@ -384,26 +383,6 @@ def _pattern_piece(R_t: np.ndarray, w: np.ndarray, c0: np.ndarray, dc: np.ndarra
         zero, cap = kept_zero, kept_cap
     else:
         return [], None
-    step = (ts - t0) * held[:, 2:3]
-    x_min = held[:, 0:1] + step
-    x_max = (w - held[:, 1])[:, None] + step
-    C = c0[:, None] + ts * dc[:, None]  # the same bits as c0 + t*dc per sample
-    Y = R_t @ x_min + C
-    W = w[:, None]
-    scale = tolerance_scale(w)
-    ok = ~((Y <= 0) ^ zero[:, None]).any(axis=0) & ~((Y >= W) ^ cap[:, None]).any(axis=0)
-    ok &= np.abs(np.minimum(np.maximum(Y, 0.0), W) - x_min).sum(axis=0) < _FIXED_POINT_TOL * scale
-    residual_max = np.abs(np.minimum(np.maximum(R_t @ x_max + C, 0.0), W) - x_max).sum(axis=0)
-    ok &= residual_max < _FIXED_POINT_TOL * scale
-    ok &= np.abs(x_max - x_min).sum(axis=0) <= POINT_AGREEMENT_TOL * scale
-    accepted = ts.size if ok.all() else int(np.argmin(ok))
-    lows, highs = np.ascontiguousarray(x_min[:, :accepted].T), np.ascontiguousarray(x_max[:, :accepted].T)
-    piece = [EquilibriumSet(kind=POINT, x_min=lo, x_max=hi) for lo, hi in zip(lows, highs)]
-    if accepted == ts.size:
-        return piece, None
-    t_last, t_bad = (ts[accepted - 1] if accepted else t0), ts[accepted]
-    if t_bad == t0:
-        return piece, None  # the guess's own sample: nothing to restart from
     # when each cell leaves its region on the line y + (t - t0)*slope: Z
     # cells cross 0 upward, U cells w downward, F cells reach 0 or w; a
     # cell already outside it (a restart's pattern is not re-read) leaves at t0
@@ -414,7 +393,33 @@ def _pattern_piece(R_t: np.ndarray, w: np.ndarray, c0: np.ndarray, dc: np.ndarra
     leave[moving] = t0 + (bound - y)[moving] / slope[moving]
     leave[np.where(zero, y > 0, np.where(cap, y < w, (y <= 0) | (y >= w)))] = t0
     crossing = np.sort(leave[leave < np.inf])
-    # a cell on its bound at t_last, or past it by rounding, leaves it there
+    # samples past the sample after the first crossing fail the pattern
+    # test anyway, so only those up to it are checked
+    checked = min(ts.size, int(np.searchsorted(ts, crossing[0], side="right")) + 1) if crossing.size else ts.size
+    tc = ts[:checked]
+    step = (tc - t0) * held[:, 2:3]
+    x_min = held[:, 0:1] + step
+    x_max = (w - held[:, 1])[:, None] + step
+    C = c0[:, None] + tc * dc[:, None]  # the same bits as c0 + t*dc per sample
+    Y = R_t @ x_min + C
+    W = w[:, None]
+    scale = tolerance_scale(w)
+    ok = ~((Y <= 0) ^ zero[:, None]).any(axis=0) & ~((Y >= W) ^ cap[:, None]).any(axis=0)
+    ok &= np.abs(np.minimum(np.maximum(Y, 0.0), W) - x_min).sum(axis=0) < _FIXED_POINT_TOL * scale
+    residual_max = np.abs(np.minimum(np.maximum(R_t @ x_max + C, 0.0), W) - x_max).sum(axis=0)
+    ok &= residual_max < _FIXED_POINT_TOL * scale
+    ok &= np.abs(x_max - x_min).sum(axis=0) <= POINT_AGREEMENT_TOL * scale
+    accepted = checked if ok.all() else int(np.argmin(ok))
+    lows, highs = np.ascontiguousarray(x_min[:, :accepted].T), np.ascontiguousarray(x_max[:, :accepted].T)
+    piece = [EquilibriumSet(kind=POINT, x_min=lo, x_max=hi) for lo, hi in zip(lows, highs)]
+    if accepted == ts.size:
+        return piece, None
+    t_last, t_bad = (ts[accepted - 1] if accepted else t0), ts[accepted]
+    if t_bad == t0:
+        return piece, None  # the guess's own sample: nothing to restart from
+    # a cell on its bound at t_last, or past it by rounding, leaves it
+    # there; when every checked sample passed, t_last lies past the first
+    # crossing and t_bad is the unchecked sample after it
     first = max(crossing[0], t_last) if crossing.size else np.inf
     if first < t_bad:
         beyond = crossing[crossing > first]

@@ -185,6 +185,22 @@ class TestEquilibriumSet:
             with pytest.raises(PreconditionError, match="not known"):
                 eq.distance_l1(x)
 
+    def test_distance_l1_on_min_max_only_with_large_capacities(self):
+        # a 0.99 leaky 2-cycle fed at one cell beside a drained closed
+        # 2-cycle, all w = 1e6: a single equilibrium of size 0.05, whose
+        # ends Picard stops about 1e-4 apart (its increment is relative to
+        # |w|_inf); the agreement bound is too, so it is measured as a point
+        R = np.zeros((4, 4))
+        R[0, 1] = R[1, 0] = 0.99
+        R[2, 3] = R[3, 2] = 1.0
+        w = np.full(4, 1e6)
+        eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=np.array([1e-3, 0.0, -1e5, 0.0]))))
+        assert eq.kind == MINMAX_ONLY
+        gap = np.abs(eq.x_max - eq.x_min).sum()
+        assert 1e-6 < gap < 1e-6 * w.max()
+        assert eq.distance_l1(eq.x_min) == 0.0
+        assert eq.distance_l1(eq.x_max) == gap
+
     def test_distance_l1_matches_dense_grid(self):
         rng = np.random.default_rng(47)
         for _ in range(40):

@@ -13,7 +13,8 @@ from satflow import DemandPath, sweep
 
 from conftest import random_stochastic_irreducible, random_substochastic
 
-SETTINGS = settings(max_examples=25, deadline=None)
+# derandomized: the same examples on every run, so a failure is never intermittent
+SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 @st.composite

@@ -13,7 +13,6 @@ from satflow import (
 )
 from satflow import equilibria
 from satflow.equilibria import POINT, SEGMENT
-from satflow.model import STOCHASTIC_IRREDUCIBLE, SUBSTOCHASTIC_OUT_CONNECTED
 
 from conftest import C3, C_STAR, COND3, R3, W3, random_stochastic_irreducible, random_substochastic
 
@@ -338,7 +337,7 @@ class TestContinuation:
         cold = []
         real = equilibria._point
         monkeypatch.setattr(equilibria, "_point", lambda *a, **k: cold.append(1) or real(*a, **k))
-        eq = equilibria._equilibrium(spec, SUBSTOCHASTIC_OUT_CONNECTED, guess)
+        eq, = equilibria._points_along(R, w, c, np.zeros(n), [0.0], (0.0, y), stochastic=False)
         assert cold == [1]
         assert eq.kind == POINT
         assert np.allclose(eq.x_min, 0.99 ** np.arange(n), rtol=0, atol=1e-14)
@@ -360,7 +359,7 @@ class TestContinuation:
                                          stochastic=True) == ([], None)
         assert solves == []
         monkeypatch.undo()
-        eq = equilibria._equilibrium(spec, STOCHASTIC_IRREDUCIBLE, guess)
+        eq, = equilibria._points_along(R3, W3, spec.demand, np.zeros(3), [0.0], (0.0, y), stochastic=True)
         ref = equilibrium_set(spec)
         assert eq.kind == POINT
         assert np.array_equal(eq.x_min, ref.x_min) and np.array_equal(eq.x_max, ref.x_max)
