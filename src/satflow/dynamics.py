@@ -10,14 +10,19 @@ which keeps the lattice invariant: the net flow f satisfies
 The field is affine on each saturation pattern of the pre-activation
 z = R'x + c: a cell with z_i < 0 receives 0, one with z_i > w_i receives
 w_i and any other z_i.  While the pattern holds, one RK4 step is an affine
-map of the state, and so is a whole sample interval of steps.  integrate
-advances an interval by one such map when every RK4 stage stays in the
-pattern, and stage by stage otherwise.
+map of the state, so is a whole sample interval of steps, and so is a run
+of many intervals: the sample states are the powers of the interval map
+applied to the run's first state.  integrate takes a run of intervals at a
+time.  The powers, built by doubling (Higham, Functions of Matrices, SIAM
+2008, sec. 4), give every sample state of the run in one product, and one
+vectorised pass certifies each interval as if it were taken alone.  An
+interval whose stages leave the pattern runs stage by stage.
 
 Tolerances on states scale with max(1, |w|_inf) (model.tolerance_scale),
-because (kw, kc) has k times the trajectories of (w, c).  The residual
-tolerance is raised to the roundoff level of the residual where it is
-below it, so networks in large units still converge.
+because (kw, kc) has k times the trajectories of (w, c).  So does the
+residual tolerance below unit scale, and it is raised to the roundoff
+level of the residual where it is below it, so networks in small and in
+large units stop at the same relative distance from equilibrium.
 """
 
 from __future__ import annotations
@@ -47,9 +52,21 @@ _RESIDUAL_ROUNDOFF = 1e-14
 #: maps of a saturating start costs more than stepping (see integrate)
 _AFFINE_MAX_N = 64
 
-#: memory held by the maps of one integrate call; intervals whose single map
-#: would exceed it run stage by stage
+#: memory held by the maps of one integrate call, their stacks of powers and
+#: a run's temporaries included; intervals whose single map would exceed it
+#: run stage by stage
 _MAP_BYTES = 32 * 2**20
+
+#: bytes of one map's stack of powers with the temporaries of a run through
+#: it, at most: 87 sample intervals at n = 6, 12 at n = 30 and 4 at n = 64
+#: with sample_every = 10.  Larger stacks cost more in fresh pages and in
+#: samples past convergence than their longer runs save (see integrate)
+_RUN_BYTES = 2**18
+
+#: bound on the entries of a map's powers, so that the product of two stays
+#: finite; the powers of an expanding map (RK4 with too long a step) pass
+#: it, and its stack stops growing or its intervals run stage by stage
+_POWER_MAX = 1e100
 
 
 def in_lattice(x: np.ndarray, w: np.ndarray, tol: float = LATTICE_TOL) -> bool:
@@ -116,19 +133,26 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
     exact flow never leaves the lattice, any clamp is integration error and
     its magnitude is guarded by 10*dt^2*max|f| (plus a roundoff floor).
     Integration stops early once a sampled residual drops below
-    cfg.residual_tol, or below 1e-14 n |w|_inf where that is larger (the
-    residual cannot get much below the roundoff of its n terms).  The
+    cfg.residual_tol * min(1, |w|_inf), or below 1e-14 n |w|_inf where that
+    is larger (the residual cannot get much below the roundoff of its n
+    terms); at |w|_inf >= 1 the first bound is cfg.residual_tol itself.  The
     guard's roundoff floor and the lattice slack of x0 are multiplied by
     max(1, |w|_inf).
 
-    Each sample interval is first tried as one affine map of the state,
-    built once per saturation pattern of R'x + c at its start and interval
-    length.  The map gives every RK4 stage pre-activation and every state
-    of the interval; the result is kept only if each pre-activation lies in
-    its pattern's closed region and each state within the roundoff floor of
-    [0, w].  Then the stages equal the stage-by-stage ones up to roundoff
-    and no clamp can reach the guard.  Otherwise the interval runs stage by
-    stage.
+    Sample intervals are taken in runs that share the saturation pattern of
+    R'x + c at the run's start.  Per pattern and interval length one affine
+    map is built on first use: it gives every RK4 stage pre-activation and
+    every state of the interval from the state at its start.  Its powers,
+    stacked by doubling while runs take all of them, give the state after
+    each interval of a run in one product.  A run ends at the first sample
+    that converges or shows another pattern; each of its intervals is kept
+    only if each pre-activation lies in the pattern's closed region, each
+    state within the roundoff floor of [0, w], and the sample within that
+    floor of the map applied to the previous sample.  Then the stages equal
+    the stage-by-stage ones up to roundoff and no clamp can reach the guard.
+    The first interval that fails runs stage by stage, and a map whose
+    first interval fails is dropped at once.  A single interval is a run
+    of length 1.
 
     Above n = 64 (_AFFINE_MAX_N) every interval runs stage by stage.
     Measured with dt = 0.05, sample_every = 10, t_end = 40 on random leaky
@@ -152,7 +176,8 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
 
     dt = cfg.dt
     n_steps = max(1, int(round(cfg.t_end / dt)))
-    residual_tol = max(cfg.residual_tol, _RESIDUAL_ROUNDOFF * spec.n * float(w.max()))
+    w_max = float(w.max())
+    residual_tol = max(cfg.residual_tol * min(1.0, w_max), _RESIDUAL_ROUNDOFF * spec.n * w_max)
     floor = _GUARD_FLOOR * scale
     R_t = np.ascontiguousarray(spec.routing.T)
     c = spec.demand
@@ -166,20 +191,28 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
     converged = residual < residual_tol
     k = affine_steps = 0
     while not converged and k < n_steps:
-        steps = min(cfg.sample_every, n_steps - k)
-        x_next = None if maps is None else maps.advance(x, z, steps)
-        if x_next is None:
-            x_next = _rk4_steps(R_t, c, w, dt, floor, x, k, steps)
-        else:
-            affine_steps += steps
-        x = x_next
-        k += steps
-        z = R_t @ x + c
-        residual = _residual(z, x, w)
-        times.append(k * dt)
-        states.append(x)
-        residuals.append(residual)
-        converged = residual < residual_tol
+        full = (n_steps - k) // cfg.sample_every
+        steps, count = (cfg.sample_every, full) if full else (n_steps - k, 1)
+        rejected = maps is None
+        if not rejected:
+            xs, zs, rs, rejected = maps.run(x, z, steps, count, residual_tol)
+            if len(rs):
+                times.extend((k + steps * np.arange(1, len(rs) + 1)) * dt)
+                states.extend(xs)
+                residuals.extend(rs)
+                k += steps * len(rs)
+                affine_steps += steps * len(rs)
+                x, z, residual = xs[-1], zs[-1], float(rs[-1])
+                converged = residual < residual_tol
+        if rejected:
+            x = _rk4_steps(R_t, c, w, dt, floor, x, k, steps)
+            k += steps
+            z = R_t @ x + c
+            residual = _residual(z, x, w)
+            times.append(k * dt)
+            states.append(x)
+            residuals.append(residual)
+            converged = residual < residual_tol
 
     return Trajectory(
         times=np.asarray(times),
@@ -221,85 +254,174 @@ def _rk4_steps(R_t: np.ndarray, c: np.ndarray, w: np.ndarray, dt: float, floor: 
     return x
 
 
+class _Map:
+    """One interval map (A', b, lo, hi) of _IntervalMaps._build and the
+    stack T of its powers: block j of T, rows j (n + 1) .. j (n + 1) + n,
+    maps [x; 1] to [state after j + 1 intervals; 1]."""
+
+    __slots__ = ("At", "b", "lo", "hi", "T", "nbytes", "fresh", "grow", "capped")
+
+    def __init__(self, built: tuple[np.ndarray, ...], nbytes: int):
+        self.At, self.b, self.lo, self.hi = built
+        n = self.At.shape[0]
+        self.T = np.eye(n + 1)
+        self.T[:n, :n] = self.At[:, -n:].T
+        self.T[:n, n] = self.b[-n:]
+        self.nbytes = nbytes
+        self.fresh = True  # no interval accepted yet
+        self.grow = False  # the last run took the whole stack
+        self.capped = not np.abs(self.T).max() <= _POWER_MAX
+
+
 class _IntervalMaps:
     """RK4 sample intervals as affine maps of the state, one per saturation
-    pattern and interval length, built on first use."""
+    pattern and interval length, built on first use, each with a stack of
+    its powers that grows once a run takes all of it."""
 
     def __init__(self, R_t: np.ndarray, c: np.ndarray, w: np.ndarray, dt: float, floor: float):
         self.R_t, self.c, self.w, self.dt, self.floor = R_t, c, w, dt, floor
-        self.maps: dict[tuple, tuple[np.ndarray, ...]] = {}
+        self.maps: dict[tuple, _Map | None] = {}  # None: the map's powers overflow
         self.held = 0  # bytes in self.maps
 
     @staticmethod
-    def nbytes(n: int, steps: int) -> int:
-        """Memory of one map: A, b, lo and hi for 5 n steps rows."""
-        return 8 * 5 * n * steps * (n + 3)
+    def nbytes(n: int, steps: int, intervals: int = 1) -> int:
+        """Memory of one map with a stack of `intervals` powers: A, b, lo
+        and hi for 5 n steps rows, and per interval a power of (n + 1)^2
+        entries and a run's temporaries (certificate rows, states,
+        pre-activations) of 5 n steps + 4 n floats."""
+        return 8 * (5 * n * steps * (n + 3) + intervals * ((n + 1) ** 2 + 5 * n * steps + 4 * n))
 
-    def advance(self, x: np.ndarray, z: np.ndarray, steps: int) -> np.ndarray | None:
-        """The state after `steps` RK4 steps from x, whose pre-activation
-        is z, or None unless every stage stays in z's saturation pattern
-        and every state within the guard's roundoff floor of [0, w].
+    def run(self, x: np.ndarray, z: np.ndarray, steps: int, count: int, tol: float):
+        """Up to `count` sample intervals of `steps` RK4 steps from x, whose
+        pre-activation is z, taken together while z's saturation pattern
+        holds: (states, pre-activations, residuals, rejected).
 
-        The final state is clamped onto [0, w] as a step would clamp it; a
-        cell held on a face of the lattice lands within roundoff of it.
+        One product with the stack of powers gives every sample state.  The
+        run ends at the first sample whose residual is below tol or whose
+        pattern differs from z's, or where the stack ends, and one pass
+        certifies the intervals up to there, each as the stage-by-stage
+        certificate of its start would: every stage pre-activation in the
+        pattern's closed region, every state within the guard's roundoff
+        floor of [0, w], and the sample state within that floor of the
+        interval map of the previous one.  The run keeps the intervals
+        before the first that fails, their states clamped onto [0, w] as a
+        step would clamp them; rejected says that one failed and must run
+        stage by stage.
         """
-        low, high = z < 0.0, z > self.w
+        n, w = x.size, self.w
+        low, high = z < 0.0, z > w
         key = (steps, low.tobytes(), high.tobytes())
-        entry = self.maps.get(key)
+        entry = self._entry(key, low, high, steps)
         if entry is None:
-            size = self.nbytes(x.size, steps)
+            return np.empty((0, n)), np.empty((0, n)), np.empty(0), True
+        if entry.grow and not entry.capped:
+            self._grow(key, entry, steps, count)
+        T = entry.T[:count * (n + 1)]
+        J = T.shape[0] // (n + 1)
+        X = (T @ np.append(x, 1.0)).reshape(J, n + 1)[:, :n]
+        Xc = np.minimum(np.maximum(X, 0.0), w)
+        Z = Xc @ self.R_t.T + self.c
+        res = np.abs(np.minimum(np.maximum(Z, 0.0), w) - Xc).sum(axis=1)
+        stop = (((Z < 0.0) != low) | ((Z > w) != high)).any(axis=1) | (res < tol)
+        m = int(stop.argmax()) + 1 if stop.any() else J
+        Y = np.vstack([x, Xc[:m - 1]]) @ entry.At  # row j: interval j's certificate
+        Y += entry.b
+        ok = ((Y >= entry.lo) & (Y <= entry.hi)).all(axis=1)
+        if m > 1:  # interval 0 starts at x, where Y[0] and X[0] are one map
+            ok[1:] &= (np.abs(Y[1:, -n:] - X[1:m]) <= self.floor).all(axis=1)
+        r = m if ok.all() else int(ok.argmin())
+        if r == 0 and entry.fresh:
+            # the pattern was left within its first interval: the trajectory
+            # has moved on, and the next map can reuse this one's pages
+            del self.maps[key]
+            self.held -= entry.nbytes
+        entry.fresh = entry.fresh and r == 0
+        entry.grow = r == J == entry.T.shape[0] // (n + 1) and not stop[-1]
+        return Xc[:r], Z[:r], res[:r], r < m
+
+    def _entry(self, key: tuple, low: np.ndarray, high: np.ndarray, steps: int) -> _Map | None:
+        """The map of this pattern and interval length, built on first use;
+        the cache is cleared first if it would exceed _MAP_BYTES."""
+        if key not in self.maps:
+            size = self.nbytes(low.size, steps)
             if self.held + size > _MAP_BYTES:
                 self.maps.clear()
                 self.held = 0
-            entry = self.maps[key] = self._build(low, high, steps)
-            self.held += size
-        A, b, lo, hi = entry
-        out = A @ x + b
-        if (out >= lo).all() and (out <= hi).all():
-            return np.minimum(np.maximum(out[-x.size:], 0.0), self.w)
-        return None
+            built = self._build(low, high, steps)
+            self.maps[key] = None if built is None else _Map(built, size)
+            if built is not None:
+                self.held += size
+        return self.maps[key]
 
-    def _build(self, low: np.ndarray, high: np.ndarray, steps: int) -> tuple[np.ndarray, ...]:
-        """(A, b, lo, hi): A x + b stacks, for each step of the interval,
-        the pre-activations of its four stages and the state after it; the
-        state rows come last.  lo <= A x + b <= hi is the closed region of
-        the pattern, and the lattice widened by the roundoff floor."""
+    def _grow(self, key: tuple, entry: _Map, steps: int, count: int) -> None:
+        """Extend entry's stack to `count` powers by doubling, one product
+        per doubling, T[j + L] = T[j] M^L, within _RUN_BYTES and, after
+        evicting the other maps if need be, _MAP_BYTES.  A stack that
+        reaches a bound, or whose new powers pass _POWER_MAX, stops
+        growing."""
+        n1 = self.w.size + 1
+        base = self.nbytes(n1 - 1, steps, 0)
+        per = self.nbytes(n1 - 1, steps, 1) - base
+        most = min(_RUN_BYTES, _MAP_BYTES - base) // per
+        target = min(count, most)
+        entry.capped = target == most
+        L = entry.T.shape[0] // n1
+        if target <= L:
+            return
+        if self.held + (target - L) * per > _MAP_BYTES:
+            self.maps = {key: entry}
+            self.held = entry.nbytes
+        while L < target:
+            new = entry.T[:min(L, target - L) * n1] @ entry.T[-n1:]
+            if not np.abs(new).max() <= _POWER_MAX:
+                entry.capped = True
+                break
+            entry.T = np.vstack([entry.T, new])
+            L = entry.T.shape[0] // n1
+        self.held += base + L * per - entry.nbytes
+        entry.nbytes = base + L * per
+
+    def _build(self, low: np.ndarray, high: np.ndarray, steps: int) -> tuple[np.ndarray, ...] | None:
+        """(A', b, lo, hi), A' the transpose of A: A x + b stacks, for each
+        step of the interval, the pre-activations of its four stages and the
+        state after it; the state rows come last.  lo <= A x + b <= hi is
+        the closed region of the pattern, and the lattice widened by the
+        roundoff floor.  None if the powers of the step map pass _POWER_MAX
+        within the interval."""
         R_t, c, w, dt, floor = self.R_t, self.c, self.w, self.dt, self.floor
         n = w.size
         free = ~(low | high)
 
-        def after(L, Y):
-            # the affine map L of [y; 1] composed with y = Y [x; 1]
-            out = L[:, :n] @ Y
-            out[:, n] += L[:, n]
-            return out
-
-        # every map below takes [x; 1] for x the state at the start of a step
-        E = np.eye(n, n + 1)
-        F = np.zeros((n, n + 1))  # f(y) = F [y; 1] on this pattern
-        F[free, :n] = R_t[free]
-        F[:, :n] -= np.eye(n)
-        F[:, n] = np.where(free, c, 0.0) + np.where(high, w, 0.0)
-        G = np.hstack([R_t, c[:, None]])  # z = G [y; 1]
+        # every map below takes [x; 1] for x the state at the start of a step;
+        # the square ones give [y; 1], or [f(y); 0] for the stage slopes
+        E = np.eye(n + 1)
+        F = np.zeros((n + 1, n + 1))  # f(y) = F [y; 1] on this pattern
+        F[:n, :n] = R_t * free[:, None] - np.eye(n)
+        F[:n, n] = np.where(free, c, np.where(high, w, 0.0))
         K1 = F
         Y2 = E + 0.5 * dt * K1
-        K2 = after(F, Y2)
+        K2 = F @ Y2
         Y3 = E + 0.5 * dt * K2
-        K3 = after(F, Y3)
+        K3 = F @ Y3
         Y4 = E + dt * K3
-        K4 = after(F, Y4)
+        K4 = F @ Y4
         S = E + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-        step = np.vstack([G, after(G, Y2), after(G, Y3), after(G, Y4), S])
+        G = np.hstack([R_t, c[:, None]])  # z = G [y; 1]
+        step = np.vstack([(G @ np.stack([E, Y2, Y3, Y4])).reshape(4 * n, n + 1), S[:n]])
 
-        # powers[j] maps [x; 1] at the start of the interval to [x; 1] after j steps
-        S_aug = np.vstack([S, np.eye(1, n + 1, n)])
-        powers = [np.eye(n + 1)]
+        # powers[j] maps [x; 1] at the start of the interval to [x; 1] after
+        # j steps; their entries are at most |S|_inf^j, checked only where
+        # that bound passes _POWER_MAX
+        check = (steps - 1) * np.log(np.abs(S).sum(axis=1).max()) > np.log(_POWER_MAX)
+        powers = [E]
         for _ in range(steps - 1):
-            powers.append(S_aug @ powers[-1])
-        M = (step @ np.stack(powers)).reshape(-1, n + 1)
+            powers.append(S @ powers[-1])
+            if check and not np.abs(powers[-1]).max() <= _POWER_MAX:
+                return None
+        M = step @ np.stack(powers)  # M[j] maps [x; 1] to the rows of step j
 
         lo_z = np.where(low, -np.inf, np.where(high, w, 0.0))
         hi_z = np.where(low, 0.0, np.where(high, np.inf, w))
         lo = np.tile(np.concatenate([lo_z, lo_z, lo_z, lo_z, np.full(n, -floor)]), steps)
         hi = np.tile(np.concatenate([hi_z, hi_z, hi_z, hi_z, w + floor]), steps)
-        return np.ascontiguousarray(M[:, :n]), M[:, n].copy(), lo, hi
+        return M[:, :, :n].transpose(2, 0, 1).reshape(n, -1), M[:, :, n].reshape(-1), lo, hi

@@ -47,7 +47,9 @@ from .model import (
     zero_sum_tol,
 )
 
-#: condition values this close to zero are flagged marginal, not classified
+#: condition values at most this times |w|_1 are flagged marginal, not
+#: classified; the condition value is the l1 length of the segment, so the
+#: flag does not depend on units
 MARGINAL_TOL = 1e-10
 
 #: bisection refinement for critical-point location in path parameter s
@@ -129,7 +131,7 @@ def _jump(spec: NetworkSpec, line) -> float:
     return float(np.abs(seg.x_max - seg.x_min).sum())
 
 
-def _row(s, c, eq: EquilibriumSet) -> SweepRow:
+def _row(s, c, eq: EquilibriumSet, w: np.ndarray) -> SweepRow:
     value = eq.condition_value
     return SweepRow(
         s=float(s),
@@ -139,7 +141,7 @@ def _row(s, c, eq: EquilibriumSet) -> SweepRow:
         x_max=eq.x_max,
         condition_value=value,
         on_manifold=eq.kind == SEGMENT,
-        marginal=value is not None and abs(value) <= MARGINAL_TOL,
+        marginal=value is not None and abs(value) <= MARGINAL_TOL * float(w.sum()),
     )
 
 
@@ -204,7 +206,7 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
         points = _points_along(R, w, path.c_start, path.c_end - path.c_start, grid[run], seed, stochastic)
         for i, eq in zip(run, points):
             eqs[i] = eq
-    rows = [_row(s, c, eq) for s, c, eq in zip(grid, cs, eqs)]
+    rows = [_row(s, c, eq, w) for s, c, eq in zip(grid, cs, eqs)]
     result = SweepResult(rows=rows)
     if not stochastic:
         return result  # no critical set for these routing classes

@@ -1,7 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from satflow import NetworkSpec, validate
+
+# Hypothesis profiles of the property tests.  tier1, the default, is
+# derandomized: the same 25 examples on every run, so a failure is never
+# intermittent.  wide draws 1,000 fresh random examples per property
+# (HYPOTHESIS_PROFILE=wide).
+settings.register_profile("tier1", max_examples=25, deadline=None, derandomize=True)
+settings.register_profile("wide", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 # the three-cell reference network used throughout the tests
 R3 = np.array([

@@ -53,12 +53,12 @@ def rk4(spec, x0, cfg):
     Every step clamps the state onto [0, w] and raises if the clamp exceeds
     10*dt^2*max|f| plus 1e-12*max(1, |w|_inf); every sample_every steps,
     and after the last, the state is sampled and integration stops once
-    ||f(x)||_1 < max(residual_tol, 1e-14*n*|w|_inf).  Returns
+    ||f(x)||_1 < max(residual_tol*min(1, |w|_inf), 1e-14*n*|w|_inf).  Returns
     (times, states, converged, residuals).
     """
     R, w, c = spec.routing, spec.capacity, spec.demand
     scale = max(1.0, float(w.max()))
-    tol = max(cfg.residual_tol, 1e-14 * w.size * float(w.max()))
+    tol = max(cfg.residual_tol * min(1.0, float(w.max())), 1e-14 * w.size * float(w.max()))
     dt = cfg.dt
 
     def f(y):

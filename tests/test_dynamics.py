@@ -289,6 +289,164 @@ class TestAgainstStageByStageOracle:
             assert abs(np.abs(net_flow(spec3, x)).sum() - r) <= 1e-15 * W3.sum()
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """Every run integrate takes, as (steps, stack length J, kept, rejected,
+    converged): J intervals were tried, the first `kept` kept."""
+    seen = []
+    run = dynamics._IntervalMaps.run
+
+    def spy(self, x, z, steps, count, tol):
+        key = (steps, (z < 0.0).tobytes(), (z > self.w).tobytes())
+        xs, zs, rs, rejected = run(self, x, z, steps, count, tol)
+        entry = self.maps.get(key)
+        J = 1 if entry is None else min(count, entry.T.shape[0] // (x.size + 1))
+        seen.append((steps, J, len(rs), rejected, bool(len(rs)) and rs[-1] < tol))
+        return xs, zs, rs, rejected
+
+    monkeypatch.setattr(dynamics._IntervalMaps, "run", spy)
+    return seen
+
+
+def chain_spec(c_last=-10.0):
+    # 0 -> 1 -> 2 -> 3, all cells empty at first: cell 2 accelerates while
+    # cell 3's pre-activation 0.9 x_2 + c_last rises
+    R = np.zeros((4, 4))
+    R[0, 1] = R[1, 2] = R[2, 3] = 0.9
+    return validate(NetworkSpec(routing=R, capacity=np.full(4, 2.0), demand=[1.0, 0.0, 0.0, c_last]))
+
+
+class TestRuns:
+    """Runs of sample intervals against the stage-by-stage oracle, at its
+    1e-12 max(1, |w|_inf) tolerance."""
+
+    @pytest.mark.parametrize("start", ["zero", "capacity", "faces"])
+    def test_largest_affine_network(self, start):
+        rng = np.random.default_rng(64)
+        n = dynamics._AFFINE_MAX_N
+        spec = validate(NetworkSpec(routing=random_substochastic(rng, n, 0.3, 0.6),
+                                    capacity=rng.uniform(1.0, 5.0, n), demand=rng.uniform(-3.0, 6.0, n)))
+        w = spec.capacity
+        x0 = {"zero": np.zeros(n), "capacity": w.copy(),
+              "faces": np.choose(rng.integers(0, 3, n), [np.zeros(n), w, rng.random(n) * w])}[start]
+        cfg = IntegratorConfig(dt=0.05, t_end=25.0)
+        traj = assert_matches_oracle(spec, x0, cfg)
+        assert 0 < traj.affine_steps <= round(traj.times[-1] / cfg.dt)
+
+    def test_run_reaches_the_shorter_last_interval(self, spec3, runs):
+        # 67 steps: six intervals of 10 and a last one of 7, all in one pattern
+        cfg = IntegratorConfig(dt=0.05, t_end=67 * 0.05, residual_tol=1e-300)
+        traj = assert_matches_oracle(spec3, 0.5 * W3, cfg)
+        assert traj.times[-1] == 67 * 0.05 and not traj.converged
+        assert traj.affine_steps == 67
+        assert runs[-1][:3] == (7, 1, 1)
+        assert max(J for steps, J, *_ in runs if steps == 10) > 1
+
+    @pytest.mark.parametrize("where", ["first", "middle"])
+    def test_convergence_inside_a_run(self, spec2_leaky, runs, where):
+        # the first run takes one interval, the second all the rest; the
+        # tolerance puts convergence at the second run's first sample or
+        # at its fifth
+        x0 = np.array([0.1, 0.9])
+        _, _, _, residuals = rk4(spec2_leaky, x0, IntegratorConfig(dt=0.05, t_end=20.0, residual_tol=1e-300))
+        sample = 2 if where == "first" else 6
+        assert np.all(np.diff(residuals[:sample + 1]) < 0)
+        tol = float(np.sqrt(residuals[sample - 1] * residuals[sample]))
+        traj = assert_matches_oracle(spec2_leaky, x0, IntegratorConfig(dt=0.05, t_end=20.0, residual_tol=tol))
+        assert traj.converged and len(traj.times) == sample + 1
+        assert [run[1:] for run in runs] == [(1, 1, False, False), (runs[1][1], sample - 1, False, True)]
+        assert runs[1][1] > sample - 1
+
+    def test_pattern_change_in_the_middle_of_a_run(self, runs):
+        # cell 3's pre-activation crosses 0 between the last stage of the
+        # fourth interval and its end, so every stage of that interval stays
+        # in the pattern and the fourth sample starts a new one
+        _, states, _, _ = rk4(chain_spec(), np.zeros(4), IntegratorConfig(dt=0.05, t_end=2.0, residual_tol=1e-300))
+        spec = chain_spec(-0.9 * states[4, 2] + 5e-7)
+        traj = assert_matches_oracle(spec, np.zeros(4), IntegratorConfig(dt=0.05, t_end=30.0))
+        assert traj.affine_steps == round(traj.times[-1] / 0.05)
+        ended = [(J, kept) for _, J, kept, rejected, converged in runs if not rejected and not converged and kept < J]
+        assert ended == [(ended[0][0], 3)] and ended[0][0] > 3
+        assert runs[2][1:3] == (1, 1)  # the new pattern's first run
+
+    def test_eviction_counts_the_stacks(self, spec3, monkeypatch, runs):
+        # room for one map with a stack of 4 powers: the stack stops at 4,
+        # and every build after the first clears the cache
+        monkeypatch.setattr(dynamics, "_MAP_BYTES", dynamics._IntervalMaps.nbytes(3, 10, 4))
+        held = []
+        run = dynamics._IntervalMaps.run
+
+        def checked(self, *args):
+            out = run(self, *args)
+            held.append((self.held, sum(e.nbytes for e in self.maps.values() if e is not None), len(self.maps)))
+            return out
+
+        monkeypatch.setattr(dynamics._IntervalMaps, "run", checked)
+        traj = assert_matches_oracle(spec3, W3, IntegratorConfig(dt=0.05, t_end=60.0))
+        assert traj.affine_steps > 0
+        assert all(h == total <= dynamics._MAP_BYTES and count <= 1 for h, total, count in held)
+        assert max(J for _, J, *_ in runs) == 4
+
+    def test_expanding_map_stack_stays_finite(self):
+        # at dt = 20, one cell with f(x) = 0.5 - x has an RK4 factor of 5.5e3
+        # per step; its fixed point keeps every run's pattern, so the stack
+        # grows until its powers pass _POWER_MAX, without overflowing
+        w, c = np.ones(1), np.array([0.5])
+        maps = dynamics._IntervalMaps(np.zeros((1, 1)), c, w, 20.0, 1e-12)
+        x = np.array([0.5])
+        for _ in range(8):
+            maps.run(x, c.copy(), 3, 1000, 0.0)
+        (entry,) = maps.maps.values()
+        assert entry.capped and 1 < entry.T.shape[0] // 2 < 1000
+        assert np.abs(entry.T).max() <= dynamics._POWER_MAX
+
+    def test_map_rejected_at_its_first_interval_is_dropped(self, monkeypatch):
+        # from 0 with saturating demands several patterns are left within
+        # their first interval; their maps go, the others stay
+        rng = np.random.default_rng(29)
+        n = 30
+        spec = validate(NetworkSpec(routing=random_substochastic(rng, n, 0.3, 0.6),
+                                    capacity=rng.uniform(1.0, 5.0, n), demand=rng.uniform(-3.0, 6.0, n)))
+        record = []  # (new map, kept, rejected, map kept in the cache)
+        run = dynamics._IntervalMaps.run
+
+        def spy(self, x, z, steps, count, tol):
+            key = (steps, (z < 0.0).tobytes(), (z > self.w).tobytes())
+            new = key not in self.maps
+            xs, zs, rs, rejected = run(self, x, z, steps, count, tol)
+            record.append((new, len(rs), rejected, key in self.maps))
+            return xs, zs, rs, rejected
+
+        monkeypatch.setattr(dynamics._IntervalMaps, "run", spy)
+        assert_matches_oracle(spec, np.zeros(n), IntegratorConfig(dt=0.05, t_end=40.0))
+        dropped = [r for r in record if r[0] and r[1] == 0]
+        assert dropped and all(r[2] and not r[3] for r in dropped)
+        assert all(r[3] for r in record if r[1] > 0)
+
+    def test_stack_states_agree_with_the_interval_map(self):
+        # cell 1 sits on the fixed point of an RK4 step that multiplies
+        # distances to it by 9.4, cell 2 decays: the stack's powers carry
+        # roundoff that grows 9.4-fold per interval while every state stays
+        # in the box, and the run stops where it passes the guard's floor
+        R_t = np.array([[0.0, 0.0], [0.0, 0.9]])
+        c, w, floor = np.array([0.5, 0.05]), np.ones(2), 1e-12
+        maps = dynamics._IntervalMaps(R_t, c, w, 4.6, floor)
+        x = np.array([0.5, 0.2])
+        xs, _, _, rejected = maps.run(x, R_t @ x + c, 1, 1000, 0.0)
+        assert len(xs) == 1 and not rejected
+        xs, _, _, rejected = maps.run(xs[-1], R_t @ xs[-1] + c, 1, 1000, 0.0)
+        (entry,) = maps.maps.values()
+        assert rejected and 1 < len(xs) < entry.T.shape[0] // 3
+        assert np.abs(xs[:, 0] - 0.5).max() <= 10 * floor
+
+    def test_expanding_map_runs_stage_by_stage(self):
+        # the powers of 100 steps of the map above would overflow: the
+        # interval runs stage by stage and raises the oracle's guard message
+        spec = validate(NetworkSpec(routing=np.zeros((1, 1)), capacity=np.ones(1), demand=[0.5]))
+        cfg = IntegratorConfig(dt=20.0, t_end=2500.0, sample_every=100)
+        assert assert_matches_oracle(spec, np.array([0.5 + 1e-5]), cfg) is None
+
+
 def test_unit_scale_stops_at_the_configured_tolerance(spec3):
     # the roundoff level 1e-14 n |w|_inf = 1.8e-13 is below 1e-10 here, so
     # integration stops at the first sample under the configured tolerance
@@ -296,6 +454,19 @@ def test_unit_scale_stops_at_the_configured_tolerance(spec3):
         traj = integrate(spec3, x0)
         assert traj.converged
         assert traj.residuals[-1] < 1e-10 <= traj.residuals[-2]
+
+
+@pytest.mark.parametrize("k", [1e-6, 1e-9])
+def test_small_units_stop_near_the_scaled_equilibrium(k):
+    # below unit scale the residual tolerance is residual_tol |w|_inf, so
+    # (kw, kc) stops as near k times its limit as unit-range networks do;
+    # with an absolute tolerance it stopped 9.4e-5 (k = 1e-6) and 9.3e-2
+    # (k = 1e-9) away, relative to ||k x_min||_1
+    spec = validate(NetworkSpec(routing=R3, capacity=k * W3, demand=k * C3))
+    for x0, end in ((np.zeros(3), XMIN3), (k * W3, XMAX3)):
+        traj = integrate(spec, x0)
+        assert traj.converged
+        assert np.abs(traj.final_state - k * end).sum() <= 1e-9 * k * end.sum()
 
 
 @pytest.mark.parametrize("k", [1e6, 1e9, 1e12])

@@ -2,19 +2,17 @@
 
 (kw, kc) has k times the equilibria of (w, c), and relabelling the cells
 relabels the equilibria, so a sweep of the scaled or permuted path must
-give the same rows, scaled or permuted, and the same jumps.
+give the same rows, scaled or permuted, and the same jumps.  The examples
+come from the loaded Hypothesis profile (see conftest.py).
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from satflow import DemandPath, sweep
 
 from conftest import random_stochastic_irreducible, random_substochastic
-
-# derandomized: the same examples on every run, so a failure is never intermittent
-SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 @st.composite
@@ -47,7 +45,6 @@ def _assert_same_jumps(jumps, ref, k):
         assert abs(jump["magnitude"] - k * base["magnitude"]) <= 1e-10 * k * base["magnitude"]
 
 
-@SETTINGS
 @given(crossing_sweeps(), st.floats(-9.0, 9.0))
 def test_scaling_scales_every_row_and_jump(case, log_k):
     R, w, path = case
@@ -64,7 +61,6 @@ def test_scaling_scales_every_row_and_jump(case, log_k):
     assert len(scaled.unresolved) == len(base.unresolved)
 
 
-@SETTINGS
 @given(crossing_sweeps(), st.randoms(use_true_random=False))
 def test_permuting_cells_permutes_rows(case, random):
     R, w, path = case

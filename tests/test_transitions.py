@@ -114,6 +114,17 @@ class TestSweep:
         assert np.abs(second).sum(axis=1).max() < 1e-6
 
 
+@pytest.mark.parametrize("t, marginal", [(1.0, False), (5.55, True)])
+def test_marginal_flag_does_not_depend_on_units(t, marginal):
+    # the condition value of t*C3 is 356/37 up to t = 1.55 and
+    # 534/40 - 89 t/37 after, zero at t = 5.55: the flag compares it with
+    # MARGINAL_TOL ||w||_1, so scaling (w, c) by k leaves it unchanged
+    for k in (1e-12, 1e-9, 1.0, 1e6):
+        row = sweep(R3, k * W3, DemandPath(k * t * C3, k * t * C3, 2)).rows[0]
+        assert row.condition_value is not None
+        assert row.marginal is marginal
+
+
 class TestDirectionalLimits:
     def test_limits_bracket_segment(self):
         eq = equilibrium_set(NetworkSpec(routing=R3, capacity=W3, demand=C_STAR))
