@@ -60,7 +60,8 @@ _MAP_BYTES = 32 * 2**20
 #: bytes of one map's stack of powers with the temporaries of a run through
 #: it, at most: 87 sample intervals at n = 6, 12 at n = 30 and 4 at n = 64
 #: with sample_every = 10.  Larger stacks cost more in fresh pages and in
-#: samples past convergence than their longer runs save (see integrate)
+#: samples past convergence than their longer runs save: with 1 MB the
+#: transient benchmark's integrate calls took 1.2x as long
 _RUN_BYTES = 2**18
 
 #: bound on the entries of a map's powers, so that the product of two stays
@@ -162,7 +163,10 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
     0.9-2.2x at n = 80 and 0.65-2.5x at n = 100; the lower figure starts at
     0 or w with saturating demands, whose early patterns are often left
     within an interval, so their maps are built and rejected; the higher
-    one starts inside the box with an interior equilibrium.
+    one starts inside the box with an interior equilibrium.  Those figures
+    are for one map per interval; runs, measured the same way from 0 and
+    w, made integrate another 1.04-1.45x faster at n = 30, 50 and 64, and
+    2.2x on the transient benchmark's n = 2-6 networks.
     """
     if cfg is None:
         cfg = IntegratorConfig()

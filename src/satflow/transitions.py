@@ -131,7 +131,7 @@ def _jump(spec: NetworkSpec, line) -> float:
     return float(np.abs(seg.x_max - seg.x_min).sum())
 
 
-def _row(s, c, eq: EquilibriumSet, w: np.ndarray) -> SweepRow:
+def _row(s, c, eq: EquilibriumSet, marginal_tol: float) -> SweepRow:
     value = eq.condition_value
     return SweepRow(
         s=float(s),
@@ -141,7 +141,7 @@ def _row(s, c, eq: EquilibriumSet, w: np.ndarray) -> SweepRow:
         x_max=eq.x_max,
         condition_value=value,
         on_manifold=eq.kind == SEGMENT,
-        marginal=value is not None and abs(value) <= MARGINAL_TOL * float(w.sum()),
+        marginal=value is not None and abs(value) <= marginal_tol,
     )
 
 
@@ -206,7 +206,8 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
         points = _points_along(R, w, path.c_start, path.c_end - path.c_start, grid[run], seed, stochastic)
         for i, eq in zip(run, points):
             eqs[i] = eq
-    rows = [_row(s, c, eq, w) for s, c, eq in zip(grid, cs, eqs)]
+    marginal_tol = MARGINAL_TOL * float(w.sum())
+    rows = [_row(s, c, eq, marginal_tol) for s, c, eq in zip(grid, cs, eqs)]
     result = SweepResult(rows=rows)
     if not stochastic:
         return result  # no critical set for these routing classes
