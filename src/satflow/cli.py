@@ -3,7 +3,11 @@
 Scenario files are JSON documents with keys "routing", "capacity",
 "demand", optional "inflow"/"outflow", an optional "name" string, and an
 optional "integrator" object overriding the integrator defaults.  Unknown
-keys are rejected.
+keys are rejected.  The JSON is strict (RFC 8259, UTF-8 without a byte
+order mark): NaN and Infinity literals and numbers that overflow a double
+are malformed JSON.  Scenarios are parsed with orjson, but output is
+written with the standard json module, whose float spellings (1e-05, not
+orjson's 0.00001) the outputs keep.
 
 Exit codes: 0 success, 2 invalid scenario, 3 numerical failure,
 4 precondition violation.
@@ -17,6 +21,7 @@ import json
 import sys
 
 import numpy as np
+import orjson
 
 from . import dynamics, equilibria, model, transitions
 from .errors import NumericalError, PreconditionError, ScenarioError
@@ -33,11 +38,11 @@ _INTEGRATOR_KEYS = {"dt", "t_end", "sample_every", "residual_tol"}
 def load_scenario(path: str) -> tuple[model.NetworkSpec, dynamics.IntegratorConfig, str]:
     """Parse and validate a scenario file; returns (spec, integrator, name)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            doc = orjson.loads(fh.read())
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except orjson.JSONDecodeError as exc:
         raise ScenarioError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")

@@ -110,7 +110,8 @@ class EquilibriumSet:
     x_max = hc + alpha_max*pi.  kind == MINMAX_ONLY (reducible stochastic
     routing) makes no claim about the set between x_min and x_max, and
     unknown_between says whether they differ by more than
-    POINT_AGREEMENT_TOL * max(1, |w|_inf).  condition_value is present
+    POINT_AGREEMENT_TOL * |w|_inf, relative with no floor so that scaling
+    (w, c) does not change it.  condition_value is present
     whenever the demand is zero-sum on a stochastic irreducible network.
     """
 
@@ -132,7 +133,7 @@ class EquilibriumSet:
         the pi-weighted median of (x_i - hc_i)/pi_i; clamped to
         [alpha_min, alpha_max] it gives the nearest point of the segment.
         A MinMaxOnly set is measured as the point x_min when x_min and
-        x_max agree within the Point cross-check's tolerance; otherwise
+        x_max agree within POINT_AGREEMENT_TOL * |w|_inf; otherwise
         (unknown_between) the set between them is not known and
         PreconditionError is raised.
         """
@@ -277,10 +278,12 @@ def _min_max_only(spec: NetworkSpec) -> EquilibriumSet:
     for name, res in (("picard_min", lo), ("picard_max", hi)):
         if not res.converged or res.residual >= bound:
             raise NumericalError(f"{name} residual {res.residual:.3g} after {res.iterations} iterations")
-    # the Point cross-check's tolerance, relative to |w|_inf: Picard stops
-    # each end up to about 1e-12 * |w|_inf / (1 - rate) from its limit
+    # the Point cross-check's tolerance times |w|_inf with no floor at 1:
+    # Picard stops each end up to about 1e-12 * |w|_inf / (1 - rate) from
+    # its limit, and a floor would make the flag depend on units below
+    # unit scale
     gap = float(np.abs(hi.x - lo.x).sum())
-    unknown = gap > POINT_AGREEMENT_TOL * tolerance_scale(spec.capacity)
+    unknown = gap > POINT_AGREEMENT_TOL * float(spec.capacity.max())
     return EquilibriumSet(kind=MINMAX_ONLY, x_min=lo.x, x_max=hi.x, unknown_between=unknown)
 
 

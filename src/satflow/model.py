@@ -29,7 +29,9 @@ from .errors import NumericalError, PreconditionError, ScenarioError
 
 # A row is stochastic iff its sum is within this band of 1, leaky iff the
 # sum is below 1 minus the band.  The theory dichotomy is exact; floats
-# need the band.
+# need the band.  It stays absolute, unlike the tolerances on states and
+# demands: a row sum is a fraction of a cell's outflow and has no units,
+# so scaling (w, c) does not touch it.
 ROW_SUM_TOL = 1e-12
 
 #: residual required of the invariant vector and of the H operator output

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from satflow.cli import main, sidecar_path_for
+from satflow.cli import load_scenario, main, sidecar_path_for
 
 from conftest import C3, PI3, R3, W3, XMAX3, XMIN3
 
@@ -78,6 +78,59 @@ class TestCheck:
                                     "capacity": [1, 1], "demand": [0, 0]}))
         code, _ = run(capsys, ["check", str(path)])
         assert code == 2
+
+
+# a valid scenario with awkward number spellings: exponents, a negative
+# zero, 17- and 30-digit decimals, plain integers and an integer beyond 64 bits
+AWKWARD = """{
+  "routing": [[0, 1E-3, 0.12345678901234567],
+              [-0.0, 0, 0.333333333333333333333333333333],
+              [1, 0, 0]],
+  "capacity": [100000000000000000000000, 2, 0.100000000000000005551115123125783],
+  "demand": [-0.0, 1E-3, -1.2345678901234567e-7]
+}"""
+
+
+def _scenario_text(**fields):
+    doc = {"routing": "[[0, 0.5], [0.5, 0]]", "capacity": "[1, 1]", "demand": "[0.3, 0.3]"}
+    doc.update(fields)
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in doc.items()) + "}"
+
+
+class TestLoadScenario:
+    """The parsed arrays and the refusals of the scenario loader, pinned to
+    what Python's own json module reads from the same text."""
+
+    def test_numbers_load_bit_identical(self, tmp_path):
+        path = tmp_path / "awkward.json"
+        path.write_text(AWKWARD)
+        spec, _, _ = load_scenario(str(path))
+        reference = json.loads(AWKWARD)
+        for key in ("routing", "capacity", "demand"):
+            expected = np.asarray(reference[key], dtype=float)
+            assert getattr(spec, key).tobytes() == expected.tobytes()
+        assert np.signbit(spec.routing[1, 0]) and np.signbit(spec.demand[0])
+
+    @pytest.mark.parametrize("field", ["routing", "capacity", "demand"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_numbers_rejected(self, capsys, tmp_path, field, literal):
+        value = {"routing": f"[[0, {literal}], [0.5, 0]]", "capacity": f"[1, {literal}]",
+                 "demand": f"[0.3, {literal}]"}[field]
+        path = tmp_path / "nonfinite.json"
+        path.write_text(_scenario_text(**{field: value}))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("content", [
+        _scenario_text(name='"\xff"').encode("latin-1"),  # a lone 0xff byte: not UTF-8
+        b"\xef\xbb\xbf" + _scenario_text().encode(),  # a UTF-8 byte order mark
+        _scenario_text(routing="[[0, 0.5], [0.5]]").encode(),  # ragged routing rows
+    ], ids=["invalid_utf8", "bom", "ragged_routing"])
+    def test_unreadable_documents_rejected(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSimulate:

@@ -3,8 +3,8 @@
 (kw, kc) has k times the equilibria of (w, c), and relabelling the cells
 relabels them, so equilibrium_set must return the same kind, k times (or
 the permutation of) x_min and x_max, and k times the condition value, on
-every routing class.  The examples come from the loaded Hypothesis profile
-(see conftest.py).
+every routing class; scaling also keeps the unknown_between flag.  The
+examples come from the loaded Hypothesis profile (see conftest.py).
 """
 
 import numpy as np
@@ -71,6 +71,8 @@ def test_scaling_scales_the_equilibrium_set(spec, log_k):
     scaled = equilibrium_set(validate(NetworkSpec(routing=spec.routing, capacity=k * spec.capacity,
                                                   demand=k * spec.demand)))
     _assert_same_set(scaled, base, k, slice(None), 1e-10 * k * spec.capacity.sum())
+    # whether a MinMaxOnly set is known between its ends is no matter of units
+    assert scaled.unknown_between == base.unknown_between
 
 
 @given(networks(), st.randoms(use_true_random=False))

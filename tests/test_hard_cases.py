@@ -2,13 +2,28 @@
 a nearly stochastic leaky routing, and at extreme scales.  The exact
 pattern iteration behind equilibrium_set must return a certified Point
 there with no iteration budget involved; Picard serves as the oracle
-wherever it converges."""
+wherever it converges.  The smallest networks, the periodic 2-cycle and a
+single cell, are checked against closed forms through every entry point."""
+
+import json
 
 import numpy as np
 import pytest
 
-from satflow import NetworkSpec, directional_limits, equilibrium_set, picard_max, picard_min, validate
+from satflow import (
+    DemandPath,
+    NetworkSpec,
+    directional_limits,
+    equilibrium_set,
+    integrate,
+    picard_max,
+    picard_min,
+    sweep,
+    validate,
+)
+from satflow.cli import main
 from satflow.equilibria import MINMAX_ONLY, POINT, SEGMENT
+from satflow.model import STOCHASTIC_IRREDUCIBLE, SUBSTOCHASTIC_OUT_CONNECTED
 
 from conftest import C3, C_STAR, R3, W3, random_spec, random_stochastic_irreducible, random_substochastic
 
@@ -132,17 +147,179 @@ def test_off_critical_demand_at_tiny_scale_is_a_point(k):
         assert np.abs(x - k * x_base).sum() <= 1e-12 * k * np.abs(x_base).sum()
 
 
-@pytest.mark.parametrize("k", [1e-9, 1e-6])
-def test_reducible_routing_at_small_scale(k):
-    # a leaky 2-cycle beside a closed stochastic one (MinMaxOnly); Picard's
-    # increment must scale with w, or at k = 1e-9 x_max stopped 9e-4
-    # (relative) short of k times the unscaled answer
+def _reducible_pair(c_closed):
+    # a leaky 2-cycle (0.9) beside a closed stochastic 2-cycle: the leaky
+    # block has the unique equilibrium [0.145, 0.14] / 0.19; the closed one
+    # holds x4 = x3 + 0.5 for every x3 in [0, 4] when c_closed = [-0.5, 0.5]
+    # and only [4, 4.6] when c_closed = [-0.5, 0.6] has a surplus
     R = np.zeros((4, 4))
     R[0, 1] = R[1, 0] = 0.9
     R[2, 3] = R[3, 2] = 1.0
-    w, c = np.array([2.0, 3.0, 4.0, 5.0]), np.array([0.1, 0.05, -0.2, 0.3])
+    return R, np.array([2.0, 3.0, 4.0, 5.0]), np.array([0.1, 0.05, *c_closed])
+
+
+@pytest.mark.parametrize("k", [1e-9, 1e-6])
+def test_reducible_routing_at_small_scale(k):
+    # MinMaxOnly: Picard's increment must scale with w, or at k = 1e-9
+    # x_max stopped 9e-4 (relative) short of k times the unscaled answer
+    R, w, c = _reducible_pair([-0.2, 0.3])
     base = equilibrium_set(spec_at(c, R=R, w=w))
     eq = equilibrium_set(spec_at(k * c, R=R, w=k * w))
     assert base.kind == eq.kind == MINMAX_ONLY
     for x, x_base in ((eq.x_min, base.x_min), (eq.x_max, base.x_max)):
         assert np.abs(x - k * x_base).sum() <= 1e-12 * k * np.abs(x_base).sum()
+
+
+@pytest.mark.parametrize("k", [1e-9, 1e-7, 1e-6, 1.0, 1e6])
+def test_reducible_unknown_between_does_not_depend_on_units(k):
+    # the flag once compared the gap with 1e-6 max(1, |w|_inf), so this
+    # gap of 8k read as a point at k = 1e-7 and below
+    leaky = np.array([0.145, 0.14]) / 0.19
+    R, w, c = _reducible_pair([-0.5, 0.5])
+    eq = equilibrium_set(spec_at(k * c, R=R, w=k * w))
+    assert eq.kind == MINMAX_ONLY
+    assert eq.unknown_between
+    for x, closed in ((eq.x_min, [0.0, 0.5]), (eq.x_max, [4.0, 4.5])):
+        assert np.abs(x - k * np.array([*leaky, *closed])).sum() <= 1e-9 * k
+    assert abs(np.abs(eq.x_max - eq.x_min).sum() - 8 * k) <= 1e-9 * k
+
+    R, w, c = _reducible_pair([-0.5, 0.6])
+    eq = equilibrium_set(spec_at(k * c, R=R, w=k * w))
+    assert eq.kind == MINMAX_ONLY
+    assert not eq.unknown_between
+    for x in (eq.x_min, eq.x_max):
+        assert np.abs(x - k * np.array([*leaky, 4.0, 4.6])).sum() <= 1e-9 * k
+    assert abs(eq.distance_l1(np.zeros(4)) - k * (leaky.sum() + 8.6)) <= 1e-9 * k
+
+
+# The periodic 2-cycle R = [[0, 1], [1, 0]] (stochastic irreducible with
+# period 2, pi = [1/2, 1/2]) and the single cell R = [[0]] (leaky), each
+# checked against closed-form answers.
+CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
+W_CYCLE = np.array([2.0, 3.0])
+ONE = np.array([[0.0]])
+W_ONE = np.array([2.0])
+
+
+def run_cli(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def write_scenario(tmp_path, R, w, c):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"routing": R.tolist(), "capacity": w.tolist(), "demand": c.tolist()}))
+    return str(path)
+
+
+@pytest.mark.parametrize("c, x_min, x_max", [
+    # zero-sum: x1 = x2 + 1/2 with x2 in [0, 3/2]; Hc = [1/4, -1/4], alpha in [1/2, 7/2]
+    ([0.5, -0.5], [0.5, 0.0], [2.0, 1.5]),
+    # a surplus fills cell 1 and leaves x2 = 2 - 0.3; a deficit empties cell 2
+    ([0.5, -0.3], [2.0, 1.7], [2.0, 1.7]),
+    ([0.3, -0.5], [0.3, 0.0], [0.3, 0.0]),
+])
+def test_periodic_two_cycle_equilibrium_set(c, x_min, x_max):
+    eq = equilibrium_set(spec_at(np.array(c), R=CYCLE, w=W_CYCLE))
+    assert np.abs(eq.x_min - x_min).sum() <= 1e-12
+    assert np.abs(eq.x_max - x_max).sum() <= 1e-12
+    if c[0] + c[1] == 0:
+        assert eq.kind == SEGMENT
+        assert np.abs(eq.pi - 0.5).max() <= 1e-15
+        assert np.abs(eq.hc - [0.25, -0.25]).max() <= 1e-15
+        assert abs(eq.alpha_min - 0.5) <= 1e-12 and abs(eq.alpha_max - 3.5) <= 1e-12
+        assert abs(eq.condition_value - 3.0) <= 1e-12
+    else:
+        assert eq.kind == POINT
+        assert eq.condition_value is None
+
+
+@pytest.mark.parametrize("x0, closed_form", [
+    # from 0 cell 2 stays empty: x = [(1 - e^-t)/2, 0]
+    ([0.0, 0.0], lambda t: np.stack([0.5 * (1 - np.exp(-t)), 0 * t], axis=1)),
+    # from w cell 1 stays full: x = [2, 3/2 (1 + e^-t)]
+    ([2.0, 3.0], lambda t: np.stack([2 + 0 * t, 1.5 * (1 + np.exp(-t))], axis=1)),
+    # inside the lattice x1 + x2 = 2 is conserved and x1 - x2 = (1 - e^-2t)/2
+    ([1.0, 1.0], lambda t: np.stack([1 + 0.25 * (1 - np.exp(-2 * t)), 1 - 0.25 * (1 - np.exp(-2 * t))], axis=1)),
+])
+def test_periodic_two_cycle_trajectories(x0, closed_form):
+    spec = spec_at(np.array([0.5, -0.5]), R=CYCLE, w=W_CYCLE)
+    traj = integrate(spec, np.array(x0))
+    assert traj.converged
+    assert np.abs(traj.states - closed_form(traj.times)).max() <= 1e-9
+    assert np.abs(spec.routing.T @ traj.states[-1] + spec.demand - traj.states[-1]).sum() <= 1e-9
+
+
+def test_periodic_two_cycle_sweep():
+    # c(s) = [1/2, s - 1]: the total demand s - 1/2 crosses zero at s = 1/2,
+    # where the equilibrium jumps from [1/2, 0] to [2, 1 + s] by 3
+    ss = np.linspace(0.0, 1.0, 10)
+    result = sweep(CYCLE, W_CYCLE, DemandPath([0.5, -1.0], [0.5, 0.0], 10))
+    assert not result.unresolved
+    assert len(result.jumps) == 1
+    assert abs(result.jumps[0]["s"] - 0.5) <= 1e-12
+    assert abs(result.jumps[0]["magnitude"] - 3.0) <= 1e-12
+    for s, row in zip(ss, result.rows):
+        x = [0.5, 0.0] if s < 0.5 else [2.0, 1.0 + s]
+        assert row.kind == POINT and not row.on_manifold
+        assert np.abs(row.x_min - x).sum() <= 1e-12
+        assert np.abs(row.x_max - x).sum() <= 1e-12
+
+
+def test_periodic_two_cycle_cli(capsys, tmp_path):
+    path = write_scenario(tmp_path, CYCLE, W_CYCLE, np.array([0.5, -0.5]))
+    code, out = run_cli(capsys, ["check", path])
+    assert code == 0
+    report = json.loads(out)
+    assert report["class"] == STOCHASTIC_IRREDUCIBLE
+    assert report["row_sums"] == [1.0, 1.0]
+    assert "leaky_nodes" not in report
+    assert np.abs(np.array(report["pi"]) - 0.5).max() <= 1e-15
+    code, out = run_cli(capsys, ["equilibria", path])
+    assert code == 0
+    report = json.loads(out)
+    assert report["kind"] == SEGMENT
+    assert np.abs(np.array(report["x_min"]) - [0.5, 0.0]).sum() <= 1e-12
+    assert np.abs(np.array(report["x_max"]) - [2.0, 1.5]).sum() <= 1e-12
+    assert abs(report["condition_value"] - 3.0) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [-1.0, 0.0, 0.5, 2.0, 3.0])
+def test_single_cell_equilibrium_and_trajectory(c):
+    # x' = clip(c, 0, w) - x: the equilibrium is clip(c, 0, w), reached as
+    # x(t) = x* + (x0 - x*) e^-t from every start
+    spec = spec_at(np.array([c]), R=ONE, w=W_ONE)
+    x_star = min(max(c, 0.0), 2.0)
+    eq = equilibrium_set(spec)
+    assert eq.kind == POINT
+    assert eq.x_min.tolist() == eq.x_max.tolist() == [x_star]
+    for x0 in (0.0, 1.0, 2.0):
+        traj = integrate(spec, np.array([x0]))
+        assert traj.converged
+        closed_form = x_star + (x0 - x_star) * np.exp(-traj.times)
+        assert np.abs(traj.states[:, 0] - closed_form).max() <= 1e-9
+
+
+def test_single_cell_sweep():
+    # c(s) = 4s - 1: the equilibrium clip(4s - 1, 0, 2) has no jump
+    ss = np.linspace(0.0, 1.0, 9)
+    result = sweep(ONE, W_ONE, DemandPath([-1.0], [3.0], 9))
+    assert result.jumps == [] and result.critical_points == [] and result.unresolved == []
+    for s, row in zip(ss, result.rows):
+        assert row.kind == POINT and row.condition_value is None and not row.on_manifold
+        assert abs(row.x_min[0] - min(max(4 * s - 1, 0.0), 2.0)) <= 1e-12
+        assert abs(row.x_max[0] - row.x_min[0]) <= 1e-12
+
+
+def test_single_cell_cli(capsys, tmp_path):
+    path = write_scenario(tmp_path, ONE, W_ONE, np.array([0.5]))
+    code, out = run_cli(capsys, ["check", path])
+    assert code == 0
+    report = json.loads(out)
+    assert report["class"] == SUBSTOCHASTIC_OUT_CONNECTED
+    assert report["row_sums"] == [0.0]
+    assert report["leaky_nodes"] == [1]
+    assert "pi" not in report
+    code, out = run_cli(capsys, ["equilibria", path])
+    assert code == 0
+    assert json.loads(out) == {"kind": POINT, "x_min": [0.5], "x_max": [0.5]}
