@@ -24,23 +24,23 @@ does so only where the class guarantees a unique equilibrium:
 sub-stochastic out-connected routing, or stochastic irreducible routing
 off the zero-sum hyperplane.  There the equilibrium is affine in t while
 its pattern (Z = {R'x + c <= 0} at 0, U = {R'x + c >= w} at w, the rest
-free) holds.  So the pattern read from a guess at a piece's first sample,
-re-read from the new iterate a few times if it moved, gives one linear
-solve of the free cells with the mirrored system and the direction as
-further right-hand sides, and with it x_min(t) and x_max(t) at every later
-sample.  One vectorised pass accepts a sample only if its own pattern
-reproduces Z and U, both residuals certify and the two sides agree; the
-samples before the first failure form the piece.  If the path leaves the
-pattern before that sample, a ratio test on R'x(t) + c(t), affine on the
-piece, finds the breakpoint, and the next piece starts just past it with
-the pattern shown there: the continuation of parametric LCP (Murty 1988,
-ch. 5) and of homotopy paths (Efron et al., Ann. Statist. 32(2), 2004).
-Otherwise the next piece re-reads the pattern at that sample.  The ratio
-test runs first, so a piece checks only the samples up to its first
-breakpoint and one past it, and each sample is checked O(1) times.  Where
-pieces certify nothing, the cold pattern iteration above runs unchanged
-at that sample.  Past a jump the walk starts from the segment endpoint
-the path leaves, with the cell that bounds the segment held.
+free) holds.  So the pattern a piece is seeded with, taken as given,
+gives one linear solve of the free cells with the mirrored system and the
+direction as further right-hand sides, and with it x_min(t) and x_max(t)
+at every later sample.  One vectorised pass accepts a sample only if its
+own pattern reproduces Z and U, both residuals certify and the two sides
+agree; the samples before the first failure form the piece.  If the path
+leaves the pattern before that sample, a ratio test on R'x(t) + c(t),
+affine on the piece, finds the breakpoint, and the next piece starts just
+past it with the pattern shown there: the continuation of parametric LCP
+(Murty 1988, ch. 5) and of homotopy paths (Efron et al., Ann. Statist.
+32(2), 2004).  Otherwise the next piece takes the pattern shown at that
+sample.  The ratio test runs first, so a piece checks only the samples up
+to its first breakpoint and one past it, and each sample is checked O(1)
+times.  Where pieces certify nothing, the cold pattern iteration above
+runs unchanged at that sample.  Past a jump the walk starts from the
+segment endpoint the path leaves, with the cell that bounds the segment
+held.
 
 For stochastic irreducible routing with zero-sum demand the full set of
 equilibria is known analytically: it is the line {Hc + a*pi} intersected
@@ -65,14 +65,12 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .model import (
-    ROW_SUM_TOL,
     STOCHASTIC_IRREDUCIBLE,
     SUBSTOCHASTIC_OUT_CONNECTED,
     NetworkSpec,
     _pi_and_h,
     classify_routing,
     is_zero_sum,
-    row_sums,
     tolerance_scale,
 )
 
@@ -90,9 +88,6 @@ POINT_AGREEMENT_TOL = 1e-6
 
 # a returned equilibrium x has ||T(x) - x||_1 below this, times max(1, |w|_inf)
 _FIXED_POINT_TOL = 1e-10
-
-# pattern solves a guess may take before _pattern_piece gives up
-_GUESS_ROUNDS = 3
 
 
 class PicardResult(NamedTuple):
@@ -154,10 +149,8 @@ class EquilibriumSet:
         return float(np.abs(x - (self.hc + a * self.pi)).sum())
 
 
-def _picard(spec: NetworkSpec, x0: np.ndarray, increment_tol: float = 1e-12,
+def _picard(R_t: np.ndarray, w: np.ndarray, c: np.ndarray, x0: np.ndarray, increment_tol: float,
             max_iter: int = 10**6) -> PicardResult:
-    R_t = spec.routing.T
-    w, c = spec.capacity, spec.demand
     x = x0.astype(float).copy()
     for k in range(1, max_iter + 1):
         x_new = np.minimum(np.maximum(R_t @ x + c, 0.0), w)  # np.clip, without its dispatch cost
@@ -168,20 +161,20 @@ def _picard(spec: NetworkSpec, x0: np.ndarray, increment_tol: float = 1e-12,
     return PicardResult(x, False, max_iter, increment)
 
 
-def picard_min(spec: NetworkSpec, increment_tol: float = 1e-12, max_iter: int = 10**6) -> PicardResult:
+def picard_min(spec: NetworkSpec, increment_tol: float = 1e-12) -> PicardResult:
     """Minimal equilibrium via the nondecreasing iteration from x = 0.
 
     The increment of the monotone iteration is exactly the fixed-point
     residual ||T(x) - x||_1, so the stopping rule doubles as the residual
-    certificate.  On budget exhaustion the best iterate is returned with
+    certificate.  After 10^6 iterations the last iterate is returned with
     converged=False.
     """
-    return _picard(spec, np.zeros(spec.n), increment_tol, max_iter)
+    return _picard(spec.routing.T, spec.capacity, spec.demand, np.zeros(spec.n), increment_tol)
 
 
-def picard_max(spec: NetworkSpec, increment_tol: float = 1e-12, max_iter: int = 10**6) -> PicardResult:
+def picard_max(spec: NetworkSpec, increment_tol: float = 1e-12) -> PicardResult:
     """Maximal equilibrium via the nonincreasing iteration from x = w."""
-    return _picard(spec, spec.capacity, increment_tol, max_iter)
+    return _picard(spec.routing.T, spec.capacity, spec.demand, spec.capacity, increment_tol)
 
 
 def _line(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -242,10 +235,10 @@ def _equilibrium(spec: NetworkSpec, tag: str) -> EquilibriumSet:
             value = alpha_max - alpha_min
             if value > 0:
                 return _segment(spec, pi, hc, alpha_min, alpha_max)
-            return _point(spec, condition_value=value)
+            return _point(spec, True, condition_value=value)
     elif tag != SUBSTOCHASTIC_OUT_CONNECTED:
         return _min_max_only(spec)
-    return _point(spec)
+    return _point(spec, tag == STOCHASTIC_IRREDUCIBLE)
 
 
 def _segment(spec: NetworkSpec, pi: np.ndarray, hc: np.ndarray, alpha_min: float, alpha_max: float) -> EquilibriumSet:
@@ -287,9 +280,12 @@ def _min_max_only(spec: NetworkSpec) -> EquilibriumSet:
     return EquilibriumSet(kind=MINMAX_ONLY, x_min=lo.x, x_max=hi.x, unknown_between=unknown)
 
 
-def _point(spec: NetworkSpec, condition_value: float | None = None) -> EquilibriumSet:
-    x_min = _extreme(spec, "min")
-    x_max = _extreme(spec, "max")
+def _point(spec: NetworkSpec, stochastic: bool, condition_value: float | None = None) -> EquilibriumSet:
+    """The unique equilibrium from both ends by :func:`_extreme`; stochastic
+    is True for stochastic irreducible routing, False for sub-stochastic
+    out-connected."""
+    x_min = _extreme(spec, "min", stochastic)
+    x_max = _extreme(spec, "max", stochastic)
     gap = float(np.abs(x_max - x_min).sum())
     if gap > POINT_AGREEMENT_TOL * tolerance_scale(spec.capacity):
         raise NumericalError(f"x_min and x_max disagree by {gap:.3g} in a unique-equilibrium case")
@@ -302,7 +298,7 @@ def _points_along(R: np.ndarray, w: np.ndarray, c0: np.ndarray, dc: np.ndarray, 
     of them zero-sum when R is stochastic.
 
     seed is None or (t, y): a vector y = R'x + c whose saturation pattern
-    is tried from the path parameter t <= ts[0] (see
+    the first piece takes as given from the path parameter t <= ts[0] (see
     :func:`_pattern_piece`).  Each piece hands the next one its restart: a
     point between its first two breakpoints when the path leaves its
     pattern before the first sample it did not certify, else that sample.
@@ -321,7 +317,7 @@ def _points_along(R: np.ndarray, w: np.ndarray, c0: np.ndarray, dc: np.ndarray, 
             out.extend(piece)
             restarts = 0 if piece else restarts + 1
             continue
-        eq = _point(NetworkSpec(routing=R, capacity=w, demand=c0 + ts[i] * dc))
+        eq = _point(NetworkSpec(routing=R, capacity=w, demand=c0 + ts[i] * dc), stochastic)
         out.append(eq)
         seed, restarts = (ts[i], R_t @ eq.x_min + (c0 + ts[i] * dc)), 0
     return out
@@ -336,13 +332,12 @@ def _pattern_piece(R_t: np.ndarray, w: np.ndarray, c0: np.ndarray, dc: np.ndarra
     The pattern (Z = {y <= 0} at 0, U = {y >= w} at w, F the rest) gives
     x_F from (I - R'_FF) x_F = c_F + R'_FU w_U at t0; the same solve takes
     the mirrored system of w - x (Z at w, U at 0) and the direction dc_F
-    as further columns.  When t0 = ts[0], y comes from a guess, and a
-    pattern that moves is re-read from the new x up to _GUESS_ROUNDS
-    times; a t0 before ts[0] is a point between samples whose pattern is
-    known (a segment endpoint, a piece's restart, a cold answer) and is
-    taken as it is.  On the piece x(t) = x(t0) + (t - t0)*dir on both
-    sides (the mirrored direction is -dir exactly, so it needs no column),
-    and sample t is accepted only if the pattern of x_min(t) reproduces Z
+    as further columns.  The pattern is taken as given, from a guess or a
+    known point (a segment endpoint, a restart, a cold answer); a guess it
+    does not fit certifies nothing at its own sample, which the caller
+    answers cold.  On the piece x(t) = x(t0) + (t - t0)*dir on both sides
+    (the mirrored direction is -dir exactly, so it needs no column), and
+    sample t is accepted only if the pattern of x_min(t) reproduces Z
     and U, both residuals ||T(x) - x||_1 are below _FIXED_POINT_TOL and
     x_min, x_max agree within POINT_AGREEMENT_TOL, each times
     max(1, |w|_inf).  With stochastic R and Z, U both empty, I - R' is
@@ -356,39 +351,24 @@ def _pattern_piece(R_t: np.ndarray, w: np.ndarray, c0: np.ndarray, dc: np.ndarra
     failure are returned.  If a cell crosses its bound before the first
     sample not returned, the next piece starts midway between that
     crossing and the next one (or that sample), where y shows the pattern
-    past the breakpoint.  Otherwise it re-reads the pattern at the
-    rejected sample from y there.
+    past the breakpoint.  Otherwise it starts at the rejected sample with
+    the pattern of y there.
     """
+    zero, cap = y <= 0, y >= w
+    if stochastic and not (zero.any() or cap.any()):
+        return [], None
     c = c0 + t0 * dc
     # column 0 is the system for x, column 1 the mirrored one for w - x, column 2 the direction
     demands = np.empty((w.size, 3))
     demands[:, 0], demands[:, 1], demands[:, 2] = c, w - R_t @ w - c, dc
-    zero, cap = y <= 0, y >= w
-    for _ in range(_GUESS_ROUNDS):
-        if stochastic and not (zero.any() or cap.any()):
-            return [], None
-        free = ~(zero | cap)
-        rows = R_t[free]
-        A = -rows[:, free]
-        A.flat[:: A.shape[0] + 1] += 1.0
-        held = np.zeros((w.size, 3))
-        held[:, 0], held[:, 1] = w * cap, w * zero
-        try:
-            held[free] = np.linalg.solve(A, demands[free] + rows @ held)
-        except np.linalg.LinAlgError:
-            return [], None
-        y = R_t @ held[:, 0] + c
-        if t0 < ts[0]:
-            break
-        kept_zero, kept_cap = y <= 0, y >= w
-        if not ((kept_zero ^ zero).any() or (kept_cap ^ cap).any()):
-            break
-        zero, cap = kept_zero, kept_cap
-    else:
+    held = np.zeros((w.size, 3))
+    held[:, 0], held[:, 1] = w * cap, w * zero
+    if not _solve_free(R_t, ~(zero | cap), demands, held):
         return [], None
+    y = R_t @ held[:, 0] + c
     # when each cell leaves its region on the line y + (t - t0)*slope: Z
     # cells cross 0 upward, U cells w downward, F cells reach 0 or w; a
-    # cell already outside it (a restart's pattern is not re-read) leaves at t0
+    # cell already outside it (the seed's pattern is not re-read) leaves at t0
     slope = R_t @ held[:, 2] + dc
     bound = np.where(zero | (~cap & (slope < 0)), 0.0, w)
     moving = np.where(zero, slope > 0, np.where(cap, slope < 0, slope != 0))
@@ -451,30 +431,26 @@ def _endpoint_seed(line, w: np.ndarray, upper: bool) -> np.ndarray:
     return y
 
 
-def _extreme(spec: NetworkSpec, side: str) -> np.ndarray:
+def _extreme(spec: NetworkSpec, side: str, stochastic: bool) -> np.ndarray:
     """x_min (side "min") or x_max (side "max") of a spec whose routing is
-    stochastic irreducible or sub-stochastic out-connected, exactly.
+    stochastic irreducible (stochastic) or sub-stochastic out-connected,
+    exactly.
 
     y = w - x turns T into clip(R'y + w - R'w - c, 0, w) and reverses the
-    order, so x_max is w minus the least fixed point of the mirrored map
-    and both sides are one climb: at most n Picard steps from 0, then
-    :func:`_climb` from where they stopped.  n Picard steps cost about as
-    much as one dense factorization, so networks that contract fast never
-    reach a solve.
+    order, so x_max is w minus the least fixed point of the map with the
+    mirrored demand w - R'w - c, and both sides are one climb: at most n
+    Picard steps from 0, then :func:`_climb` from where they stopped.  n
+    Picard steps cost about as much as one dense factorization, so
+    networks that contract fast never reach a solve.
     """
     R_t, w = spec.routing.T, spec.capacity
-    if side == "min":
-        climb = spec
-    else:
-        climb = NetworkSpec(routing=spec.routing, capacity=w, demand=w - R_t @ w - spec.demand)
+    c = spec.demand if side == "min" else w - R_t @ w - spec.demand
     # relative to |w|_inf with no floor: an absolute increment would stop
     # the warm-up of a network with small capacities far from its limit
-    warm = _picard(climb, np.zeros(spec.n), increment_tol=1e-12 * float(w.max()), max_iter=spec.n)
+    warm = _picard(R_t, w, c, np.zeros(spec.n), 1e-12 * float(w.max()), max_iter=spec.n)
     y, rounds, solves = warm.x, 0, 0
     if not warm.converged:
-        # I - R'_FF is singular only for F = every cell of a stochastic R
-        stochastic = not np.any(row_sums(spec.routing) < 1 - ROW_SUM_TOL)
-        y, rounds, solves = _climb(R_t, w, climb.demand, warm.x, stochastic)
+        y, rounds, solves = _climb(R_t, w, c, warm.x, stochastic)
     x = y if side == "min" else w - y
     residual = float(np.abs(np.clip(R_t @ x + spec.demand, 0.0, w) - x).sum())
     bound = _FIXED_POINT_TOL * tolerance_scale(spec.capacity)
@@ -510,14 +486,9 @@ def _climb(R_t: np.ndarray, w: np.ndarray, c: np.ndarray, x: np.ndarray,
         for _ in range(n + 1):
             solves += 1
             free = live & ~cap
-            rows = R_t[free]
-            A = -rows[:, free]
-            A.flat[:: A.shape[0] + 1] += 1.0
             x = np.where(cap, w, 0.0)
-            try:
-                x[free] = np.linalg.solve(A, c[free] + rows[:, cap] @ w[cap])
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"pattern solve on {A.shape[0]} free cells failed: {exc}") from exc
+            if not _solve_free(R_t, free, c, x):
+                raise NumericalError(f"pattern solve on {np.count_nonzero(free)} free cells failed: singular matrix")
             y = R_t @ x + c
             new_cap = _cap_policy(live, y, w, stochastic)
             if np.array_equal(new_cap, cap):
@@ -528,6 +499,20 @@ def _climb(R_t: np.ndarray, w: np.ndarray, c: np.ndarray, x: np.ndarray,
             break
         zero = kept
     return x, rounds, solves
+
+
+def _solve_free(R_t: np.ndarray, free: np.ndarray, b: np.ndarray, x: np.ndarray) -> bool:
+    """Solve (I - R'_FF) x_F = b_F + R'_FH x_H into the free cells of x
+    (0 on entry), each column of b and x one system, the held cells H
+    taken from x; False, x unchanged, if I - R'_FF is singular."""
+    rows = R_t[free]
+    A = -rows[:, free]
+    A.flat[:: A.shape[0] + 1] += 1.0
+    try:
+        x[free] = np.linalg.solve(A, b[free] + rows @ x)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _cap_policy(live: np.ndarray, y: np.ndarray, w: np.ndarray, stochastic: bool) -> np.ndarray:

@@ -71,7 +71,14 @@ class NetworkSpec:
     outflow: np.ndarray | None = None
 
     def __post_init__(self):
-        self.routing = np.asarray(self.routing, dtype=float)
+        try:
+            self.routing = np.asarray(self.routing, dtype=float)
+        except ValueError as exc:
+            # name the first ragged row, 1-based, rather than numpy's shape
+            lengths = [len(row) if hasattr(row, "__len__") else None for row in self.routing]
+            ragged = next((i + 1 for i, k in enumerate(lengths) if k != lengths[0]), None)
+            raise ScenarioError(f"routing row {ragged} does not have the length of row 1" if ragged
+                                else f"routing is not a matrix of numbers: {exc}") from exc
         self.capacity = np.asarray(self.capacity, dtype=float)
         self.demand = np.asarray(self.demand, dtype=float)
         if self.inflow is not None:
@@ -264,15 +271,16 @@ def _require_stochastic_irreducible(R: np.ndarray, op: str) -> None:
         raise PreconditionError(f"{op} requires a stochastic irreducible routing matrix ({cls.tag}: {cls.detail})")
 
 
-def _pi_and_h(R: np.ndarray, v: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _pi_and_h(R: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """pi and the zero-sum Hv of a routing matrix known to be stochastic
     irreducible, from one solve of M X = [1, v], M = I - R' + 1 1'.
 
     1'(I - R') = 0, so 1'M = n 1': a solution of M x = b has 1'x = 1'b / n
     and solves x = R'x + b - 1'b / n.  M is therefore nonsingular (its null
-    vectors would be zero-sum multiples of pi), periodic R included.  The H
-    residual bound scales with max(1, |v|_inf), so rescaling the data does
-    not decide whether the solve passes.
+    vectors would be zero-sum multiples of pi), periodic R included.  Both
+    residuals must be below RESIDUAL_TOL; the H bound scales with
+    max(1, |v|_inf), so rescaling the data does not decide whether the
+    solve passes.
     """
     n = R.shape[0]
     M = np.ones((n, n)) - R.T
@@ -281,24 +289,24 @@ def _pi_and_h(R: np.ndarray, v: np.ndarray, residual_tol: float = RESIDUAL_TOL) 
     pi = sol[:, 0] / sol[:, 0].sum()
     hv = sol[:, 1]
     residual = np.abs(pi - R.T @ pi).sum()
-    if residual >= residual_tol or np.any(pi <= 0):
-        raise NumericalError(f"invariant vector residual {residual:.3g} not within {residual_tol:.3g}")
+    if residual >= RESIDUAL_TOL or np.any(pi <= 0):
+        raise NumericalError(f"invariant vector residual {residual:.3g} not within {RESIDUAL_TOL:.3g}")
     residual = max(np.abs(hv - R.T @ hv - v).max(), abs(hv.sum()))
-    bound = residual_tol * max(1.0, np.abs(v).max())
+    bound = RESIDUAL_TOL * max(1.0, np.abs(v).max())
     if residual >= bound:
         raise NumericalError(f"H solve residual {residual:.3g} not within {bound:.3g}")
     return pi, hv
 
 
-def invariant_vector(R: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+def invariant_vector(R: np.ndarray) -> np.ndarray:
     """The unique probability vector pi with pi = R' pi, strictly positive.
 
     Solved as M pi = 1 with M = I - R' + 1 1' (see :func:`_pi_and_h`) and
-    certified: pi > 0 and |pi - R' pi|_1 below ``residual_tol``.
+    certified: pi > 0 and |pi - R' pi|_1 below RESIDUAL_TOL.
     """
     R = np.asarray(R, dtype=float)
     _require_stochastic_irreducible(R, "invariant_vector")
-    return _pi_and_h(R, np.zeros(R.shape[0]), residual_tol)[0]
+    return _pi_and_h(R, np.zeros(R.shape[0]))[0]
 
 
 def tolerance_scale(w: np.ndarray) -> float:
@@ -320,16 +328,16 @@ def is_zero_sum(v: np.ndarray) -> bool:
     return abs(v.sum()) <= zero_sum_tol(v)
 
 
-def h_operator(R: np.ndarray, v: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+def h_operator(R: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The zero-sum solution Hv of Hv = R' Hv + v.
 
     Solved as M x = v with M = I - R' + 1 1' (see :func:`_pi_and_h`) and
     certified: the defining equation and sum(x) = 0 both hold within
-    ``residual_tol`` times max(1, |v|_inf).
+    RESIDUAL_TOL times max(1, |v|_inf).
     """
     R = np.asarray(R, dtype=float)
     v = np.asarray(v, dtype=float)
     _require_stochastic_irreducible(R, "h_operator")
     if not is_zero_sum(v):
         raise PreconditionError(f"h_operator requires a zero-sum vector, got sum {v.sum():.3g}")
-    return _pi_and_h(R, v, residual_tol)[1]
+    return _pi_and_h(R, v)[1]

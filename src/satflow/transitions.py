@@ -101,8 +101,9 @@ class SweepResult:
     unresolved: list[dict] = field(default_factory=list)  # brackets we could not attribute
 
 
-def on_critical_manifold(R: np.ndarray, w: np.ndarray, c: np.ndarray, tol: float | None = None) -> bool:
-    """True iff c is zero-sum (within tol) and the condition value is positive.
+def on_critical_manifold(R: np.ndarray, w: np.ndarray, c: np.ndarray) -> bool:
+    """True iff c is zero-sum (within :func:`satflow.model.zero_sum_tol`)
+    and the condition value is positive.
 
     The routing matrix is classified once; the condition value of the
     zero-sum projection c - mean(c) comes from the same line data as in
@@ -110,15 +111,14 @@ def on_critical_manifold(R: np.ndarray, w: np.ndarray, c: np.ndarray, tol: float
     """
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=c))
     _require_stochastic_irreducible(spec.routing, "on_critical_manifold")
-    return _critical_line(spec, tol) is not None
+    return _critical_line(spec) is not None
 
 
-def _critical_line(spec: NetworkSpec, tol: float | None = None):
+def _critical_line(spec: NetworkSpec):
     """The line data (pi, Hc, alpha_min, alpha_max) of the demand's zero-sum
     projection when the demand is on the critical set, else None; the
     routing must be stochastic irreducible."""
-    c = spec.demand
-    if abs(c.sum()) > (zero_sum_tol(c) if tol is None else tol):
+    if not is_zero_sum(spec.demand):
         return None
     line = _line(spec)
     return line if line[3] - line[2] > 0 else None

@@ -132,6 +132,13 @@ class TestLoadScenario:
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_ragged_routing_names_the_row(self, capsys, tmp_path):
+        path = tmp_path / "ragged.json"
+        path.write_text(_scenario_text(routing="[[0, 0.5], [0.5]]"))
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "routing" in err and "row 2" in err
+
 
 class TestSimulate:
     def test_from_zero(self, capsys, scenario3, tmp_path):

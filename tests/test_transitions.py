@@ -333,8 +333,9 @@ class TestContinuation:
                 assert np.abs(x - eq.x_min).sum() <= tol
 
     def test_wrong_guess_falls_back(self, monkeypatch):
-        # a chain fed at its head: from the guess 0 each re-read of the
-        # pattern frees one more cell, more than _GUESS_ROUNDS allow
+        # a chain fed at its head: the pattern of the guess 0 holds the head
+        # at w and the rest at 0, and its one solve frees the next cell, so
+        # the guess's own sample is not certified and is not re-read
         n = 6
         R = np.zeros((n, n))
         R[np.arange(n - 1), np.arange(1, n)] = 0.99
@@ -344,7 +345,13 @@ class TestContinuation:
         spec = validate(NetworkSpec(routing=R, capacity=w, demand=c))
         guess = np.zeros(n)
         y = R.T @ guess + c
-        assert equilibria._pattern_piece(R.T, w, c, np.zeros(n), 0.0, y, np.zeros(1), stochastic=False) == ([], None)
+        solves = []
+        real_solve = np.linalg.solve
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or real_solve(*a, **k))
+            piece = equilibria._pattern_piece(R.T, w, c, np.zeros(n), 0.0, y, np.zeros(1), stochastic=False)
+        assert piece == ([], None)
+        assert solves == [1]
         cold = []
         real = equilibria._point
         monkeypatch.setattr(equilibria, "_point", lambda *a, **k: cold.append(1) or real(*a, **k))
