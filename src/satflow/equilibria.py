@@ -17,30 +17,26 @@ y = w - x.  Every result is certified by its residual ||T(x) - x||_1.
 Picard iteration to convergence (picard_min, picard_max) is kept for the
 reducible MinMaxOnly class and as a test oracle.
 
-A caller that solves many demands on one routing matrix (a demand sweep,
-one-sided limits) classifies it once and walks an affine demand path
-c0 + t*dc one saturation pattern at a time (:func:`_points_along`).  It
-does so only where the class guarantees a unique equilibrium:
-sub-stochastic out-connected routing, or stochastic irreducible routing
-off the zero-sum hyperplane.  There the equilibrium is affine in t while
-its pattern (Z = {R'x + c <= 0} at 0, U = {R'x + c >= w} at w, the rest
-free) holds.  So the pattern a piece is seeded with, taken as given,
-gives one linear solve of the free cells with the mirrored system and the
-direction as further right-hand sides, and with it x_min(t) and x_max(t)
-at every later sample.  One vectorised pass accepts a sample only if its
-own pattern reproduces Z and U, both residuals certify and the two sides
-agree; the samples before the first failure form the piece.  If the path
-leaves the pattern before that sample, a ratio test on R'x(t) + c(t),
-affine on the piece, finds the breakpoint, and the next piece starts just
-past it with the pattern shown there: the continuation of parametric LCP
-(Murty 1988, ch. 5) and of homotopy paths (Efron et al., Ann. Statist.
-32(2), 2004).  Otherwise the next piece takes the pattern shown at that
-sample.  The ratio test runs first, so a piece checks only the samples up
-to its first breakpoint and one past it, and each sample is checked O(1)
-times.  Where pieces certify nothing, the cold pattern iteration above
-runs unchanged at that sample.  Past a jump the walk starts from the
-segment endpoint the path leaves, with the cell that bounds the segment
-held.
+Each public entry point classifies R once, into a private network object
+(R, w and the routing class) that every solver below takes with the
+demand c; a caller that solves many demands on one routing matrix (a
+demand sweep, one-sided limits) thus classifies it once.  Where the class
+makes the equilibrium unique, sub-stochastic out-connected routing or
+stochastic irreducible routing off the zero-sum hyperplane (one rule,
+:meth:`_Network.walkable`), such a caller walks an affine demand path
+c0 + t*dc one saturation pattern at a time (:func:`_points_along`).  The
+equilibrium is affine in t while its pattern (Z = {R'x + c <= 0} at 0,
+U = {R'x + c >= w} at w, the rest free) holds, so one linear solve of the
+free cells, with the mirrored system and the direction as further
+right-hand sides, gives x_min(t) and x_max(t) at every sample of a piece,
+and one vectorised pass certifies them (:func:`_pattern_piece`).  A ratio
+test on R'x(t) + c(t), affine on the piece, finds where the path leaves
+the pattern, and the next piece starts just past it: the continuation of
+parametric LCP (Murty 1988, ch. 5) and of homotopy paths (Efron et al.,
+Ann. Statist. 32(2), 2004).  Where pieces certify nothing, the cold
+pattern iteration above runs at that sample.  Past a jump the walk starts
+from the segment endpoint the path leaves, with the cell that bounds the
+segment held.
 
 For stochastic irreducible routing with zero-sum demand the full set of
 equilibria is known analytically: it is the line {Hc + a*pi} intersected
@@ -68,7 +64,9 @@ from .model import (
     STOCHASTIC_IRREDUCIBLE,
     SUBSTOCHASTIC_OUT_CONNECTED,
     NetworkSpec,
+    RoutingClass,
     _pi_and_h,
+    _require_stochastic_irreducible,
     classify_routing,
     is_zero_sum,
     tolerance_scale,
@@ -133,6 +131,8 @@ class EquilibriumSet:
         PreconditionError is raised.
         """
         x = np.asarray(x, dtype=float)
+        if x.shape != self.x_min.shape:
+            raise PreconditionError(f"distance_l1 needs a state of shape {self.x_min.shape}, got {x.shape}")
         if self.unknown_between:
             gap = float(np.abs(self.x_max - self.x_min).sum())
             raise PreconditionError(
@@ -147,6 +147,29 @@ class EquilibriumSet:
         median = t[order[np.searchsorted(weight, 0.5 * weight[-1])]]
         a = min(max(median, self.alpha_min), self.alpha_max)
         return float(np.abs(x - (self.hc + a * self.pi)).sum())
+
+
+class _Network(NamedTuple):
+    """Routing R, capacities w and the class of R, decided once per call of
+    a public entry point; the private solvers take it with the demand c."""
+
+    R: np.ndarray
+    w: np.ndarray
+    routing_class: RoutingClass
+
+    @property
+    def stochastic(self) -> bool:
+        return self.routing_class.tag == STOCHASTIC_IRREDUCIBLE
+
+    def walkable(self, c: np.ndarray) -> bool:
+        """True iff the equilibrium at c is unique and walkable: sub-stochastic
+        out-connected routing, or stochastic irreducible off the zero-sum hyperplane."""
+        return self.routing_class.tag == SUBSTOCHASTIC_OUT_CONNECTED or (self.stochastic and not is_zero_sum(c))
+
+
+def _network(R: np.ndarray, w: np.ndarray, op: str | None = None) -> _Network:
+    """R, w and the class of R; op names a caller that requires stochastic irreducible R, else PreconditionError."""
+    return _Network(R, w, classify_routing(R) if op is None else _require_stochastic_irreducible(R, op))
 
 
 def _picard(R_t: np.ndarray, w: np.ndarray, c: np.ndarray, x0: np.ndarray, increment_tol: float,
@@ -177,7 +200,7 @@ def picard_max(spec: NetworkSpec, increment_tol: float = 1e-12) -> PicardResult:
     return _picard(spec.routing.T, spec.capacity, spec.demand, spec.capacity, increment_tol)
 
 
-def _line(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _line(net: _Network, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(pi, Hc, alpha_min, alpha_max) of the zero-sum projection c - mean(c)
     of the demand, for stochastic irreducible routing.
 
@@ -185,9 +208,8 @@ def _line(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray, float, float]:
     the condition value is alpha_max - alpha_min.  Callers decide whether
     the demand is zero-sum.
     """
-    c = spec.demand
-    pi, hc = _pi_and_h(spec.routing, c - c.sum() / spec.n)
-    return pi, hc, float(-np.min(hc / pi)), float(np.min((spec.capacity - hc) / pi))
+    pi, hc = _pi_and_h(net.R, c - c.sum() / c.size)
+    return pi, hc, float(-np.min(hc / pi)), float(np.min((net.w - hc) / pi))
 
 
 def multiplicity_test(spec: NetworkSpec) -> tuple[float | None, bool]:
@@ -196,14 +218,13 @@ def multiplicity_test(spec: NetworkSpec) -> tuple[float | None, bool]:
     Returns (value, value > 0) where value is
     min_i (Hc)_i/pi_i + min_i (w_i - (Hc)_i)/pi_i, or (None, False) when
     the demand is not zero-sum (interior equilibria require sum(c) = 0, so
-    the condition is undefined off the hyperplane).
+    the condition is undefined off the hyperplane).  Other routing raises
+    PreconditionError with the class and its detail.
     """
-    cls = classify_routing(spec.routing)
-    if cls.tag != STOCHASTIC_IRREDUCIBLE:
-        raise PreconditionError(f"multiplicity_test requires stochastic irreducible routing ({cls.tag})")
+    net = _network(spec.routing, spec.capacity, "multiplicity_test")
     if not is_zero_sum(spec.demand):
         return None, False
-    line = _line(spec)
+    line = _line(net, spec.demand)
     value = line[3] - line[2]
     return value, value > 0
 
@@ -224,29 +245,28 @@ def equilibrium_set(spec: NetworkSpec) -> EquilibriumSet:
     come from one square solve with M = I - R' + 1 1' and two right-hand
     sides, and feed both the condition value and the segment.
     """
-    return _equilibrium(spec, classify_routing(spec.routing).tag)
+    return _equilibrium(_network(spec.routing, spec.capacity), spec.demand)
 
 
-def _equilibrium(spec: NetworkSpec, tag: str) -> EquilibriumSet:
-    """:func:`equilibrium_set` for routing already classified as ``tag``."""
-    if tag == STOCHASTIC_IRREDUCIBLE:
-        if is_zero_sum(spec.demand):
-            pi, hc, alpha_min, alpha_max = _line(spec)
-            value = alpha_max - alpha_min
-            if value > 0:
-                return _segment(spec, pi, hc, alpha_min, alpha_max)
-            return _point(spec, True, condition_value=value)
-    elif tag != SUBSTOCHASTIC_OUT_CONNECTED:
-        return _min_max_only(spec)
-    return _point(spec, tag == STOCHASTIC_IRREDUCIBLE)
+def _equilibrium(net: _Network, c: np.ndarray) -> EquilibriumSet:
+    """:func:`equilibrium_set` at demand c on a classified network."""
+    if net.walkable(c):
+        return _point(net, c)
+    if not net.stochastic:
+        return _min_max_only(NetworkSpec(routing=net.R, capacity=net.w, demand=c))
+    pi, hc, alpha_min, alpha_max = _line(net, c)
+    value = alpha_max - alpha_min
+    if value > 0:
+        return _segment(net, pi, hc, alpha_min, alpha_max)
+    return _point(net, c, condition_value=value)
 
 
-def _segment(spec: NetworkSpec, pi: np.ndarray, hc: np.ndarray, alpha_min: float, alpha_max: float) -> EquilibriumSet:
+def _segment(net: _Network, pi: np.ndarray, hc: np.ndarray, alpha_min: float, alpha_max: float) -> EquilibriumSet:
     x_min = hc + alpha_min * pi
     x_max = hc + alpha_max * pi
-    tol = BOUNDARY_TOL * tolerance_scale(spec.capacity)
+    tol = BOUNDARY_TOL * tolerance_scale(net.w)
     for name, x in (("x_min", x_min), ("x_max", x_max)):
-        on_boundary = np.any(np.abs(x) <= tol) or np.any(np.abs(x - spec.capacity) <= tol)
+        on_boundary = np.any(np.abs(x) <= tol) or np.any(np.abs(x - net.w) <= tol)
         if not on_boundary:
             raise NumericalError(f"segment endpoint {name} not on the lattice boundary")
     return EquilibriumSet(
@@ -280,22 +300,20 @@ def _min_max_only(spec: NetworkSpec) -> EquilibriumSet:
     return EquilibriumSet(kind=MINMAX_ONLY, x_min=lo.x, x_max=hi.x, unknown_between=unknown)
 
 
-def _point(spec: NetworkSpec, stochastic: bool, condition_value: float | None = None) -> EquilibriumSet:
-    """The unique equilibrium from both ends by :func:`_extreme`; stochastic
-    is True for stochastic irreducible routing, False for sub-stochastic
-    out-connected."""
-    x_min = _extreme(spec, "min", stochastic)
-    x_max = _extreme(spec, "max", stochastic)
+def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -> EquilibriumSet:
+    """The unique equilibrium at c from both ends by :func:`_extreme`."""
+    x_min = _extreme(net, c, "min")
+    x_max = _extreme(net, c, "max")
     gap = float(np.abs(x_max - x_min).sum())
-    if gap > POINT_AGREEMENT_TOL * tolerance_scale(spec.capacity):
+    if gap > POINT_AGREEMENT_TOL * tolerance_scale(net.w):
         raise NumericalError(f"x_min and x_max disagree by {gap:.3g} in a unique-equilibrium case")
     return EquilibriumSet(kind=POINT, x_min=x_min, x_max=x_max, condition_value=condition_value)
 
 
-def _points_along(R: np.ndarray, w: np.ndarray, c0: np.ndarray, dc: np.ndarray, ts,
-                  seed: tuple[float, np.ndarray] | None, stochastic: bool) -> list[EquilibriumSet]:
-    """The unique equilibria at the demands c0 + t*dc for ascending ts, none
-    of them zero-sum when R is stochastic.
+def _points_along(net: _Network, c0: np.ndarray, dc: np.ndarray, ts,
+                  seed: tuple[float, np.ndarray] | None) -> list[EquilibriumSet]:
+    """The unique equilibria at the demands c0 + t*dc for ascending ts, all
+    of them walkable (:meth:`_Network.walkable`).
 
     seed is None or (t, y): a vector y = R'x + c whose saturation pattern
     the first piece takes as given from the path parameter t <= ts[0] (see
@@ -307,24 +325,23 @@ def _points_along(R: np.ndarray, w: np.ndarray, c0: np.ndarray, dc: np.ndarray, 
     the next piece starts from that answer's own pattern.
     """
     ts = np.asarray(ts, dtype=float)
-    R_t = R.T
     out: list[EquilibriumSet] = []
     restarts = 0
     while len(out) < ts.size:
         i = len(out)
-        if seed is not None and restarts <= 2 * w.size:
-            piece, seed = _pattern_piece(R_t, w, c0, dc, *seed, ts[i:], stochastic)
+        if seed is not None and restarts <= 2 * net.w.size:
+            piece, seed = _pattern_piece(net, c0, dc, *seed, ts[i:])
             out.extend(piece)
             restarts = 0 if piece else restarts + 1
             continue
-        eq = _point(NetworkSpec(routing=R, capacity=w, demand=c0 + ts[i] * dc), stochastic)
+        eq = _point(net, c0 + ts[i] * dc)
         out.append(eq)
-        seed, restarts = (ts[i], R_t @ eq.x_min + (c0 + ts[i] * dc)), 0
+        seed, restarts = (ts[i], net.R.T @ eq.x_min + (c0 + ts[i] * dc)), 0
     return out
 
 
-def _pattern_piece(R_t: np.ndarray, w: np.ndarray, c0: np.ndarray, dc: np.ndarray, t0: float, y: np.ndarray,
-                   ts: np.ndarray, stochastic: bool) -> tuple[list[EquilibriumSet], tuple[float, np.ndarray] | None]:
+def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: np.ndarray,
+                   ts: np.ndarray) -> tuple[list[EquilibriumSet], tuple[float, np.ndarray] | None]:
     """The equilibria at c0 + t*dc on the longest prefix of ts that the
     saturation pattern of y at t0 certifies, and where the next piece
     starts (None to give up).
@@ -354,8 +371,9 @@ def _pattern_piece(R_t: np.ndarray, w: np.ndarray, c0: np.ndarray, dc: np.ndarra
     past the breakpoint.  Otherwise it starts at the rejected sample with
     the pattern of y there.
     """
+    R_t, w = net.R.T, net.w
     zero, cap = y <= 0, y >= w
-    if stochastic and not (zero.any() or cap.any()):
+    if net.stochastic and not (zero.any() or cap.any()):
         return [], None
     c = c0 + t0 * dc
     # column 0 is the system for x, column 1 the mirrored one for w - x, column 2 the direction
@@ -431,10 +449,9 @@ def _endpoint_seed(line, w: np.ndarray, upper: bool) -> np.ndarray:
     return y
 
 
-def _extreme(spec: NetworkSpec, side: str, stochastic: bool) -> np.ndarray:
-    """x_min (side "min") or x_max (side "max") of a spec whose routing is
-    stochastic irreducible (stochastic) or sub-stochastic out-connected,
-    exactly.
+def _extreme(net: _Network, c: np.ndarray, side: str) -> np.ndarray:
+    """x_min (side "min") or x_max (side "max") at demand c, exactly, on
+    stochastic irreducible or sub-stochastic out-connected routing.
 
     y = w - x turns T into clip(R'y + w - R'w - c, 0, w) and reverses the
     order, so x_max is w minus the least fixed point of the map with the
@@ -443,17 +460,17 @@ def _extreme(spec: NetworkSpec, side: str, stochastic: bool) -> np.ndarray:
     Picard steps cost about as much as one dense factorization, so
     networks that contract fast never reach a solve.
     """
-    R_t, w = spec.routing.T, spec.capacity
-    c = spec.demand if side == "min" else w - R_t @ w - spec.demand
+    R_t, w = net.R.T, net.w
+    b = c if side == "min" else w - R_t @ w - c
     # relative to |w|_inf with no floor: an absolute increment would stop
     # the warm-up of a network with small capacities far from its limit
-    warm = _picard(R_t, w, c, np.zeros(spec.n), 1e-12 * float(w.max()), max_iter=spec.n)
+    warm = _picard(R_t, w, b, np.zeros(w.size), 1e-12 * float(w.max()), max_iter=w.size)
     y, rounds, solves = warm.x, 0, 0
     if not warm.converged:
-        y, rounds, solves = _climb(R_t, w, c, warm.x, stochastic)
+        y, rounds, solves = _climb(net, b, warm.x)
     x = y if side == "min" else w - y
-    residual = float(np.abs(np.clip(R_t @ x + spec.demand, 0.0, w) - x).sum())
-    bound = _FIXED_POINT_TOL * tolerance_scale(spec.capacity)
+    residual = float(np.abs(np.clip(R_t @ x + c, 0.0, w) - x).sum())
+    bound = _FIXED_POINT_TOL * tolerance_scale(w)
     if not residual < bound:
         raise NumericalError(
             f"x_{side} residual {residual:.3g} not within {bound:.3g} after {warm.iterations} "
@@ -462,8 +479,7 @@ def _extreme(spec: NetworkSpec, side: str, stochastic: bool) -> np.ndarray:
     return x
 
 
-def _climb(R_t: np.ndarray, w: np.ndarray, c: np.ndarray, x: np.ndarray,
-           stochastic: bool) -> tuple[np.ndarray, int, int]:
+def _climb(net: _Network, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Least fixed point of T(x) = clip(R'x + c, 0, w) from a subsolution
     0 <= x <= T(x), with the number of rounds and of linear solves.
 
@@ -476,13 +492,13 @@ def _climb(R_t: np.ndarray, w: np.ndarray, c: np.ndarray, x: np.ndarray,
     stochastic R and Z empty, U empty would make I - R'_FF singular; the
     cell with the largest (R'x + c)_i - w_i is held at w instead.
     """
-    n = w.size
+    R_t, w, n = net.R.T, net.w, net.w.size
     y = R_t @ x + c
     zero = y <= 0
     solves = 0
     for rounds in range(1, n + 2):
         live = ~zero
-        cap = _cap_policy(live, y, w, stochastic)
+        cap = _cap_policy(net, live, y)
         for _ in range(n + 1):
             solves += 1
             free = live & ~cap
@@ -490,7 +506,7 @@ def _climb(R_t: np.ndarray, w: np.ndarray, c: np.ndarray, x: np.ndarray,
             if not _solve_free(R_t, free, c, x):
                 raise NumericalError(f"pattern solve on {np.count_nonzero(free)} free cells failed: singular matrix")
             y = R_t @ x + c
-            new_cap = _cap_policy(live, y, w, stochastic)
+            new_cap = _cap_policy(net, live, y)
             if np.array_equal(new_cap, cap):
                 break
             cap = new_cap
@@ -515,8 +531,8 @@ def _solve_free(R_t: np.ndarray, free: np.ndarray, b: np.ndarray, x: np.ndarray)
     return True
 
 
-def _cap_policy(live: np.ndarray, y: np.ndarray, w: np.ndarray, stochastic: bool) -> np.ndarray:
-    cap = live & (y >= w)
-    if stochastic and live.all() and not cap.any():
-        cap[np.argmax(y - w)] = True
+def _cap_policy(net: _Network, live: np.ndarray, y: np.ndarray) -> np.ndarray:
+    cap = live & (y >= net.w)
+    if net.stochastic and live.all() and not cap.any():
+        cap[np.argmax(y - net.w)] = True
     return cap

@@ -22,6 +22,7 @@ its residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -74,10 +75,13 @@ class NetworkSpec:
         try:
             self.routing = np.asarray(self.routing, dtype=float)
         except ValueError as exc:
-            # name the first ragged row, 1-based, rather than numpy's shape
+            # name the first ragged row or entry that is not a number, 1-based, rather than numpy's shape
             lengths = [len(row) if hasattr(row, "__len__") else None for row in self.routing]
             ragged = next((i + 1 for i, k in enumerate(lengths) if k != lengths[0]), None)
+            entry = None if ragged else next(((i + 1, j + 1) for i, row in enumerate(self.routing)
+                                              for j, v in enumerate(row) if not isinstance(v, Real)), None)
             raise ScenarioError(f"routing row {ragged} does not have the length of row 1" if ragged
+                                else f"routing entry ({entry[0]},{entry[1]}) is not a number" if entry
                                 else f"routing is not a matrix of numbers: {exc}") from exc
         self.capacity = np.asarray(self.capacity, dtype=float)
         self.demand = np.asarray(self.demand, dtype=float)
@@ -265,10 +269,11 @@ def classify_routing(R: np.ndarray) -> RoutingClass:
     return RoutingClass(OTHER, f"cells {stranded} cannot reach a leaky cell")
 
 
-def _require_stochastic_irreducible(R: np.ndarray, op: str) -> None:
+def _require_stochastic_irreducible(R: np.ndarray, op: str) -> RoutingClass:
     cls = classify_routing(R)
     if cls.tag != STOCHASTIC_IRREDUCIBLE:
         raise PreconditionError(f"{op} requires a stochastic irreducible routing matrix ({cls.tag}: {cls.detail})")
+    return cls
 
 
 def _pi_and_h(R: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

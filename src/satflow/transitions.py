@@ -8,15 +8,14 @@ equilibrium approaches the segment's lower endpoint from one side and its
 upper endpoint from the other.
 
 Away from the critical set the unique equilibrium moves piecewise
-affinely in c, with a fixed saturation pattern on each piece.  A sweep
-and a set of one-sided limits therefore classify the routing matrix once
-and walk the path one piece at a time: one checked linear solve gives
-the equilibrium at every sample of a piece, certified in one vectorised
-pass, and a breakpoint between samples starts the next piece.  Past a
-jump the walk starts again from the segment endpoint the path leaves.
-The cold solver of :mod:`satflow.equilibria` runs at the first sample
-and wherever a piece cannot be certified.  The answers are those of
-:func:`satflow.equilibria.equilibrium_set` at each demand, up to
+affinely in c, with a fixed saturation pattern on each piece.  Each entry
+point builds the classified network of :mod:`satflow.equilibria` once,
+and its rule decides which samples are walked one piece at a time: the
+cold solver answers the first, one checked linear solve gives every
+sample of a piece, and a breakpoint between samples starts the next
+piece.  The other samples take the cold solver.  Past a jump the walk
+starts again from the segment endpoint the path leaves.  The answers are
+those of :func:`satflow.equilibria.equilibrium_set` at each demand, up to
 rounding.
 """
 
@@ -33,19 +32,12 @@ from .equilibria import (
     _endpoint_seed,
     _equilibrium,
     _line,
+    _Network,
+    _network,
     _points_along,
     _segment,
 )
-from .model import (
-    STOCHASTIC_IRREDUCIBLE,
-    SUBSTOCHASTIC_OUT_CONNECTED,
-    NetworkSpec,
-    _require_stochastic_irreducible,
-    classify_routing,
-    is_zero_sum,
-    validate,
-    zero_sum_tol,
-)
+from .model import NetworkSpec, is_zero_sum, validate, zero_sum_tol
 
 #: condition values at most this times |w|_1 are flagged marginal, not
 #: classified; the condition value is the l1 length of the segment, so the
@@ -110,24 +102,22 @@ def on_critical_manifold(R: np.ndarray, w: np.ndarray, c: np.ndarray) -> bool:
     :func:`satflow.equilibria.equilibrium_set`.
     """
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=c))
-    _require_stochastic_irreducible(spec.routing, "on_critical_manifold")
-    return _critical_line(spec) is not None
+    return _critical_line(_network(spec.routing, spec.capacity, "on_critical_manifold"), spec.demand) is not None
 
 
-def _critical_line(spec: NetworkSpec):
-    """The line data (pi, Hc, alpha_min, alpha_max) of the demand's zero-sum
-    projection when the demand is on the critical set, else None; the
-    routing must be stochastic irreducible."""
-    if not is_zero_sum(spec.demand):
+def _critical_line(net: _Network, c: np.ndarray):
+    """The line data (pi, Hc, alpha_min, alpha_max) of the zero-sum
+    projection of c when c is on the critical set of a stochastic net, else None."""
+    if not is_zero_sum(c):
         return None
-    line = _line(spec)
+    line = _line(net, c)
     return line if line[3] - line[2] > 0 else None
 
 
-def _jump(spec: NetworkSpec, line) -> float:
+def _jump(net: _Network, line) -> float:
     """l1 length of the segment at a demand on the critical set, from the
     line data of :func:`_critical_line`."""
-    seg = _segment(spec, *line)
+    seg = _segment(net, *line)
     return float(np.abs(seg.x_max - seg.x_min).sum())
 
 
@@ -167,49 +157,41 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     are bisected on the indicator itself (paths inside the zero-sum
     hyperplane); anything else is reported unresolved, never guessed.
     """
-    R = np.asarray(R, dtype=float)
-    w = np.asarray(w, dtype=float)
-    validate(NetworkSpec(routing=R, capacity=w, demand=path.c_start))
-    validate(NetworkSpec(routing=R, capacity=w, demand=path.c_end))
-    tag = classify_routing(R).tag
-    stochastic = tag == STOCHASTIC_IRREDUCIBLE
-
-    def at(s) -> NetworkSpec:
-        return NetworkSpec(routing=R, capacity=w, demand=path.c_at(s))
-
+    spec = validate(NetworkSpec(routing=R, capacity=w, demand=path.c_start))
+    validate(NetworkSpec(routing=spec.routing, capacity=spec.capacity, demand=path.c_end))
+    net = _network(spec.routing, spec.capacity)
     grid = path.grid
     sig0 = float(path.c_start.sum())
     sig1 = float(path.c_end.sum())
     slope = sig1 - sig0
     scale_tol = zero_sum_tol(path.c_start) + zero_sum_tol(path.c_end)
     s_star = line = None
-    if stochastic and abs(slope) > scale_tol and -BISECT_TOL <= -sig0 / slope <= 1 + BISECT_TOL:
+    if net.stochastic and abs(slope) > scale_tol and -BISECT_TOL <= -sig0 / slope <= 1 + BISECT_TOL:
         s_star = min(max(-sig0 / slope, 0.0), 1.0)
-        line = _critical_line(at(s_star))
+        line = _critical_line(net, path.c_at(s_star))
 
     cs = [path.c_at(s) for s in grid]
-    unique = tag in (STOCHASTIC_IRREDUCIBLE, SUBSTOCHASTIC_OUT_CONNECTED)
     eqs: list[EquilibriumSet | None] = [None] * grid.size
     walked = []  # the samples with a unique equilibrium off the zero-sum hyperplane
     for i, c in enumerate(cs):
-        if unique and not (stochastic and is_zero_sum(c)):
+        if net.walkable(c):
             walked.append(i)
         else:
-            eqs[i] = _equilibrium(NetworkSpec(routing=R, capacity=w, demand=c), tag)
+            eqs[i] = _equilibrium(net, c)
     runs = [(walked, None)]
     if line is not None:
         # past the jump the equilibrium leaves the segment's upper end when
         # the total demand rises and its lower end when it falls
         split = sum(1 for i in walked if grid[i] <= s_star)
-        runs = [(walked[:split], None), (walked[split:], (s_star, _endpoint_seed(line, w, upper=slope > 0)))]
+        runs = [(walked[:split], None), (walked[split:], (s_star, _endpoint_seed(line, net.w, upper=slope > 0)))]
     for run, seed in runs:
-        points = _points_along(R, w, path.c_start, path.c_end - path.c_start, grid[run], seed, stochastic)
+        points = _points_along(net, path.c_start, path.c_end - path.c_start, grid[run], seed)
         for i, eq in zip(run, points):
             eqs[i] = eq
-    marginal_tol = MARGINAL_TOL * float(w.sum())
+    marginal_tol = MARGINAL_TOL * float(net.w.sum())
     rows = [_row(s, c, eq, marginal_tol) for s, c, eq in zip(grid, cs, eqs)]
     result = SweepResult(rows=rows)
-    if not stochastic:
+    if not net.stochastic:
         return result  # no critical set for these routing classes
 
     ds = grid[1] - grid[0]
@@ -218,14 +200,14 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     if s_star is not None:
         result.critical_points.append({"s_lo": max(0.0, s_star - ds), "s_hi": min(1.0, s_star + ds)})
         if line is not None:
-            result.jumps.append({"s": s_star, "magnitude": _jump(at(s_star), line)})
+            result.jumps.append({"s": s_star, "magnitude": _jump(net, line)})
         handled.append(s_star)
     elif abs(slope) <= scale_tol:
         # path parallel to the zero-sum hyperplane
         if abs(sig0) <= scale_tol and np.allclose(path.c_start, path.c_end) and rows[0].on_manifold:
             # degenerate constant path sitting on the critical set
             result.critical_points.append({"s_lo": 0.0, "s_hi": 0.0})
-            result.jumps.append({"s": 0.0, "magnitude": _jump(at(0.0), _critical_line(at(0.0)))})
+            result.jumps.append({"s": 0.0, "magnitude": _jump(net, _critical_line(net, path.c_at(0.0)))})
             handled.append(0.0)
 
     for i in range(len(grid) - 1):
@@ -241,13 +223,13 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
             flag_lo = rows[i].on_manifold
             while hi - lo > BISECT_TOL:
                 mid = 0.5 * (lo + hi)
-                if (_critical_line(at(mid)) is not None) == flag_lo:
+                if (_critical_line(net, path.c_at(mid)) is not None) == flag_lo:
                     lo = mid
                 else:
                     hi = mid
             s_star = hi if not flag_lo else lo
             result.critical_points.append(bracket)
-            result.jumps.append({"s": s_star, "magnitude": _jump(at(s_star), _critical_line(at(s_star)))})
+            result.jumps.append({"s": s_star, "magnitude": _jump(net, _critical_line(net, path.c_at(s_star)))})
         else:
             # a kind flip with no zero-sum crossing in the bracket: refuse to guess
             result.unresolved.append(bracket)
@@ -290,27 +272,24 @@ def directional_limits(
     all; a breakpoint between two epsilons starts a new piece, and a piece
     that does not certify falls back to the cold solver.
     """
-    R = np.asarray(R, dtype=float)
-    w = np.asarray(w, dtype=float)
-    c_star = np.asarray(c_star, dtype=float)
     d = np.asarray(direction, dtype=float)
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=c_star))
-    _require_stochastic_irreducible(spec.routing, "directional_limits")
-    line = _critical_line(spec)
+    net = _network(spec.routing, spec.capacity, "directional_limits")
+    line = _critical_line(net, spec.demand)
     if line is None:
         raise PreconditionError("c_star is not on the critical set")
-    if np.all(d == 0) or d.sum() <= 0:
-        raise PreconditionError("direction must be nonzero with positive total sum")
+    if d.shape != (spec.n,) or not np.all(np.isfinite(d)) or d.sum() <= 0:
+        raise PreconditionError(f"direction must be a finite vector of length {spec.n} with positive total sum")
     eps_list = sorted(set(float(e) for e in epsilons), reverse=True)
     if not eps_list or eps_list[-1] <= 0:
         raise PreconditionError("epsilons must be positive")
 
     for eps in eps_list:
         for sign in (-1.0, 1.0):
-            if is_zero_sum(c_star + sign * eps * d):
+            if is_zero_sum(spec.demand + sign * eps * d):
                 raise PreconditionError(f"perturbed demand at eps={eps:g} is unexpectedly zero-sum")
     ts = eps_list[::-1]
-    below = _points_along(R, w, c_star, -d, ts, (0.0, _endpoint_seed(line, w, upper=False)), stochastic=True)
-    above = _points_along(R, w, c_star, d, ts, (0.0, _endpoint_seed(line, w, upper=True)), stochastic=True)
+    below = _points_along(net, spec.demand, -d, ts, (0.0, _endpoint_seed(line, net.w, upper=False)))
+    above = _points_along(net, spec.demand, d, ts, (0.0, _endpoint_seed(line, net.w, upper=True)))
     table = [(eps, lo.x_min, hi.x_min) for eps, lo, hi in zip(eps_list, below[::-1], above[::-1])]
     return DirectionalLimits(from_below=table[-1][1], from_above=table[-1][2], table=table)

@@ -139,6 +139,12 @@ class TestLoadScenario:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "routing" in err and "row 2" in err
 
+    def test_routing_entry_that_is_a_list_is_named(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text(_scenario_text(routing="[[0, [1]], [0, 0]]"))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "error: routing entry (1,2) is not a number\n"
+
 
 class TestSimulate:
     def test_from_zero(self, capsys, scenario3, tmp_path):

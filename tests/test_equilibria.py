@@ -164,6 +164,13 @@ class TestEquilibriumSet:
         off = mid + np.array([0.5, 0.0, 0.0])
         assert 0.4 < eq.distance_l1(off) <= 0.5 + 1e-9
 
+    def test_distance_l1_rejects_a_state_of_another_shape(self, spec3):
+        # [0.0] would broadcast against the segment and give 1.405
+        eq = equilibrium_set(spec3)
+        for x in ([0.0], np.zeros(4), np.zeros((1, 3))):
+            with pytest.raises(PreconditionError, match="shape"):
+                eq.distance_l1(x)
+
     def test_distance_l1_on_min_max_only(self):
         # a leaky 2-cycle (0.9) beside a closed stochastic 2-cycle
         R = np.zeros((4, 4))

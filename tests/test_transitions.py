@@ -11,7 +11,8 @@ from satflow import (
     sweep,
     validate,
 )
-from satflow import equilibria
+import satflow
+from satflow import cli, dynamics, equilibria, model, transitions
 from satflow.equilibria import POINT, SEGMENT
 
 from conftest import C3, C_STAR, COND3, R3, W3, random_stochastic_irreducible, random_substochastic
@@ -157,6 +158,14 @@ class TestDirectionalLimits:
         with pytest.raises(PreconditionError, match="direction"):
             directional_limits(R3, W3, C_STAR, np.array([1.0, 0.0, -2.0]))
 
+    # a length-1 direction would broadcast to (1, 1, 1), other shapes would
+    # raise numpy's errors, and NaN or inf would end in a solver's error
+    @pytest.mark.parametrize("direction", [[1.0], [1.0, 2.0], [[1.0, 0.0, 2.0]], [np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0]],
+                             ids=["length_1", "length_2", "shape_1x3", "nan", "inf"])
+    def test_rejects_direction_that_is_not_a_finite_n_vector(self, direction):
+        with pytest.raises(PreconditionError, match="finite vector of length 3"):
+            directional_limits(R3, W3, C_STAR, np.array(direction))
+
 
 def _reducible_routing():
     # a leaky 2-cycle (0.9) beside a closed stochastic 2-cycle: MinMaxOnly
@@ -209,9 +218,9 @@ class TestContinuation:
             pieces.append(len(out[0]))
             return out
 
-        def counted_point(spec, *args, **kwargs):
-            cold.append(spec.demand)
-            return real_point(spec, *args, **kwargs)
+        def counted_point(net, c, *args, **kwargs):
+            cold.append(c)
+            return real_point(net, c, *args, **kwargs)
 
         monkeypatch.setattr(equilibria, "_pattern_piece", counted_piece)
         monkeypatch.setattr(equilibria, "_point", counted_point)
@@ -273,7 +282,7 @@ class TestContinuation:
         # walk starts from x_max when the total demand rises, x_min when it falls
         cold = []
         real = equilibria._point
-        monkeypatch.setattr(equilibria, "_point", lambda spec, *a, **k: cold.append(spec.demand) or real(spec, *a, **k))
+        monkeypatch.setattr(equilibria, "_point", lambda net, c, *a, **k: cold.append(c) or real(net, c, *a, **k))
         ends = [[0.0, -1.0, 0.0], [3.0, -1.0, 6.0]]
         path = DemandPath(*(ends if rising else ends[::-1]), 91)
         result = sweep(R3, W3, path)
@@ -349,13 +358,13 @@ class TestContinuation:
         real_solve = np.linalg.solve
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or real_solve(*a, **k))
-            piece = equilibria._pattern_piece(R.T, w, c, np.zeros(n), 0.0, y, np.zeros(1), stochastic=False)
+            piece = equilibria._pattern_piece(equilibria._network(R, w), c, np.zeros(n), 0.0, y, np.zeros(1))
         assert piece == ([], None)
         assert solves == [1]
         cold = []
         real = equilibria._point
         monkeypatch.setattr(equilibria, "_point", lambda *a, **k: cold.append(1) or real(*a, **k))
-        eq, = equilibria._points_along(R, w, c, np.zeros(n), [0.0], (0.0, y), stochastic=False)
+        eq, = equilibria._points_along(equilibria._network(R, w), c, np.zeros(n), [0.0], (0.0, y))
         assert cold == [1]
         assert eq.kind == POINT
         assert np.allclose(eq.x_min, 0.99 ** np.arange(n), rtol=0, atol=1e-14)
@@ -373,11 +382,40 @@ class TestContinuation:
         solves = []
         real = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or real(*a, **k))
-        assert equilibria._pattern_piece(R3.T, W3, spec.demand, np.zeros(3), 0.0, y, np.zeros(1),
-                                         stochastic=True) == ([], None)
+        assert equilibria._pattern_piece(equilibria._network(R3, W3), spec.demand, np.zeros(3), 0.0, y,
+                                         np.zeros(1)) == ([], None)
         assert solves == []
         monkeypatch.undo()
-        eq, = equilibria._points_along(R3, W3, spec.demand, np.zeros(3), [0.0], (0.0, y), stochastic=True)
+        eq, = equilibria._points_along(equilibria._network(R3, W3), spec.demand, np.zeros(3), [0.0], (0.0, y))
         ref = equilibrium_set(spec)
         assert eq.kind == POINT
         assert np.array_equal(eq.x_min, ref.x_min) and np.array_equal(eq.x_max, ref.x_max)
+
+
+_LEAKY = np.array([[0.0, 0.5], [0.5, 0.0]])
+_CLASSIFIED_CALLS = {
+    "equilibrium_set": lambda: equilibrium_set(validate(NetworkSpec(routing=R3, capacity=W3, demand=C3))),
+    "equilibrium_set_min_max_only": lambda: equilibrium_set(
+        validate(NetworkSpec(routing=_reducible_routing(), capacity=np.ones(4), demand=np.zeros(4)))),
+    "multiplicity_test": lambda: satflow.multiplicity_test(validate(NetworkSpec(routing=R3, capacity=W3, demand=C3))),
+    "sweep_crossing": lambda: sweep(R3, W3, DemandPath([0.0, -1.0, 0.0], [3.0, -1.0, 6.0], 31)),
+    "sweep_in_hyperplane": lambda: sweep(R3, W3, DemandPath([0.0, -1.0, 1.0], [0.0, -6.0, 6.0], 31)),
+    "sweep_leaky": lambda: sweep(_LEAKY, np.ones(2), DemandPath([0.0, 0.0], [1.0, 1.0], 11)),
+    "directional_limits": lambda: directional_limits(R3, W3, C_STAR, np.ones(3)),
+    "on_critical_manifold": lambda: on_critical_manifold(R3, W3, C3),
+    "invariant_vector": lambda: satflow.invariant_vector(R3),
+    "h_operator": lambda: satflow.h_operator(R3, C3),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLASSIFIED_CALLS))
+def test_routing_is_classified_once_per_call(monkeypatch, name):
+    # classify_routing is wrapped wherever a satflow module holds it
+    real, calls = model.classify_routing, []
+    wrapped = [module for module in (satflow, cli, dynamics, equilibria, model, transitions)
+               if getattr(module, "classify_routing", None) is real]
+    assert model in wrapped and equilibria in wrapped
+    for module in wrapped:
+        monkeypatch.setattr(module, "classify_routing", lambda R: calls.append(1) or real(R))
+    _CLASSIFIED_CALLS[name]()
+    assert len(calls) == 1
