@@ -91,7 +91,8 @@ def cmd_check(args) -> int:
     if leaky:
         report["leaky_nodes"] = [i + 1 for i in leaky]
     if cls.tag == model.STOCHASTIC_IRREDUCIBLE:
-        report["pi"] = [float(p) for p in model.invariant_vector(spec.routing)]
+        # R is classified above: invariant_vector would classify it again
+        report["pi"] = [float(p) for p in model._pi_and_h(spec.routing, np.zeros(spec.n))[0]]
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK

@@ -429,16 +429,17 @@ def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: 
     return piece, (t_bad, Y[:, accepted])
 
 
-def _endpoint_seed(line, w: np.ndarray, upper: bool) -> np.ndarray:
-    """A seed for :func:`_points_along` at a demand just off the critical
-    set: R'x + c* = x at the segment endpoint x_max (upper) or x_min, from
-    the line data (pi, Hc, alpha_min, alpha_max), with the cell that bounds
-    alpha put exactly on its bound.  Its pattern holds that cell at w or at
-    0 and frees the rest, the pattern the unique equilibrium has next to
-    the endpoint when no other cell is on a bound.
+def _endpoint_seed(line, w: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """A seed for :func:`_points_along` on a walk c* + t*dc that leaves a
+    critical demand c*: R'x + c* = x at the segment endpoint the walk
+    leaves, x_max when the total demand rises (sum(dc) > 0) and x_min when
+    it falls, from the line data (pi, Hc, alpha_min, alpha_max) of c*, with
+    the cell that bounds alpha put exactly on its bound.  Its pattern holds
+    that cell at w or at 0 and frees the rest, the pattern the unique
+    equilibrium has next to the endpoint when no other cell is on a bound.
     """
     pi, hc, alpha_min, alpha_max = line
-    if upper:
+    if dc.sum() > 0:
         y = hc + alpha_max * pi
         cell = np.argmin((w - hc) / pi)
         y[cell] = w[cell]

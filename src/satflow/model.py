@@ -56,6 +56,14 @@ class RoutingClass:
     detail: str = ""
 
 
+def _vector(name: str, value) -> np.ndarray:
+    """value as a float array; ScenarioError naming the field if numpy cannot convert it."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name} is not a vector of numbers: {exc}") from exc
+
+
 @dataclass
 class NetworkSpec:
     """A complete model instance: routing R, capacities w, net demand c.
@@ -74,21 +82,22 @@ class NetworkSpec:
     def __post_init__(self):
         try:
             self.routing = np.asarray(self.routing, dtype=float)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             # name the first ragged row or entry that is not a number, 1-based, rather than numpy's shape
-            lengths = [len(row) if hasattr(row, "__len__") else None for row in self.routing]
+            rows = self.routing if isinstance(self.routing, (list, tuple)) else ()
+            lengths = [len(row) if hasattr(row, "__len__") else None for row in rows]
             ragged = next((i + 1 for i, k in enumerate(lengths) if k != lengths[0]), None)
-            entry = None if ragged else next(((i + 1, j + 1) for i, row in enumerate(self.routing)
+            entry = None if ragged else next(((i + 1, j + 1) for i, row in enumerate(rows)
                                               for j, v in enumerate(row) if not isinstance(v, Real)), None)
             raise ScenarioError(f"routing row {ragged} does not have the length of row 1" if ragged
                                 else f"routing entry ({entry[0]},{entry[1]}) is not a number" if entry
                                 else f"routing is not a matrix of numbers: {exc}") from exc
-        self.capacity = np.asarray(self.capacity, dtype=float)
-        self.demand = np.asarray(self.demand, dtype=float)
+        self.capacity = _vector("capacity", self.capacity)
+        self.demand = _vector("demand", self.demand)
         if self.inflow is not None:
-            self.inflow = np.asarray(self.inflow, dtype=float)
+            self.inflow = _vector("inflow", self.inflow)
         if self.outflow is not None:
-            self.outflow = np.asarray(self.outflow, dtype=float)
+            self.outflow = _vector("outflow", self.outflow)
 
     @property
     def n(self) -> int:

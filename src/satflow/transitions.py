@@ -5,7 +5,12 @@ stochastic irreducible routing, exactly those that are zero-sum and have a
 positive segment-length condition value.  Crossing that set along a demand
 path produces a jump discontinuity in the asymptotic state: the unique
 equilibrium approaches the segment's lower endpoint from one side and its
-upper endpoint from the other.
+upper endpoint from the other.  An affine path meets that set at points
+known exactly: off the hyperplane the total demand has one zero, and
+inside it Hc is affine along the path, so the condition value is concave
+and piecewise affine and the stretch where it is positive ends at roots of
+affine functions.  Such an end is an edge of the critical set, where the
+segment has shrunk to a point and the state does not jump.
 
 Away from the critical set the unique equilibrium moves piecewise
 affinely in c, with a fixed saturation pattern on each piece.  Each entry
@@ -35,7 +40,6 @@ from .equilibria import (
     _Network,
     _network,
     _points_along,
-    _segment,
 )
 from .model import NetworkSpec, is_zero_sum, validate, zero_sum_tol
 
@@ -44,8 +48,9 @@ from .model import NetworkSpec, is_zero_sum, validate, zero_sum_tol
 #: flag does not depend on units
 MARGINAL_TOL = 1e-10
 
-#: bisection refinement for critical-point location in path parameter s
-BISECT_TOL = 1e-9
+#: slack in the path parameter s when a zero-sum root is matched to [0, 1]
+#: and a change of kind between two samples to a critical point
+MATCH_TOL = 1e-9
 
 
 @dataclass
@@ -88,9 +93,9 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
-    critical_points: list[dict] = field(default_factory=list)  # {"s_lo", "s_hi"}
-    jumps: list[dict] = field(default_factory=list)  # {"s", "magnitude"}
-    unresolved: list[dict] = field(default_factory=list)  # brackets we could not attribute
+    critical_points: list[dict] = field(default_factory=list)  # {"s_lo", "s_hi"}: s -/+ the grid spacing, per critical point
+    jumps: list[dict] = field(default_factory=list)  # {"s", "magnitude"} per critical point, 0 at an edge
+    unresolved: list[dict] = field(default_factory=list)  # {"s_lo", "s_hi"}: kind changes no critical point explains
 
 
 def on_critical_manifold(R: np.ndarray, w: np.ndarray, c: np.ndarray) -> bool:
@@ -114,11 +119,33 @@ def _critical_line(net: _Network, c: np.ndarray):
     return line if line[3] - line[2] > 0 else None
 
 
-def _jump(net: _Network, line) -> float:
-    """l1 length of the segment at a demand on the critical set, from the
-    line data of :func:`_critical_line`."""
-    seg = _segment(net, *line)
-    return float(np.abs(seg.x_max - seg.x_min).sum())
+def _critical_stretch(net: _Network, c0: np.ndarray, c1: np.ndarray) -> tuple[float, float]:
+    """The open interval (lo, hi), empty if lo >= hi, of s where the path
+    c0 + s*(c1 - c0) inside the zero-sum hyperplane is critical.
+
+    Hc is linear there, so a = Hc/pi is affine in s, from the line data of
+    the two ends, and the condition value min_i a_i + min_j (w_j/pi_j - a_j)
+    is positive iff all n^2 affine a_i + w_j/pi_j - a_j are: each root
+    bounds s below (rising) or above (falling), and a flat one must be > 0.
+    """
+    pi, hc0, _, _ = _line(net, c0)
+    hc1 = _line(net, c1)[1]
+    a0, da = hc0 / pi, (hc1 - hc0) / pi
+    p = a0[:, None] + (net.w / pi - a0)[None, :]
+    q = da[:, None] - da[None, :]
+    rising, falling = q > 0, q < 0
+    if np.any(p[~(rising | falling)] <= 0):
+        return 0.0, 0.0
+    lo = np.max(-p[rising] / q[rising], initial=-np.inf)
+    hi = np.min(-p[falling] / q[falling], initial=np.inf)
+    return float(lo), float(hi)
+
+
+def _jump(net: _Network, c: np.ndarray) -> float:
+    """l1 size of the equilibrium set at c: the segment's length (its
+    condition value) on the critical set, 0 up to rounding at its edge."""
+    eq = _equilibrium(net, c)
+    return float(np.abs(eq.x_max - eq.x_min).sum())
 
 
 def _row(s, c, eq: EquilibriumSet, marginal_tol: float) -> SweepRow:
@@ -145,30 +172,37 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     saturation pattern at a time from the first of them, which the cold
     solver answers (see :mod:`satflow.equilibria`).  Where the path
     crosses the critical set, at s*, the walk stops and starts again past
-    the jump from the segment endpoint the path leaves: x_max when the
-    total demand rises, x_min when it falls.  Zero-sum samples and
-    reducible routing take the cold path one sample at a time.
+    the jump from the segment endpoint the path leaves.  Zero-sum samples
+    and reducible routing take the cold path one sample at a time.
 
-    On an affine path the total demand sum(c(s)) is affine in s, so the
-    only codimension-1 event is its zero crossing, located by one exact
-    linear solve and confirmed by the condition-value test, whose line
-    data also give the jump size and the far side's seed.
-    Flips of the manifold indicator not attributable to a zero-sum crossing
-    are bisected on the indicator itself (paths inside the zero-sum
-    hyperplane); anything else is reported unresolved, never guessed.
+    The critical points come from the path's ends, not from its samples.
+    Off the hyperplane the total demand is affine in s, and its zero s*
+    is one if the condition value there is positive.  Inside it, they are
+    the ends in (0, 1) of the stretch where the path is critical
+    (:func:`_critical_stretch`), or s = 0 if that is the whole path; such
+    an end is an edge of the critical set, where the segment shrinks to a
+    point, so its jump is 0 up to rounding.  Each jump is the l1 size of
+    the equilibrium set at its s.  A change of kind between two samples
+    that no critical point explains is reported unresolved, never guessed.
     """
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=path.c_start))
     validate(NetworkSpec(routing=spec.routing, capacity=spec.capacity, demand=path.c_end))
     net = _network(spec.routing, spec.capacity)
     grid = path.grid
+    dc = path.c_end - path.c_start
     sig0 = float(path.c_start.sum())
-    sig1 = float(path.c_end.sum())
-    slope = sig1 - sig0
+    slope = float(path.c_end.sum()) - sig0
     scale_tol = zero_sum_tol(path.c_start) + zero_sum_tol(path.c_end)
-    s_star = line = None
-    if net.stochastic and abs(slope) > scale_tol and -BISECT_TOL <= -sig0 / slope <= 1 + BISECT_TOL:
+    critical, seed = [], None  # the critical points, and where the walk restarts past a jump
+    if net.stochastic and abs(slope) > scale_tol and -MATCH_TOL <= -sig0 / slope <= 1 + MATCH_TOL:
         s_star = min(max(-sig0 / slope, 0.0), 1.0)
         line = _critical_line(net, path.c_at(s_star))
+        if line is not None:
+            critical, seed = [s_star], (s_star, _endpoint_seed(line, net.w, dc))
+    elif net.stochastic and max(abs(slope), abs(sig0)) <= scale_tol:
+        lo, hi = _critical_stretch(net, path.c_start, path.c_end)
+        if lo < hi:  # an empty stretch meets nothing
+            critical = [s for s in (lo, hi) if 0.0 < s < 1.0] or ([0.0] if lo <= 0.0 and hi >= 1.0 else [])
 
     cs = [path.c_at(s) for s in grid]
     eqs: list[EquilibriumSet | None] = [None] * grid.size
@@ -178,61 +212,22 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
             walked.append(i)
         else:
             eqs[i] = _equilibrium(net, c)
-    runs = [(walked, None)]
-    if line is not None:
-        # past the jump the equilibrium leaves the segment's upper end when
-        # the total demand rises and its lower end when it falls
-        split = sum(1 for i in walked if grid[i] <= s_star)
-        runs = [(walked[:split], None), (walked[split:], (s_star, _endpoint_seed(line, net.w, upper=slope > 0)))]
-    for run, seed in runs:
-        points = _points_along(net, path.c_start, path.c_end - path.c_start, grid[run], seed)
-        for i, eq in zip(run, points):
+    # past a jump the walk restarts from its seed; with none, every sample is before it
+    split = sum(1 for i in walked if seed is None or grid[i] <= seed[0])
+    for run, start in ((walked[:split], None), (walked[split:], seed)):
+        for i, eq in zip(run, _points_along(net, path.c_start, dc, grid[run], start)):
             eqs[i] = eq
     marginal_tol = MARGINAL_TOL * float(net.w.sum())
     rows = [_row(s, c, eq, marginal_tol) for s, c, eq in zip(grid, cs, eqs)]
     result = SweepResult(rows=rows)
-    if not net.stochastic:
-        return result  # no critical set for these routing classes
-
-    ds = grid[1] - grid[0]
-    handled: list[float] = []
-
-    if s_star is not None:
-        result.critical_points.append({"s_lo": max(0.0, s_star - ds), "s_hi": min(1.0, s_star + ds)})
-        if line is not None:
-            result.jumps.append({"s": s_star, "magnitude": _jump(net, line)})
-        handled.append(s_star)
-    elif abs(slope) <= scale_tol:
-        # path parallel to the zero-sum hyperplane
-        if abs(sig0) <= scale_tol and np.allclose(path.c_start, path.c_end) and rows[0].on_manifold:
-            # degenerate constant path sitting on the critical set
-            result.critical_points.append({"s_lo": 0.0, "s_hi": 0.0})
-            result.jumps.append({"s": 0.0, "magnitude": _jump(net, _critical_line(net, path.c_at(0.0)))})
-            handled.append(0.0)
-
-    for i in range(len(grid) - 1):
-        changed = (rows[i].kind != rows[i + 1].kind) or (rows[i].on_manifold != rows[i + 1].on_manifold)
-        if not changed:
-            continue
-        if any(grid[i] - BISECT_TOL <= s <= grid[i + 1] + BISECT_TOL for s in handled):
-            continue
-        bracket = {"s_lo": float(grid[i]), "s_hi": float(grid[i + 1])}
-        if abs(slope) <= scale_tol and abs(sig0) <= scale_tol:
-            # within the hyperplane: bisect the manifold indicator itself
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            flag_lo = rows[i].on_manifold
-            while hi - lo > BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                if (_critical_line(net, path.c_at(mid)) is not None) == flag_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            s_star = hi if not flag_lo else lo
-            result.critical_points.append(bracket)
-            result.jumps.append({"s": s_star, "magnitude": _jump(net, _critical_line(net, path.c_at(s_star)))})
-        else:
-            # a kind flip with no zero-sum crossing in the bracket: refuse to guess
-            result.unresolved.append(bracket)
+    ds = float(grid[1] - grid[0])
+    for s in critical:
+        result.critical_points.append({"s_lo": max(0.0, s - ds), "s_hi": min(1.0, s + ds)})
+        result.jumps.append({"s": s, "magnitude": _jump(net, path.c_at(s))})
+    for i in range(grid.size - 1):
+        if rows[i].kind != rows[i + 1].kind and not any(
+                grid[i] - MATCH_TOL <= s <= grid[i + 1] + MATCH_TOL for s in critical):
+            result.unresolved.append({"s_lo": float(grid[i]), "s_hi": float(grid[i + 1])})
     return result
 
 
@@ -289,7 +284,7 @@ def directional_limits(
             if is_zero_sum(spec.demand + sign * eps * d):
                 raise PreconditionError(f"perturbed demand at eps={eps:g} is unexpectedly zero-sum")
     ts = eps_list[::-1]
-    below = _points_along(net, spec.demand, -d, ts, (0.0, _endpoint_seed(line, net.w, upper=False)))
-    above = _points_along(net, spec.demand, d, ts, (0.0, _endpoint_seed(line, net.w, upper=True)))
+    below = _points_along(net, spec.demand, -d, ts, (0.0, _endpoint_seed(line, net.w, -d)))
+    above = _points_along(net, spec.demand, d, ts, (0.0, _endpoint_seed(line, net.w, d)))
     table = [(eps, lo.x_min, hi.x_min) for eps, lo, hi in zip(eps_list, below[::-1], above[::-1])]
     return DirectionalLimits(from_below=table[-1][1], from_above=table[-1][2], table=table)

@@ -146,6 +146,22 @@ class TestLoadScenario:
         assert capsys.readouterr().err == "error: routing entry (1,2) is not a number\n"
 
 
+    @pytest.mark.parametrize("field", ["routing", "capacity", "demand", "inflow", "outflow"])
+    def test_object_in_a_numeric_field_is_named(self, capsys, tmp_path, field):
+        fields = {"inflow": "[0.3, 0.3]", "outflow": "[0, 0]"} if field in ("inflow", "outflow") else {}
+        fields[field] = '{"a": 1}'
+        path = tmp_path / "object.json"
+        path.write_text(_scenario_text(**fields))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} is not a ")
+
+    def test_ragged_capacity_is_named(self, capsys, tmp_path):
+        path = tmp_path / "ragged.json"
+        path.write_text(_scenario_text(capacity="[[1], [1, 2]]"))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: capacity is not a vector of numbers")
+
+
 class TestSimulate:
     def test_from_zero(self, capsys, scenario3, tmp_path):
         out_csv = tmp_path / "traj.csv"

@@ -2,7 +2,8 @@
 
 (kw, kc) has k times the equilibria of (w, c), and relabelling the cells
 relabels the equilibria, so a sweep of the scaled or permuted path must
-give the same rows, scaled or permuted, and the same jumps.  The examples
+give the same rows, scaled or permuted, and the same jumps, for paths
+that cross the zero-sum hyperplane and for paths inside it.  The examples
 come from the loaded Hypothesis profile (see conftest.py).
 """
 
@@ -10,7 +11,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satflow import DemandPath, sweep
+from satflow import DemandPath, on_critical_manifold, sweep
 
 from conftest import random_stochastic_irreducible, random_substochastic
 
@@ -38,15 +39,45 @@ def crossing_sweeps(draw):
     return R, w, path
 
 
-def _assert_same_jumps(jumps, ref, k):
+@st.composite
+def in_hyperplane_sweeps(draw):
+    """A random stochastic irreducible network with n <= 8 cells and a path
+    inside the zero-sum hyperplane through the critical c* = (I - R')x for
+    an interior x, long enough that both ends are off the critical set: the
+    condition value is concave along the path, so the path enters and
+    leaves the critical set once each, at edges where the segment has
+    shrunk to a point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 8))
+    R = random_stochastic_irreducible(rng, n)
+    w = rng.uniform(0.5, 5.0, n)
+    x = w * rng.uniform(0.2, 0.8, n)
+    c_star = x - R.T @ x
+    d = rng.standard_normal(n)
+    d -= d.mean()
+    span, s_star = w.sum() / np.abs(d).sum(), rng.uniform(0.2, 0.8)
+    while any(on_critical_manifold(R, w, c_star + t * span * d) for t in (-s_star, 1 - s_star)):
+        span *= 2
+    path = DemandPath(c_star - s_star * span * d, c_star + (1 - s_star) * span * d, draw(st.integers(5, 25)))
+    return R, w, path
+
+
+def _assert_same_jumps(jumps, ref, k, edges_below=None):
+    """Same positions, and magnitudes scaled by k; with edges_below (paths
+    inside the hyperplane) both edges of the critical set are there, and
+    each magnitude is below that bound, since the state does not jump."""
     assert len(jumps) == len(ref)
+    if edges_below is not None:
+        assert len(ref) == 2
     for jump, base in zip(jumps, ref):
         assert abs(jump["s"] - base["s"]) <= 1e-12
-        assert abs(jump["magnitude"] - k * base["magnitude"]) <= 1e-10 * k * base["magnitude"]
+        if edges_below is None:
+            assert abs(jump["magnitude"] - k * base["magnitude"]) <= 1e-10 * k * base["magnitude"]
+        else:
+            assert jump["magnitude"] <= k * edges_below and base["magnitude"] <= edges_below
 
 
-@given(crossing_sweeps(), st.floats(-9.0, 9.0))
-def test_scaling_scales_every_row_and_jump(case, log_k):
+def _check_scaling(case, log_k, edges):
     R, w, path = case
     k = 10.0**log_k
     base = sweep(R, w, path)
@@ -57,12 +88,11 @@ def test_scaling_scales_every_row_and_jump(case, log_k):
         assert row.s == ref.s
         assert np.abs(row.x_min - k * ref.x_min).sum() <= tol
         assert np.abs(row.x_max - k * ref.x_max).sum() <= tol
-    _assert_same_jumps(scaled.jumps, base.jumps, k)
+    _assert_same_jumps(scaled.jumps, base.jumps, k, 1e-12 * w.sum() if edges else None)
     assert len(scaled.unresolved) == len(base.unresolved)
 
 
-@given(crossing_sweeps(), st.randoms(use_true_random=False))
-def test_permuting_cells_permutes_rows(case, random):
+def _check_permutation(case, random, edges):
     R, w, path = case
     perm = np.array(random.sample(range(w.size), w.size))
     base = sweep(R, w, path)
@@ -72,5 +102,25 @@ def test_permuting_cells_permutes_rows(case, random):
     for row, ref in zip(permuted.rows, base.rows):
         assert np.abs(row.x_min - ref.x_min[perm]).sum() <= tol
         assert np.abs(row.x_max - ref.x_max[perm]).sum() <= tol
-    _assert_same_jumps(permuted.jumps, base.jumps, 1.0)
+    _assert_same_jumps(permuted.jumps, base.jumps, 1.0, 1e-12 * w.sum() if edges else None)
     assert len(permuted.unresolved) == len(base.unresolved)
+
+
+@given(crossing_sweeps(), st.floats(-9.0, 9.0))
+def test_scaling_scales_every_row_and_jump(case, log_k):
+    _check_scaling(case, log_k, edges=False)
+
+
+@given(in_hyperplane_sweeps(), st.floats(-9.0, 9.0))
+def test_scaling_keeps_the_edges_of_an_in_hyperplane_path(case, log_k):
+    _check_scaling(case, log_k, edges=True)
+
+
+@given(crossing_sweeps(), st.randoms(use_true_random=False))
+def test_permuting_cells_permutes_rows(case, random):
+    _check_permutation(case, random, edges=False)
+
+
+@given(in_hyperplane_sweeps(), st.randoms(use_true_random=False))
+def test_permuting_cells_keeps_the_edges_of_an_in_hyperplane_path(case, random):
+    _check_permutation(case, random, edges=True)

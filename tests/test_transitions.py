@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,42 @@ class TestSweep:
         assert len(result.jumps) == 1
         assert result.jumps[0]["s"] == 0.0
         assert abs(result.jumps[0]["magnitude"] - COND3) < 1e-8
+
+    def test_in_hyperplane_edge_is_exact_and_does_not_jump(self):
+        # t*C3 is critical for -4 < t < 5.55 (condition value 534/40 - 89t/37
+        # past t = 1.55), so the demo's path t = 1 -> 6 leaves the critical
+        # set at s = 0.91, an edge where the segment has shrunk to a point
+        result = sweep(R3, W3, DemandPath(C3, 6 * C3, 91))
+        assert not result.unresolved
+        assert len(result.jumps) == 1
+        assert abs(result.jumps[0]["s"] - 0.91) <= 1e-12
+        assert result.jumps[0]["magnitude"] <= 1e-12 * W3.sum()
+
+    def test_critical_stretch_between_two_samples(self):
+        # t = -10 -> 10: both samples are points, and the stretch -4 < t < 5.55
+        # (condition value 356/37 + 89t/37 below t = 0) lies between them
+        result = sweep(R3, W3, DemandPath(-10 * C3, 10 * C3, 2))
+        assert [row.kind for row in result.rows] == [POINT, POINT]
+        assert [jump["s"] for jump in result.jumps] == pytest.approx([0.3, 0.7775], rel=0, abs=1e-12)
+        assert all(jump["magnitude"] <= 1e-12 * W3.sum() for jump in result.jumps)
+        assert len(result.critical_points) == 2 and not result.unresolved
+
+    def test_path_critical_end_to_end_reports_its_start(self):
+        # t = 0.5 -> 1 lies inside the critical stretch -4 < t < 5.55 of t*C3
+        result = sweep(R3, W3, DemandPath(0.5 * C3, C3, 11))
+        assert all(row.on_manifold for row in result.rows)
+        assert [jump["s"] for jump in result.jumps] == [0.0]
+        assert abs(result.jumps[0]["magnitude"] - COND3) < 1e-8
+
+    def test_zero_sum_crossing_off_the_critical_set_is_not_a_critical_point(self):
+        # the path crosses the hyperplane at 10*C3, condition value 534/40 - 890/37 = -10.70
+        result = sweep(R3, W3, DemandPath(10 * C3 - np.ones(3), 10 * C3 + np.ones(3), 11))
+        assert result.critical_points == [] and result.jumps == [] and result.unresolved == []
+
+    def test_critical_point_brackets_are_floats(self):
+        result = sweep(R3, W3, DemandPath([0.0, -1.0, 0.0], [3.0, -1.0, 6.0], 91))
+        assert len(result.critical_points) == 1
+        assert all(type(v) is float for v in result.critical_points[0].values())
 
     def test_no_critical_set_for_out_connected_routing(self):
         R = np.array([[0.0, 0.5], [0.5, 0.0]])
@@ -405,6 +443,7 @@ _CLASSIFIED_CALLS = {
     "on_critical_manifold": lambda: on_critical_manifold(R3, W3, C3),
     "invariant_vector": lambda: satflow.invariant_vector(R3),
     "h_operator": lambda: satflow.h_operator(R3, C3),
+    "check": lambda: cli.main(["check", str(Path(__file__).resolve().parents[1] / "demos" / "three_cell.json")]),
 }
 
 
