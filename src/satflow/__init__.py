@@ -7,21 +7,14 @@ Library layout:
 * :mod:`satflow.dynamics`    -- saturated vector field and RK4 integration
 * :mod:`satflow.equilibria`  -- exact least and greatest equilibria by
   pattern iteration, the analytic equilibrium segment, the multiplicity
-  condition, and Picard iteration (reducible routing, test oracle)
+  condition, and reducible routing class by class
 * :mod:`satflow.transitions` -- demand-path sweeps and jump detection
 * :mod:`satflow.cli`         -- ``satflow`` command (check | simulate |
   equilibria | sweep)
 """
 
 from .dynamics import IntegratorConfig, Trajectory, integrate, net_flow
-from .equilibria import (
-    EquilibriumSet,
-    PicardResult,
-    equilibrium_set,
-    multiplicity_test,
-    picard_max,
-    picard_min,
-)
+from .equilibria import EquilibriumSet, equilibrium_set, multiplicity_test
 from .errors import NumericalError, PreconditionError, SatflowError, ScenarioError
 from .model import (
     NetworkSpec,
@@ -44,7 +37,6 @@ __all__ = [
     "IntegratorConfig",
     "NetworkSpec",
     "NumericalError",
-    "PicardResult",
     "PreconditionError",
     "RoutingClass",
     "SatflowError",
@@ -62,8 +54,6 @@ __all__ = [
     "multiplicity_test",
     "net_flow",
     "on_critical_manifold",
-    "picard_max",
-    "picard_min",
     "sweep",
     "validate",
 ]

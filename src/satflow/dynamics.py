@@ -27,7 +27,9 @@ large units stop at the same relative distance from equilibrium.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -95,12 +97,16 @@ class IntegratorConfig:
     residual_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0 or self.residual_tol <= 0:
-            raise ValueError("dt, t_end and residual_tol must be positive")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be a positive integer")
+        for name in ("dt", "t_end", "residual_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        if not isinstance(self.sample_every, Integral) or self.sample_every < 1:
+            raise ValueError(f"sample_every must be a positive integer, got {self.sample_every!r}")
         if self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt must be finite, got {self.t_end!r} / {self.dt!r}")
 
 
 @dataclass

@@ -14,8 +14,8 @@ M-matrix I - R'_FF.  The solution is again a subsolution below every fixed
 point, so the cells held at 0 only ever leave, and when none leaves the
 iterate is x_min.  x_max is the same climb in the mirrored coordinates
 y = w - x.  Every result is certified by its residual ||T(x) - x||_1.
-Picard iteration to convergence (picard_min, picard_max) is kept for the
-reducible MinMaxOnly class and as a test oracle.
+Reducible routing is solved class by class by the same solvers; Picard
+iteration to convergence (picard_min, picard_max) is only a test oracle.
 
 Each public entry point classifies R once, into a private network object
 (R, w and the routing class) that every solver below takes with the
@@ -65,7 +65,10 @@ from .model import (
     SUBSTOCHASTIC_OUT_CONNECTED,
     NetworkSpec,
     RoutingClass,
+    _closed_subset,
+    _leaky_mask,
     _pi_and_h,
+    _reached,
     _require_stochastic_irreducible,
     classify_routing,
     is_zero_sum,
@@ -100,8 +103,8 @@ class EquilibriumSet:
     """Either a unique equilibrium, an analytic segment, or a min/max pair.
 
     kind == SEGMENT carries the line data: x_min = hc + alpha_min*pi and
-    x_max = hc + alpha_max*pi.  kind == MINMAX_ONLY (reducible stochastic
-    routing) makes no claim about the set between x_min and x_max, and
+    x_max = hc + alpha_max*pi.  kind == MINMAX_ONLY (reducible routing)
+    has the exact x_min and x_max but not the set between them, and
     unknown_between says whether they differ by more than
     POINT_AGREEMENT_TOL * |w|_inf, relative with no floor so that scaling
     (w, c) does not change it.  condition_value is present
@@ -238,8 +241,8 @@ def equilibrium_set(spec: NetworkSpec) -> EquilibriumSet:
       a unique point: x_min and x_max each by the exact pattern iteration
       of the module docstring, certified by their residuals and
       cross-checked against each other;
-    * reducible routing -> only the min/max pair from Picard iteration, no
-      claim in between.
+    * reducible routing -> the min/max pair, from a point on the draining
+      cells and a point or segment on each closed class.
 
     The routing matrix is classified once.  On zero-sum demand pi and Hc
     come from one square solve with M = I - R' + 1 1' and two right-hand
@@ -253,7 +256,7 @@ def _equilibrium(net: _Network, c: np.ndarray) -> EquilibriumSet:
     if net.walkable(c):
         return _point(net, c)
     if not net.stochastic:
-        return _min_max_only(NetworkSpec(routing=net.R, capacity=net.w, demand=c))
+        return _decomposed(net, c)
     pi, hc, alpha_min, alpha_max = _line(net, c)
     value = alpha_max - alpha_min
     if value > 0:
@@ -281,23 +284,30 @@ def _segment(net: _Network, pi: np.ndarray, hc: np.ndarray, alpha_min: float, al
     )
 
 
-def _min_max_only(spec: NetworkSpec) -> EquilibriumSet:
-    bound = _FIXED_POINT_TOL * tolerance_scale(spec.capacity)
-    # relative to |w|_inf, as in _extreme's warm-up: an absolute increment
-    # stops networks with small capacities far from their limit
-    increment_tol = 1e-12 * float(spec.capacity.max())
-    lo = picard_min(spec, increment_tol)
-    hi = picard_max(spec, increment_tol)
-    for name, res in (("picard_min", lo), ("picard_max", hi)):
-        if not res.converged or res.residual >= bound:
-            raise NumericalError(f"{name} residual {res.residual:.3g} after {res.iterations} iterations")
-    # the Point cross-check's tolerance times |w|_inf with no floor at 1:
-    # Picard stops each end up to about 1e-12 * |w|_inf / (1 - rate) from
-    # its limit, and a floor would make the flag depend on units below
-    # unit scale
-    gap = float(np.abs(hi.x - lo.x).sum())
-    unknown = gap > POINT_AGREEMENT_TOL * float(spec.capacity.max())
-    return EquilibriumSet(kind=MINMAX_ONLY, x_min=lo.x, x_max=hi.x, unknown_between=unknown)
+def _decomposed(net: _Network, c: np.ndarray) -> EquilibriumSet:
+    """Reducible routing class by class (Kemeny & Snell, Finite Markov
+    Chains, 1960): the cells T in no closed class drain, into a leaky cell
+    or a class, so x_T is unique; each closed class C is then a stochastic
+    irreducible network with demand c_C + R_TC' x_T, a point or a segment."""
+    R, w = net.R, net.w
+    adj = R > 0
+    classes, stranded = [], ~_reached(adj.T, _leaky_mask(R))
+    while stranded.any():
+        classes.append(_closed_subset(R, int(np.argmax(stranded))))
+        stranded &= ~_reached(adj.T, classes[-1])
+    x_min, x_max = np.zeros(w.size), np.zeros(w.size)
+    T = ~np.logical_or.reduce(classes)
+    if T.any():  # x_T is unique: x_min, which _point cross-checks with x_max, serves both
+        drain = _Network(R[np.ix_(T, T)], w[T], RoutingClass(SUBSTOCHASTIC_OUT_CONNECTED))
+        x_min[T] = x_max[T] = _point(drain, c[T]).x_min
+    for C in classes:
+        eq = _equilibrium(_Network(R[np.ix_(C, C)], w[C], RoutingClass(STOCHASTIC_IRREDUCIBLE)),
+                          c[C] + R[np.ix_(T, C)].T @ x_min[T])
+        x_min[C], x_max[C] = eq.x_min, eq.x_max
+    # relative with no floor at 1, so that units do not decide the flag
+    gap = float(np.abs(x_max - x_min).sum())
+    unknown = gap > POINT_AGREEMENT_TOL * float(w.max())
+    return EquilibriumSet(kind=MINMAX_ONLY, x_min=x_min, x_max=x_max, unknown_between=unknown)
 
 
 def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -> EquilibriumSet:

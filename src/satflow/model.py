@@ -12,7 +12,7 @@ The structural dichotomy that drives everything downstream:
   Hv = R' Hv + v;
 * R sub-stochastic out-connected -> every cell can route its mass to a
   leaky cell, so the network drains and equilibria are unique;
-* anything else                  -> only min/max equilibria are claimed.
+* anything else (reducible)      -> draining cells and closed classes.
 
 Classes are decided by frontier searches on the support digraph of R; pi
 and H come from one square solve with M = I - R' + 1 1', each certified by
@@ -239,21 +239,21 @@ def is_irreducible(R: np.ndarray) -> bool:
     return bool(np.all(_reached(adj, first)) and np.all(_reached(adj.T, first)))
 
 
-def _closed_subset(R: np.ndarray) -> list[int]:
-    """A closed subset of a reducible stochastic matrix: the members of a
-    sink strongly-connected component (0-based, sorted).
+def _closed_subset(R: np.ndarray, start: int) -> np.ndarray:
+    """Mask of a closed subset reachable from cell ``start`` (0-based) when
+    no cell reachable from it leaks: a sink strongly-connected component.
 
-    From cell 1, move to a reachable cell that does not reach back until
+    From ``start``, move to a reachable cell that does not reach back until
     every reachable cell reaches back; each move shrinks the reachable set.
     """
     adj = np.asarray(R) > 0
     cells = np.arange(adj.shape[0])
-    i = 0
+    i = start
     while True:
         reached = _reached(adj, cells == i)
         escape = reached & ~_reached(adj.T, cells == i)
         if not escape.any():
-            return [int(j) for j in np.flatnonzero(reached)]
+            return reached
         i = int(np.argmax(escape))
 
 
@@ -269,7 +269,7 @@ def classify_routing(R: np.ndarray) -> RoutingClass:
     if np.all(np.abs(sums - 1) <= ROW_SUM_TOL):
         if is_irreducible(R):
             return RoutingClass(STOCHASTIC_IRREDUCIBLE, "all rows stochastic, support digraph strongly connected")
-        closed = [j + 1 for j in _closed_subset(R)]
+        closed = np.flatnonzero(_closed_subset(R, 0)) + 1
         return RoutingClass(OTHER, f"stochastic but reducible: closed subset {{{', '.join(map(str, closed))}}}")
     draining = _reached((R > 0).T, _leaky_mask(R))
     if np.all(draining):

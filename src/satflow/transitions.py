@@ -40,6 +40,7 @@ from .equilibria import (
     _Network,
     _network,
     _points_along,
+    _segment,
 )
 from .model import NetworkSpec, is_zero_sum, validate, zero_sum_tol
 
@@ -119,32 +120,34 @@ def _critical_line(net: _Network, c: np.ndarray):
     return line if line[3] - line[2] > 0 else None
 
 
-def _critical_stretch(net: _Network, c0: np.ndarray, c1: np.ndarray) -> tuple[float, float]:
+def _critical_stretch(net: _Network, c0: np.ndarray, c1: np.ndarray) -> tuple[float, float, tuple]:
     """The open interval (lo, hi), empty if lo >= hi, of s where the path
-    c0 + s*(c1 - c0) inside the zero-sum hyperplane is critical.
+    c0 + s*(c1 - c0) inside the zero-sum hyperplane is critical, and the
+    line data of c0.
 
     Hc is linear there, so a = Hc/pi is affine in s, from the line data of
     the two ends, and the condition value min_i a_i + min_j (w_j/pi_j - a_j)
     is positive iff all n^2 affine a_i + w_j/pi_j - a_j are: each root
     bounds s below (rising) or above (falling), and a flat one must be > 0.
     """
-    pi, hc0, _, _ = _line(net, c0)
+    line0 = pi, hc0, _, _ = _line(net, c0)
     hc1 = _line(net, c1)[1]
     a0, da = hc0 / pi, (hc1 - hc0) / pi
     p = a0[:, None] + (net.w / pi - a0)[None, :]
     q = da[:, None] - da[None, :]
     rising, falling = q > 0, q < 0
     if np.any(p[~(rising | falling)] <= 0):
-        return 0.0, 0.0
+        return 0.0, 0.0, line0
     lo = np.max(-p[rising] / q[rising], initial=-np.inf)
     hi = np.min(-p[falling] / q[falling], initial=np.inf)
-    return float(lo), float(hi)
+    return float(lo), float(hi), line0
 
 
-def _jump(net: _Network, c: np.ndarray) -> float:
+def _jump(net: _Network, c: np.ndarray, line) -> float:
     """l1 size of the equilibrium set at c: the segment's length (its
-    condition value) on the critical set, 0 up to rounding at its edge."""
-    eq = _equilibrium(net, c)
+    condition value) on the critical set, 0 up to rounding at its edge.
+    line is the line data of c when already solved, else None."""
+    eq = _equilibrium(net, c) if line is None else _segment(net, *line)
     return float(np.abs(eq.x_max - eq.x_min).sum())
 
 
@@ -182,8 +185,10 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     (:func:`_critical_stretch`), or s = 0 if that is the whole path; such
     an end is an edge of the critical set, where the segment shrinks to a
     point, so its jump is 0 up to rounding.  Each jump is the l1 size of
-    the equilibrium set at its s.  A change of kind between two samples
-    that no critical point explains is reported unresolved, never guessed.
+    the equilibrium set at its s: the segment of the line data that found
+    s* or the critical start, and the equilibrium set at an edge.  A change
+    of kind between two samples that no critical point explains is
+    reported unresolved, never guessed.
     """
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=path.c_start))
     validate(NetworkSpec(routing=spec.routing, capacity=spec.capacity, demand=path.c_end))
@@ -193,16 +198,19 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     sig0 = float(path.c_start.sum())
     slope = float(path.c_end.sum()) - sig0
     scale_tol = zero_sum_tol(path.c_start) + zero_sum_tol(path.c_end)
-    critical, seed = [], None  # the critical points, and where the walk restarts past a jump
+    # the critical points with their line data where already solved (None
+    # at an edge), and where the walk restarts past a jump
+    critical, seed = [], None
     if net.stochastic and abs(slope) > scale_tol and -MATCH_TOL <= -sig0 / slope <= 1 + MATCH_TOL:
         s_star = min(max(-sig0 / slope, 0.0), 1.0)
         line = _critical_line(net, path.c_at(s_star))
         if line is not None:
-            critical, seed = [s_star], (s_star, _endpoint_seed(line, net.w, dc))
+            critical, seed = [(s_star, line)], (s_star, _endpoint_seed(line, net.w, dc))
     elif net.stochastic and max(abs(slope), abs(sig0)) <= scale_tol:
-        lo, hi = _critical_stretch(net, path.c_start, path.c_end)
+        lo, hi, line = _critical_stretch(net, path.c_start, path.c_end)
         if lo < hi:  # an empty stretch meets nothing
-            critical = [s for s in (lo, hi) if 0.0 < s < 1.0] or ([0.0] if lo <= 0.0 and hi >= 1.0 else [])
+            critical = [(s, None) for s in (lo, hi) if 0.0 < s < 1.0] or (
+                [(0.0, line)] if lo <= 0.0 and hi >= 1.0 else [])
 
     cs = [path.c_at(s) for s in grid]
     eqs: list[EquilibriumSet | None] = [None] * grid.size
@@ -221,12 +229,12 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     rows = [_row(s, c, eq, marginal_tol) for s, c, eq in zip(grid, cs, eqs)]
     result = SweepResult(rows=rows)
     ds = float(grid[1] - grid[0])
-    for s in critical:
+    for s, line in critical:
         result.critical_points.append({"s_lo": max(0.0, s - ds), "s_hi": min(1.0, s + ds)})
-        result.jumps.append({"s": s, "magnitude": _jump(net, path.c_at(s))})
+        result.jumps.append({"s": s, "magnitude": _jump(net, path.c_at(s), line)})
     for i in range(grid.size - 1):
         if rows[i].kind != rows[i + 1].kind and not any(
-                grid[i] - MATCH_TOL <= s <= grid[i + 1] + MATCH_TOL for s in critical):
+                grid[i] - MATCH_TOL <= s <= grid[i + 1] + MATCH_TOL for s, _ in critical):
             result.unresolved.append({"s_lo": float(grid[i]), "s_hi": float(grid[i + 1])})
     return result
 
@@ -255,7 +263,8 @@ def directional_limits(
     """Probe the jump at a critical demand vector from both sides.
 
     The direction must have positive total sum so that c_star +/- eps*d
-    leaves the zero-sum hyperplane, where the equilibrium is unique.  As
+    leaves the zero-sum hyperplane, where the equilibrium is unique, and
+    the epsilons must be positive and finite (else PreconditionError).  As
     eps shrinks, the equilibrium below approaches the segment's lower
     endpoint and the one above its upper endpoint.
 
@@ -276,8 +285,8 @@ def directional_limits(
     if d.shape != (spec.n,) or not np.all(np.isfinite(d)) or d.sum() <= 0:
         raise PreconditionError(f"direction must be a finite vector of length {spec.n} with positive total sum")
     eps_list = sorted(set(float(e) for e in epsilons), reverse=True)
-    if not eps_list or eps_list[-1] <= 0:
-        raise PreconditionError("epsilons must be positive")
+    if not eps_list or not all(0 < e < np.inf for e in eps_list):
+        raise PreconditionError("epsilons must be positive and finite")
 
     for eps in eps_list:
         for sign in (-1.0, 1.0):

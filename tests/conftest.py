@@ -75,3 +75,49 @@ def random_spec(rng, n, stochastic=False):
 def random_zero_sum(rng, n):
     v = rng.standard_normal(n)
     return v - v.mean()
+
+
+def random_reducible(rng, classes=None):
+    """Random reducible routing with labels permuted: 1-2 closed classes
+    (``classes`` of them if given) of 2-4 cells, each stochastic
+    irreducible, and 0-5 transient cells (at least 1 beside one class).
+    Each class is fed by the transient cells or not; each transient row
+    leaks, or is stochastic and stranded when some class is fed (it feeds
+    a class, and no leaky cell need be in its reach).  Returns R and the
+    cells of every class that is not fed, whose demand alone decides its
+    equilibria."""
+    sizes = rng.integers(2, 5, classes or int(rng.integers(1, 3)))
+    t = int(rng.integers(1 if sizes.size == 1 else 0, 6))
+    n = t + int(sizes.sum())
+    starts = t + np.concatenate([[0], np.cumsum(sizes)])
+    fed = rng.random(sizes.size) < 0.5
+    into = np.zeros(n, dtype=bool)  # the cells a transient row may feed
+    into[:t] = True
+    R = np.zeros((n, n))
+    for k, (a, b) in enumerate(zip(starts, starts[1:])):
+        R[a:b, a:b] = random_stochastic_irreducible(rng, b - a)
+        into[a:b] = fed[k]
+    for i in range(t):
+        row = rng.random(n) * (rng.random(n) < 0.5) * into
+        row[i] = 0.0
+        stochastic = fed.any() and rng.random() < 0.5
+        if stochastic and not row[t:].any():
+            row[rng.choice(np.flatnonzero(into[t:])) + t] = 1.0  # it must reach a class
+        if row.any():
+            row *= (1.0 if stochastic else rng.uniform(0.05, 0.95)) / row.sum()
+        R[i] = row
+    perm = rng.permutation(n)
+    where = np.argsort(perm)  # the new label of each old cell
+    unfed = [np.sort(where[a:b]) for k, (a, b) in enumerate(zip(starts, starts[1:])) if not fed[k]]
+    return R[np.ix_(perm, perm)], unfed
+
+
+def reducible_demand(rng, R, w, unfed):
+    """A random demand on reducible routing, with c_C = (I - R_CC')x for an
+    interior x (a segment through x) on half the classes that nothing feeds."""
+    c = rng.uniform(-1.5, 1.5, R.shape[0])
+    for C in unfed:
+        if rng.random() < 0.5:
+            x = w[C] * rng.uniform(0.2, 0.8, C.size)
+            c[C] = x - R[np.ix_(C, C)].T @ x
+    return c

@@ -15,11 +15,10 @@ from satflow import (
     h_operator,
     integrate,
     invariant_vector,
-    picard_max,
-    picard_min,
     sweep,
     validate,
 )
+from satflow.equilibria import picard_max, picard_min
 
 from conftest import (
     C3,

@@ -197,6 +197,35 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: dt must not exceed t_end\n"
         assert not (tmp_path / "t.csv").exists()
 
+    # each once ended in a traceback (OverflowError, exit 1) or in numpy's
+    # "cannot convert float NaN to integer"
+    @pytest.mark.parametrize("option, field", [
+        (["--t-end", "inf"], "t_end"),
+        (["--dt", "nan"], "dt"),
+        (["--dt", "inf"], "dt"),
+        (["--t-end", "1e308"], "t_end / dt"),
+        (["--dt", "1e-320"], "t_end / dt"),
+    ], ids=["t_end_inf", "dt_nan", "dt_inf", "t_end_1e308", "dt_1e-320"])
+    def test_bad_integrator_option_names_the_field(self, capsys, scenario3, tmp_path, option, field):
+        code = main(["simulate", scenario3, *option, "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("settings, field", [
+        ({"t_end": 1e308}, "t_end / dt"),
+        ({"sample_every": 2.5}, "sample_every"),
+        ({"sample_every": 10.0}, "sample_every"),
+        ({"residual_tol": "1e-10"}, "residual_tol"),
+    ], ids=["t_end_1e308", "sample_every_2.5", "sample_every_10.0", "residual_tol_string"])
+    def test_bad_integrator_setting_names_the_field(self, capsys, tmp_path, settings, field):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"routing": R3.tolist(), "capacity": W3.tolist(), "demand": C3.tolist(),
+                                    "integrator": settings}))
+        code = main(["simulate", str(path), "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid integrator settings: {field} must be ")
+
     def test_deterministic_output(self, capsys, scenario3, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, ["simulate", scenario3, "--x0", "zero", "--out", str(a)])

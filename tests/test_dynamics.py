@@ -99,6 +99,18 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(sample_every=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", np.nan), ("dt", np.inf), ("t_end", np.nan), ("t_end", np.inf),
+        ("residual_tol", np.nan), ("residual_tol", np.inf), ("sample_every", 2.5), ("sample_every", "10"),
+    ])
+    def test_rejection_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            IntegratorConfig(**{field: value})
+
+    def test_rejects_a_step_count_that_overflows(self):
+        with pytest.raises(ValueError, match=r"^t_end / dt must be finite"):
+            IntegratorConfig(dt=1e-320, t_end=1.0)
+
 
 class TestIntegrate:
     def test_converges_to_minimal_equilibrium(self, spec3):

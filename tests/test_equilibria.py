@@ -8,11 +8,10 @@ from satflow import (
     equilibrium_set,
     integrate,
     multiplicity_test,
-    picard_max,
-    picard_min,
     validate,
 )
-from satflow.equilibria import MINMAX_ONLY, POINT, SEGMENT, EquilibriumSet
+from satflow import equilibria
+from satflow.equilibria import MINMAX_ONLY, POINT, SEGMENT, EquilibriumSet, picard_max, picard_min
 
 from conftest import (
     C3,
@@ -22,6 +21,7 @@ from conftest import (
     W3,
     XMAX3,
     XMIN3,
+    random_reducible,
     random_spec,
     random_substochastic,
 )
@@ -142,6 +142,19 @@ class TestEquilibriumSet:
         assert eq.kind == MINMAX_ONLY
         assert np.all(eq.x_min <= eq.x_max + 1e-12)
 
+    def test_reducible_routing_runs_no_picard_iteration(self, monkeypatch):
+        # leaky, stranded and stochastic cells beside one or two closed classes
+        def refuse(*args, **kwargs):
+            raise AssertionError("Picard iteration on a library path")
+
+        monkeypatch.setattr(equilibria, "picard_min", refuse)
+        monkeypatch.setattr(equilibria, "picard_max", refuse)
+        rng = np.random.default_rng(79)
+        for classes in (1, 2, 1, 2):
+            R, _ = random_reducible(rng, classes)
+            eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=np.ones(len(R)), demand=np.zeros(len(R)))))
+            assert eq.kind == MINMAX_ONLY
+
     def test_segment_strictly_increasing(self, spec3):
         eq = equilibrium_set(spec3)
         assert np.all(eq.x_max - eq.x_min > 1e-10)
@@ -194,9 +207,9 @@ class TestEquilibriumSet:
 
     def test_distance_l1_on_min_max_only_with_large_capacities(self):
         # a 0.99 leaky 2-cycle fed at one cell beside a drained closed
-        # 2-cycle, all w = 1e6: a single equilibrium of size 0.05, whose
-        # ends Picard stops about 1e-4 apart (its increment is relative to
-        # |w|_inf); the agreement bound is too, so it is measured as a point
+        # 2-cycle, all w = 1e6: a single equilibrium of size 0.05; the
+        # draining cells have one state and the drained class is 0 from
+        # both ends, so the ends agree exactly and it is measured as a point
         R = np.zeros((4, 4))
         R[0, 1] = R[1, 0] = 0.99
         R[2, 3] = R[3, 2] = 1.0
@@ -204,7 +217,7 @@ class TestEquilibriumSet:
         eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=np.array([1e-3, 0.0, -1e5, 0.0]))))
         assert eq.kind == MINMAX_ONLY
         gap = np.abs(eq.x_max - eq.x_min).sum()
-        assert 1e-6 < gap < 1e-6 * w.max()
+        assert gap == 0.0
         assert eq.distance_l1(eq.x_min) == 0.0
         assert eq.distance_l1(eq.x_max) == gap
 

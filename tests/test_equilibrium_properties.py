@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from satflow import NetworkSpec, equilibrium_set, validate
 from satflow.model import OTHER, STOCHASTIC_IRREDUCIBLE, SUBSTOCHASTIC_OUT_CONNECTED, classify_routing
 
-from conftest import random_stochastic_irreducible, random_substochastic, random_zero_sum
+from conftest import (
+    random_reducible,
+    random_stochastic_irreducible,
+    random_substochastic,
+    random_zero_sum,
+    reducible_demand,
+)
 
 CASES = ("out_connected", "stochastic", "zero_sum", "critical", "reducible")
 TAGS = {"out_connected": SUBSTOCHASTIC_OUT_CONNECTED, "reducible": OTHER}
@@ -22,23 +28,21 @@ TAGS = {"out_connected": SUBSTOCHASTIC_OUT_CONNECTED, "reducible": OTHER}
 
 @st.composite
 def networks(draw):
-    """A random network with n <= 8 cells of one routing class:
+    """A random network of one routing class, n <= 8 cells (13 reducible):
     sub-stochastic out-connected; stochastic irreducible with a demand off
     the zero-sum hyperplane, with a random zero-sum one, or with
-    c = (I - R')x for an interior x (a segment through x); or reducible, a
-    leaky block beside a closed stochastic one that it may feed."""
+    c = (I - R')x for an interior x (a segment through x); or reducible,
+    one or two closed classes beside leaky or stranded cells (see
+    random_reducible), each class that nothing feeds with such a c half
+    the time."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     case = draw(st.sampled_from(CASES))
     if case == "out_connected":
         n = draw(st.integers(1, 8))
         R = random_substochastic(rng, n, 0.05, 1.0)
     elif case == "reducible":
-        leaky, closed = draw(st.integers(1, 4)), draw(st.integers(2, 4))
-        n = leaky + closed
-        R = np.zeros((n, n))
-        R[:leaky, :leaky] = random_substochastic(rng, leaky, 0.05, 0.8)
-        R[:leaky, leaky:] = rng.random((leaky, closed)) * (0.95 - R[:leaky, :leaky].sum(axis=1))[:, None] / closed
-        R[leaky:, leaky:] = random_stochastic_irreducible(rng, closed)
+        R, unfed = random_reducible(rng, draw(st.integers(1, 2)))
+        n = R.shape[0]
     else:
         n = draw(st.integers(2, 8))
         R = random_stochastic_irreducible(rng, n)
@@ -48,6 +52,8 @@ def networks(draw):
     elif case == "critical":
         x = w * rng.uniform(0.2, 0.8, n)
         c = x - R.T @ x
+    elif case == "reducible":
+        c = reducible_demand(rng, R, w, unfed)
     else:
         c = rng.uniform(-1.5, 1.5, n)
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=c))

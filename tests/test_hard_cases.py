@@ -16,16 +16,27 @@ from satflow import (
     directional_limits,
     equilibrium_set,
     integrate,
-    picard_max,
-    picard_min,
     sweep,
     validate,
 )
 from satflow.cli import main
-from satflow.equilibria import MINMAX_ONLY, POINT, SEGMENT
+from satflow.equilibria import MINMAX_ONLY, POINT, SEGMENT, picard_max, picard_min
 from satflow.model import STOCHASTIC_IRREDUCIBLE, SUBSTOCHASTIC_OUT_CONNECTED
 
-from conftest import C3, C_STAR, R3, W3, random_spec, random_stochastic_irreducible, random_substochastic
+from conftest import (
+    C3,
+    C_STAR,
+    COND3,
+    R3,
+    W3,
+    XMAX3,
+    XMIN3,
+    random_reducible,
+    random_spec,
+    random_stochastic_irreducible,
+    random_substochastic,
+    reducible_demand,
+)
 
 D = np.array([1 / 3, 0.0, 2 / 3])
 
@@ -116,6 +127,21 @@ def test_matches_picard_on_random_networks():
         assert np.abs(eq.x_min - lo.x).sum() < 1e-9
         assert np.abs(eq.x_max - hi.x).sum() < 1e-9
     assert points >= 180
+    # reducible routing, solved class by class, against Picard from both
+    # ends; a class that nothing feeds gets a critical demand half the time
+    segments = 0
+    for _ in range(150):
+        R, unfed = random_reducible(rng)
+        w = rng.uniform(0.5, 5.0, R.shape[0])
+        spec = validate(NetworkSpec(routing=R, capacity=w, demand=reducible_demand(rng, R, w, unfed)))
+        eq = equilibrium_set(spec)
+        assert eq.kind == MINMAX_ONLY
+        segments += eq.unknown_between
+        lo, hi = picard_min(spec, 1e-13), picard_max(spec, 1e-13)
+        assert lo.converged and hi.converged
+        assert np.abs(eq.x_min - lo.x).sum() < 1e-9 * max(1.0, w.max())
+        assert np.abs(eq.x_max - hi.x).sum() < 1e-9 * max(1.0, w.max())
+    assert segments >= 30
 
 
 @pytest.mark.parametrize("k", [1e-9, 1e-6])
@@ -160,8 +186,9 @@ def _reducible_pair(c_closed):
 
 @pytest.mark.parametrize("k", [1e-9, 1e-6])
 def test_reducible_routing_at_small_scale(k):
-    # MinMaxOnly: Picard's increment must scale with w, or at k = 1e-9
-    # x_max stopped 9e-4 (relative) short of k times the unscaled answer
+    # MinMaxOnly: Picard iteration, which once solved this class, stopped
+    # x_max 9e-4 (relative) short of k times the unscaled answer at
+    # k = 1e-9 while its increment did not scale with w
     R, w, c = _reducible_pair([-0.2, 0.3])
     base = equilibrium_set(spec_at(c, R=R, w=w))
     eq = equilibrium_set(spec_at(k * c, R=R, w=k * w))
@@ -190,6 +217,32 @@ def test_reducible_unknown_between_does_not_depend_on_units(k):
     for x in (eq.x_min, eq.x_max):
         assert np.abs(x - k * np.array([*leaky, 4.0, 4.6])).sum() <= 1e-9 * k
     assert abs(eq.distance_l1(np.zeros(4)) - k * (leaky.sum() + 8.6)) <= 1e-9 * k
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-8, 0.0])
+def test_two_closed_classes_next_to_the_critical_set(eps):
+    # two copies of the reference network as two closed classes, the first
+    # at C3 (the segment from XMIN3 to XMAX3) and the second at
+    # c* + eps*d: each class gets the answer of the reference network
+    # alone, a point next to the upper end of c*'s segment for eps > 0 and
+    # that segment at eps = 0; Picard from both ends took ~8 s at eps = 1e-5
+    R = np.zeros((6, 6))
+    R[:3, :3] = R[3:, 3:] = R3
+    c = C_STAR + eps * D
+    eq = equilibrium_set(spec_at(np.r_[C3, c], R=R, w=np.r_[W3, W3]))
+    second = equilibrium_set(spec_at(c))
+    assert eq.kind == MINMAX_ONLY and eq.unknown_between
+    assert np.abs(eq.x_min[:3] - XMIN3).max() <= 1e-12
+    assert np.abs(eq.x_max[:3] - XMAX3).max() <= 1e-12
+    assert np.array_equal(eq.x_min[3:], second.x_min) and np.array_equal(eq.x_max[3:], second.x_max)
+    gap = np.abs(eq.x_max - eq.x_min).sum()
+    if eps:
+        assert second.kind == POINT
+        assert np.abs(second.x_min - equilibrium_set(spec_at(C_STAR)).x_max).sum() <= 10 * eps * W3.sum()
+        assert abs(gap - COND3) <= 1e-12 * COND3
+    else:
+        assert second.kind == SEGMENT and abs(second.condition_value - COND3) <= 1e-12 * COND3
+        assert abs(gap - 2 * COND3) <= 1e-12 * COND3
 
 
 # The periodic 2-cycle R = [[0, 1], [1, 0]] (stochastic irreducible with

@@ -130,6 +130,21 @@ class TestSweep:
         result = sweep(R3, W3, DemandPath(10 * C3 - np.ones(3), 10 * C3 + np.ones(3), 11))
         assert result.critical_points == [] and result.jumps == [] and result.unresolved == []
 
+    @pytest.mark.parametrize("ends, samples, solves", [
+        # the demo path crosses c* between samples: one solve finds that s*
+        # is critical and sizes its jump
+        (([0.0, -1.0, 0.0], [3.0, -1.0, 6.0]), 90, 1),
+        # critical end to end: one solve at each end for the stretch, one
+        # per sample, and none more for the jump at s = 0
+        ((0.5 * C3, C3), 11, 2 + 11),
+    ], ids=["crossing", "end_to_end"])
+    def test_critical_point_line_is_solved_once(self, monkeypatch, ends, samples, solves):
+        calls, real = [], model._pi_and_h
+        monkeypatch.setattr(equilibria, "_pi_and_h", lambda R, v: calls.append(1) or real(R, v))
+        result = sweep(R3, W3, DemandPath(*ends, samples))
+        assert len(result.jumps) == 1
+        assert len(calls) == solves
+
     def test_critical_point_brackets_are_floats(self):
         result = sweep(R3, W3, DemandPath([0.0, -1.0, 0.0], [3.0, -1.0, 6.0], 91))
         assert len(result.critical_points) == 1
@@ -203,6 +218,15 @@ class TestDirectionalLimits:
     def test_rejects_direction_that_is_not_a_finite_n_vector(self, direction):
         with pytest.raises(PreconditionError, match="finite vector of length 3"):
             directional_limits(R3, W3, C_STAR, np.array(direction))
+
+
+    # NaN once ended in NumericalError ("x_min residual nan") and inf in
+    # numpy's RuntimeWarning
+    @pytest.mark.parametrize("epsilons", [(), (0.0,), (-1e-3,), (np.nan,), (np.inf,), (1e-2, np.nan), (1e-2, np.inf)],
+                             ids=["empty", "zero", "negative", "nan", "inf", "with_nan", "with_inf"])
+    def test_rejects_epsilons_that_are_not_positive_and_finite(self, epsilons):
+        with pytest.raises(PreconditionError, match="epsilons must be positive and finite"):
+            directional_limits(R3, W3, C_STAR, np.ones(3), epsilons=epsilons)
 
 
 def _reducible_routing():
