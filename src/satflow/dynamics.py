@@ -18,6 +18,15 @@ time.  The powers, built by doubling (Higham, Functions of Matrices, SIAM
 vectorised pass certifies each interval as if it were taken alone.  An
 interval whose stages leave the pattern runs stage by stage.
 
+The maps and their powers depend on the network, dt and the guard floor
+alone, so they are kept between calls: each thread keeps those of the last
+network it integrated, and the next call on the same network (another
+start, say) reuses them.  Every power is one fixed product of two others,
+whatever order the stack grew in, and how a call splits its runs depends
+on that call alone, so a call that finds the maps built returns the same
+bits as one that builds them.  After a call returns the maps hold at most
+_MAP_BYTES.
+
 Tolerances on states scale with max(1, |w|_inf) (model.tolerance_scale),
 because (kw, kc) has k times the trajectories of (w, c).  So does the
 residual tolerance below unit scale, and it is raised to the roundoff
@@ -28,6 +37,8 @@ large units stop at the same relative distance from equilibrium.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -54,8 +65,8 @@ _RESIDUAL_ROUNDOFF = 1e-14
 #: maps of a saturating start costs more than stepping (see integrate)
 _AFFINE_MAX_N = 64
 
-#: memory held by the maps of one integrate call, their stacks of powers and
-#: a run's temporaries included; intervals whose single map would exceed it
+#: memory held by the maps of one network, their stacks of powers and a
+#: run's temporaries included; intervals whose single map would exceed it
 #: run stage by stage
 _MAP_BYTES = 32 * 2**20
 
@@ -70,6 +81,9 @@ _RUN_BYTES = 2**18
 #: finite; the powers of an expanding map (RK4 with too long a step) pass
 #: it, and its stack stops growing or its intervals run stage by stage
 _POWER_MAX = 1e100
+
+#: the _IntervalMaps of the last network integrated, one slot per thread
+_last = threading.local()
 
 
 def in_lattice(x: np.ndarray, w: np.ndarray, tol: float = LATTICE_TOL) -> bool:
@@ -161,6 +175,13 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
     first interval fails is dropped at once.  A single interval is a run
     of length 1.
 
+    The maps are kept after the call, per thread for the last network
+    integrated, keyed by the exact bytes of R, c and w with dt and the
+    guard floor; they hold at most _MAP_BYTES when the call returns.  A
+    later call on the same network, from any start, reuses them and
+    returns the same bits as a call that builds them anew: how many powers
+    a run may use is decided by the call, not by the stack it finds.
+
     Above n = 64 (_AFFINE_MAX_N) every interval runs stage by stage.
     Measured with dt = 0.05, sample_every = 10, t_end = 40 on random leaky
     networks, one thread of a 2-CPU Xeon VM (numpy 2.4.6, OpenBLAS), the
@@ -192,8 +213,9 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
     R_t = np.ascontiguousarray(spec.routing.T)
     c = spec.demand
     maps = None
+    stacks: dict[tuple, tuple[int, bool]] = {}  # this call's stack length and grow flag per map
     if spec.n <= _AFFINE_MAX_N and _IntervalMaps.nbytes(spec.n, cfg.sample_every) <= _MAP_BYTES:
-        maps = _IntervalMaps(R_t, c, w, dt, floor)
+        maps = _IntervalMaps.kept(R_t, c, w, dt, floor)
 
     z = R_t @ x + c
     residual = _residual(z, x, w)
@@ -205,7 +227,7 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
         steps, count = (cfg.sample_every, full) if full else (n_steps - k, 1)
         rejected = maps is None
         if not rejected:
-            xs, zs, rs, rejected = maps.run(x, z, steps, count, residual_tol)
+            xs, zs, rs, rejected = maps.run(x, z, steps, count, residual_tol, stacks)
             if len(rs):
                 times.extend((k + steps * np.arange(1, len(rs) + 1)) * dt)
                 states.extend(xs)
@@ -266,32 +288,51 @@ def _rk4_steps(R_t: np.ndarray, c: np.ndarray, w: np.ndarray, dt: float, floor: 
 
 class _Map:
     """One interval map (A', b, lo, hi) of _IntervalMaps._build and the
-    stack T of its powers: block j of T, rows j (n + 1) .. j (n + 1) + n,
-    maps [x; 1] to [state after j + 1 intervals; 1]."""
+    stack T of its powers: T[j] maps [x; 1] to [state after j + 1
+    intervals; 1].  cap is the most powers the stack may hold: 1 if the
+    map's own entries pass _POWER_MAX, else the powers before the first
+    that passes it, once a growth has met it."""
 
-    __slots__ = ("At", "b", "lo", "hi", "T", "nbytes", "fresh", "grow", "capped")
+    __slots__ = ("At", "b", "lo", "hi", "T", "nbytes", "fresh", "cap")
 
     def __init__(self, built: tuple[np.ndarray, ...], nbytes: int):
         self.At, self.b, self.lo, self.hi = built
         n = self.At.shape[0]
-        self.T = np.eye(n + 1)
-        self.T[:n, :n] = self.At[:, -n:].T
-        self.T[:n, n] = self.b[-n:]
+        self.T = np.eye(n + 1)[None]
+        self.T[0, :n, :n] = self.At[:, -n:].T
+        self.T[0, :n, n] = self.b[-n:]
         self.nbytes = nbytes
         self.fresh = True  # no interval accepted yet
-        self.grow = False  # the last run took the whole stack
-        self.capped = not np.abs(self.T).max() <= _POWER_MAX
+        self.cap = sys.maxsize if np.abs(self.T).max() <= _POWER_MAX else 1
 
 
 class _IntervalMaps:
-    """RK4 sample intervals as affine maps of the state, one per saturation
-    pattern and interval length, built on first use, each with a stack of
-    its powers that grows once a run takes all of it."""
+    """RK4 sample intervals of one network as affine maps of the state, one
+    per saturation pattern and interval length, built on first use, each
+    with a stack of its powers.
+
+    The stacks are shared by the calls on the network; how many powers a
+    run uses is the calling integrate's own state, `stacks`: per map the
+    powers its runs may use, 1 at first, and whether the last run took
+    them all, in which case the next one may use min(count, most) of them
+    (_most).  A map evicted or dropped within a call is rebuilt with as
+    many powers as the call had."""
 
     def __init__(self, R_t: np.ndarray, c: np.ndarray, w: np.ndarray, dt: float, floor: float):
         self.R_t, self.c, self.w, self.dt, self.floor = R_t, c, w, dt, floor
+        self.key = (R_t.tobytes(), c.tobytes(), w.tobytes(), dt, floor)
         self.maps: dict[tuple, _Map | None] = {}  # None: the map's powers overflow
         self.held = 0  # bytes in self.maps
+
+    @classmethod
+    def kept(cls, R_t: np.ndarray, c: np.ndarray, w: np.ndarray, dt: float, floor: float) -> _IntervalMaps:
+        """The maps this thread keeps if they are of this network, dt and
+        floor, else new ones (on copies of the arrays) that it keeps in
+        their place."""
+        maps = getattr(_last, "maps", None)
+        if maps is None or maps.key != (R_t.tobytes(), c.tobytes(), w.tobytes(), dt, floor):
+            maps = _last.maps = cls(R_t.copy(), c.copy(), w.copy(), dt, floor)
+        return maps
 
     @staticmethod
     def nbytes(n: int, steps: int, intervals: int = 1) -> int:
@@ -301,34 +342,45 @@ class _IntervalMaps:
         pre-activations) of 5 n steps + 4 n floats."""
         return 8 * (5 * n * steps * (n + 3) + intervals * ((n + 1) ** 2 + 5 * n * steps + 4 * n))
 
-    def run(self, x: np.ndarray, z: np.ndarray, steps: int, count: int, tol: float):
+    @classmethod
+    def _most(cls, n: int, steps: int) -> int:
+        """The most powers a run may use: within _RUN_BYTES, and within
+        _MAP_BYTES for the map alone."""
+        base = cls.nbytes(n, steps, 0)
+        return min(_RUN_BYTES, _MAP_BYTES - base) // (cls.nbytes(n, steps, 1) - base)
+
+    def run(self, x: np.ndarray, z: np.ndarray, steps: int, count: int, tol: float,
+            stacks: dict[tuple, tuple[int, bool]]):
         """Up to `count` sample intervals of `steps` RK4 steps from x, whose
         pre-activation is z, taken together while z's saturation pattern
         holds: (states, pre-activations, residuals, rejected).
 
         One product with the stack of powers gives every sample state.  The
         run ends at the first sample whose residual is below tol or whose
-        pattern differs from z's, or where the stack ends, and one pass
-        certifies the intervals up to there, each as the stage-by-stage
+        pattern differs from z's, or where the call's powers end, and one
+        pass certifies the intervals up to there, each as the stage-by-stage
         certificate of its start would: every stage pre-activation in the
         pattern's closed region, every state within the guard's roundoff
         floor of [0, w], and the sample state within that floor of the
         interval map of the previous one.  The run keeps the intervals
         before the first that fails, their states clamped onto [0, w] as a
         step would clamp them; rejected says that one failed and must run
-        stage by stage.
+        stage by stage.  stacks is the calling integrate's state (see the
+        class).
         """
         n, w = x.size, self.w
         low, high = z < 0.0, z > w
         key = (steps, low.tobytes(), high.tobytes())
-        entry = self._entry(key, low, high, steps)
+        length, grow = stacks.get(key, (1, False))
+        entry = self._entry(key, low, high, steps, length)
         if entry is None:
             return np.empty((0, n)), np.empty((0, n)), np.empty(0), True
-        if entry.grow and not entry.capped:
-            self._grow(key, entry, steps, count)
-        T = entry.T[:count * (n + 1)]
-        J = T.shape[0] // (n + 1)
-        X = (T @ np.append(x, 1.0)).reshape(J, n + 1)[:, :n]
+        if grow:
+            target = min(count, self._most(n, steps))
+            self._grow(key, entry, steps, target)
+            length = max(length, min(target, len(entry.T)))
+        J = min(count, length)
+        X = (entry.T[:J].reshape(J * (n + 1), n + 1) @ np.append(x, 1.0)).reshape(J, n + 1)[:, :n]
         Xc = np.minimum(np.maximum(X, 0.0), w)
         Z = Xc @ self.R_t.T + self.c
         res = np.abs(np.minimum(np.maximum(Z, 0.0), w) - Xc).sum(axis=1)
@@ -346,50 +398,57 @@ class _IntervalMaps:
             del self.maps[key]
             self.held -= entry.nbytes
         entry.fresh = entry.fresh and r == 0
-        entry.grow = r == J == entry.T.shape[0] // (n + 1) and not stop[-1]
+        stacks[key] = (length, r == J == length and not stop[-1])
         return Xc[:r], Z[:r], res[:r], r < m
 
-    def _entry(self, key: tuple, low: np.ndarray, high: np.ndarray, steps: int) -> _Map | None:
-        """The map of this pattern and interval length, built on first use;
-        the cache is cleared first if it would exceed _MAP_BYTES."""
+    def _entry(self, key: tuple, low: np.ndarray, high: np.ndarray, steps: int, length: int) -> _Map | None:
+        """The map of this pattern and interval length, built on first use
+        with a stack of `length` powers; the cache is cleared first if it
+        would exceed _MAP_BYTES."""
         if key not in self.maps:
             size = self.nbytes(low.size, steps)
             if self.held + size > _MAP_BYTES:
                 self.maps.clear()
                 self.held = 0
             built = self._build(low, high, steps)
-            self.maps[key] = None if built is None else _Map(built, size)
-            if built is not None:
+            self.maps[key] = entry = None if built is None else _Map(built, size)
+            if entry is not None:
                 self.held += size
+                self._grow(key, entry, steps, length)
         return self.maps[key]
 
-    def _grow(self, key: tuple, entry: _Map, steps: int, count: int) -> None:
-        """Extend entry's stack to `count` powers by doubling, one product
-        per doubling, T[j + L] = T[j] M^L, within _RUN_BYTES and, after
-        evicting the other maps if need be, _MAP_BYTES.  A stack that
-        reaches a bound, or whose new powers pass _POWER_MAX, stops
-        growing."""
+    def _grow(self, key: tuple, entry: _Map, steps: int, target: int) -> None:
+        """Extend entry's stack to `target` powers within entry.cap, after
+        evicting the other maps if _MAP_BYTES would be exceeded.  Power p is
+        power p - P times power P, P the largest power of two below p: one
+        matmul per doubling, T[P:2P] = T[:P] T[P - 1], which takes each
+        block as a matrix product of its own, so a power's bits do not
+        depend on how far the stack had grown before.  A power past
+        _POWER_MAX ends the stack before it and sets entry.cap."""
         n1 = self.w.size + 1
-        base = self.nbytes(n1 - 1, steps, 0)
-        per = self.nbytes(n1 - 1, steps, 1) - base
-        most = min(_RUN_BYTES, _MAP_BYTES - base) // per
-        target = min(count, most)
-        entry.capped = target == most
-        L = entry.T.shape[0] // n1
+        L = len(entry.T)
+        target = min(target, entry.cap)
         if target <= L:
             return
+        base = self.nbytes(n1 - 1, steps, 0)
+        per = self.nbytes(n1 - 1, steps, 1) - base
         if self.held + (target - L) * per > _MAP_BYTES:
             self.maps = {key: entry}
             self.held = entry.nbytes
-        while L < target:
-            new = entry.T[:min(L, target - L) * n1] @ entry.T[-n1:]
-            if not np.abs(new).max() <= _POWER_MAX:
-                entry.capped = True
+        T = np.empty((target, n1, n1))
+        T[:L] = entry.T
+        P, p = 1 << (L.bit_length() - 1), L  # p powers are in T
+        while p < target:
+            end = min(2 * P, target)
+            np.matmul(T[p - P:end - P], T[P - 1], out=T[p:end])
+            passed = ~(np.abs(T[p:end]).max(axis=(1, 2)) <= _POWER_MAX)
+            if passed.any():
+                p = entry.cap = p + int(passed.argmax())
                 break
-            entry.T = np.vstack([entry.T, new])
-            L = entry.T.shape[0] // n1
-        self.held += base + L * per - entry.nbytes
-        entry.nbytes = base + L * per
+            p, P = end, 2 * P
+        entry.T = T if p == target else T[:p].copy()
+        self.held += base + p * per - entry.nbytes
+        entry.nbytes = base + p * per
 
     def _build(self, low: np.ndarray, high: np.ndarray, steps: int) -> tuple[np.ndarray, ...] | None:
         """(A', b, lo, hi), A' the transpose of A: A x + b stacks, for each

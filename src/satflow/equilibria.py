@@ -54,7 +54,7 @@ constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -104,10 +104,12 @@ class EquilibriumSet:
 
     kind == SEGMENT carries the line data: x_min = hc + alpha_min*pi and
     x_max = hc + alpha_max*pi.  kind == MINMAX_ONLY (reducible routing)
-    has the exact x_min and x_max but not the set between them, and
-    unknown_between says whether they differ by more than
-    POINT_AGREEMENT_TOL * |w|_inf, relative with no floor so that scaling
-    (w, c) does not change it.  condition_value is present
+    has the exact x_min and x_max, and unknown_between says whether they
+    differ by more than POINT_AGREEMENT_TOL * |w|_inf, relative with no
+    floor so that scaling (w, c) does not change it.  The set between them
+    is the product of one point on the draining cells and a point or a
+    segment per closed class; the line data of each class with a segment
+    is kept privately, for distance_l1.  condition_value is present
     whenever the demand is zero-sum on a stochastic irreducible network.
     """
 
@@ -120,36 +122,43 @@ class EquilibriumSet:
     alpha_max: float | None = None
     condition_value: float | None = None
     unknown_between: bool = False
+    #: MinMaxOnly: (cells, pi, hc, alpha_min, alpha_max) of each closed class with a segment
+    _segments: tuple = field(default=(), repr=False, compare=False)
 
     def distance_l1(self, x: np.ndarray) -> float:
-        """l1 distance from x to the equilibrium set (segment or point).
+        """l1 distance from x to the equilibrium set.
 
         On a segment the distance at line parameter a is
         sum_i pi_i |(x_i - hc_i)/pi_i - a|, a convex function minimised by
         the pi-weighted median of (x_i - hc_i)/pi_i; clamped to
         [alpha_min, alpha_max] it gives the nearest point of the segment.
-        A MinMaxOnly set is measured as the point x_min when x_min and
-        x_max agree within POINT_AGREEMENT_TOL * |w|_inf; otherwise
-        (unknown_between) the set between them is not known and
-        PreconditionError is raised.
+        A MinMaxOnly set is a product, so its distance is the sum of the
+        distances of x's parts: to the point x_min on the draining cells
+        and the classes with a point, and to each class's segment by the
+        median above.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != self.x_min.shape:
             raise PreconditionError(f"distance_l1 needs a state of shape {self.x_min.shape}, got {x.shape}")
-        if self.unknown_between:
-            gap = float(np.abs(self.x_max - self.x_min).sum())
-            raise PreconditionError(
-                f"distance_l1 on a MinMaxOnly set whose x_min and x_max differ by {gap:.3g}: "
-                "the equilibrium set between them is not known"
-            )
-        if self.kind != SEGMENT:
-            return float(np.abs(x - self.x_min).sum())
-        t = (x - self.hc) / self.pi
-        order = np.argsort(t)
-        weight = np.cumsum(self.pi[order])
-        median = t[order[np.searchsorted(weight, 0.5 * weight[-1])]]
-        a = min(max(median, self.alpha_min), self.alpha_max)
-        return float(np.abs(x - (self.hc + a * self.pi)).sum())
+        if self.kind == SEGMENT:
+            return _segment_distance(x, self.pi, self.hc, self.alpha_min, self.alpha_max)
+        point = np.ones(x.size, dtype=bool)  # the cells on no segment
+        along = 0.0
+        for cells, *line in self._segments:
+            point[cells] = False
+            along += _segment_distance(x[cells], *line)
+        return float(np.abs(x - self.x_min)[point].sum()) + along
+
+
+def _segment_distance(x: np.ndarray, pi: np.ndarray, hc: np.ndarray, alpha_min: float, alpha_max: float) -> float:
+    """l1 distance from x to {hc + a*pi : alpha_min <= a <= alpha_max}, by
+    the weighted median of :meth:`EquilibriumSet.distance_l1`."""
+    t = (x - hc) / pi
+    order = np.argsort(t)
+    weight = np.cumsum(pi[order])
+    median = t[order[np.searchsorted(weight, 0.5 * weight[-1])]]
+    a = min(max(median, alpha_min), alpha_max)
+    return float(np.abs(x - (hc + a * pi)).sum())
 
 
 class _Network(NamedTuple):
@@ -288,7 +297,8 @@ def _decomposed(net: _Network, c: np.ndarray) -> EquilibriumSet:
     """Reducible routing class by class (Kemeny & Snell, Finite Markov
     Chains, 1960): the cells T in no closed class drain, into a leaky cell
     or a class, so x_T is unique; each closed class C is then a stochastic
-    irreducible network with demand c_C + R_TC' x_T, a point or a segment."""
+    irreducible network with demand c_C + R_TC' x_T, a point or a segment,
+    whose line data the result keeps."""
     R, w = net.R, net.w
     adj = R > 0
     classes, stranded = [], ~_reached(adj.T, _leaky_mask(R))
@@ -300,14 +310,18 @@ def _decomposed(net: _Network, c: np.ndarray) -> EquilibriumSet:
     if T.any():  # x_T is unique: x_min, which _point cross-checks with x_max, serves both
         drain = _Network(R[np.ix_(T, T)], w[T], RoutingClass(SUBSTOCHASTIC_OUT_CONNECTED))
         x_min[T] = x_max[T] = _point(drain, c[T]).x_min
+    segments = []
     for C in classes:
         eq = _equilibrium(_Network(R[np.ix_(C, C)], w[C], RoutingClass(STOCHASTIC_IRREDUCIBLE)),
                           c[C] + R[np.ix_(T, C)].T @ x_min[T])
         x_min[C], x_max[C] = eq.x_min, eq.x_max
+        if eq.kind == SEGMENT:
+            segments.append((np.flatnonzero(C), eq.pi, eq.hc, eq.alpha_min, eq.alpha_max))
     # relative with no floor at 1, so that units do not decide the flag
     gap = float(np.abs(x_max - x_min).sum())
     unknown = gap > POINT_AGREEMENT_TOL * float(w.max())
-    return EquilibriumSet(kind=MINMAX_ONLY, x_min=x_min, x_max=x_max, unknown_between=unknown)
+    return EquilibriumSet(kind=MINMAX_ONLY, x_min=x_min, x_max=x_max, unknown_between=unknown,
+                          _segments=tuple(segments))
 
 
 def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -> EquilibriumSet:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from satflow import NetworkSpec, validate
+from satflow import NetworkSpec, dynamics, validate
 
 # Hypothesis profiles of the property tests.  tier1, the default, is
 # derandomized: the same 25 examples on every run, so a failure is never
@@ -31,6 +31,13 @@ COND3 = 356 / 37  # = alpha_max - alpha_min = 408/37 - 52/37
 
 # the critical demand of the reference sweep c(a) = [a/3, -1, 2a/3], a = 1
 C_STAR = np.array([1 / 3, -1.0, 2 / 3])
+
+
+@pytest.fixture(autouse=True)
+def cold_interval_maps():
+    """Every test starts without the interval maps that integrate keeps
+    from the last network it integrated on this thread."""
+    vars(dynamics._last).clear()
 
 
 @pytest.fixture

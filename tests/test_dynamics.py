@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from satflow import (
 from satflow import dynamics
 from satflow.dynamics import in_lattice
 
-from conftest import C3, R3, W3, XMAX3, XMIN3, random_spec, random_stochastic_irreducible, random_substochastic
+from conftest import C3, C_STAR, R3, W3, XMAX3, XMIN3, random_spec, random_stochastic_irreducible, random_substochastic
 from oracles import linear_rhs, rk4, saturate
 
 
@@ -304,15 +306,16 @@ class TestAgainstStageByStageOracle:
 @pytest.fixture
 def runs(monkeypatch):
     """Every run integrate takes, as (steps, stack length J, kept, rejected,
-    converged): J intervals were tried, the first `kept` kept."""
+    converged): J intervals were tried, the first `kept` kept.  J is the
+    length the calling integrate let the run use, whatever the shared
+    stack holds."""
     seen = []
     run = dynamics._IntervalMaps.run
 
-    def spy(self, x, z, steps, count, tol):
+    def spy(self, x, z, steps, count, tol, stacks):
         key = (steps, (z < 0.0).tobytes(), (z > self.w).tobytes())
-        xs, zs, rs, rejected = run(self, x, z, steps, count, tol)
-        entry = self.maps.get(key)
-        J = 1 if entry is None else min(count, entry.T.shape[0] // (x.size + 1))
+        xs, zs, rs, rejected = run(self, x, z, steps, count, tol, stacks)
+        J = min(count, stacks.get(key, (1, False))[0])  # the powers this call let the run use
         seen.append((steps, J, len(rs), rejected, bool(len(rs)) and rs[-1] < tol))
         return xs, zs, rs, rejected
 
@@ -405,11 +408,12 @@ class TestRuns:
         # grows until its powers pass _POWER_MAX, without overflowing
         w, c = np.ones(1), np.array([0.5])
         maps = dynamics._IntervalMaps(np.zeros((1, 1)), c, w, 20.0, 1e-12)
-        x = np.array([0.5])
+        x, stacks = np.array([0.5]), {}
         for _ in range(8):
-            maps.run(x, c.copy(), 3, 1000, 0.0)
+            maps.run(x, c.copy(), 3, 1000, 0.0, stacks)
         (entry,) = maps.maps.values()
-        assert entry.capped and 1 < entry.T.shape[0] // 2 < 1000
+        ((length, _),) = stacks.values()
+        assert entry.cap == len(entry.T) == length and 1 < length < 1000
         assert np.abs(entry.T).max() <= dynamics._POWER_MAX
 
     def test_map_rejected_at_its_first_interval_is_dropped(self, monkeypatch):
@@ -422,10 +426,10 @@ class TestRuns:
         record = []  # (new map, kept, rejected, map kept in the cache)
         run = dynamics._IntervalMaps.run
 
-        def spy(self, x, z, steps, count, tol):
+        def spy(self, x, z, steps, count, tol, stacks):
             key = (steps, (z < 0.0).tobytes(), (z > self.w).tobytes())
             new = key not in self.maps
-            xs, zs, rs, rejected = run(self, x, z, steps, count, tol)
+            xs, zs, rs, rejected = run(self, x, z, steps, count, tol, stacks)
             record.append((new, len(rs), rejected, key in self.maps))
             return xs, zs, rs, rejected
 
@@ -443,12 +447,12 @@ class TestRuns:
         R_t = np.array([[0.0, 0.0], [0.0, 0.9]])
         c, w, floor = np.array([0.5, 0.05]), np.ones(2), 1e-12
         maps = dynamics._IntervalMaps(R_t, c, w, 4.6, floor)
-        x = np.array([0.5, 0.2])
-        xs, _, _, rejected = maps.run(x, R_t @ x + c, 1, 1000, 0.0)
+        x, stacks = np.array([0.5, 0.2]), {}
+        xs, _, _, rejected = maps.run(x, R_t @ x + c, 1, 1000, 0.0, stacks)
         assert len(xs) == 1 and not rejected
-        xs, _, _, rejected = maps.run(xs[-1], R_t @ xs[-1] + c, 1, 1000, 0.0)
-        (entry,) = maps.maps.values()
-        assert rejected and 1 < len(xs) < entry.T.shape[0] // 3
+        xs, _, _, rejected = maps.run(xs[-1], R_t @ xs[-1] + c, 1, 1000, 0.0, stacks)
+        ((length, _),) = stacks.values()
+        assert rejected and 1 < len(xs) < length
         assert np.abs(xs[:, 0] - 0.5).max() <= 10 * floor
 
     def test_expanding_map_runs_stage_by_stage(self):
@@ -499,3 +503,165 @@ def test_scaled_reference_network_converges(k):
     assert integrate(spec, k * W3 * (1 + 1e-12)).converged
     with pytest.raises(PreconditionError, match="lattice"):
         integrate(spec, k * W3 * (1 + 1e-8))
+
+
+def integrate_cold(spec, x0, cfg=None):
+    """integrate with no interval maps kept from an earlier call."""
+    vars(dynamics._last).clear()
+    return integrate(spec, x0, cfg)
+
+
+def assert_same_bits(traj, cold):
+    assert np.array_equal(traj.times, cold.times)
+    assert np.array_equal(traj.states, cold.states)
+    assert np.array_equal(traj.residuals, cold.residuals)
+    assert traj.affine_steps == cold.affine_steps
+    assert traj.converged == cold.converged and traj.final_residual == cold.final_residual
+
+
+def assert_held_is_counted_and_bounded():
+    maps = dynamics._last.maps
+    assert maps.held == sum(e.nbytes for e in maps.maps.values() if e is not None) <= dynamics._MAP_BYTES
+
+
+def kept_maps_cases():
+    """(spec, starts, cfg): random networks up to n = 64 from 0, from w, on
+    saturated faces and inside the box, and the reference network."""
+    rng = np.random.default_rng(83)
+    cases = [(validate(NetworkSpec(routing=R3, capacity=W3, demand=C3)),
+              [np.zeros(3), W3, 0.5 * W3, np.array([0.0, 4.0, 0.0])], IntegratorConfig(dt=0.05))]
+    for n in (2, 3, 5, 8, 13, 21, 30, 47, 64):
+        R = random_stochastic_irreducible(rng, n) if n % 2 else random_substochastic(rng, n, 0.3, 0.9)
+        w = rng.uniform(1.0, 5.0, n)
+        spec = validate(NetworkSpec(routing=R, capacity=w, demand=rng.uniform(-3.0, 6.0, n)))
+        starts = [np.zeros(n), w.copy(), np.choose(rng.integers(0, 3, n), [np.zeros(n), w, rng.random(n) * w]),
+                  rng.random(n) * w]
+        cases.append((spec, starts, IntegratorConfig(dt=float(rng.choice([0.02, 0.05])), t_end=30.0)))
+    return cases
+
+
+class TestKeptMaps:
+    """integrate keeps the interval maps of the last network it integrated
+    on each thread, and a call that finds them built returns the bits of
+    a call that builds them."""
+
+    @pytest.mark.parametrize("case", range(10))
+    def test_warm_calls_match_cold_calls(self, case):
+        spec, starts, cfg = kept_maps_cases()[case]
+        cold = [integrate_cold(spec, x0, cfg) for x0 in starts]
+        vars(dynamics._last).clear()
+        for x0, expected in zip(starts + starts[::-1], cold + cold[::-1]):
+            assert_same_bits(integrate(spec, x0, cfg), expected)
+        for x0, expected in zip(starts, cold):  # the same start twice in a row
+            assert_same_bits(integrate(spec, x0, cfg), expected)
+            assert_same_bits(integrate(spec, x0, cfg), expected)
+
+    @pytest.mark.parametrize("n", [3, 17, 24, 33, 40])
+    def test_calls_of_other_lengths_extend_the_stacks(self, n):
+        # near an interior equilibrium every interval keeps the free
+        # pattern: a short call stops its stack at 6 powers, and a longer
+        # call on the same network extends it, to 8 powers at n = 40 and
+        # 59 at n = 3, with the bits of the powers the longer call alone
+        # builds from 1 by doubling; at n >= 16 a product of several
+        # stacked powers at once can round its rows otherwise than one of
+        # fewer
+        rng = np.random.default_rng(n)
+        R = random_substochastic(rng, n, 0.3, 0.6)
+        w = rng.uniform(1.0, 5.0, n)
+        x = w * rng.uniform(0.4, 0.6, n)
+        spec = validate(NetworkSpec(routing=R, capacity=w, demand=x - R.T @ x))
+        x0 = x + 0.05 * w * rng.uniform(-1.0, 1.0, n)
+        cfgs = [IntegratorConfig(dt=0.05, t_end=t_end, residual_tol=1e-300) for t_end in (3.5, 30.0)]
+        cold = [integrate_cold(spec, x0, cfg) for cfg in cfgs]
+        assert cold[0].affine_steps == 70
+        vars(dynamics._last).clear()
+        for cfg, expected in zip(cfgs + cfgs[::-1], cold + cold[::-1]):
+            assert_same_bits(integrate(spec, x0, cfg), expected)
+
+    def test_warm_calls_match_cold_calls_under_eviction(self, monkeypatch):
+        # room for one map with 4 powers at n = 3, and with 2 at n = 13:
+        # maps are evicted within calls and between them
+        for spec, starts, cfg in [kept_maps_cases()[i] for i in (0, 5)]:
+            monkeypatch.setattr(dynamics, "_MAP_BYTES", dynamics._IntervalMaps.nbytes(spec.n, 10, 4 if spec.n == 3 else 2))
+            cold = [integrate_cold(spec, x0, cfg) for x0 in starts]
+            vars(dynamics._last).clear()
+            for x0, expected in zip(starts + starts[::-1], cold + cold[::-1]):
+                assert_same_bits(integrate(spec, x0, cfg), expected)
+                assert_held_is_counted_and_bounded()
+
+    def test_held_bytes_within_the_bound_after_each_call(self):
+        for spec, starts, cfg in kept_maps_cases():
+            for x0 in starts:
+                integrate(spec, x0, cfg)
+                assert_held_is_counted_and_bounded()
+
+    def test_demand_changed_in_place_is_a_new_network(self):
+        # the maps are keyed by the bytes of the demand, not by the array
+        cfg = IntegratorConfig(dt=0.05)
+        spec = validate(NetworkSpec(routing=R3, capacity=W3, demand=C3.copy()))
+        integrate(spec, np.zeros(3), cfg)
+        spec.demand[:] = C_STAR
+        fresh = validate(NetworkSpec(routing=R3, capacity=W3, demand=C_STAR))
+        assert_same_bits(integrate(spec, np.zeros(3), cfg), integrate_cold(fresh, np.zeros(3), cfg))
+
+    def test_threads_keep_their_own_maps(self):
+        # four threads, more than the cores of a small host, take turns
+        # with a short switch interval, each integrating its own network
+        # from several starts: every trajectory has the bits of a cold call
+        work = [kept_maps_cases()[i] for i in (0, 2, 4, 5)]
+        cold = [[integrate_cold(spec, x0, cfg) for x0 in starts] for spec, starts, cfg in work]
+        turn = threading.Barrier(len(work), timeout=60)
+        got = [[] for _ in work]
+
+        def worker(k):
+            spec, starts, cfg = work[k]
+            for x0 in starts + starts:
+                turn.wait()
+                got[k].append(integrate(spec, x0, cfg))
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(work))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(len(work)):
+            assert len(got[k]) == 2 * len(cold[k])
+            for traj, expected in zip(got[k], cold[k] + cold[k]):
+                assert_same_bits(traj, expected)
+
+    def test_second_call_builds_only_the_dropped_maps(self, spec3, monkeypatch):
+        # from 0 on the reference network no map is dropped, so the second
+        # call builds none; from saturated starts at n = 30 the second call
+        # builds again just the maps that the first left at their first
+        # interval, and every map the first kept is reused
+        builds = []
+        build = dynamics._IntervalMaps._build
+
+        def counted(self, low, high, steps):
+            builds.append(steps)
+            return build(self, low, high, steps)
+
+        monkeypatch.setattr(dynamics._IntervalMaps, "_build", counted)
+        rng = np.random.default_rng(29)
+        n = 30
+        spec30 = validate(NetworkSpec(routing=random_substochastic(rng, n, 0.3, 0.6),
+                                      capacity=rng.uniform(1.0, 5.0, n), demand=rng.uniform(-3.0, 6.0, n)))
+        cfg30 = IntegratorConfig(dt=0.05, t_end=40.0)
+        for spec, x0, cfg in ((spec3, np.zeros(3), None), (spec30, np.zeros(n), cfg30), (spec30, spec30.capacity, cfg30)):
+            vars(dynamics._last).clear()
+            builds.clear()
+            integrate(spec, x0, cfg)
+            first, kept = len(builds), len(dynamics._last.maps.maps)
+            builds.clear()
+            integrate(spec, x0, cfg)
+            assert len(builds) == first - kept
+            if spec is spec3:
+                assert first == 1 and not builds
+            else:
+                assert 0 < len(builds) < first

@@ -197,13 +197,41 @@ class TestEquilibriumSet:
         assert eq.distance_l1(eq.x_min) == 0.0
         assert eq.distance_l1(eq.x_max) < 1e-9
         # zero total demand on it: x_min and x_max are 8 apart, and the set
-        # between them is not known, so no distance is given
+        # is the draining cells' point times the closed cycle's segment, the
+        # segment from x_min to x_max; the distance to it is exact
         eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=np.array([0.1, 0.05, -0.5, 0.5]))))
-        assert eq.kind == MINMAX_ONLY
+        assert eq.kind == MINMAX_ONLY and eq.unknown_between
         assert abs(np.abs(eq.x_max - eq.x_min).sum() - 8.0) < 1e-9
-        for x in (eq.x_min, eq.x_max):
-            with pytest.raises(PreconditionError, match="not known"):
-                eq.distance_l1(x)
+        assert eq.distance_l1(eq.x_min) == 0.0
+        assert eq.distance_l1(eq.x_max) == 0.0
+        grid = eq.x_min + np.linspace(0.0, 1.0, 20001)[:, None] * (eq.x_max - eq.x_min)
+        step = 8.0 / 20000
+        rng = np.random.default_rng(53)
+        for x in [0.5 * (eq.x_min + eq.x_max), np.zeros(4), w] + [rng.random(4) * w for _ in range(20)]:
+            dense = np.abs(x - grid).sum(axis=1).min()
+            # 1-Lipschitz along the grid, which moves 8 in l1 over [0, 1]
+            assert dense - 0.5 * step - 1e-12 <= eq.distance_l1(x) <= dense + 1e-12
+
+    def test_distance_l1_on_two_closed_segments(self):
+        # two copies of the reference network as two closed classes, both at
+        # C3: the set is the product of two segments, so the state with the
+        # first class at its x_min and the second at its x_max is in it,
+        # though it is not between x_min and x_max on one line
+        R = np.zeros((6, 6))
+        R[:3, :3] = R[3:, 3:] = R3
+        w = np.r_[W3, W3]
+        eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=np.r_[C3, C3])))
+        assert eq.kind == MINMAX_ONLY and eq.unknown_between
+        mixed = np.r_[eq.x_min[:3], eq.x_max[3:]]
+        for x in (eq.x_min, eq.x_max, mixed):
+            assert eq.distance_l1(x) <= 1e-12 * w.sum()
+        s = np.linspace(0.0, 1.0, 4001)[:, None]
+        segment = XMIN3 + s * (XMAX3 - XMIN3)  # each class's own segment
+        step = np.abs(XMAX3 - XMIN3).sum() / 4000
+        rng = np.random.default_rng(59)
+        for x in [np.zeros(6), w] + [rng.random(6) * w for _ in range(20)]:
+            dense = sum(np.abs(part - segment).sum(axis=1).min() for part in (x[:3], x[3:]))
+            assert dense - step - 1e-12 <= eq.distance_l1(x) <= dense + 1e-12
 
     def test_distance_l1_on_min_max_only_with_large_capacities(self):
         # a 0.99 leaky 2-cycle fed at one cell beside a drained closed
