@@ -5,9 +5,14 @@ Scenario files are JSON documents with keys "routing", "capacity",
 optional "integrator" object overriding the integrator defaults.  Unknown
 keys are rejected.  The JSON is strict (RFC 8259, UTF-8 without a byte
 order mark): NaN and Infinity literals and numbers that overflow a double
-are malformed JSON.  Scenarios are parsed with orjson, but output is
-written with the standard json module, whose float spellings (1e-05, not
-orjson's 0.00001) the outputs keep.
+are malformed JSON.  The numeric fields take JSON numbers only: a string
+or a null in routing, capacity, demand, inflow or outflow is an invalid
+scenario naming the field (and, in routing, the entry); true and false
+read as 1 and 0.  Scenarios are parsed with orjson.  The JSON that check,
+equilibria and the sweep sidecar write has the bytes of the standard json
+module's json.dump(..., indent=2), whose float spellings (1e-05, not
+orjson's 0.00001) it keeps, but its lists of numbers go through json's C
+encoder (see _json_text).
 
 Exit codes: 0 success, 2 invalid scenario, 3 numerical failure,
 4 precondition violation.
@@ -65,6 +70,34 @@ def load_scenario(path: str) -> tuple[model.NetworkSpec, dynamics.IntegratorConf
     return spec, cfg, str(doc.get("name", ""))
 
 
+#: the types whose lists _json_text hands to json's C encoder whole
+_NUMBER_TYPES = frozenset((float, int, bool))
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2), with each flat list of numbers spelled by
+    json's C encoder.
+
+    With an indent, json falls back to its pure-Python encoder, which costs
+    about a microsecond more per float.  A list of numbers holds no ", "
+    but its separators, so the C encoder's one-line text only needs its
+    separators broken onto indented lines.  pad is the newline and the
+    indent of the line obj starts on; dict keys are strings.
+    """
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        if all(type(v) in _NUMBER_TYPES for v in obj):
+            items = json.dumps(obj)[1:-1].replace(", ", "," + inner)
+        else:
+            items = ("," + inner).join(_json_text(v, inner) for v in obj)
+        return "[" + inner + items + pad + "]"
+    if isinstance(obj, dict) and obj:
+        items = ("," + inner).join(json.dumps(k) + ": " + _json_text(v, inner) for k, v in obj.items())
+        return "{" + inner + items + pad + "}"
+    # a scalar or an empty container
+    return json.dumps(obj, indent=2).replace("\n", pad)
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -85,16 +118,15 @@ def cmd_check(args) -> int:
     report = {
         "class": cls.tag,
         "detail": cls.detail,
-        "row_sums": [float(s) for s in model.row_sums(spec.routing)],
+        "row_sums": model.row_sums(spec.routing).tolist(),
     }
     leaky = model.leaky_nodes(spec.routing)
     if leaky:
         report["leaky_nodes"] = [i + 1 for i in leaky]
     if cls.tag == model.STOCHASTIC_IRREDUCIBLE:
         # R is classified above: invariant_vector would classify it again
-        report["pi"] = [float(p) for p in model._pi_and_h(spec.routing, np.zeros(spec.n))[0]]
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+        report["pi"] = model._pi_and_h(spec.routing, np.zeros(spec.n))[0].tolist()
+    sys.stdout.write(_json_text(report) + "\n")
     return EXIT_OK
 
 
@@ -127,14 +159,14 @@ def cmd_simulate(args) -> int:
 def _equilibrium_json(eq: equilibria.EquilibriumSet) -> dict:
     out = {
         "kind": eq.kind,
-        "x_min": [float(v) for v in eq.x_min],
-        "x_max": [float(v) for v in eq.x_max],
+        "x_min": eq.x_min.tolist(),
+        "x_max": eq.x_max.tolist(),
     }
     if eq.alpha_min is not None:
         out["alpha_min"] = eq.alpha_min
         out["alpha_max"] = eq.alpha_max
-        out["hc"] = [float(v) for v in eq.hc]
-        out["pi"] = [float(v) for v in eq.pi]
+        out["hc"] = eq.hc.tolist()
+        out["pi"] = eq.pi.tolist()
     if eq.condition_value is not None:
         out["condition_value"] = eq.condition_value
     return out
@@ -143,8 +175,7 @@ def _equilibrium_json(eq: equilibria.EquilibriumSet) -> dict:
 def cmd_equilibria(args) -> int:
     spec, _, _ = load_scenario(args.scenario)
     eq = equilibria.equilibrium_set(spec)
-    json.dump(_equilibrium_json(eq), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(_equilibrium_json(eq)) + "\n")
     return EXIT_OK
 
 
@@ -184,8 +215,7 @@ def cmd_sweep(args) -> int:
         sidecar["unresolved"] = result.unresolved
     sidecar_path = sidecar_path_for(args.out)
     with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(sidecar) + "\n")
     json.dump({"rows": len(result.rows), "critical_points": len(result.jumps), "sidecar": sidecar_path}, sys.stdout)
     sys.stdout.write("\n")
     return EXIT_OK

@@ -21,6 +21,7 @@ its residual.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from numbers import Real
 
@@ -56,12 +57,42 @@ class RoutingClass:
     detail: str = ""
 
 
-def _vector(name: str, value) -> np.ndarray:
-    """value as a float array; ScenarioError naming the field if numpy cannot convert it."""
-    try:
+def _floats(value) -> np.ndarray:
+    """value as a writable float array, bit-identical to np.asarray(value, dtype=float).
+
+    A list of numbers, or a list of lists of numbers (each row as long as
+    the first), is packed by struct, one row at a time: that reads JSON
+    numbers only (bools as 0/1) and raises struct.error on a string, a
+    null, a nested list or a row of another length.  ndarrays and every
+    other input go through np.asarray.
+    """
+    if type(value) is not list:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{name} is not a vector of numbers: {exc}") from exc
+    if value and type(value[0]) is list:
+        m = len(value[0])
+        out = np.empty((len(value), m))
+        pack = struct.Struct(f"{m}d").pack_into
+        for i, row in enumerate(value):
+            pack(out, 8 * m * i, *row)
+        return out
+    out = np.empty(len(value))
+    struct.Struct(f"{len(value)}d").pack_into(out, 0, *value)
+    return out
+
+
+#: what _floats raises on input that is not numbers of the right shape
+_NOT_NUMBERS = (TypeError, ValueError, OverflowError, struct.error)
+
+
+def _vector(name: str, value) -> np.ndarray:
+    """value as a float array; ScenarioError naming the field, and the first
+    entry that is not a number, if it is not a vector of numbers."""
+    try:
+        return _floats(value)
+    except _NOT_NUMBERS as exc:
+        bad = next((k + 1 for k, v in enumerate(value) if not isinstance(v, Real)), None) if type(value) is list else None
+        raise ScenarioError(f"{name} is not a vector of numbers: "
+                            + (f"entry {bad} is not a number" if bad else str(exc))) from exc
 
 
 @dataclass
@@ -81,8 +112,8 @@ class NetworkSpec:
 
     def __post_init__(self):
         try:
-            self.routing = np.asarray(self.routing, dtype=float)
-        except (TypeError, ValueError) as exc:
+            self.routing = _floats(self.routing)
+        except _NOT_NUMBERS as exc:
             # name the first ragged row or entry that is not a number, 1-based, rather than numpy's shape
             rows = self.routing if isinstance(self.routing, (list, tuple)) else ()
             lengths = [len(row) if hasattr(row, "__len__") else None for row in rows]
@@ -297,8 +328,10 @@ def _pi_and_h(R: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     solve passes.
     """
     n = R.shape[0]
-    M = np.ones((n, n)) - R.T
+    # (1 - R) with its diagonal bumped, transposed: F-contiguous, as LAPACK takes it
+    M = 1.0 - R
     M.flat[:: n + 1] += 1.0
+    M = M.T
     sol = np.linalg.solve(M, np.column_stack([np.ones(n), v]))
     pi = sol[:, 0] / sol[:, 0].sum()
     hv = sol[:, 1]

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from satflow.cli import load_scenario, main, sidecar_path_for
+from satflow.cli import _json_text, load_scenario, main, sidecar_path_for
 
 from conftest import C3, PI3, R3, W3, XMAX3, XMIN3
 
@@ -160,6 +160,34 @@ class TestLoadScenario:
         path.write_text(_scenario_text(capacity="[[1], [1, 2]]"))
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: capacity is not a vector of numbers")
+
+    @pytest.mark.parametrize("field", ["routing", "capacity", "demand", "inflow", "outflow"])
+    @pytest.mark.parametrize("literal", ['"0.5"', "null"])
+    def test_string_or_null_in_a_numeric_field_is_named(self, capsys, tmp_path, field, literal):
+        fields = {"inflow": "[0.3, 0.3]", "outflow": "[0, 0]"} if field in ("inflow", "outflow") else {}
+        fields[field] = f"[[0, {literal}], [0.5, 0]]" if field == "routing" else f"[0.3, {literal}]"
+        path = tmp_path / "strict.json"
+        path.write_text(_scenario_text(**fields))
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        if field == "routing":
+            assert err == "error: routing entry (1,2) is not a number\n"
+        else:
+            assert err == f"error: {field} is not a vector of numbers: entry 2 is not a number\n"
+
+    def test_booleans_read_as_zero_and_one(self, tmp_path):
+        path = tmp_path / "bools.json"
+        path.write_text(_scenario_text(routing="[[false, true], [true, false]]", capacity="[true, 2]",
+                                       demand="[false, 0]"))
+        spec, _, _ = load_scenario(str(path))
+        assert spec.routing.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert spec.capacity.tolist() == [1.0, 2.0] and spec.demand.tolist() == [0.0, 0.0]
+
+    def test_three_dimensional_routing_is_named(self, capsys, tmp_path):
+        path = tmp_path / "cube.json"
+        path.write_text(_scenario_text(routing="[[[0], [0.5]], [[0.5], [0]]]"))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "error: routing entry (1,1) is not a number\n"
 
 
 class TestSimulate:
@@ -318,3 +346,62 @@ class TestSweep:
             run(capsys, ["sweep", scenario3, "--c-start", "0,-1,0",
                          "--c-end", "3,-1,6", "--samples", "11", "--out", str(target)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestJsonText:
+    """_json_text writes json.dumps(obj, indent=2)'s bytes, one flat list
+    of numbers at a time through json's C encoder."""
+
+    @pytest.mark.parametrize("obj", [
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e-05, 5e-324, 1.7976931348623157e308, 0.1],
+        [1, 2**60, -3, True, False],
+        [1.5, None, 2.5],
+        None, True, 0, -0.0, 1e-05, float("nan"), "text",
+        [], {}, [[]], {"a": {}}, {"a": []},
+        {"critical": [{"s": 0.1111111111111111, "jump": 9.621621621621623}], "unresolved": [0.5, 0.75]},
+        {"critical": [{"s": 0.5, "jump": 0.0}, {"s": 0.75, "jump": 1e-15}]},
+        [[1.0, 2.0], [3.0, [4.0, 5.0]], {"x": [6.0]}],
+        ["a, b", "c, d"],
+        [1.0, "x, y", 2.0],
+        {"naïve, café": ["ü, ß", 1.0], "x, y": "z, \u2603", "": [0.25]},
+        (1.0, 2.0),
+    ], ids=repr)
+    def test_matches_json_dumps_indent_2(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+def _sparse_segment_scenario(path, n=500):
+    """A stochastic irreducible network of n cells (a random Hamiltonian
+    cycle plus 4 random out-edges per cell) with the critical demand
+    c = (I - R')x of an interior x: its equilibria form a segment."""
+    rng = np.random.default_rng(n)
+    order = rng.permutation(n)
+    R = np.zeros((n, n))
+    R[order, np.roll(order, -1)] = rng.random(n) + 0.1
+    rows = np.arange(n)
+    for _ in range(4):
+        np.add.at(R, (rows, (rows + 1 + rng.integers(0, n - 1, n)) % n), rng.random(n) + 0.1)
+    R /= R.sum(axis=1)[:, None]
+    w = rng.uniform(1.0, 5.0, n)
+    x = w * rng.uniform(0.25, 0.75, n)
+    path.write_text(json.dumps({"routing": R.tolist(), "capacity": w.tolist(), "demand": (x - R.T @ x).tolist()}))
+    return str(path)
+
+
+class TestOutputBytes:
+    """check and equilibria print json.dumps(result, indent=2) and a newline."""
+
+    @pytest.fixture(params=["demo", "n500"])
+    def scenario(self, request, tmp_path):
+        if request.param == "demo":
+            return str(Path(__file__).resolve().parents[1] / "demos" / "three_cell.json")
+        return _sparse_segment_scenario(tmp_path / "n500.json")
+
+    @pytest.mark.parametrize("command", ["check", "equilibria"])
+    def test_stdout_is_json_dumps_indent_2(self, capsys, scenario, command):
+        code, out = run(capsys, [command, scenario])
+        assert code == 0
+        result = json.loads(out)  # floats round-trip, so this is the dict that was written
+        assert out == json.dumps(result, indent=2) + "\n"
+        assert result["class" if command == "check" else "kind"] == (
+            "StochasticIrreducible" if command == "check" else "Segment")

@@ -104,6 +104,55 @@ class TestValidate:
             NetworkSpec.from_dict({"routing": [[0]], "capacity": [1], "demand": [0], "bogus": 1})
 
 
+# numbers whose float conversion has edges: ints (one beyond 53 bits),
+# a negative zero, the smallest subnormal and a mid-range one, the largest
+# double, and a bool
+AWKWARD_NUMBERS = [0, 3, 2**60, 2**60 + 1, -0.0, 5e-324, 1.5e-310, 1.7976931348623157e308, 0.1, True]
+
+
+class TestNumberLists:
+    """NetworkSpec packs lists of numbers into arrays with the bits of
+    np.asarray(..., dtype=float), and names what is not a number."""
+
+    def test_rows_and_vectors_bit_identical_and_writable(self):
+        k = len(AWKWARD_NUMBERS)
+        rows = [AWKWARD_NUMBERS[i:] + AWKWARD_NUMBERS[:i] for i in range(k)]
+        spec = NetworkSpec(routing=rows, capacity=AWKWARD_NUMBERS, demand=AWKWARD_NUMBERS[::-1],
+                           inflow=AWKWARD_NUMBERS, outflow=AWKWARD_NUMBERS)
+        for got, value in ((spec.routing, rows), (spec.capacity, AWKWARD_NUMBERS),
+                           (spec.demand, AWKWARD_NUMBERS[::-1]), (spec.inflow, AWKWARD_NUMBERS),
+                           (spec.outflow, AWKWARD_NUMBERS)):
+            expected = np.asarray(value, dtype=float)
+            assert got.dtype == np.float64 and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            assert got.flags.writeable
+        assert np.signbit(spec.routing[0, 4]) and spec.capacity[6] == 1.5e-310
+
+    @pytest.mark.parametrize("value", [[], [[]], [[0.5]], [1.0, 2.0], [[1.0], [2.0]]])
+    def test_empty_and_degenerate_shapes_match_numpy(self, value):
+        spec = NetworkSpec(routing=value, capacity=value, demand=value)
+        expected = np.asarray(value, dtype=float)
+        for got in (spec.routing, spec.capacity, spec.demand):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_arrays_and_tuples_go_through_numpy(self):
+        spec = NetworkSpec(routing=((0.0, 1.0), (1.0, 0.0)), capacity=np.array([1, 2], dtype=np.int32),
+                           demand=(0.5, -0.5))
+        assert spec.routing.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert spec.capacity.dtype == np.float64 and spec.demand.tolist() == [0.5, -0.5]
+
+    @pytest.mark.parametrize("routing", [[[0, 0.5], [0.5]], [[0, 0.5], 0.5]])
+    def test_ragged_routing_names_the_row(self, routing):
+        with pytest.raises(ScenarioError) as exc:
+            NetworkSpec(routing=routing, capacity=[1, 1], demand=[0, 0])
+        assert str(exc.value) == "routing row 2 does not have the length of row 1"
+
+    def test_ragged_vector_names_the_entry(self):
+        with pytest.raises(ScenarioError) as exc:
+            NetworkSpec(routing=[[0, 0.5], [0.5, 0]], capacity=[[1], [1, 2]], demand=[0, 0])
+        assert str(exc.value) == "capacity is not a vector of numbers: entry 1 is not a number"
+
+
 class TestOutConnected:
     def test_zero_matrix_is_out_connected(self):
         # every cell is itself leaky via the zero-length path
