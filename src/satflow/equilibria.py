@@ -24,19 +24,21 @@ demand sweep, one-sided limits) thus classifies it once.  Where the class
 makes the equilibrium unique, sub-stochastic out-connected routing or
 stochastic irreducible routing off the zero-sum hyperplane (one rule,
 :meth:`_Network.walkable`), such a caller walks an affine demand path
-c0 + t*dc one saturation pattern at a time (:func:`_points_along`).  The
-equilibrium is affine in t while its pattern (Z = {R'x + c <= 0} at 0,
-U = {R'x + c >= w} at w, the rest free) holds, so one linear solve of the
-free cells, with the mirrored system and the direction as further
-right-hand sides, gives x_min(t) and x_max(t) at every sample of a piece,
-and one vectorised pass certifies them (:func:`_pattern_piece`).  A ratio
-test on R'x(t) + c(t), affine on the piece, finds where the path leaves
-the pattern, and the next piece starts just past it: the continuation of
-parametric LCP (Murty 1988, ch. 5) and of homotopy paths (Efron et al.,
-Ann. Statist. 32(2), 2004).  Where pieces certify nothing, the cold
-pattern iteration above runs at that sample.  Past a jump the walk starts
-from the segment endpoint the path leaves, with the cell that bounds the
-segment held.
+c0 + t*dc first, one saturation pattern at a time, and then certifies it
+once (:func:`_points_along`).  The equilibrium is affine in t while its
+pattern (Z = {R'x + c <= 0} at 0, U = {R'x + c >= w} at w, the rest free)
+holds, so one linear solve of the free cells, with the mirrored system and
+the direction as further right-hand sides, gives x_min(t) and x_max(t) on
+a whole piece (:func:`_pattern_piece`).  A ratio test on R'x(t) + c(t),
+affine on the piece, finds where the path leaves the pattern, and the
+next piece starts just past it: the continuation of parametric LCP (Murty
+1988, ch. 5) and of homotopy paths (Efron et al., Ann. Statist. 32(2),
+2004).  Only then is every sample of the walk checked, in one vectorised
+pass with the tests a cold answer meets (:func:`_certify`).  A sample that
+fails, one on a breakpoint up to rounding, is tried on the piece across
+that breakpoint, and the cold pattern iteration above answers what no
+piece certifies.  Past a jump the walk starts from the segment endpoint
+the path leaves, with the cell that bounds the segment held.
 
 For stochastic irreducible routing with zero-sum demand the full set of
 equilibria is known analytically: it is the line {Hc + a*pi} intersected
@@ -70,6 +72,7 @@ from .model import (
     _pi_and_h,
     _reached,
     _require_stochastic_irreducible,
+    _zero_sum_rows,
     classify_routing,
     is_zero_sum,
     tolerance_scale,
@@ -177,6 +180,12 @@ class _Network(NamedTuple):
         """True iff the equilibrium at c is unique and walkable: sub-stochastic
         out-connected routing, or stochastic irreducible off the zero-sum hyperplane."""
         return self.routing_class.tag == SUBSTOCHASTIC_OUT_CONNECTED or (self.stochastic and not is_zero_sum(c))
+
+    def walkable_rows(self, C: np.ndarray) -> np.ndarray:
+        """:meth:`walkable` of each row of C, in one pass."""
+        if self.routing_class.tag == SUBSTOCHASTIC_OUT_CONNECTED:
+            return np.ones(len(C), dtype=bool)
+        return ~_zero_sum_rows(C) if self.stochastic else np.zeros(len(C), dtype=bool)
 
 
 def _network(R: np.ndarray, w: np.ndarray, op: str | None = None) -> _Network:
@@ -334,71 +343,121 @@ def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -
     return EquilibriumSet(kind=POINT, x_min=x_min, x_max=x_max, condition_value=condition_value)
 
 
+class _Piece(NamedTuple):
+    """One saturation pattern's stretch of a walk: the cells Z held at 0
+    and U at w, and the columns of :func:`_pattern_piece`'s solve at t0 (x,
+    the mirrored w - x and the direction dir), so that x_min(t) =
+    held[:, 0] + (t - t0)*dir and x_max(t) = (w - held[:, 1]) + (t - t0)*dir.
+    end is the first parameter at which a cell leaves its region."""
+
+    t0: float
+    zero: np.ndarray
+    cap: np.ndarray
+    held: np.ndarray
+    end: float
+
+
 def _points_along(net: _Network, c0: np.ndarray, dc: np.ndarray, ts,
                   seed: tuple[float, np.ndarray] | None) -> list[EquilibriumSet]:
     """The unique equilibria at the demands c0 + t*dc for ascending ts, all
-    of them walkable (:meth:`_Network.walkable`).
+    of them walkable (:meth:`_Network.walkable`): walk the path first, then
+    certify it once.
 
-    seed is None or (t, y): a vector y = R'x + c whose saturation pattern
-    the first piece takes as given from the path parameter t <= ts[0] (see
-    :func:`_pattern_piece`).  Each piece hands the next one its restart: a
-    point between its first two breakpoints when the path leaves its
-    pattern before the first sample it did not certify, else that sample.
-    Where a piece gives up, more than 2n pieces in a row certify nothing,
-    or there is no seed, :func:`_point` runs unchanged at the sample, and
-    the next piece starts from that answer's own pattern.
+    The walk runs piece by piece (:func:`_pattern_piece`).  seed is None or
+    (t, y): a vector y = R'x + c whose saturation pattern the first piece
+    takes as given from the path parameter t <= ts[0].  Each piece makes one
+    linear solve and a ratio test, which give its affine data, the samples
+    it covers (those up to its first breakpoint) and where the next piece
+    starts; nothing is checked yet.  Where a piece gives up, more than 2n
+    pieces in a row cover no sample, or there is no seed, :func:`_point`
+    answers the sample cold and the next piece starts from that answer's
+    own pattern.
+
+    The certificate then checks every covered sample of the walk in one
+    vectorised pass (:func:`_certify`), with the tests a cold answer meets.
+    A sample that fails is tried again on the piece across the breakpoint
+    nearest to it, and one that fails there too is answered cold by
+    :func:`_point`, so every answer is certified.
     """
     ts = np.asarray(ts, dtype=float)
-    out: list[EquilibriumSet] = []
-    restarts = 0
-    while len(out) < ts.size:
-        i = len(out)
+    pieces: list[_Piece] = []
+    owner = np.full(ts.size, -1)  # the piece that covers each sample, -1 where answered cold
+    out: list[EquilibriumSet | None] = [None] * ts.size
+    i = restarts = 0
+    while i < ts.size:
         if seed is not None and restarts <= 2 * net.w.size:
-            piece, seed = _pattern_piece(net, c0, dc, *seed, ts[i:])
-            out.extend(piece)
-            restarts = 0 if piece else restarts + 1
+            piece, covered, seed = _pattern_piece(net, c0, dc, *seed, ts[i:])
+            if piece is not None:
+                owner[i:i + covered] = len(pieces)
+                pieces.append(piece)
+                i += covered
+                restarts = 0 if covered else restarts + 1
             continue
-        eq = _point(net, c0 + ts[i] * dc)
-        out.append(eq)
-        seed, restarts = (ts[i], net.R.T @ eq.x_min + (c0 + ts[i] * dc)), 0
+        c = c0 + ts[i] * dc
+        out[i] = _point(net, c)
+        seed, restarts = (ts[i], net.R.T @ out[i].x_min + c), 0
+        i += 1
+    walked = np.flatnonzero(owner >= 0)
+    if walked.size:
+        ok, lows, highs = _certify(net, c0, dc, ts[walked], pieces, owner[walked])
+        for j, k, lo, hi, good in zip(walked, owner[walked], lows, highs, ok):
+            out[j] = (EquilibriumSet(kind=POINT, x_min=lo, x_max=hi) if good
+                      else _retry(net, c0, dc, ts[j], pieces, k, lo))
     return out
 
 
+def _retry(net: _Network, c0: np.ndarray, dc: np.ndarray, t: float, pieces: list[_Piece], k: int,
+           x: np.ndarray) -> EquilibriumSet:
+    """The equilibrium at c0 + t*dc, a sample that failed its certificate
+    on pieces[k] with x_min = x there, as one on a breakpoint up to
+    rounding does.  It is certified on the piece across the nearer
+    breakpoint around t: the walk's piece there, or where the walk has none,
+    the piece that the pattern of R'x + c at t gives.  Failing that,
+    :func:`_point` answers it cold."""
+    c, ts = c0 + t * dc, np.array([t])
+    if k and t - pieces[k - 1].end < pieces[k].end - t:
+        piece = pieces[k - 1]
+    elif k + 1 < len(pieces):
+        piece = pieces[k + 1]
+    else:
+        piece = _pattern_piece(net, c0, dc, t, net.R.T @ x + c, ts)[0]
+    if piece is not None:
+        ok, lows, highs = _certify(net, c0, dc, ts, [piece], np.zeros(1, dtype=int))
+        if ok[0]:
+            return EquilibriumSet(kind=POINT, x_min=lows[0], x_max=highs[0])
+    return _point(net, c)
+
+
 def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: np.ndarray,
-                   ts: np.ndarray) -> tuple[list[EquilibriumSet], tuple[float, np.ndarray] | None]:
-    """The equilibria at c0 + t*dc on the longest prefix of ts that the
-    saturation pattern of y at t0 certifies, and where the next piece
-    starts (None to give up).
+                   ts: np.ndarray) -> tuple[_Piece | None, int, tuple[float, np.ndarray] | None]:
+    """The piece of the walk c0 + t*dc that the saturation pattern of y at
+    t0 gives, the number of leading samples of ts it covers, and where the
+    next piece starts (None where the walk goes on from a cold answer or
+    has covered ts).  The piece is None when the pattern gives nothing.
 
     The pattern (Z = {y <= 0} at 0, U = {y >= w} at w, F the rest) gives
     x_F from (I - R'_FF) x_F = c_F + R'_FU w_U at t0; the same solve takes
     the mirrored system of w - x (Z at w, U at 0) and the direction dc_F
     as further columns.  The pattern is taken as given, from a guess or a
     known point (a segment endpoint, a restart, a cold answer); a guess it
-    does not fit certifies nothing at its own sample, which the caller
-    answers cold.  On the piece x(t) = x(t0) + (t - t0)*dir on both sides
-    (the mirrored direction is -dir exactly, so it needs no column), and
-    sample t is accepted only if the pattern of x_min(t) reproduces Z
-    and U, both residuals ||T(x) - x||_1 are below _FIXED_POINT_TOL and
-    x_min, x_max agree within POINT_AGREEMENT_TOL, each times
-    max(1, |w|_inf).  With stochastic R and Z, U both empty, I - R' is
-    singular and the piece is skipped.
+    does not fit at its own sample gives nothing, and the caller answers
+    that sample cold.  On the piece x(t) = x(t0) + (t - t0)*dir on both
+    sides (the mirrored direction is -dir exactly, so it needs no column).
+    With stochastic R and Z, U both empty, I - R' is singular and the
+    piece is skipped.
 
     y(t) = R'x(t) + c(t) is affine on the piece, and a ratio test on it
     (that of parametric LCP and homotopy methods) gives the parameters at
-    which cells cross their bounds.  It runs before the check, which takes
-    only the samples up to the first crossing and one past it: later ones
-    fail the pattern test anyway.  The checked samples before the first
-    failure are returned.  If a cell crosses its bound before the first
-    sample not returned, the next piece starts midway between that
-    crossing and the next one (or that sample), where y shows the pattern
-    past the breakpoint.  Otherwise it starts at the rejected sample with
-    the pattern of y there.
+    which cells cross their bounds; a cell already outside its region
+    leaves at t0 unless it is back inside by ts[0].  The piece covers the
+    samples up to the first crossing, and the next piece starts midway
+    between that crossing and the next one (or the next sample), where y
+    shows the pattern past the breakpoint.
     """
     R_t, w = net.R.T, net.w
     zero, cap = y <= 0, y >= w
     if net.stochastic and not (zero.any() or cap.any()):
-        return [], None
+        return None, 0, None
     c = c0 + t0 * dc
     # column 0 is the system for x, column 1 the mirrored one for w - x, column 2 the direction
     demands = np.empty((w.size, 3))
@@ -406,51 +465,60 @@ def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: 
     held = np.zeros((w.size, 3))
     held[:, 0], held[:, 1] = w * cap, w * zero
     if not _solve_free(R_t, ~(zero | cap), demands, held):
-        return [], None
+        return None, 0, None
     y = R_t @ held[:, 0] + c
     # when each cell leaves its region on the line y + (t - t0)*slope: Z
     # cells cross 0 upward, U cells w downward, F cells reach 0 or w; a
-    # cell already outside it (the seed's pattern is not re-read) leaves at t0
+    # cell already outside it (the seed's pattern is not re-read) leaves at
+    # t0, unless the line brings it back by ts[0], as it does a held cell
+    # that rounding puts just past its bound
     slope = R_t @ held[:, 2] + dc
-    bound = np.where(zero | (~cap & (slope < 0)), 0.0, w)
-    moving = np.where(zero, slope > 0, np.where(cap, slope < 0, slope != 0))
-    leave = np.full_like(w, np.inf)
-    leave[moving] = t0 + (bound - y)[moving] / slope[moving]
-    leave[np.where(zero, y > 0, np.where(cap, y < w, (y <= 0) | (y >= w)))] = t0
-    crossing = np.sort(leave[leave < np.inf])
-    # samples past the sample after the first crossing fail the pattern
-    # test anyway, so only those up to it are checked
-    checked = min(ts.size, int(np.searchsorted(ts, crossing[0], side="right")) + 1) if crossing.size else ts.size
-    tc = ts[:checked]
-    step = (tc - t0) * held[:, 2:3]
-    x_min = held[:, 0:1] + step
-    x_max = (w - held[:, 1])[:, None] + step
-    C = c0[:, None] + tc * dc[:, None]  # the same bits as c0 + t*dc per sample
-    Y = R_t @ x_min + C
-    W = w[:, None]
+    falling = slope < 0
+    moving = np.where(falling, ~zero, ~cap & (slope > 0))
+    bound = np.where(zero | (falling & ~cap), 0.0, w)
+    leave = np.divide(bound - y, slope, out=np.full_like(w, np.inf), where=moving)
+    leave += t0
+    outside = ((y <= 0) ^ zero) | ((y >= w) ^ cap)
+    if outside.any():
+        if ts[0] == t0:
+            return None, 0, None  # the guess's own sample: nothing to restart from
+        y_first = y + (ts[0] - t0) * slope
+        leave[outside & (((y_first <= 0) ^ zero) | ((y_first >= w) ^ cap))] = t0
+    first = leave.min()
+    piece = _Piece(t0, zero, cap, held, first)
+    covered = int(ts.searchsorted(first, side="right"))
+    if covered == ts.size:
+        return piece, covered, None
+    t_next = 0.5 * (first + min(leave[leave > first].min(initial=np.inf), ts[covered]))
+    return piece, covered, (t_next, y + (t_next - t0) * slope)
+
+
+def _certify(net: _Network, c0: np.ndarray, dc: np.ndarray, ts: np.ndarray, pieces: list[_Piece],
+             k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whether sample ts[j] on piece pieces[k[j]] is certified, and x_min,
+    x_max there, one row per sample, in one vectorised pass.
+
+    A sample is accepted only if the pattern of x_min reproduces the
+    piece's Z and U, both residuals ||T(x) - x||_1 are below
+    _FIXED_POINT_TOL and x_min, x_max agree within POINT_AGREEMENT_TOL,
+    each times max(1, |w|_inf).
+    """
+    R, w = net.R, net.w
+    t0, zero, cap, held, _ = (np.array(column)[k] for column in zip(*pieces))
+    step = (ts - t0)[:, None] * held[:, :, 2]
+    m = ts.size
+    X = np.empty((2 * m, w.size))
+    X[:m], X[m:] = held[:, :, 0] + step, (w - held[:, :, 1]) + step
+    C = c0 + ts[:, None] * dc  # the same bits as c0 + t*dc per sample
+    Y = X @ R  # R'x of each row
+    Y[:m] += C
+    Y[m:] += C
+    ok = ~((Y[:m] <= 0) ^ zero).any(axis=1) & ~((Y[:m] >= w) ^ cap).any(axis=1)
     scale = tolerance_scale(w)
-    ok = ~((Y <= 0) ^ zero[:, None]).any(axis=0) & ~((Y >= W) ^ cap[:, None]).any(axis=0)
-    ok &= np.abs(np.minimum(np.maximum(Y, 0.0), W) - x_min).sum(axis=0) < _FIXED_POINT_TOL * scale
-    residual_max = np.abs(np.minimum(np.maximum(R_t @ x_max + C, 0.0), W) - x_max).sum(axis=0)
-    ok &= residual_max < _FIXED_POINT_TOL * scale
-    ok &= np.abs(x_max - x_min).sum(axis=0) <= POINT_AGREEMENT_TOL * scale
-    accepted = checked if ok.all() else int(np.argmin(ok))
-    lows, highs = np.ascontiguousarray(x_min[:, :accepted].T), np.ascontiguousarray(x_max[:, :accepted].T)
-    piece = [EquilibriumSet(kind=POINT, x_min=lo, x_max=hi) for lo, hi in zip(lows, highs)]
-    if accepted == ts.size:
-        return piece, None
-    t_last, t_bad = (ts[accepted - 1] if accepted else t0), ts[accepted]
-    if t_bad == t0:
-        return piece, None  # the guess's own sample: nothing to restart from
-    # a cell on its bound at t_last, or past it by rounding, leaves it
-    # there; when every checked sample passed, t_last lies past the first
-    # crossing and t_bad is the unchecked sample after it
-    first = max(crossing[0], t_last) if crossing.size else np.inf
-    if first < t_bad:
-        beyond = crossing[crossing > first]
-        t_next = 0.5 * (first + min(beyond[0] if beyond.size else t_bad, t_bad))
-        return piece, (t_next, y + (t_next - t0) * slope)
-    return piece, (t_bad, Y[:, accepted])
+    residual = np.abs(np.minimum(np.maximum(Y, 0.0), w) - X).sum(axis=1)
+    ok &= (residual[:m] < _FIXED_POINT_TOL * scale) & (residual[m:] < _FIXED_POINT_TOL * scale)
+    ok &= np.abs(X[m:] - X[:m]).sum(axis=1) <= POINT_AGREEMENT_TOL * scale
+    return ok, X[:m], X[m:]
 
 
 def _endpoint_seed(line, w: np.ndarray, dc: np.ndarray) -> np.ndarray:

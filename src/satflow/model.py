@@ -36,6 +36,9 @@ from .errors import NumericalError, PreconditionError, ScenarioError
 # so scaling (w, c) does not touch it.
 ROW_SUM_TOL = 1e-12
 
+# sum(v) = 0 within this much of |v|_1 (see zero_sum_tol)
+_ZERO_SUM_RTOL = 1e-12
+
 #: residual required of the invariant vector and of the H operator output
 RESIDUAL_TOL = 1e-10
 
@@ -367,12 +370,18 @@ def tolerance_scale(w: np.ndarray) -> float:
 def zero_sum_tol(v: np.ndarray) -> float:
     """Tolerance on the zero-sum condition sum(v) = 0, relative to |v|_1
     with no floor, so that scaling v does not decide the answer."""
-    return 1e-12 * np.abs(v).sum()
+    return _ZERO_SUM_RTOL * np.abs(v).sum()
 
 
 def is_zero_sum(v: np.ndarray) -> bool:
     v = np.asarray(v, dtype=float)
     return abs(v.sum()) <= zero_sum_tol(v)
+
+
+def _zero_sum_rows(V: np.ndarray) -> np.ndarray:
+    """:func:`is_zero_sum` of each row of a C-contiguous 2-d V, in one pass
+    (a row sum has the bits of the row's own sum)."""
+    return np.abs(V.sum(axis=1)) <= _ZERO_SUM_RTOL * np.abs(V).sum(axis=1)
 
 
 def h_operator(R: np.ndarray, v: np.ndarray) -> np.ndarray:

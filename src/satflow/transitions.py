@@ -14,19 +14,22 @@ segment has shrunk to a point and the state does not jump.
 
 Away from the critical set the unique equilibrium moves piecewise
 affinely in c, with a fixed saturation pattern on each piece.  Each entry
-point builds the classified network of :mod:`satflow.equilibria` once,
-and its rule decides which samples are walked one piece at a time: the
-cold solver answers the first, one checked linear solve gives every
-sample of a piece, and a breakpoint between samples starts the next
-piece.  The other samples take the cold solver.  Past a jump the walk
-starts again from the segment endpoint the path leaves.  The answers are
-those of :func:`satflow.equilibria.equilibrium_set` at each demand, up to
-rounding.
+point builds the classified network of :mod:`satflow.equilibria` once.
+A sweep builds its sample demands as one array, and the network's rule
+decides in one pass which samples are walked: the cold solver answers
+the first, one linear solve gives a whole piece, and a breakpoint between
+samples starts the next piece.  The walk comes first and its samples are
+certified after it, all in one vectorised pass; a sample that fails there
+is tried on the piece next to it and then on the cold solver.  The other
+samples take the cold solver.  Past a jump the walk starts again from the
+segment endpoint the path leaves.  The answers are those of
+:func:`satflow.equilibria.equilibrium_set` at each demand, up to rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from .equilibria import (
     _points_along,
     _segment,
 )
-from .model import NetworkSpec, is_zero_sum, validate, zero_sum_tol
+from .model import NetworkSpec, _zero_sum_rows, is_zero_sum, validate, zero_sum_tol
 
 #: condition values at most this times |w|_1 are flagged marginal, not
 #: classified; the condition value is the l1 length of the segment, so the
@@ -68,8 +71,8 @@ class DemandPath:
         self.c_end = np.asarray(self.c_end, dtype=float)
         if self.c_start.shape != self.c_end.shape or self.c_start.ndim != 1:
             raise ValueError("c_start and c_end must be 1-d vectors of equal length")
-        if self.samples < 2:
-            raise ValueError("samples must be at least 2")
+        if not isinstance(self.samples, Integral) or isinstance(self.samples, bool) or self.samples < 2:
+            raise ValueError(f"samples must be an integer of at least 2, got {self.samples!r}")
 
     def c_at(self, s: float) -> np.ndarray:
         return self.c_start + s * (self.c_end - self.c_start)
@@ -170,17 +173,20 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
 
     The routing matrix is classified once for the whole path, and each grid
     sample gets the equilibrium set
-    :func:`satflow.equilibria.equilibrium_set` would give.  The samples
-    with a unique equilibrium off the zero-sum hyperplane are walked one
-    saturation pattern at a time from the first of them, which the cold
-    solver answers (see :mod:`satflow.equilibria`).  Where the path
+    :func:`satflow.equilibria.equilibrium_set` would give.  The sample
+    demands are one (samples, n) array with the bits of path.c_at, and one
+    pass over it picks the samples with a unique equilibrium off the
+    zero-sum hyperplane.  Those are walked one saturation pattern at a time
+    from the first of them, which the cold solver answers, and certified
+    once the walk is done (see :mod:`satflow.equilibria`).  Where the path
     crosses the critical set, at s*, the walk stops and starts again past
     the jump from the segment endpoint the path leaves.  Zero-sum samples
     and reducible routing take the cold path one sample at a time.
 
     The critical points come from the path's ends, not from its samples.
     Off the hyperplane the total demand is affine in s, and its zero s*
-    is one if the condition value there is positive.  Inside it, they are
+    is one if the condition value there is positive; s* is 0 or 1 exactly
+    when that end of the path is zero-sum.  Inside it, they are
     the ends in (0, 1) of the stretch where the path is critical
     (:func:`_critical_stretch`), or s = 0 if that is the whole path; such
     an end is an edge of the critical set, where the segment shrinks to a
@@ -202,7 +208,9 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     # at an edge), and where the walk restarts past a jump
     critical, seed = [], None
     if net.stochastic and abs(slope) > scale_tol and -MATCH_TOL <= -sig0 / slope <= 1 + MATCH_TOL:
-        s_star = min(max(-sig0 / slope, 0.0), 1.0)
+        # an end that is zero-sum is s* itself, not the root's rounding of it
+        s_star = 0.0 if is_zero_sum(path.c_start) else 1.0 if is_zero_sum(path.c_end) else (
+            min(max(-sig0 / slope, 0.0), 1.0))
         line = _critical_line(net, path.c_at(s_star))
         if line is not None:
             critical, seed = [(s_star, line)], (s_star, _endpoint_seed(line, net.w, dc))
@@ -212,16 +220,14 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
             critical = [(s, None) for s in (lo, hi) if 0.0 < s < 1.0] or (
                 [(0.0, line)] if lo <= 0.0 and hi >= 1.0 else [])
 
-    cs = [path.c_at(s) for s in grid]
+    cs = path.c_start + grid[:, None] * dc  # one row per sample, the bits of path.c_at
     eqs: list[EquilibriumSet | None] = [None] * grid.size
-    walked = []  # the samples with a unique equilibrium off the zero-sum hyperplane
-    for i, c in enumerate(cs):
-        if net.walkable(c):
-            walked.append(i)
-        else:
-            eqs[i] = _equilibrium(net, c)
+    walkable = net.walkable_rows(cs)  # the samples with a unique equilibrium off the zero-sum hyperplane
+    for i in np.flatnonzero(~walkable):
+        eqs[i] = _equilibrium(net, cs[i])
+    walked = np.flatnonzero(walkable)
     # past a jump the walk restarts from its seed; with none, every sample is before it
-    split = sum(1 for i in walked if seed is None or grid[i] <= seed[0])
+    split = walked.size if seed is None else int(np.searchsorted(grid[walked], seed[0], side="right"))
     for run, start in ((walked[:split], None), (walked[split:], seed)):
         for i, eq in zip(run, _points_along(net, path.c_start, dc, grid[run], start)):
             eqs[i] = eq
@@ -272,9 +278,10 @@ def directional_limits(
     c_star +/- t*d with t rising through the epsilons, from the smallest up
     (see :mod:`satflow.equilibria`): its first pattern is that of the
     segment endpoint it approaches (x_min below, x_max above, from the line
-    data of c_star), so for small epsilons one linear solve certifies them
-    all; a breakpoint between two epsilons starts a new piece, and a piece
-    that does not certify falls back to the cold solver.
+    data of c_star), so for small epsilons one linear solve gives them all;
+    a breakpoint between two epsilons starts a new piece.  The walk is
+    certified once it is done, and an epsilon that fails there falls back
+    to the piece next to it and then to the cold solver.
     """
     d = np.asarray(direction, dtype=float)
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=c_star))
@@ -288,10 +295,12 @@ def directional_limits(
     if not eps_list or not all(0 < e < np.inf for e in eps_list):
         raise PreconditionError("epsilons must be positive and finite")
 
-    for eps in eps_list:
-        for sign in (-1.0, 1.0):
-            if is_zero_sum(spec.demand + sign * eps * d):
-                raise PreconditionError(f"perturbed demand at eps={eps:g} is unexpectedly zero-sum")
+    # c_star - eps*d and c_star + eps*d for each eps in turn, one row each
+    offsets = np.outer([sign * eps for eps in eps_list for sign in (-1.0, 1.0)], d)
+    zero_sum = _zero_sum_rows(spec.demand + offsets)
+    if zero_sum.any():
+        raise PreconditionError(f"perturbed demand at eps={eps_list[int(np.argmax(zero_sum)) // 2]:g} "
+                                "is unexpectedly zero-sum")
     ts = eps_list[::-1]
     below = _points_along(net, spec.demand, -d, ts, (0.0, _endpoint_seed(line, net.w, -d)))
     above = _points_along(net, spec.demand, d, ts, (0.0, _endpoint_seed(line, net.w, d)))

@@ -326,6 +326,18 @@ class TestSweep:
         golden = (demos / "three_cell.critical.json").read_bytes()
         assert (tmp_path / "three_cell.critical.json").read_bytes() == golden
 
+    @pytest.mark.parametrize("start_critical", [True, False])
+    def test_sidecar_puts_a_critical_end_at_its_s(self, capsys, scenario3, tmp_path, start_critical):
+        # c* = [1/3, -1, 2/3] at one end: the jump is at s = 0 or 1 exactly
+        ends = [",".join(repr(v) for v in (1 / 3, -1.0, 2 / 3)), "3,-1,6"]
+        c_start, c_end = ends if start_critical else ends[::-1]
+        out_csv = tmp_path / "edge.csv"
+        code, _ = run(capsys, ["sweep", scenario3, "--c-start", c_start, "--c-end", c_end,
+                               "--samples", "11", "--out", str(out_csv)])
+        assert code == 0
+        sidecar = json.loads(open(sidecar_path_for(str(out_csv))).read())
+        assert [point["s"] for point in sidecar["critical"]] == [0.0 if start_critical else 1.0]
+
     def test_no_crossing_empty_sidecar(self, capsys, scenario3, tmp_path):
         out_csv = tmp_path / "flat.csv"
         code, _ = run(capsys, ["sweep", scenario3, "--c-start", "0,-1,0",

@@ -11,9 +11,11 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satflow import DemandPath, on_critical_manifold, sweep
+import pytest
 
-from conftest import random_stochastic_irreducible, random_substochastic
+from satflow import DemandPath, equilibria, on_critical_manifold, sweep
+
+from conftest import R3, W3, random_stochastic_irreducible, random_substochastic
 
 
 @st.composite
@@ -124,3 +126,42 @@ def test_permuting_cells_permutes_rows(case, random):
 @given(in_hyperplane_sweeps(), st.randoms(use_true_random=False))
 def test_permuting_cells_keeps_the_edges_of_an_in_hyperplane_path(case, random):
     _check_permutation(case, random, edges=True)
+
+
+def _check_walkable_rows(R, w, path):
+    """sweep decides which samples to walk in one pass over its (samples, n)
+    demands: each row must have path.c_at's bits and get the decision of
+    _Network.walkable on it."""
+    seen, real = [], equilibria._Network.walkable_rows
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(equilibria._Network, "walkable_rows",
+                  lambda net, C: seen.append((net, C.copy(), real(net, C))) or seen[-1][2])
+        sweep(R, w, path)
+    (net, C, walkable), = seen
+    assert C.shape == (path.samples, w.size)
+    for s, c, walk in zip(path.grid, C, walkable):
+        assert np.array_equal(c, path.c_at(s))
+        assert walk == net.walkable(path.c_at(s))
+
+
+@given(crossing_sweeps())
+def test_walkable_rows_decide_as_walkable_on_crossing_paths(case):
+    _check_walkable_rows(*case)
+
+
+@given(in_hyperplane_sweeps())
+def test_walkable_rows_decide_as_walkable_in_the_hyperplane(case):
+    _check_walkable_rows(*case)
+
+
+_REDUCIBLE = np.array([[0.0, 0.9, 0.0, 0.0], [0.9, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("R, w, path", [
+    # s* = 1/2 falls on the middle sample, whose demand sums to 0 only up to rounding
+    (R3, W3, DemandPath([0.0, -1.0, 0.0], [2 / 3, -1.0, 4 / 3], 3)),
+    (R3, W3, DemandPath([0.0, -1.0, 0.0], [3.0, -1.0, 6.0], 91)),
+    (_REDUCIBLE, np.ones(4), DemandPath([0.0, 0.0, -0.5, 0.5], [1.0, 1.0, 0.5, -0.5], 7)),
+], ids=["s_star_on_a_sample", "reference", "reducible"])
+def test_walkable_rows_decide_as_walkable(R, w, path):
+    _check_walkable_rows(R, w, path)

@@ -47,6 +47,15 @@ class TestDemandPath:
         with pytest.raises(ValueError, match="samples"):
             DemandPath([0.0], [1.0], 1)
 
+    # a float count once constructed and failed later in np.linspace
+    @pytest.mark.parametrize("samples", [5.0, 2.5, True, "5", None, 1, 0, -3], ids=repr)
+    def test_rejects_samples_that_are_not_an_integer_of_at_least_2(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer of at least 2"):
+            DemandPath([0.0, -1.0, 0.0], [3.0, -1.0, 6.0], samples)
+
+    def test_accepts_numpy_integer_samples(self):
+        assert DemandPath([0.0], [1.0], np.int64(3)).grid.tolist() == [0.0, 0.5, 1.0]
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             DemandPath([0.0, 1.0], [1.0], 5)
@@ -98,6 +107,19 @@ class TestSweep:
         assert len(result.jumps) == 1
         assert result.jumps[0]["s"] == 0.0
         assert abs(result.jumps[0]["magnitude"] - COND3) < 1e-8
+
+    @pytest.mark.parametrize("start_critical", [True, False])
+    def test_critical_end_of_a_crossing_path_is_its_s(self, start_critical):
+        # the total demand's root at a zero-sum end is that end's s exactly,
+        # not its rounding (1.4e-17 at the start)
+        ends = [C_STAR, [3.0, -1.0, 6.0]]
+        path = DemandPath(*(ends if start_critical else ends[::-1]), 11)
+        result = sweep(R3, W3, path)
+        end = 0 if start_critical else -1
+        assert result.rows[end].kind == SEGMENT
+        assert [jump["s"] for jump in result.jumps] == [0.0 if start_critical else 1.0]
+        assert abs(result.jumps[0]["magnitude"] - COND3) < 1e-8
+        assert not result.unresolved
 
     def test_in_hyperplane_edge_is_exact_and_does_not_jump(self):
         # t*C3 is critical for -4 < t < 5.55 (condition value 534/40 - 89t/37
@@ -228,6 +250,11 @@ class TestDirectionalLimits:
         with pytest.raises(PreconditionError, match="epsilons must be positive and finite"):
             directional_limits(R3, W3, C_STAR, np.ones(3), epsilons=epsilons)
 
+    def test_rejects_an_epsilon_too_small_to_leave_the_hyperplane(self):
+        # eps*sum(d) = 3e-20 is below 1e-12*|c_star +/- eps*d|_1: still zero-sum
+        with pytest.raises(PreconditionError, match="at eps=1e-20 is unexpectedly zero-sum"):
+            directional_limits(R3, W3, C_STAR, np.ones(3), epsilons=(1e-2, 1e-20, 1e-3))
+
 
 def _reducible_routing():
     # a leaky 2-cycle (0.9) beside a closed stochastic 2-cycle: MinMaxOnly
@@ -272,12 +299,17 @@ class TestContinuation:
 
     def test_sweep_rows_match_equilibrium_set(self, monkeypatch):
         rng = np.random.default_rng(67)
-        pieces, cold = [], []
-        real_piece, real_point = equilibria._pattern_piece, equilibria._point
+        pieces, certified, cold, solves = [], [], [], []
+        real_piece, real_certify = equilibria._pattern_piece, equilibria._certify
+        real_point, real_solve = equilibria._point, equilibria._solve_free
 
         def counted_piece(*args, **kwargs):
-            out = real_piece(*args, **kwargs)
-            pieces.append(len(out[0]))
+            pieces.append(1)
+            return real_piece(*args, **kwargs)
+
+        def counted_certify(*args, **kwargs):
+            out = real_certify(*args, **kwargs)
+            certified.append(int(out[0].sum()))
             return out
 
         def counted_point(net, c, *args, **kwargs):
@@ -285,13 +317,16 @@ class TestContinuation:
             return real_point(net, c, *args, **kwargs)
 
         monkeypatch.setattr(equilibria, "_pattern_piece", counted_piece)
+        monkeypatch.setattr(equilibria, "_certify", counted_certify)
         monkeypatch.setattr(equilibria, "_point", counted_point)
-        crossing = 0
+        monkeypatch.setattr(equilibria, "_solve_free", lambda *a, **k: solves.append(1) or real_solve(*a, **k))
+        crossing = total_solves = total_cold = 0
         for trial in range(200):
             R, w, path = _random_path(rng, trial)
             tol = 1e-10 * max(1.0, w.max())
-            del cold[:]
+            del cold[:], solves[:]
             result = sweep(R, w, path)
+            total_solves, total_cold = total_solves + len(solves), total_cold + len(cold)
             if trial % 6 in (2, 3) and result.jumps:
                 # a path that crosses the critical set runs the cold solver
                 # at its first sample only: past the crossing the walk starts
@@ -309,7 +344,7 @@ class TestContinuation:
                 assert np.abs(row.x_max - eq.x_max).sum() <= tol
             # the same sweep with every guess refused runs equilibrium_set's path
             with monkeypatch.context() as m:
-                m.setattr(equilibria, "_pattern_piece", lambda *args, **kwargs: ([], None))
+                m.setattr(equilibria, "_pattern_piece", lambda *args, **kwargs: (None, 0, None))
                 cold_sweep = sweep(R, w, path)
             assert result.jumps == cold_sweep.jumps
             assert result.critical_points == cold_sweep.critical_points
@@ -319,7 +354,11 @@ class TestContinuation:
                 assert jump["magnitude"] == np.abs(eq.x_max - eq.x_min).sum()
         assert crossing > 30
         # one pattern solve usually certifies several samples
-        assert sum(pieces) > 1.5 * len(pieces) > 1000
+        assert sum(certified) > 1.5 * len(pieces) > 1000
+        # free-cell solves and _point calls of these 200 sweeps when each
+        # piece was certified as it was walked: walking first costs no more
+        assert total_solves <= 2961
+        assert total_cold <= 1543
 
     def test_one_piece_per_affine_stretch(self, monkeypatch):
         # a in [2.2, 8] of the reference path lies inside one affine piece
@@ -350,6 +389,60 @@ class TestContinuation:
         result = sweep(R3, W3, path)
         assert len(result.jumps) == 1
         assert len(cold) == 1 and np.array_equal(cold[0], path.c_start)
+
+    def test_walk_that_certifies_nothing_answers_every_sample_cold(self, monkeypatch):
+        # every sample the walk covers fails its certificate, on its own
+        # piece and on the retry, and goes to _point: the rows are then
+        # equilibrium_set's, bit for bit
+        cold = []
+        real_certify, real_point = equilibria._certify, equilibria._point
+
+        def refused(*args):
+            ok, lows, highs = real_certify(*args)
+            return np.zeros_like(ok), lows, highs
+
+        monkeypatch.setattr(equilibria, "_certify", refused)
+        monkeypatch.setattr(equilibria, "_point", lambda net, c, *a, **k: cold.append(c) or real_point(net, c, *a, **k))
+        path = DemandPath([0.0, -1.0, 0.0], [3.0, -1.0, 6.0], 31)
+        rows = sweep(R3, W3, path).rows
+        monkeypatch.undo()
+        walked = [row for row in rows if row.kind == POINT]
+        assert len(walked) == 31 and len(cold) == 31
+        for row, c in zip(walked, cold):
+            assert np.array_equal(c, row.c)
+            eq = equilibrium_set(validate(NetworkSpec(routing=R3, capacity=W3, demand=row.c)))
+            assert np.array_equal(row.x_min, eq.x_min) and np.array_equal(row.x_max, eq.x_max)
+
+    @pytest.mark.parametrize("c_end, samples", [(0.75, 3), (0.5, 2)], ids=["middle", "last"])
+    def test_sample_on_a_breakpoint_is_certified_on_the_piece_past_it(self, monkeypatch, c_end, samples):
+        # two cells feeding each other half their mass, x = min(2a, 1) on
+        # both, saturate at a = 0.5, a sample: its own piece (both free)
+        # fails the pattern test there, and the piece past the breakpoint,
+        # the walk's next one or, at the last sample, one solved from the
+        # sample's pattern, certifies it without the cold solver
+        calls = []
+        real_piece, real_point = equilibria._pattern_piece, equilibria._point
+        monkeypatch.setattr(equilibria, "_pattern_piece", lambda *a, **k: calls.append("piece") or real_piece(*a, **k))
+        monkeypatch.setattr(equilibria, "_point", lambda *a, **k: calls.append("point") or real_point(*a, **k))
+        R, w = np.array([[0.0, 0.5], [0.5, 0.0]]), np.ones(2)
+        rows = sweep(R, w, DemandPath([0.25, 0.25], [c_end, c_end], samples)).rows
+        assert calls == ["point", "piece", "piece"]
+        assert np.array_equal(rows[0].x_min, [0.5, 0.5])
+        for row in rows[1:]:
+            assert np.array_equal(row.x_min, w) and np.array_equal(row.x_max, w)
+
+    def test_held_cell_rounded_past_its_bound_covers_the_samples(self, monkeypatch):
+        # the falling reference path leaves c* at s* = 8/9 from x_min with
+        # cell 2 held at 0; after the solve R'x + c puts it at 2.2e-16, just
+        # past its bound, and the path brings it back at once, so the piece
+        # from s* covers both samples after it instead of restarting
+        pieces = []
+        real = equilibria._pattern_piece
+        monkeypatch.setattr(equilibria, "_pattern_piece", lambda *a: pieces.append((a[3], real(*a))) or pieces[-1][1])
+        result = sweep(R3, W3, DemandPath([3.0, -1.0, 6.0], [0.0, -1.0, 0.0], 11))
+        (piece, covered, _), = [out for t0, out in pieces if t0 == result.jumps[0]["s"]]
+        assert piece.zero.tolist() == [False, True, False]
+        assert covered == 2
 
     def test_sample_past_a_breakpoint_is_not_extrapolated(self):
         # two cells feeding each other half their mass, x = min(2a, 1) on
@@ -421,7 +514,7 @@ class TestContinuation:
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or real_solve(*a, **k))
             piece = equilibria._pattern_piece(equilibria._network(R, w), c, np.zeros(n), 0.0, y, np.zeros(1))
-        assert piece == ([], None)
+        assert piece == (None, 0, None)
         assert solves == [1]
         cold = []
         real = equilibria._point
@@ -445,7 +538,7 @@ class TestContinuation:
         real = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or real(*a, **k))
         assert equilibria._pattern_piece(equilibria._network(R3, W3), spec.demand, np.zeros(3), 0.0, y,
-                                         np.zeros(1)) == ([], None)
+                                         np.zeros(1)) == (None, 0, None)
         assert solves == []
         monkeypatch.undo()
         eq, = equilibria._points_along(equilibria._network(R3, W3), spec.demand, np.zeros(3), [0.0], (0.0, y))
