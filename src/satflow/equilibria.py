@@ -35,10 +35,12 @@ next piece starts just past it: the continuation of parametric LCP (Murty
 1988, ch. 5) and of homotopy paths (Efron et al., Ann. Statist. 32(2),
 2004).  Only then is every sample of the walk checked, in one vectorised
 pass with the tests a cold answer meets (:func:`_certify`).  A sample that
-fails, one on a breakpoint up to rounding, is tried on the piece across
-that breakpoint, and the cold pattern iteration above answers what no
-piece certifies.  Past a jump the walk starts from the segment endpoint
-the path leaves, with the cell that bounds the segment held.
+fails, one on a breakpoint up to rounding, is tried on the walk's next
+piece, past that breakpoint; the samples that fail there too are walked
+again from the pattern of the first of them, and the cold pattern
+iteration above answers a sample that fails on its own restart.  Past a
+jump the walk starts from the segment endpoint the path leaves, with the
+cell that bounds the segment held.
 
 For stochastic irreducible routing with zero-sum demand the full set of
 equilibria is known analytically: it is the line {Hc + a*pi} intersected
@@ -177,12 +179,14 @@ class _Network(NamedTuple):
         return self.routing_class.tag == STOCHASTIC_IRREDUCIBLE
 
     def walkable(self, c: np.ndarray) -> bool:
-        """True iff the equilibrium at c is unique and walkable: sub-stochastic
-        out-connected routing, or stochastic irreducible off the zero-sum hyperplane."""
-        return self.routing_class.tag == SUBSTOCHASTIC_OUT_CONNECTED or (self.stochastic and not is_zero_sum(c))
+        """True iff the equilibrium at c is unique and walkable: the one-row
+        case of :meth:`walkable_rows`, so that both always decide alike."""
+        return bool(self.walkable_rows(c[None])[0])
 
     def walkable_rows(self, C: np.ndarray) -> np.ndarray:
-        """:meth:`walkable` of each row of C, in one pass."""
+        """Whether the equilibrium at each row c of C is unique and walkable,
+        in one pass: sub-stochastic out-connected routing, or stochastic
+        irreducible with c off the zero-sum hyperplane."""
         if self.routing_class.tag == SUBSTOCHASTIC_OUT_CONNECTED:
             return np.ones(len(C), dtype=bool)
         return ~_zero_sum_rows(C) if self.stochastic else np.zeros(len(C), dtype=bool)
@@ -375,9 +379,8 @@ def _points_along(net: _Network, c0: np.ndarray, dc: np.ndarray, ts,
 
     The certificate then checks every covered sample of the walk in one
     vectorised pass (:func:`_certify`), with the tests a cold answer meets.
-    A sample that fails is tried again on the piece across the breakpoint
-    nearest to it, and one that fails there too is answered cold by
-    :func:`_point`, so every answer is certified.
+    The samples that fail go to :func:`_retry`, so every answer is
+    certified.
     """
     ts = np.asarray(ts, dtype=float)
     pieces: list[_Piece] = []
@@ -399,33 +402,51 @@ def _points_along(net: _Network, c0: np.ndarray, dc: np.ndarray, ts,
         i += 1
     walked = np.flatnonzero(owner >= 0)
     if walked.size:
-        ok, lows, highs = _certify(net, c0, dc, ts[walked], pieces, owner[walked])
-        for j, k, lo, hi, good in zip(walked, owner[walked], lows, highs, ok):
-            out[j] = (EquilibriumSet(kind=POINT, x_min=lo, x_max=hi) if good
-                      else _retry(net, c0, dc, ts[j], pieces, k, lo))
+        k = owner[walked]
+        ok, lows, highs = _certify(net, c0, dc, ts[walked], pieces, k)
+        _accept(out, walked, ok, lows, highs)
+        if not ok.all():
+            _retry(net, c0, dc, ts, pieces, walked[~ok], k[~ok], lows[~ok], out)
     return out
 
 
-def _retry(net: _Network, c0: np.ndarray, dc: np.ndarray, t: float, pieces: list[_Piece], k: int,
-           x: np.ndarray) -> EquilibriumSet:
-    """The equilibrium at c0 + t*dc, a sample that failed its certificate
-    on pieces[k] with x_min = x there, as one on a breakpoint up to
-    rounding does.  It is certified on the piece across the nearer
-    breakpoint around t: the walk's piece there, or where the walk has none,
-    the piece that the pattern of R'x + c at t gives.  Failing that,
-    :func:`_point` answers it cold."""
-    c, ts = c0 + t * dc, np.array([t])
-    if k and t - pieces[k - 1].end < pieces[k].end - t:
-        piece = pieces[k - 1]
-    elif k + 1 < len(pieces):
-        piece = pieces[k + 1]
-    else:
-        piece = _pattern_piece(net, c0, dc, t, net.R.T @ x + c, ts)[0]
-    if piece is not None:
-        ok, lows, highs = _certify(net, c0, dc, ts, [piece], np.zeros(1, dtype=int))
-        if ok[0]:
-            return EquilibriumSet(kind=POINT, x_min=lows[0], x_max=highs[0])
-    return _point(net, c)
+def _accept(out: list, js: np.ndarray, ok: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> None:
+    """Put the Point of each certified sample js[ok] into out."""
+    for j, lo, hi in zip(js[ok], lows[ok], highs[ok]):
+        out[j] = EquilibriumSet(kind=POINT, x_min=lo, x_max=hi)
+
+
+def _retry(net: _Network, c0: np.ndarray, dc: np.ndarray, ts: np.ndarray, pieces: list[_Piece],
+           failed: np.ndarray, k: np.ndarray, x: np.ndarray, out: list) -> None:
+    """Answer into out the samples ts[failed] (ascending) that failed their
+    certificate, each on pieces[k] with x_min = x there.
+
+    A sample on a breakpoint up to rounding fails on the piece before it
+    and is certified on the walk's next piece, past it.  The samples that
+    fail there too (or have no next piece) are walked again in order, as
+    the walk restarts: the pattern of R'x + c at the first of them gives a
+    piece (one solve) that covers it and those after it up to its first
+    breakpoint, all certified in one pass.  A sample that fails on its own
+    restart is answered cold by :func:`_point`.
+    """
+    later = k + 1 < len(pieces)
+    if later.any():
+        ok, lows, highs = _certify(net, c0, dc, ts[failed[later]], pieces, k[later] + 1)
+        _accept(out, failed[later], ok, lows, highs)
+        left = np.ones(failed.size, dtype=bool)
+        left[np.flatnonzero(later)[ok]] = False
+        failed, x = failed[left], x[left]
+    while failed.size:
+        rest, c = ts[failed], c0 + ts[failed[0]] * dc
+        piece, covered, _ = _pattern_piece(net, c0, dc, rest[0], net.R.T @ x[0] + c, rest)
+        ok = np.zeros(failed.size, dtype=bool)
+        if piece is not None:
+            ok[:covered], lows, highs = _certify(net, c0, dc, rest[:covered], [piece], np.zeros(covered, dtype=int))
+            _accept(out, failed[:covered], ok[:covered], lows, highs)
+        if not ok[0]:
+            out[failed[0]] = _point(net, c)
+            ok[0] = True
+        failed, x = failed[~ok], x[~ok]
 
 
 def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: np.ndarray,

@@ -374,13 +374,14 @@ def zero_sum_tol(v: np.ndarray) -> float:
 
 
 def is_zero_sum(v: np.ndarray) -> bool:
-    v = np.asarray(v, dtype=float)
-    return abs(v.sum()) <= zero_sum_tol(v)
+    """Whether sum(v) = 0 within :func:`zero_sum_tol`: the one-row case of
+    :func:`_zero_sum_rows`, so that both always decide alike."""
+    return bool(_zero_sum_rows(np.asarray(v, dtype=float)[None])[0])
 
 
 def _zero_sum_rows(V: np.ndarray) -> np.ndarray:
-    """:func:`is_zero_sum` of each row of a C-contiguous 2-d V, in one pass
-    (a row sum has the bits of the row's own sum)."""
+    """Whether sum(v) = 0 within :func:`zero_sum_tol` for each row v of a
+    2-d V, in one pass; the one rule behind :func:`is_zero_sum`."""
     return np.abs(V.sum(axis=1)) <= _ZERO_SUM_RTOL * np.abs(V).sum(axis=1)
 
 

@@ -20,7 +20,8 @@ decides in one pass which samples are walked: the cold solver answers
 the first, one linear solve gives a whole piece, and a breakpoint between
 samples starts the next piece.  The walk comes first and its samples are
 certified after it, all in one vectorised pass; a sample that fails there
-is tried on the piece next to it and then on the cold solver.  The other
+is tried on the walk's next piece, then on a piece walked again from its
+own pattern, and then on the cold solver.  The other
 samples take the cold solver.  Past a jump the walk starts again from the
 segment endpoint the path leaves.  The answers are those of
 :func:`satflow.equilibria.equilibrium_set` at each demand, up to rounding.
@@ -281,7 +282,8 @@ def directional_limits(
     data of c_star), so for small epsilons one linear solve gives them all;
     a breakpoint between two epsilons starts a new piece.  The walk is
     certified once it is done, and an epsilon that fails there falls back
-    to the piece next to it and then to the cold solver.
+    to the walk's next piece, then to a piece walked again from its own
+    pattern, and then to the cold solver.
     """
     d = np.asarray(direction, dtype=float)
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=c_star))

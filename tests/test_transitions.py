@@ -431,6 +431,42 @@ class TestContinuation:
         for row in rows[1:]:
             assert np.array_equal(row.x_min, w) and np.array_equal(row.x_max, w)
 
+    @pytest.mark.parametrize("c_start, c_end, samples", [
+        ([2.2 / 3, -1.0, 4.4 / 3], [8 / 3, -1.0, 16 / 3], 25),
+        # a = 8 -> 1.1 of the reference path: 25 samples on one piece, 5 on the next
+        ([8 / 3, -1.0, 16 / 3], [1.1 / 3, -1.0, 2.2 / 3], 31),
+    ], ids=["one_piece", "two_pieces"])
+    def test_samples_failing_inside_a_piece_are_walked_again_once(self, monkeypatch, c_start, c_end, samples):
+        # the walk's certificate refuses every sample of its longest piece
+        # but the first, as a piece whose extrapolation lost accuracy would:
+        # the next piece, if any, has another pattern and refuses them too,
+        # and one piece solved from the first refused sample's pattern
+        # certifies them all, with no further cold solve
+        path = DemandPath(c_start, c_end, samples)
+        real_piece, real_point, real_certify = equilibria._pattern_piece, equilibria._point, equilibria._certify
+        calls, refused = [], []
+
+        def certify(net, c0, dc, ts, pieces, k):
+            ok, lows, highs = real_certify(net, c0, dc, ts, pieces, k)
+            if not refused:
+                longest = np.argmax(np.bincount(k))
+                refused.extend(np.flatnonzero(k == longest)[1:])
+                ok[refused] = False
+            return ok, lows, highs
+
+        monkeypatch.setattr(equilibria, "_pattern_piece", lambda *a, **k: calls.append("piece") or real_piece(*a, **k))
+        monkeypatch.setattr(equilibria, "_point", lambda *a, **k: calls.append("point") or real_point(*a, **k))
+        expected = sweep(R3, W3, path).rows
+        walked = list(calls)
+        del calls[:]
+        monkeypatch.setattr(equilibria, "_certify", certify)
+        rows = sweep(R3, W3, path).rows
+        assert len(refused) > 5
+        assert calls == walked + ["piece"]
+        for row, want in zip(rows, expected):
+            assert np.abs(row.x_min - want.x_min).sum() <= 1e-10 * W3.max()
+            assert np.abs(row.x_max - want.x_max).sum() <= 1e-10 * W3.max()
+
     def test_held_cell_rounded_past_its_bound_covers_the_samples(self, monkeypatch):
         # the falling reference path leaves c* at s* = 8/9 from x_min with
         # cell 2 held at 0; after the solve R'x + c puts it at 2.2e-16, just
