@@ -38,9 +38,14 @@ pass with the tests a cold answer meets (:func:`_certify`).  A sample that
 fails, one on a breakpoint up to rounding, is tried on the walk's next
 piece, past that breakpoint; the samples that fail there too are walked
 again from the pattern of the first of them, and the cold pattern
-iteration above answers a sample that fails on its own restart.  Past a
-jump the walk starts from the segment endpoint the path leaves, with the
-cell that bounds the segment held.
+iteration above answers a sample that fails on its own restart.  A path
+that crosses the critical set is walked outward from the crossing both
+ways (:func:`_points_outward`), each way from the segment endpoint that
+its equilibria approach, with the cell that bounds the segment held, so
+it needs no cold answer to start: the way back runs along -dc at -t,
+which gives the same demands to the bit.  Its pieces enter the one
+certificate pass reversed, t0 and the direction negated, which is exact.
+Only a path that does not cross starts from a cold answer.
 
 For stochastic irreducible routing with zero-sum demand the full set of
 equilibria is known analytically: it is the line {Hc + a*pi} intersected
@@ -351,40 +356,82 @@ class _Piece(NamedTuple):
     """One saturation pattern's stretch of a walk: the cells Z held at 0
     and U at w, and the columns of :func:`_pattern_piece`'s solve at t0 (x,
     the mirrored w - x and the direction dir), so that x_min(t) =
-    held[:, 0] + (t - t0)*dir and x_max(t) = (w - held[:, 1]) + (t - t0)*dir.
-    end is the first parameter at which a cell leaves its region."""
+    held[:, 0] + (t - t0)*dir and x_max(t) = (w - held[:, 1]) + (t - t0)*dir."""
 
     t0: float
     zero: np.ndarray
     cap: np.ndarray
     held: np.ndarray
-    end: float
+
+    def reversed(self) -> "_Piece":
+        """The piece on the same line walked the other way, t -> -t: t0 and
+        dir negated, which is exact, so it gives the same x at each demand
+        to the bit."""
+        return self._replace(t0=-self.t0, held=self.held * [1.0, 1.0, -1.0])
+
+
+class _Walk(NamedTuple):
+    """A walk c0 + t*dc over ascending samples ts before its certificate:
+    sign is 1.0 when dc is the line's direction and -1.0 when the walk runs
+    against it, owner the piece that covers each sample (-1 where answered
+    cold), and out the answers so far."""
+
+    sign: float
+    ts: np.ndarray
+    pieces: list[_Piece]
+    owner: np.ndarray
+    out: list[EquilibriumSet | None]
 
 
 def _points_along(net: _Network, c0: np.ndarray, dc: np.ndarray, ts,
                   seed: tuple[float, np.ndarray] | None) -> list[EquilibriumSet]:
     """The unique equilibria at the demands c0 + t*dc for ascending ts, all
-    of them walkable (:meth:`_Network.walkable`): walk the path first, then
-    certify it once.
+    of them walkable (:meth:`_Network.walkable`): walk the path first
+    (:func:`_walk`, from seed), then certify it once (:func:`_settle`)."""
+    return _settle(net, c0, dc, [_walk(net, c0, dc, ts, seed)])[0]
 
-    The walk runs piece by piece (:func:`_pattern_piece`).  seed is None or
-    (t, y): a vector y = R'x + c whose saturation pattern the first piece
-    takes as given from the path parameter t <= ts[0].  Each piece makes one
-    linear solve and a ratio test, which give its affine data, the samples
-    it covers (those up to its first breakpoint) and where the next piece
-    starts; nothing is checked yet.  Where a piece gives up, more than 2n
+
+def _points_outward(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, t_star: float,
+                    line) -> list[EquilibriumSet]:
+    """The unique equilibria at the demands c0 + t*dc for ascending ts, all
+    of them walkable, on a line that crosses the critical set at t_star,
+    where line is the line data (pi, Hc, alpha_min, alpha_max).
+
+    The line is walked outward from t_star both ways, each way from the
+    segment endpoint that its equilibria approach (:func:`_endpoint_seed`):
+    the samples up to t_star backward, along -dc at -t (c0 + (-t)*(-dc)
+    has the bits of c0 + t*dc), and the rest forward.  Neither walk needs
+    the cold solver to start, and one certificate pass checks both
+    (:func:`_settle`).
+    """
+    ts = np.asarray(ts, dtype=float)
+    split = int(ts.searchsorted(t_star, side="right"))
+    walks = []
+    for sign, part in ((-1.0, ts[:split][::-1]), (1.0, ts[split:])):
+        seed = (sign * t_star, _endpoint_seed(line, net.w, sign * dc))
+        walks.append(_walk(net, c0, sign * dc, sign * part, seed, sign))
+    below, above = _settle(net, c0, dc, walks)
+    return below[::-1] + above
+
+
+def _walk(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, seed: tuple[float, np.ndarray] | None,
+          sign: float = 1.0) -> _Walk:
+    """Walk c0 + t*dc over the ascending samples ts piece by piece
+    (:func:`_pattern_piece`), checking nothing yet; sign (-1.0 when dc is
+    the reverse of the line's direction) is kept for :func:`_settle`.
+
+    seed is None or (t, y): a vector y = R'x + c whose saturation pattern
+    the first piece takes as given from the path parameter t <= ts[0].
+    Each piece makes one linear solve and a ratio test, which give its
+    affine data, the samples it covers (those up to its first breakpoint)
+    and where the next piece starts.  Where a piece gives up, more than 2n
     pieces in a row cover no sample, or there is no seed, :func:`_point`
     answers the sample cold and the next piece starts from that answer's
     own pattern.
-
-    The certificate then checks every covered sample of the walk in one
-    vectorised pass (:func:`_certify`), with the tests a cold answer meets.
-    The samples that fail go to :func:`_retry`, so every answer is
-    certified.
     """
     ts = np.asarray(ts, dtype=float)
     pieces: list[_Piece] = []
-    owner = np.full(ts.size, -1)  # the piece that covers each sample, -1 where answered cold
+    owner = np.full(ts.size, -1)
     out: list[EquilibriumSet | None] = [None] * ts.size
     i = restarts = 0
     while i < ts.size:
@@ -400,14 +447,37 @@ def _points_along(net: _Network, c0: np.ndarray, dc: np.ndarray, ts,
         out[i] = _point(net, c)
         seed, restarts = (ts[i], net.R.T @ out[i].x_min + c), 0
         i += 1
-    walked = np.flatnonzero(owner >= 0)
-    if walked.size:
-        k = owner[walked]
-        ok, lows, highs = _certify(net, c0, dc, ts[walked], pieces, k)
-        _accept(out, walked, ok, lows, highs)
-        if not ok.all():
-            _retry(net, c0, dc, ts, pieces, walked[~ok], k[~ok], lows[~ok], out)
-    return out
+    return _Walk(sign, ts, pieces, owner, out)
+
+
+def _settle(net: _Network, c0: np.ndarray, dc: np.ndarray, walks: list[_Walk]) -> list[list[EquilibriumSet]]:
+    """Certify the walks on the line c0 + t*dc, and return their answers.
+
+    Every covered sample of every walk is checked in one vectorised pass
+    (:func:`_certify`), with the tests a cold answer meets; a walk against
+    the line's direction enters it with its pieces and samples reversed,
+    which changes no bit.  The samples that fail go to :func:`_retry`
+    along their own walk, so every answer is certified.
+    """
+    ts, pieces, ks, walked = [], [], [], []
+    for walk in walks:
+        walked.append(np.flatnonzero(walk.owner >= 0))
+        ts.append(walk.sign * walk.ts[walked[-1]])
+        ks.append(walk.owner[walked[-1]] + len(pieces))
+        pieces += walk.pieces if walk.sign > 0 else [piece.reversed() for piece in walk.pieces]
+    ts = np.concatenate(ts)
+    if ts.size:
+        ok, lows, highs = _certify(net, c0, dc, ts, pieces, np.concatenate(ks))
+        start = 0
+        for walk, js in zip(walks, walked):
+            part = slice(start, start + js.size)
+            start = part.stop
+            _accept(walk.out, js, ok[part], lows[part], highs[part])
+            failed = ~ok[part]
+            if failed.any():
+                _retry(net, c0, walk.sign * dc, walk.ts, walk.pieces, js[failed], walk.owner[js[failed]],
+                       lows[part][failed], walk.out)
+    return [walk.out for walk in walks]
 
 
 def _accept(out: list, js: np.ndarray, ok: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> None:
@@ -506,7 +576,7 @@ def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: 
         y_first = y + (ts[0] - t0) * slope
         leave[outside & (((y_first <= 0) ^ zero) | ((y_first >= w) ^ cap))] = t0
     first = leave.min()
-    piece = _Piece(t0, zero, cap, held, first)
+    piece = _Piece(t0, zero, cap, held)
     covered = int(ts.searchsorted(first, side="right"))
     if covered == ts.size:
         return piece, covered, None
@@ -525,7 +595,7 @@ def _certify(net: _Network, c0: np.ndarray, dc: np.ndarray, ts: np.ndarray, piec
     each times max(1, |w|_inf).
     """
     R, w = net.R, net.w
-    t0, zero, cap, held, _ = (np.array(column)[k] for column in zip(*pieces))
+    t0, zero, cap, held = (np.array(column)[k] for column in zip(*pieces))
     step = (ts - t0)[:, None] * held[:, :, 2]
     m = ts.size
     X = np.empty((2 * m, w.size))
@@ -543,8 +613,8 @@ def _certify(net: _Network, c0: np.ndarray, dc: np.ndarray, ts: np.ndarray, piec
 
 
 def _endpoint_seed(line, w: np.ndarray, dc: np.ndarray) -> np.ndarray:
-    """A seed for :func:`_points_along` on a walk c* + t*dc that leaves a
-    critical demand c*: R'x + c* = x at the segment endpoint the walk
+    """A seed for a walk c* + t*dc that leaves a critical demand c*
+    (:func:`_points_outward`): R'x + c* = x at the segment endpoint the walk
     leaves, x_max when the total demand rises (sum(dc) > 0) and x_min when
     it falls, from the line data (pi, Hc, alpha_min, alpha_max) of c*, with
     the cell that bounds alpha put exactly on its bound.  Its pattern holds

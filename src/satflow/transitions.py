@@ -16,15 +16,18 @@ Away from the critical set the unique equilibrium moves piecewise
 affinely in c, with a fixed saturation pattern on each piece.  Each entry
 point builds the classified network of :mod:`satflow.equilibria` once.
 A sweep builds its sample demands as one array, and the network's rule
-decides in one pass which samples are walked: the cold solver answers
-the first, one linear solve gives a whole piece, and a breakpoint between
-samples starts the next piece.  The walk comes first and its samples are
-certified after it, all in one vectorised pass; a sample that fails there
-is tried on the walk's next piece, then on a piece walked again from its
-own pattern, and then on the cold solver.  The other
-samples take the cold solver.  Past a jump the walk starts again from the
-segment endpoint the path leaves.  The answers are those of
-:func:`satflow.equilibria.equilibrium_set` at each demand, up to rounding.
+decides in one pass which samples are walked.  A path that crosses the
+critical set is walked outward from the crossing, both ways, each way
+from the segment endpoint that its equilibria approach, so no sample
+needs the cold solver; any other path is walked from its first sample,
+which the cold solver answers.  One linear solve gives a whole piece, and
+a breakpoint between samples starts the next piece.  The walks come
+first and their samples are certified after them, all in one vectorised
+pass per call; a sample that fails there is tried on its walk's next
+piece, then on a piece walked again from its own pattern, and then on
+the cold solver.  The other samples take the cold solver.  The answers
+are those of :func:`satflow.equilibria.equilibrium_set` at each demand,
+up to rounding.
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ from .errors import PreconditionError
 from .equilibria import (
     SEGMENT,
     EquilibriumSet,
-    _endpoint_seed,
     _equilibrium,
     _line,
     _Network,
     _network,
     _points_along,
+    _points_outward,
     _segment,
 )
 from .model import NetworkSpec, _zero_sum_rows, is_zero_sum, validate, zero_sum_tol
@@ -178,10 +181,13 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     demands are one (samples, n) array with the bits of path.c_at, and one
     pass over it picks the samples with a unique equilibrium off the
     zero-sum hyperplane.  Those are walked one saturation pattern at a time
-    from the first of them, which the cold solver answers, and certified
-    once the walk is done (see :mod:`satflow.equilibria`).  Where the path
-    crosses the critical set, at s*, the walk stops and starts again past
-    the jump from the segment endpoint the path leaves.  Zero-sum samples
+    and certified once the walk is done, in one pass (see
+    :mod:`satflow.equilibria`).  Where the path crosses the critical set,
+    at s*, the walk goes outward from s*: the samples up to s* in
+    descending s from the segment endpoint that the path approaches, and
+    those past it in ascending s from the endpoint that the path leaves,
+    with no cold solve.  A path that does not cross is walked from its
+    first walkable sample, which the cold solver answers.  Zero-sum samples
     and reducible routing take the cold path one sample at a time.
 
     The critical points come from the path's ends, not from its samples.
@@ -206,15 +212,15 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     slope = float(path.c_end.sum()) - sig0
     scale_tol = zero_sum_tol(path.c_start) + zero_sum_tol(path.c_end)
     # the critical points with their line data where already solved (None
-    # at an edge), and where the walk restarts past a jump
-    critical, seed = [], None
+    # at an edge), and whether the path crosses the critical set at the first
+    critical, crossing = [], False
     if net.stochastic and abs(slope) > scale_tol and -MATCH_TOL <= -sig0 / slope <= 1 + MATCH_TOL:
         # an end that is zero-sum is s* itself, not the root's rounding of it
         s_star = 0.0 if is_zero_sum(path.c_start) else 1.0 if is_zero_sum(path.c_end) else (
             min(max(-sig0 / slope, 0.0), 1.0))
         line = _critical_line(net, path.c_at(s_star))
         if line is not None:
-            critical, seed = [(s_star, line)], (s_star, _endpoint_seed(line, net.w, dc))
+            critical, crossing = [(s_star, line)], True
     elif net.stochastic and max(abs(slope), abs(sig0)) <= scale_tol:
         lo, hi, line = _critical_stretch(net, path.c_start, path.c_end)
         if lo < hi:  # an empty stretch meets nothing
@@ -227,11 +233,11 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     for i in np.flatnonzero(~walkable):
         eqs[i] = _equilibrium(net, cs[i])
     walked = np.flatnonzero(walkable)
-    # past a jump the walk restarts from its seed; with none, every sample is before it
-    split = walked.size if seed is None else int(np.searchsorted(grid[walked], seed[0], side="right"))
-    for run, start in ((walked[:split], None), (walked[split:], seed)):
-        for i, eq in zip(run, _points_along(net, path.c_start, dc, grid[run], start)):
-            eqs[i] = eq
+    # a crossing path is walked outward from s*, both ways; any other from its first sample, answered cold
+    points = (_points_outward(net, path.c_start, dc, grid[walked], *critical[0]) if crossing
+              else _points_along(net, path.c_start, dc, grid[walked], None))
+    for i, eq in zip(walked, points):
+        eqs[i] = eq
     marginal_tol = MARGINAL_TOL * float(net.w.sum())
     rows = [_row(s, c, eq, marginal_tol) for s, c, eq in zip(grid, cs, eqs)]
     result = SweepResult(rows=rows)
@@ -275,15 +281,16 @@ def directional_limits(
     eps shrinks, the equilibrium below approaches the segment's lower
     endpoint and the one above its upper endpoint.
 
-    The routing matrix is classified once.  Each side is one walk along
-    c_star +/- t*d with t rising through the epsilons, from the smallest up
-    (see :mod:`satflow.equilibria`): its first pattern is that of the
-    segment endpoint it approaches (x_min below, x_max above, from the line
-    data of c_star), so for small epsilons one linear solve gives them all;
-    a breakpoint between two epsilons starts a new piece.  The walk is
-    certified once it is done, and an epsilon that fails there falls back
-    to the walk's next piece, then to a piece walked again from its own
-    pattern, and then to the cold solver.
+    The routing matrix is classified once.  The line c_star + t*d is
+    walked outward from t = 0 both ways, as a sweep walks a crossing (see
+    :mod:`satflow.equilibria`): each side goes through the epsilons from
+    the smallest up, and its first pattern is that of the segment endpoint
+    it approaches (x_min below, x_max above, from the line data of
+    c_star), so for small epsilons one linear solve gives them all; a
+    breakpoint between two epsilons starts a new piece.  Both sides are
+    certified in one pass once they are walked, and an epsilon that fails
+    there falls back to its side's next piece, then to a piece walked
+    again from its own pattern, and then to the cold solver.
     """
     d = np.asarray(direction, dtype=float)
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=c_star))
@@ -303,8 +310,9 @@ def directional_limits(
     if zero_sum.any():
         raise PreconditionError(f"perturbed demand at eps={eps_list[int(np.argmax(zero_sum)) // 2]:g} "
                                 "is unexpectedly zero-sum")
-    ts = eps_list[::-1]
-    below = _points_along(net, spec.demand, -d, ts, (0.0, _endpoint_seed(line, net.w, -d)))
-    above = _points_along(net, spec.demand, d, ts, (0.0, _endpoint_seed(line, net.w, d)))
-    table = [(eps, lo.x_min, hi.x_min) for eps, lo, hi in zip(eps_list, below[::-1], above[::-1])]
+    # t = -eps below c_star and +eps above it, ascending: c_star + (-eps)*d
+    # has the bits of c_star - eps*d
+    m = len(eps_list)
+    points = _points_outward(net, spec.demand, d, [-eps for eps in eps_list] + eps_list[::-1], 0.0, line)
+    table = [(eps, lo.x_min, hi.x_min) for eps, lo, hi in zip(eps_list, points[:m], points[m:][::-1])]
     return DirectionalLimits(from_below=table[-1][1], from_above=table[-1][2], table=table)

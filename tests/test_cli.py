@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from satflow import cli
 from satflow.cli import _json_text, load_scenario, main, sidecar_path_for
 
 from conftest import C3, PI3, R3, W3, XMAX3, XMIN3
@@ -417,3 +418,36 @@ class TestOutputBytes:
         assert out == json.dumps(result, indent=2) + "\n"
         assert result["class" if command == "check" else "kind"] == (
             "StochasticIrreducible" if command == "check" else "Segment")
+
+
+class TestParserReuse:
+    """main parses with one parser built on first use; build_parser still
+    returns a new one on each call."""
+
+    @staticmethod
+    def _calls(capsys, scenario):
+        outputs = []
+        for argv in (["equilibria", scenario], ["check", scenario], ["equilibria", scenario, "--bogus"],
+                     ["equilibria", scenario]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err))
+        return outputs
+
+    def test_calls_in_one_process_match_fresh_parsers(self, capsys, monkeypatch, scenario3):
+        built, real = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        kept = self._calls(capsys, scenario3)
+        assert len(built) == 1
+        monkeypatch.setattr(cli, "_parser", real)
+        fresh = self._calls(capsys, scenario3)
+        assert kept == fresh
+        assert [code for code, _, _ in kept] == [0, 0, 2, 0]
+        assert "unrecognized arguments: --bogus" in kept[2][2]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

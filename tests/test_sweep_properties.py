@@ -1,10 +1,13 @@
-"""Invariance of demand-path sweeps under a change of units and of cell labels.
+"""Invariance of demand-path sweeps under a change of units and of cell
+labels, and the walk of paths that cross the critical set.
 
 (kw, kc) has k times the equilibria of (w, c), and relabelling the cells
 relabels the equilibria, so a sweep of the scaled or permuted path must
 give the same rows, scaled or permuted, and the same jumps, for paths
-that cross the zero-sum hyperplane and for paths inside it.  The examples
-come from the loaded Hypothesis profile (see conftest.py).
+that cross the zero-sum hyperplane and for paths inside it.  A path that
+crosses the critical set is walked from the crossing without the cold
+solver, and its rows are those of equilibrium_set.  The examples come
+from the loaded Hypothesis profile (see conftest.py).
 """
 
 import numpy as np
@@ -13,19 +16,20 @@ from hypothesis import strategies as st
 
 import pytest
 
-from satflow import DemandPath, equilibria, on_critical_manifold, sweep
+from satflow import DemandPath, NetworkSpec, equilibria, equilibrium_set, on_critical_manifold, sweep, validate
 
 from conftest import R3, W3, random_stochastic_irreducible, random_substochastic
 
 
 @st.composite
-def crossing_sweeps(draw):
+def crossing_sweeps(draw, stochastic_routing=st.booleans()):
     """A random network with n <= 8 cells, sub-stochastic out-connected or
-    stochastic irreducible, and a path through c* = (I - R')x for an
-    interior x: for stochastic routing c* is on the critical set, with a
-    segment through x, and the total demand rises or falls across it."""
+    stochastic irreducible (as stochastic_routing draws), and a path through
+    c* = (I - R')x for an interior x: for stochastic routing c* is on the
+    critical set, with a segment through x, and the total demand rises or
+    falls across it."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    stochastic = draw(st.booleans())
+    stochastic = draw(stochastic_routing)
     n = draw(st.integers(2 if stochastic else 1, 8))
     R = random_stochastic_irreducible(rng, n) if stochastic else random_substochastic(rng, n, 0.05, 1.0)
     w = rng.uniform(0.5, 5.0, n)
@@ -153,6 +157,24 @@ def test_walkable_rows_decide_as_walkable_on_crossing_paths(case):
 @given(in_hyperplane_sweeps())
 def test_walkable_rows_decide_as_walkable_in_the_hyperplane(case):
     _check_walkable_rows(*case)
+
+
+@given(crossing_sweeps(stochastic_routing=st.just(True)))
+def test_crossing_paths_are_walked_without_a_cold_solve(case):
+    # the walk leaves the crossing both ways from the segment endpoints, so
+    # no sample needs the cold solver, and every row is equilibrium_set's
+    R, w, path = case
+    cold, real = [], equilibria._point
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(equilibria, "_point", lambda net, c, *a, **k: cold.append(c) or real(net, c, *a, **k))
+        result = sweep(R, w, path)
+    assert len(result.jumps) == 1 and len(cold) == 0
+    tol = 1e-10 * max(1.0, w.max())
+    for row in result.rows:
+        eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=row.c)))
+        assert row.kind == eq.kind
+        assert np.abs(row.x_min - eq.x_min).sum() <= tol
+        assert np.abs(row.x_max - eq.x_max).sum() <= tol
 
 
 _REDUCIBLE = np.array([[0.0, 0.9, 0.0, 0.0], [0.9, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])

@@ -328,12 +328,11 @@ class TestContinuation:
             result = sweep(R, w, path)
             total_solves, total_cold = total_solves + len(solves), total_cold + len(cold)
             if trial % 6 in (2, 3) and result.jumps:
-                # a path that crosses the critical set runs the cold solver
-                # at its first sample only: past the crossing the walk starts
-                # from the segment endpoint the path leaves
+                # a path that crosses the critical set runs no cold solver:
+                # it is walked outward from the crossing, both ways, from
+                # the segment endpoints
                 crossing += 1
-                assert len(cold) <= 1
-                assert all(np.array_equal(c, path.c_start) for c in cold)
+                assert len(cold) == 0
             assert len(result.rows) == path.samples
             for row in result.rows:
                 eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=row.c)))
@@ -378,9 +377,10 @@ class TestContinuation:
             assert np.abs(row.x_min - eq.x_min).sum() <= 1e-10 * W3.max()
 
     @pytest.mark.parametrize("rising", [True, False])
-    def test_reference_crossing_runs_one_cold_solve(self, monkeypatch, rising):
-        # the paper's path crosses its critical demand at a = 1; past it the
-        # walk starts from x_max when the total demand rises, x_min when it falls
+    def test_reference_crossing_runs_no_cold_solve(self, monkeypatch, rising):
+        # the paper's path crosses its critical demand at a = 1; the walk
+        # leaves it both ways, toward x_max where the total demand rises and
+        # toward x_min where it falls
         cold = []
         real = equilibria._point
         monkeypatch.setattr(equilibria, "_point", lambda net, c, *a, **k: cold.append(c) or real(net, c, *a, **k))
@@ -388,12 +388,13 @@ class TestContinuation:
         path = DemandPath(*(ends if rising else ends[::-1]), 91)
         result = sweep(R3, W3, path)
         assert len(result.jumps) == 1
-        assert len(cold) == 1 and np.array_equal(cold[0], path.c_start)
+        assert len(cold) == 0
 
     def test_walk_that_certifies_nothing_answers_every_sample_cold(self, monkeypatch):
         # every sample the walk covers fails its certificate, on its own
         # piece and on the retry, and goes to _point: the rows are then
-        # equilibrium_set's, bit for bit
+        # equilibrium_set's, bit for bit.  The stretch before the crossing
+        # is walked in descending s, so cold answers are matched by demand
         cold = []
         real_certify, real_point = equilibria._certify, equilibria._point
 
@@ -408,10 +409,89 @@ class TestContinuation:
         monkeypatch.undo()
         walked = [row for row in rows if row.kind == POINT]
         assert len(walked) == 31 and len(cold) == 31
-        for row, c in zip(walked, cold):
-            assert np.array_equal(c, row.c)
+        demands = {c.tobytes() for c in cold}
+        assert len(demands) == 31
+        for row in walked:
+            assert row.c.tobytes() in demands
             eq = equilibrium_set(validate(NetworkSpec(routing=R3, capacity=W3, demand=row.c)))
             assert np.array_equal(row.x_min, eq.x_min) and np.array_equal(row.x_max, eq.x_max)
+
+    # the paper's path c(a) = [a/3, -1, 2a/3] between a = 0.5, 9 and the
+    # critical a = 1: s* midway between samples, on a sample (whose demand
+    # is zero-sum up to rounding), at the start and at the end
+    _A, _B = [0.5 / 3, -1.0, 1 / 3], [3.0, -1.0, 6.0]
+
+    @pytest.mark.parametrize("rising", [True, False], ids=["rising", "falling"])
+    @pytest.mark.parametrize("up, down, samples", [
+        ((_A, _B), (_B, _A), 31),
+        ((_A, _B), (_B, _A), 35),
+        ((C_STAR, _B), (C_STAR, _A), 21),
+        ((_A, C_STAR), (_B, C_STAR), 21),
+    ], ids=["between_samples", "on_a_sample", "at_the_start", "at_the_end"])
+    def test_crossing_is_walked_outward_without_a_cold_solve(self, monkeypatch, rising, up, down, samples):
+        cold = []
+        real = equilibria._point
+        monkeypatch.setattr(equilibria, "_point", lambda net, c, *a, **k: cold.append(c) or real(net, c, *a, **k))
+        path = DemandPath(*(up if rising else down), samples)
+        result = sweep(R3, W3, path)
+        monkeypatch.undo()
+        assert len(result.jumps) == 1 and len(cold) == 0
+        for row in result.rows:
+            assert row.c.tobytes() == path.c_at(row.s).tobytes()
+            eq = equilibrium_set(validate(NetworkSpec(routing=R3, capacity=W3, demand=row.c)))
+            assert row.kind == eq.kind
+            assert np.abs(row.x_min - eq.x_min).sum() <= 1e-10 * W3.max()
+            assert np.abs(row.x_max - eq.x_max).sum() <= 1e-10 * W3.max()
+
+    def test_refused_stretch_before_the_crossing_is_walked_again_once(self, monkeypatch):
+        # the paper's path from a = 0.5 to 2 crosses c* at a = 1, s* = 1/3,
+        # and the ten samples before it lie on one piece of the backward
+        # walk; the certificate refuses them all, as a piece whose
+        # extrapolation lost accuracy would, and one piece solved from the
+        # pattern of the sample nearest s*, walked again in descending s,
+        # certifies them all with no cold solve
+        path = DemandPath([0.5 / 3, -1.0, 1 / 3], [2 / 3, -1.0, 4 / 3], 30)
+        real_piece, real_point, real_certify = equilibria._pattern_piece, equilibria._point, equilibria._certify
+        calls, refused = [], []
+
+        def certify(net, c0, dc, ts, pieces, k):
+            ok, lows, highs = real_certify(net, c0, dc, ts, pieces, k)
+            if not refused:
+                refused.extend(ts[ts < 1 / 3])
+                ok[ts < 1 / 3] = False
+            return ok, lows, highs
+
+        def piece(net, c0, dc, t0, *args):
+            calls.append((t0, np.sign(dc.sum())))
+            return real_piece(net, c0, dc, t0, *args)
+
+        monkeypatch.setattr(equilibria, "_pattern_piece", piece)
+        monkeypatch.setattr(equilibria, "_point", lambda *a, **k: calls.append("point") or real_point(*a, **k))
+        expected = sweep(R3, W3, path).rows
+        walked = list(calls)
+        del calls[:]
+        monkeypatch.setattr(equilibria, "_certify", certify)
+        rows = sweep(R3, W3, path).rows
+        assert len(refused) == 10
+        assert calls == walked + [(-path.grid[9], -1.0)]
+        for row, want in zip(rows, expected):
+            assert np.abs(row.x_min - want.x_min).sum() <= 1e-10 * W3.max()
+            assert np.abs(row.x_max - want.x_max).sum() <= 1e-10 * W3.max()
+
+    @pytest.mark.parametrize("d", [[1 / 3, 0.0, 2 / 3], [1.0, 1.0, 1.0], [0.5, -0.2, 1.0]])
+    def test_directional_limits_keep_the_bits_of_one_sided_walks(self, d):
+        # both sides are walked outward from c* as one line and certified in
+        # one pass; the table is that of a walk along -d and one along d,
+        # each from its segment endpoint and certified alone, bit for bit
+        d, eps = np.array(d), (1e-1, 1e-2, 1e-4, 1e-8)
+        lim = directional_limits(R3, W3, C_STAR, d, epsilons=eps)
+        net = equilibria._network(R3, W3)
+        line = transitions._critical_line(net, C_STAR)
+        for side, sign in ((1, -1.0), (2, 1.0)):
+            seed = (0.0, equilibria._endpoint_seed(line, W3, sign * d))
+            points = equilibria._points_along(net, C_STAR, sign * d, sorted(eps), seed)
+            for row, eq in zip(lim.table, points[::-1]):
+                assert row[side].tobytes() == eq.x_min.tobytes()
 
     @pytest.mark.parametrize("c_end, samples", [(0.75, 3), (0.5, 2)], ids=["middle", "last"])
     def test_sample_on_a_breakpoint_is_certified_on_the_piece_past_it(self, monkeypatch, c_end, samples):
