@@ -212,7 +212,8 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     slope = float(path.c_end.sum()) - sig0
     scale_tol = zero_sum_tol(path.c_start) + zero_sum_tol(path.c_end)
     # the critical points with their line data where already solved (None
-    # at an edge), and whether the path crosses the critical set at the first
+    # at an edge), and whether the path crosses the critical set off the
+    # zero-sum hyperplane, at the one critical point s*
     critical, crossing = [], False
     if net.stochastic and abs(slope) > scale_tol and -MATCH_TOL <= -sig0 / slope <= 1 + MATCH_TOL:
         # an end that is zero-sum is s* itself, not the root's rounding of it
