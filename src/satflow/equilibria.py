@@ -34,11 +34,11 @@ affine on the piece, finds where the path leaves the pattern, and the
 next piece starts just past it: the continuation of parametric LCP (Murty
 1988, ch. 5) and of homotopy paths (Efron et al., Ann. Statist. 32(2),
 2004).  Only then is every sample of the walk checked, in one vectorised
-pass with the tests a cold answer meets (:func:`_certify`).  A sample that
-fails, one on a breakpoint up to rounding, is tried on the walk's next
-piece, past that breakpoint; the samples that fail there too are walked
-again from the pattern of the first of them, and the cold pattern
-iteration above answers a sample that fails on its own restart.  A path
+pass with the tests a cold answer meets (:func:`_certify`), where a sample
+on a breakpoint fits the closed regions of the pieces on both sides of it
+(:func:`_outside`).  A sample that fails, one that rounding put just past
+a breakpoint, is tried on the walk's next piece, and the cold pattern
+iteration above answers a sample that fails there too.  A path
 that crosses the critical set is walked outward from the crossing both
 ways (:func:`_points_outward`), each way from the segment endpoint that
 its equilibria approach, with the cell that bounds the segment held, so
@@ -296,9 +296,9 @@ def _segment(net: _Network, pi: np.ndarray, hc: np.ndarray, alpha_min: float, al
     x_max = hc + alpha_max * pi
     tol = BOUNDARY_TOL * tolerance_scale(net.w)
     for name, x in (("x_min", x_min), ("x_max", x_max)):
-        on_boundary = np.any(np.abs(x) <= tol) or np.any(np.abs(x - net.w) <= tol)
-        if not on_boundary:
-            raise NumericalError(f"segment endpoint {name} not on the lattice boundary")
+        gap = float(min(np.abs(x).min(), np.abs(x - net.w).min()))  # to the nearest bound, 0 or w
+        if not gap <= tol:
+            raise NumericalError(f"segment endpoint {name} {gap:.3g} off the lattice boundary, not within {tol:.3g}")
     return EquilibriumSet(
         kind=SEGMENT,
         x_min=x_min,
@@ -347,8 +347,9 @@ def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -
     x_min = _extreme(net, c, "min")
     x_max = _extreme(net, c, "max")
     gap = float(np.abs(x_max - x_min).sum())
-    if gap > POINT_AGREEMENT_TOL * tolerance_scale(net.w):
-        raise NumericalError(f"x_min and x_max disagree by {gap:.3g} in a unique-equilibrium case")
+    bound = POINT_AGREEMENT_TOL * tolerance_scale(net.w)
+    if gap > bound:
+        raise NumericalError(f"unique equilibrium: x_min and x_max disagree by {gap:.3g}, not within {bound:.3g}")
     return EquilibriumSet(kind=POINT, x_min=x_min, x_max=x_max, condition_value=condition_value)
 
 
@@ -457,7 +458,7 @@ def _settle(net: _Network, c0: np.ndarray, dc: np.ndarray, walks: list[_Walk]) -
     (:func:`_certify`), with the tests a cold answer meets; a walk against
     the line's direction enters it with its pieces and samples reversed,
     which changes no bit.  The samples that fail go to :func:`_retry`
-    along their own walk, so every answer is certified.
+    (the walk's next piece, else the cold solver): every answer is certified.
     """
     ts, pieces, ks, walked = [], [], [], []
     for walk in walks:
@@ -475,8 +476,7 @@ def _settle(net: _Network, c0: np.ndarray, dc: np.ndarray, walks: list[_Walk]) -
             _accept(walk.out, js, ok[part], lows[part], highs[part])
             failed = ~ok[part]
             if failed.any():
-                _retry(net, c0, walk.sign * dc, walk.ts, walk.pieces, js[failed], walk.owner[js[failed]],
-                       lows[part][failed], walk.out)
+                _retry(net, c0, walk.sign * dc, walk.ts, walk.pieces, js[failed], walk.owner[js[failed]], walk.out)
     return [walk.out for walk in walks]
 
 
@@ -487,36 +487,21 @@ def _accept(out: list, js: np.ndarray, ok: np.ndarray, lows: np.ndarray, highs: 
 
 
 def _retry(net: _Network, c0: np.ndarray, dc: np.ndarray, ts: np.ndarray, pieces: list[_Piece],
-           failed: np.ndarray, k: np.ndarray, x: np.ndarray, out: list) -> None:
+           failed: np.ndarray, k: np.ndarray, out: list) -> None:
     """Answer into out the samples ts[failed] (ascending) that failed their
-    certificate, each on pieces[k] with x_min = x there.
+    certificate, each on pieces[k].
 
-    A sample on a breakpoint up to rounding fails on the piece before it
-    and is certified on the walk's next piece, past it.  The samples that
-    fail there too (or have no next piece) are walked again in order, as
-    the walk restarts: the pattern of R'x + c at the first of them gives a
-    piece (one solve) that covers it and those after it up to its first
-    breakpoint, all certified in one pass.  A sample that fails on its own
-    restart is answered cold by :func:`_point`.
+    A sample that rounding put just past a breakpoint fails on the piece
+    before it and is certified on the walk's next piece; any other is
+    answered cold by :func:`_point`.
     """
+    ok = np.zeros(failed.size, dtype=bool)
     later = k + 1 < len(pieces)
     if later.any():
-        ok, lows, highs = _certify(net, c0, dc, ts[failed[later]], pieces, k[later] + 1)
-        _accept(out, failed[later], ok, lows, highs)
-        left = np.ones(failed.size, dtype=bool)
-        left[np.flatnonzero(later)[ok]] = False
-        failed, x = failed[left], x[left]
-    while failed.size:
-        rest, c = ts[failed], c0 + ts[failed[0]] * dc
-        piece, covered, _ = _pattern_piece(net, c0, dc, rest[0], net.R.T @ x[0] + c, rest)
-        ok = np.zeros(failed.size, dtype=bool)
-        if piece is not None:
-            ok[:covered], lows, highs = _certify(net, c0, dc, rest[:covered], [piece], np.zeros(covered, dtype=int))
-            _accept(out, failed[:covered], ok[:covered], lows, highs)
-        if not ok[0]:
-            out[failed[0]] = _point(net, c)
-            ok[0] = True
-        failed, x = failed[~ok], x[~ok]
+        ok[later], lows, highs = _certify(net, c0, dc, ts[failed[later]], pieces, k[later] + 1)
+        _accept(out, failed[later], ok[later], lows, highs)
+    for j in failed[~ok]:
+        out[j] = _point(net, c0 + ts[j] * dc)
 
 
 def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: np.ndarray,
@@ -530,9 +515,9 @@ def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: 
     x_F from (I - R'_FF) x_F = c_F + R'_FU w_U at t0; the same solve takes
     the mirrored system of w - x (Z at w, U at 0) and the direction dc_F
     as further columns.  The pattern is taken as given, from a guess or a
-    known point (a segment endpoint, a restart, a cold answer); a guess it
-    does not fit at its own sample gives nothing, and the caller answers
-    that sample cold.  On the piece x(t) = x(t0) + (t - t0)*dir on both
+    known point (a segment endpoint, the last piece, a cold answer); a
+    guess it does not fit at its own sample gives nothing, and the caller
+    answers that sample cold.  On the piece x(t) = x(t0) + (t - t0)*dir on both
     sides (the mirrored direction is -dir exactly, so it needs no column).
     With stochastic R and Z, U both empty, I - R' is singular and the
     piece is skipped.
@@ -569,12 +554,11 @@ def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: 
     bound = np.where(zero | (falling & ~cap), 0.0, w)
     leave = np.divide(bound - y, slope, out=np.full_like(w, np.inf), where=moving)
     leave += t0
-    outside = ((y <= 0) ^ zero) | ((y >= w) ^ cap)
+    outside = _outside(y, zero, cap, w)
     if outside.any():
         if ts[0] == t0:
-            return None, 0, None  # the guess's own sample: nothing to restart from
-        y_first = y + (ts[0] - t0) * slope
-        leave[outside & (((y_first <= 0) ^ zero) | ((y_first >= w) ^ cap))] = t0
+            return None, 0, None  # the guess does not fit its own sample
+        leave[outside & _outside(y + (ts[0] - t0) * slope, zero, cap, w)] = t0
     first = leave.min()
     piece = _Piece(t0, zero, cap, held)
     covered = int(ts.searchsorted(first, side="right"))
@@ -584,13 +568,21 @@ def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: 
     return piece, covered, (t_next, y + (t_next - t0) * slope)
 
 
+def _outside(y: np.ndarray, zero: np.ndarray, cap: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The cells where y = R'x + c leaves the closed region of the pattern
+    that holds zero at 0, cap at w and frees the rest: y > 0 held at 0, y < w
+    held at w, y outside [0, w] free.  For x that solves the pattern, none
+    is exactly x = T(x).  Rows of y may take rows of zero and cap."""
+    return np.where(zero, y > 0, y < 0) | np.where(cap, y < w, y > w)
+
+
 def _certify(net: _Network, c0: np.ndarray, dc: np.ndarray, ts: np.ndarray, pieces: list[_Piece],
              k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whether sample ts[j] on piece pieces[k[j]] is certified, and x_min,
     x_max there, one row per sample, in one vectorised pass.
 
-    A sample is accepted only if the pattern of x_min reproduces the
-    piece's Z and U, both residuals ||T(x) - x||_1 are below
+    A sample is accepted only if R'x_min + c is in the closed region of
+    the piece's pattern, both residuals ||T(x) - x||_1 are below
     _FIXED_POINT_TOL and x_min, x_max agree within POINT_AGREEMENT_TOL,
     each times max(1, |w|_inf).
     """
@@ -604,7 +596,7 @@ def _certify(net: _Network, c0: np.ndarray, dc: np.ndarray, ts: np.ndarray, piec
     Y = X @ R  # R'x of each row
     Y[:m] += C
     Y[m:] += C
-    ok = ~((Y[:m] <= 0) ^ zero).any(axis=1) & ~((Y[:m] >= w) ^ cap).any(axis=1)
+    ok = ~_outside(Y[:m], zero, cap, w).any(axis=1)
     scale = tolerance_scale(w)
     residual = np.abs(np.minimum(np.maximum(Y, 0.0), w) - X).sum(axis=1)
     ok &= (residual[:m] < _FIXED_POINT_TOL * scale) & (residual[m:] < _FIXED_POINT_TOL * scale)

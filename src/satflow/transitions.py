@@ -23,11 +23,11 @@ needs the cold solver; any other path is walked from its first sample,
 which the cold solver answers.  One linear solve gives a whole piece, and
 a breakpoint between samples starts the next piece.  The walks come
 first and their samples are certified after them, all in one vectorised
-pass per call; a sample that fails there is tried on its walk's next
-piece, then on a piece walked again from its own pattern, and then on
-the cold solver.  The other samples take the cold solver.  The answers
-are those of :func:`satflow.equilibria.equilibrium_set` at each demand,
-up to rounding.
+pass per call, where a sample on a breakpoint fits the pieces on both
+sides of it; a sample that fails there is tried on its walk's next piece
+and then on the cold solver.  The other samples take the cold solver.
+The answers are those of :func:`satflow.equilibria.equilibrium_set` at
+each demand, up to rounding.
 """
 
 from __future__ import annotations
@@ -150,11 +150,13 @@ def _critical_stretch(net: _Network, c0: np.ndarray, c1: np.ndarray) -> tuple[fl
     return float(lo), float(hi), line0
 
 
-def _jump(net: _Network, c: np.ndarray, line) -> float:
-    """l1 size of the equilibrium set at c: the segment's length (its
-    condition value) on the critical set, 0 up to rounding at its edge.
-    line is the line data of c when already solved, else None."""
-    eq = _equilibrium(net, c) if line is None else _segment(net, *line)
+def _jump(net: _Network, line) -> float:
+    """l1 size of the equilibrium set at a critical point: the length of
+    the segment of its line data, or 0.0 at an edge of the critical set
+    (line None), where the segment has shrunk to a point."""
+    if line is None:
+        return 0.0
+    eq = _segment(net, *line)
     return float(np.abs(eq.x_max - eq.x_min).sum())
 
 
@@ -197,9 +199,9 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     the ends in (0, 1) of the stretch where the path is critical
     (:func:`_critical_stretch`), or s = 0 if that is the whole path; such
     an end is an edge of the critical set, where the segment shrinks to a
-    point, so its jump is 0 up to rounding.  Each jump is the l1 size of
-    the equilibrium set at its s: the segment of the line data that found
-    s* or the critical start, and the equilibrium set at an edge.  A change
+    point, so its jump is exactly 0.0.  Every other jump is the l1 length
+    of the segment of the line data that found s* or the critical start,
+    so no jump takes a solve of its own.  A change
     of kind between two samples that no critical point explains is
     reported unresolved, never guessed.
     """
@@ -245,7 +247,7 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     ds = float(grid[1] - grid[0])
     for s, line in critical:
         result.critical_points.append({"s_lo": max(0.0, s - ds), "s_hi": min(1.0, s + ds)})
-        result.jumps.append({"s": s, "magnitude": _jump(net, path.c_at(s), line)})
+        result.jumps.append({"s": s, "magnitude": _jump(net, line)})
     for i in range(grid.size - 1):
         if rows[i].kind != rows[i + 1].kind and not any(
                 grid[i] - MATCH_TOL <= s <= grid[i + 1] + MATCH_TOL for s, _ in critical):
@@ -290,8 +292,7 @@ def directional_limits(
     c_star), so for small epsilons one linear solve gives them all; a
     breakpoint between two epsilons starts a new piece.  Both sides are
     certified in one pass once they are walked, and an epsilon that fails
-    there falls back to its side's next piece, then to a piece walked
-    again from its own pattern, and then to the cold solver.
+    there falls back to its side's next piece and then to the cold solver.
     """
     d = np.asarray(direction, dtype=float)
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=c_star))

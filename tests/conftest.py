@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from satflow import NetworkSpec, dynamics, validate
+from satflow import NetworkSpec, dynamics, equilibria, validate
 
 # Hypothesis profiles of the property tests.  tier1, the default, is
 # derandomized: the same 25 examples on every run, so a failure is never
@@ -38,6 +38,37 @@ def cold_interval_maps():
     """Every test starts without the interval maps that integrate keeps
     from the last network it integrated on this thread."""
     vars(dynamics._last).clear()
+
+
+class Calls(list):
+    """The calls to the satflow.equilibria functions named in watch(), in
+    order, one (name, args) pair each; each call goes on to the function."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        self._monkeypatch = monkeypatch
+
+    def watch(self, *names: str) -> None:
+        for name in names:
+            def recorded(*args, _name=name, _real=getattr(equilibria, name), **kwargs):
+                self.append((_name, args))
+                return _real(*args, **kwargs)
+
+            self._monkeypatch.setattr(equilibria, name, recorded)
+
+    @property
+    def names(self) -> list[str]:
+        return [name for name, _ in self]
+
+    def args(self, name: str) -> list[tuple]:
+        """The arguments of each call to name, in order."""
+        return [args for called, args in self if called == name]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """A :class:`Calls` record; monkeypatch.undo() stops it."""
+    return Calls(monkeypatch)
 
 
 @pytest.fixture

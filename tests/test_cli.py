@@ -126,7 +126,9 @@ class TestLoadScenario:
         _scenario_text(name='"\xff"').encode("latin-1"),  # a lone 0xff byte: not UTF-8
         b"\xef\xbb\xbf" + _scenario_text().encode(),  # a UTF-8 byte order mark
         _scenario_text(routing="[[0, 0.5], [0.5]]").encode(),  # ragged routing rows
-    ], ids=["invalid_utf8", "bom", "ragged_routing"])
+        # inflow and outflow do not stand in for the required demand
+        b'{"routing": [[0, 0.5], [0.5, 0]], "capacity": [1, 1], "inflow": [0.3, 0.3], "outflow": [0, 0]}',
+    ], ids=["invalid_utf8", "bom", "ragged_routing", "inflow_outflow_without_demand"])
     def test_unreadable_documents_rejected(self, capsys, tmp_path, content):
         path = tmp_path / "bad.json"
         path.write_bytes(content)

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from satflow import (
     IntegratorConfig,
     NetworkSpec,
+    NumericalError,
     PreconditionError,
     equilibrium_set,
     integrate,
@@ -268,6 +271,30 @@ class TestEquilibriumSet:
                 # the distance is 1-Lipschitz in a (pi sums to 1), so the grid is within half a step
                 assert dense - 0.5 * step - 1e-12 <= exact <= dense + 1e-12
 
+    def test_segment_endpoint_off_the_boundary_names_its_distance_and_bound(self):
+        # alpha_min 1e-3 above its root puts x_min's cell 2, at 0 on the
+        # segment, pi_2 * 1e-3 = 37/89e3 inside the lattice
+        net = equilibria._network(R3, 2 * W3)
+        pi, hc, alpha_min, alpha_max = equilibria._line(net, C3)
+        with pytest.raises(NumericalError, match="segment endpoint x_min") as info:
+            equilibria._segment(net, pi, hc, alpha_min + 1e-3, alpha_max)
+        gap, bound = re.search(r"x_min (\S+) off the lattice boundary, not within (\S+)$", str(info.value)).groups()
+        assert float(gap) == pytest.approx(37 / 89e3, rel=1e-3)
+        assert float(bound) == pytest.approx(equilibria.BOUNDARY_TOL * 12.0, rel=1e-3)
+
+    def test_point_disagreement_names_its_gap_and_bound(self, monkeypatch):
+        # x_max moved up by 1e-3 per cell on two cells with capacities 10
+        real = equilibria._extreme
+        monkeypatch.setattr(equilibria, "_extreme",
+                            lambda net, c, side: real(net, c, side) + (1e-3 if side == "max" else 0.0))
+        spec = validate(NetworkSpec(routing=np.array([[0.0, 0.5], [0.5, 0.0]]), capacity=np.array([10.0, 10.0]),
+                                    demand=np.array([0.3, 0.3])))
+        with pytest.raises(NumericalError, match="unique equilibrium: x_min and x_max disagree by") as info:
+            equilibrium_set(spec)
+        gap, bound = re.search(r"disagree by (\S+), not within (\S+)$", str(info.value)).groups()
+        assert float(gap) == pytest.approx(2e-3, rel=1e-3)
+        assert float(bound) == pytest.approx(equilibria.POINT_AGREEMENT_TOL * 10.0, rel=1e-3)
+
     @pytest.mark.parametrize("k", [1e-6, 1e6, 1e9, 1e12])
     def test_scaled_reference_network(self, spec3, k):
         # (kw, kc) has k times the equilibria of (w, c)
@@ -277,6 +304,26 @@ class TestEquilibriumSet:
         assert np.abs(eq.x_min - k * base.x_min).max() <= 1e-12 * k
         assert np.abs(eq.x_max - k * base.x_max).max() <= 1e-12 * k
         assert abs(eq.condition_value - k * base.condition_value) <= 1e-12 * k
+
+
+_PAST = {0.0: np.nextafter(0.0, -1.0), 3.0: np.nextafter(3.0, 4.0)}  # one ulp outside [0, 3]
+
+
+# y = R'x + c on one cell with w = 3, in the pattern that frees it or
+# holds it at 0 or at w: a bound is inside its closed region
+@pytest.mark.parametrize("y, held, outside", [
+    (0.0, None, False), (0.0, "zero", False), (3.0, None, False), (3.0, "cap", False),
+    (_PAST[0.0], None, True), (_PAST[3.0], None, True),
+    (np.nextafter(0.0, 1.0), "zero", True), (np.nextafter(3.0, 0.0), "cap", True),
+    (_PAST[0.0], "zero", False), (_PAST[3.0], "cap", False),
+])
+def test_closed_region_of_a_pattern(y, held, outside):
+    zero, cap = np.array([held == "zero"]), np.array([held == "cap"])
+    assert equilibria._outside(np.array([y]), zero, cap, np.array([3.0])).tolist() == [outside]
+    # rows of y take rows of the pattern: 1.5 is outside a cell held at 0
+    rows = equilibria._outside(np.array([[y], [1.5]]), np.array([zero, [True]]), np.array([cap, [False]]),
+                               np.array([3.0]))
+    assert rows.tolist() == [[outside], [True]]
 
 
 class TestProperties:

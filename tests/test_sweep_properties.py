@@ -6,7 +6,8 @@ relabels the equilibria, so a sweep of the scaled or permuted path must
 give the same rows, scaled or permuted, and the same jumps, for paths
 that cross the zero-sum hyperplane and for paths inside it.  A path that
 crosses the critical set is walked from the crossing without the cold
-solver, and its rows are those of equilibrium_set.  The examples come
+solver, and its rows are those of equilibrium_set, as are the rows of
+paths between rational demands, whose breakpoints fall on samples.  The examples come
 from the loaded Hypothesis profile (see conftest.py).
 """
 
@@ -171,6 +172,33 @@ def test_crossing_paths_are_walked_without_a_cold_solve(case):
     assert len(result.jumps) == 1 and len(cold) == 0
     tol = 1e-10 * max(1.0, w.max())
     for row in result.rows:
+        eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=row.c)))
+        assert row.kind == eq.kind
+        assert np.abs(row.x_min - eq.x_min).sum() <= tol
+        assert np.abs(row.x_max - eq.x_max).sum() <= tol
+
+
+_R2 = np.array([[0.0, 0.5], [0.5, 0.0]])
+
+
+@st.composite
+def rational_sweeps(draw):
+    """The reference network, or two cells feeding each other half their
+    mass with w = 1, and a path between demands in multiples of 1/6 with
+    2-41 samples: breakpoints of the walk, and crossings of the zero-sum
+    hyperplane, fall exactly on samples."""
+    R, w = draw(st.sampled_from([(R3, W3), (_R2, np.ones(2))]))
+    sixths = st.lists(st.integers(-18, 36), min_size=w.size, max_size=w.size)
+    c_start, c_end = np.array(draw(sixths)) / 6, np.array(draw(sixths)) / 6
+    return R, w, DemandPath(c_start, c_end, draw(st.integers(2, 41)))
+
+
+@given(rational_sweeps())
+def test_paths_between_rational_demands_match_equilibrium_set(case):
+    # a sample on a breakpoint is certified on either piece that meets there
+    R, w, path = case
+    tol = 1e-10 * max(1.0, w.max())
+    for row in sweep(R, w, path).rows:
         eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=row.c)))
         assert row.kind == eq.kind
         assert np.abs(row.x_min - eq.x_min).sum() <= tol

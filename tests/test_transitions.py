@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,25 @@ def _reducible_routing():
     return R
 
 
+# two cells feeding each other half their mass: x = min(2a, 1) on both at demand [a, a]
+_R2, _W2 = np.array([[0.0, 0.5], [0.5, 0.0]]), np.ones(2)
+
+
+def _longest_piece_but_its_first(ts, k):
+    out = np.zeros(ts.size, dtype=bool)
+    out[np.flatnonzero(k == np.argmax(np.bincount(k)))[1:]] = True
+    return out
+
+
+#: the samples (ts of a certificate pass, on pieces k) that a test refuses
+_REFUSED = {
+    "all": lambda ts, k: np.ones(ts.size, dtype=bool),
+    "longest": _longest_piece_but_its_first,
+    "before_crossing": lambda ts, k: ts < 1 / 3,
+    "breakpoint": lambda ts, k: ts == 0.5,
+}
+
+
 def _random_path(rng, trial):
     """A random network and demand path: leaky, stochastic irreducible
     (some paths through an interior critical demand, some inside the
@@ -297,42 +317,31 @@ class TestContinuation:
     the path one saturation pattern at a time; every answer must match
     equilibrium_set at that demand."""
 
-    def test_sweep_rows_match_equilibrium_set(self, monkeypatch):
+    def test_sweep_rows_match_equilibrium_set(self, monkeypatch, calls):
         rng = np.random.default_rng(67)
-        pieces, certified, cold, solves = [], [], [], []
-        real_piece, real_certify = equilibria._pattern_piece, equilibria._certify
-        real_point, real_solve = equilibria._point, equilibria._solve_free
-
-        def counted_piece(*args, **kwargs):
-            pieces.append(1)
-            return real_piece(*args, **kwargs)
+        certified, counts = [], Counter()
+        real_certify = equilibria._certify
 
         def counted_certify(*args, **kwargs):
             out = real_certify(*args, **kwargs)
             certified.append(int(out[0].sum()))
             return out
 
-        def counted_point(net, c, *args, **kwargs):
-            cold.append(c)
-            return real_point(net, c, *args, **kwargs)
-
-        monkeypatch.setattr(equilibria, "_pattern_piece", counted_piece)
         monkeypatch.setattr(equilibria, "_certify", counted_certify)
-        monkeypatch.setattr(equilibria, "_point", counted_point)
-        monkeypatch.setattr(equilibria, "_solve_free", lambda *a, **k: solves.append(1) or real_solve(*a, **k))
-        crossing = total_solves = total_cold = 0
+        calls.watch("_pattern_piece", "_point", "_solve_free")
+        crossing = 0
         for trial in range(200):
             R, w, path = _random_path(rng, trial)
             tol = 1e-10 * max(1.0, w.max())
-            del cold[:], solves[:]
+            del calls[:]
             result = sweep(R, w, path)
-            total_solves, total_cold = total_solves + len(solves), total_cold + len(cold)
+            counts.update(calls.names)
             if trial % 6 in (2, 3) and result.jumps:
                 # a path that crosses the critical set runs no cold solver:
                 # it is walked outward from the crossing, both ways, from
                 # the segment endpoints
                 crossing += 1
-                assert len(cold) == 0
+                assert "_point" not in calls.names
             assert len(result.rows) == path.samples
             for row in result.rows:
                 eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=row.c)))
@@ -350,14 +359,20 @@ class TestContinuation:
             assert result.unresolved == cold_sweep.unresolved
             for jump in result.jumps:
                 eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=path.c_at(jump["s"]))))
-                assert jump["magnitude"] == np.abs(eq.x_max - eq.x_min).sum()
+                size = np.abs(eq.x_max - eq.x_min).sum()
+                if trial % 6 == 4 and 0.0 < jump["s"] < 1.0:
+                    # an edge of the critical set, inside the hyperplane:
+                    # the segment has shrunk to a point
+                    assert jump["magnitude"] == 0.0 and size <= 1e-12 * w.sum()
+                else:
+                    assert jump["magnitude"] == size
         assert crossing > 30
         # one pattern solve usually certifies several samples
-        assert sum(certified) > 1.5 * len(pieces) > 1000
+        assert sum(certified) > 1.5 * counts["_pattern_piece"] > 1000
         # free-cell solves and _point calls of these 200 sweeps when each
         # piece was certified as it was walked: walking first costs no more
-        assert total_solves <= 2961
-        assert total_cold <= 1543
+        assert counts["_solve_free"] <= 2961
+        assert counts["_point"] <= 1543
 
     def test_one_piece_per_affine_stretch(self, monkeypatch):
         # a in [2.2, 8] of the reference path lies inside one affine piece
@@ -390,31 +405,56 @@ class TestContinuation:
         assert len(result.jumps) == 1
         assert len(cold) == 0
 
-    def test_walk_that_certifies_nothing_answers_every_sample_cold(self, monkeypatch):
-        # every sample the walk covers fails its certificate, on its own
-        # piece and on the retry, and goes to _point: the rows are then
-        # equilibrium_set's, bit for bit.  The stretch before the crossing
-        # is walked in descending s, so cold answers are matched by demand
-        cold = []
-        real_certify, real_point = equilibria._certify, equilibria._point
+    # the reference path with every sample refused on every try; the
+    # longest piece refused but its first sample, as a piece whose
+    # extrapolation lost accuracy would be, alone (a = 2.2 -> 8) and before
+    # a piece of another pattern that refuses them too (a = 8 -> 1.1); the
+    # ten samples before the crossing of a = 0.5 -> 2 at s* = 1/3, the last
+    # piece of the backward walk; and the breakpoint a = 0.5 of the two-cell
+    # network, on a sample that the next piece certifies
+    @pytest.mark.parametrize("R, w, ends, samples, refuse, every_try, refused, cold", [
+        (R3, W3, ([0.0, -1.0, 0.0], [3.0, -1.0, 6.0]), 31, "all", True, 31, 31),
+        (R3, W3, ([2.2 / 3, -1.0, 4.4 / 3], [8 / 3, -1.0, 16 / 3]), 25, "longest", False, 23, 23),
+        (R3, W3, ([8 / 3, -1.0, 16 / 3], [1.1 / 3, -1.0, 2.2 / 3]), 31, "longest", False, 24, 24),
+        (R3, W3, ([0.5 / 3, -1.0, 1 / 3], [2 / 3, -1.0, 4 / 3]), 30, "before_crossing", False, 10, 10),
+        (_R2, _W2, ([0.25, 0.25], [0.75, 0.75]), 5, "breakpoint", False, 1, 0),
+    ], ids=["every_sample", "one_piece", "two_pieces", "before_the_crossing", "on_a_breakpoint"])
+    def test_walk_that_certifies_nothing_answers_every_sample_cold(self, monkeypatch, calls, R, w, ends, samples,
+                                                                    refuse, every_try, refused, cold):
+        # a refused sample is tried on its walk's next piece, which certifies
+        # it only on a breakpoint, and otherwise answered by one _point: those
+        # rows are equilibrium_set's, bit for bit.  The stretch before a
+        # crossing is walked in descending s, so cold answers are matched by
+        # demand
+        path = DemandPath(*ends, samples)
+        calls.watch("_pattern_piece", "_point")
+        expected = sweep(R, w, path).rows
+        walked = calls.names
+        del calls[:]
+        real_certify, demands = equilibria._certify, set()
 
-        def refused(*args):
-            ok, lows, highs = real_certify(*args)
-            return np.zeros_like(ok), lows, highs
+        def certify(net, c0, dc, ts, pieces, k):
+            ok, lows, highs = real_certify(net, c0, dc, ts, pieces, k)
+            if every_try or not demands:
+                out = _REFUSED[refuse](ts, k)
+                demands.update(c.tobytes() for c in c0 + ts[out, None] * dc)
+                ok[out] = False
+            return ok, lows, highs
 
-        monkeypatch.setattr(equilibria, "_certify", refused)
-        monkeypatch.setattr(equilibria, "_point", lambda net, c, *a, **k: cold.append(c) or real_point(net, c, *a, **k))
-        path = DemandPath([0.0, -1.0, 0.0], [3.0, -1.0, 6.0], 31)
-        rows = sweep(R3, W3, path).rows
+        monkeypatch.setattr(equilibria, "_certify", certify)
+        rows = sweep(R, w, path).rows
         monkeypatch.undo()
-        walked = [row for row in rows if row.kind == POINT]
-        assert len(walked) == 31 and len(cold) == 31
-        demands = {c.tobytes() for c in cold}
-        assert len(demands) == 31
-        for row in walked:
-            assert row.c.tobytes() in demands
-            eq = equilibrium_set(validate(NetworkSpec(routing=R3, capacity=W3, demand=row.c)))
-            assert np.array_equal(row.x_min, eq.x_min) and np.array_equal(row.x_max, eq.x_max)
+        assert len(demands) == refused
+        assert calls.names == walked + ["_point"] * cold
+        answered = [args[1].tobytes() for args in calls.args("_point")[walked.count("_point"):]]
+        assert len(set(answered)) == cold and demands.issuperset(answered)
+        tol = 1e-10 * max(1.0, w.max())
+        for row, want in zip(rows, expected):
+            assert np.abs(row.x_min - want.x_min).sum() <= tol
+            assert np.abs(row.x_max - want.x_max).sum() <= tol
+            if row.c.tobytes() in answered:
+                eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=row.c)))
+                assert np.array_equal(row.x_min, eq.x_min) and np.array_equal(row.x_max, eq.x_max)
 
     # the paper's path c(a) = [a/3, -1, 2a/3] between a = 0.5, 9 and the
     # critical a = 1: s* midway between samples, on a sample (whose demand
@@ -443,41 +483,6 @@ class TestContinuation:
             assert np.abs(row.x_min - eq.x_min).sum() <= 1e-10 * W3.max()
             assert np.abs(row.x_max - eq.x_max).sum() <= 1e-10 * W3.max()
 
-    def test_refused_stretch_before_the_crossing_is_walked_again_once(self, monkeypatch):
-        # the paper's path from a = 0.5 to 2 crosses c* at a = 1, s* = 1/3,
-        # and the ten samples before it lie on one piece of the backward
-        # walk; the certificate refuses them all, as a piece whose
-        # extrapolation lost accuracy would, and one piece solved from the
-        # pattern of the sample nearest s*, walked again in descending s,
-        # certifies them all with no cold solve
-        path = DemandPath([0.5 / 3, -1.0, 1 / 3], [2 / 3, -1.0, 4 / 3], 30)
-        real_piece, real_point, real_certify = equilibria._pattern_piece, equilibria._point, equilibria._certify
-        calls, refused = [], []
-
-        def certify(net, c0, dc, ts, pieces, k):
-            ok, lows, highs = real_certify(net, c0, dc, ts, pieces, k)
-            if not refused:
-                refused.extend(ts[ts < 1 / 3])
-                ok[ts < 1 / 3] = False
-            return ok, lows, highs
-
-        def piece(net, c0, dc, t0, *args):
-            calls.append((t0, np.sign(dc.sum())))
-            return real_piece(net, c0, dc, t0, *args)
-
-        monkeypatch.setattr(equilibria, "_pattern_piece", piece)
-        monkeypatch.setattr(equilibria, "_point", lambda *a, **k: calls.append("point") or real_point(*a, **k))
-        expected = sweep(R3, W3, path).rows
-        walked = list(calls)
-        del calls[:]
-        monkeypatch.setattr(equilibria, "_certify", certify)
-        rows = sweep(R3, W3, path).rows
-        assert len(refused) == 10
-        assert calls == walked + [(-path.grid[9], -1.0)]
-        for row, want in zip(rows, expected):
-            assert np.abs(row.x_min - want.x_min).sum() <= 1e-10 * W3.max()
-            assert np.abs(row.x_max - want.x_max).sum() <= 1e-10 * W3.max()
-
     @pytest.mark.parametrize("d", [[1 / 3, 0.0, 2 / 3], [1.0, 1.0, 1.0], [0.5, -0.2, 1.0]])
     def test_directional_limits_keep_the_bits_of_one_sided_walks(self, d):
         # both sides are walked outward from c* as one line and certified in
@@ -493,59 +498,37 @@ class TestContinuation:
             for row, eq in zip(lim.table, points[::-1]):
                 assert row[side].tobytes() == eq.x_min.tobytes()
 
-    @pytest.mark.parametrize("c_end, samples", [(0.75, 3), (0.5, 2)], ids=["middle", "last"])
-    def test_sample_on_a_breakpoint_is_certified_on_the_piece_past_it(self, monkeypatch, c_end, samples):
+    @pytest.mark.parametrize("c_end, samples, walk", [
+        (0.75, 3, ["_point", "_pattern_piece", "_pattern_piece"]),
+        (0.5, 2, ["_point", "_pattern_piece"]),
+    ], ids=["middle", "last"])
+    def test_sample_on_a_breakpoint_is_certified_on_its_own_piece(self, calls, c_end, samples, walk):
         # two cells feeding each other half their mass, x = min(2a, 1) on
-        # both, saturate at a = 0.5, a sample: its own piece (both free)
-        # fails the pattern test there, and the piece past the breakpoint,
-        # the walk's next one or, at the last sample, one solved from the
-        # sample's pattern, certifies it without the cold solver
-        calls = []
-        real_piece, real_point = equilibria._pattern_piece, equilibria._point
-        monkeypatch.setattr(equilibria, "_pattern_piece", lambda *a, **k: calls.append("piece") or real_piece(*a, **k))
-        monkeypatch.setattr(equilibria, "_point", lambda *a, **k: calls.append("point") or real_point(*a, **k))
-        R, w = np.array([[0.0, 0.5], [0.5, 0.0]]), np.ones(2)
-        rows = sweep(R, w, DemandPath([0.25, 0.25], [c_end, c_end], samples)).rows
-        assert calls == ["point", "piece", "piece"]
+        # both, saturate at a = 0.5, a sample: R'x + c = w there lies in the
+        # closed region of its own piece (both free), which certifies it
+        # without the cold solver
+        calls.watch("_pattern_piece", "_point")
+        rows = sweep(_R2, _W2, DemandPath([0.25, 0.25], [c_end, c_end], samples)).rows
+        assert calls.names == walk
         assert np.array_equal(rows[0].x_min, [0.5, 0.5])
         for row in rows[1:]:
-            assert np.array_equal(row.x_min, w) and np.array_equal(row.x_max, w)
+            assert np.array_equal(row.x_min, _W2) and np.array_equal(row.x_max, _W2)
 
-    @pytest.mark.parametrize("c_start, c_end, samples", [
-        ([2.2 / 3, -1.0, 4.4 / 3], [8 / 3, -1.0, 16 / 3], 25),
-        # a = 8 -> 1.1 of the reference path: 25 samples on one piece, 5 on the next
-        ([8 / 3, -1.0, 16 / 3], [1.1 / 3, -1.0, 2.2 / 3], 31),
-    ], ids=["one_piece", "two_pieces"])
-    def test_samples_failing_inside_a_piece_are_walked_again_once(self, monkeypatch, c_start, c_end, samples):
-        # the walk's certificate refuses every sample of its longest piece
-        # but the first, as a piece whose extrapolation lost accuracy would:
-        # the next piece, if any, has another pattern and refuses them too,
-        # and one piece solved from the first refused sample's pattern
-        # certifies them all, with no further cold solve
-        path = DemandPath(c_start, c_end, samples)
-        real_piece, real_point, real_certify = equilibria._pattern_piece, equilibria._point, equilibria._certify
-        calls, refused = [], []
-
-        def certify(net, c0, dc, ts, pieces, k):
-            ok, lows, highs = real_certify(net, c0, dc, ts, pieces, k)
-            if not refused:
-                longest = np.argmax(np.bincount(k))
-                refused.extend(np.flatnonzero(k == longest)[1:])
-                ok[refused] = False
-            return ok, lows, highs
-
-        monkeypatch.setattr(equilibria, "_pattern_piece", lambda *a, **k: calls.append("piece") or real_piece(*a, **k))
-        monkeypatch.setattr(equilibria, "_point", lambda *a, **k: calls.append("point") or real_point(*a, **k))
-        expected = sweep(R3, W3, path).rows
-        walked = list(calls)
-        del calls[:]
-        monkeypatch.setattr(equilibria, "_certify", certify)
-        rows = sweep(R3, W3, path).rows
-        assert len(refused) > 5
-        assert calls == walked + ["piece"]
-        for row, want in zip(rows, expected):
-            assert np.abs(row.x_min - want.x_min).sum() <= 1e-10 * W3.max()
-            assert np.abs(row.x_max - want.x_max).sum() <= 1e-10 * W3.max()
+    @pytest.mark.parametrize("samples", [3, 41, 91])
+    def test_breakpoint_at_the_end_of_a_crossing_path_runs_no_cold_solve(self, calls, samples):
+        # the falling reference path a = 2 -> 0 crosses c* at s* = 1/2 and
+        # ends at [0, -1, 0], whose equilibrium 0 has R'x + c exactly 0 on
+        # cells 1 and 3: a breakpoint that the walk's last piece reaches and
+        # fits, so no sample needs the cold solver
+        path = DemandPath([2 / 3, -1.0, 4 / 3], [0.0, -1.0, 0.0], samples)
+        calls.watch("_point")
+        result = sweep(R3, W3, path)
+        assert len(result.jumps) == 1 and calls == []
+        for row in result.rows:
+            eq = equilibrium_set(validate(NetworkSpec(routing=R3, capacity=W3, demand=row.c)))
+            assert row.kind == eq.kind
+            assert np.abs(row.x_min - eq.x_min).sum() <= 1e-10 * W3.max()
+            assert np.abs(row.x_max - eq.x_max).sum() <= 1e-10 * W3.max()
 
     def test_held_cell_rounded_past_its_bound_covers_the_samples(self, monkeypatch):
         # the falling reference path leaves c* at s* = 8/9 from x_min with
