@@ -202,8 +202,12 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
     if x.shape != w.shape:
         raise PreconditionError(f"initial state must have length {spec.n}")
     scale = tolerance_scale(w)
-    if not in_lattice(x, w, LATTICE_TOL * scale):
-        raise PreconditionError("initial state outside the lattice [0, w]")
+    slack = LATTICE_TOL * scale
+    if not in_lattice(x, w, slack):
+        past = np.maximum(-x, x - w)  # how far each cell is past its nearer bound
+        i = int(np.argmax(~(past <= slack)))  # NaN counts as outside
+        raise PreconditionError(f"initial state outside the lattice [0, w]: cell {i + 1} is {past[i]:.3g} "
+                                f"outside, beyond the slack {slack:.3g}")
 
     dt = cfg.dt
     n_steps = max(1, int(round(cfg.t_end / dt)))

@@ -25,7 +25,7 @@ makes the equilibrium unique, sub-stochastic out-connected routing or
 stochastic irreducible routing off the zero-sum hyperplane (one rule,
 :meth:`_Network.walkable`), such a caller walks an affine demand path
 c0 + t*dc first, one saturation pattern at a time, and then certifies it
-once (:func:`_points_along`).  The equilibrium is affine in t while its
+once (:func:`_points`).  The equilibrium is affine in t while its
 pattern (Z = {R'x + c <= 0} at 0, U = {R'x + c >= w} at w, the rest free)
 holds, so one linear solve of the free cells, with the mirrored system and
 the direction as further right-hand sides, gives x_min(t) and x_max(t) on
@@ -36,16 +36,14 @@ next piece starts just past it: the continuation of parametric LCP (Murty
 2004).  Only then is every sample of the walk checked, in one vectorised
 pass with the tests a cold answer meets (:func:`_certify`), where a sample
 on a breakpoint fits the closed regions of the pieces on both sides of it
-(:func:`_outside`).  A sample that fails, one that rounding put just past
-a breakpoint, is tried on the walk's next piece, and the cold pattern
-iteration above answers a sample that fails there too.  A path
-that crosses the critical set is walked outward from the crossing both
-ways (:func:`_points_outward`), each way from the segment endpoint that
-its equilibria approach, with the cell that bounds the segment held, so
-it needs no cold answer to start: the way back runs along -dc at -t,
-which gives the same demands to the bit.  Its pieces enter the one
-certificate pass reversed, t0 and the direction negated, which is exact.
-Only a path that does not cross starts from a cold answer.
+(:func:`_outside`).  The cold pattern iteration above answers each sample
+that fails.  A path that crosses the critical set is walked outward from
+the crossing both ways, each way from the segment endpoint that its
+equilibria approach, with the cell that bounds the segment held, so it
+needs no cold answer to start: the way back runs along -dc at -t, which
+gives the same demands to the bit.  Its pieces enter the one certificate
+pass reversed, t0 and the direction negated, which is exact.  Only a path
+that does not cross starts from a cold answer.
 
 For stochastic irreducible routing with zero-sum demand the full set of
 equilibria is known analytically: it is the line {Hc + a*pi} intersected
@@ -384,42 +382,50 @@ class _Walk(NamedTuple):
     out: list[EquilibriumSet | None]
 
 
-def _points_along(net: _Network, c0: np.ndarray, dc: np.ndarray, ts,
-                  seed: tuple[float, np.ndarray] | None) -> list[EquilibriumSet]:
+def _points(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, crossing=None) -> list[EquilibriumSet]:
     """The unique equilibria at the demands c0 + t*dc for ascending ts, all
     of them walkable (:meth:`_Network.walkable`): walk the path first
-    (:func:`_walk`, from seed), then certify it once (:func:`_settle`)."""
-    return _settle(net, c0, dc, [_walk(net, c0, dc, ts, seed)])[0]
+    (:func:`_walk`), then certify every walked sample in one pass
+    (:func:`_certify`), and answer each sample it refuses cold (:func:`_point`).
 
-
-def _points_outward(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, t_star: float,
-                    line) -> list[EquilibriumSet]:
-    """The unique equilibria at the demands c0 + t*dc for ascending ts, all
-    of them walkable, on a line that crosses the critical set at t_star,
-    where line is the line data (pi, Hc, alpha_min, alpha_max).
-
-    The line is walked outward from t_star both ways, each way from the
-    segment endpoint that its equilibria approach (:func:`_endpoint_seed`):
-    the samples up to t_star backward, along -dc at -t (c0 + (-t)*(-dc)
-    has the bits of c0 + t*dc), and the rest forward.  Neither walk needs
-    the cold solver to start, and one certificate pass checks both
-    (:func:`_settle`).
+    Without crossing the walk starts from a cold answer at the first
+    sample.  crossing = (t_star, line) says the line crosses the critical
+    set at t_star, with line data (pi, Hc, alpha_min, alpha_max) there: it
+    is walked outward from t_star both ways, each way from the segment
+    endpoint that its equilibria approach (:func:`_endpoint_seed`), so
+    neither walk needs the cold solver to start.  The samples up to t_star
+    go backward, along -dc at -t (c0 + (-t)*(-dc) has the bits of
+    c0 + t*dc), and enter the certificate with their pieces reversed,
+    which changes no bit.  A certified row is clamped onto [0, w], which
+    moves it by rounding at most.
     """
     ts = np.asarray(ts, dtype=float)
-    split = int(ts.searchsorted(t_star, side="right"))
-    walks = []
+    split, walks = 0, []
+    if crossing is not None:
+        t_star, line = crossing
+        split = int(ts.searchsorted(t_star, side="right"))
     for sign, part in ((-1.0, ts[:split][::-1]), (1.0, ts[split:])):
-        seed = (sign * t_star, _endpoint_seed(line, net.w, sign * dc))
+        seed = None if crossing is None else (sign * t_star, _endpoint_seed(line, net.w, sign * dc))
         walks.append(_walk(net, c0, sign * dc, sign * part, seed, sign))
-    below, above = _settle(net, c0, dc, walks)
-    return below[::-1] + above
+    # the samples of both walks in walk order, in the line's own t and on the line's pieces
+    out = walks[0].out + walks[1].out
+    line_ts = np.concatenate([walk.sign * walk.ts for walk in walks])
+    owner = np.concatenate([walks[0].owner, np.where(walks[1].owner >= 0, walks[1].owner + len(walks[0].pieces), -1)])
+    pieces = [piece.reversed() for piece in walks[0].pieces] + walks[1].pieces
+    walked = np.flatnonzero(owner >= 0)
+    if walked.size:
+        ok, lows, highs = _certify(net, c0, dc, line_ts[walked], pieces, owner[walked])
+        lows, highs = (np.minimum(np.maximum(X, 0.0), net.w) for X in (lows, highs))
+        for j, good, lo, hi in zip(walked, ok, lows, highs):
+            out[j] = EquilibriumSet(kind=POINT, x_min=lo, x_max=hi) if good else _point(net, c0 + line_ts[j] * dc)
+    return out[:split][::-1] + out[split:]
 
 
 def _walk(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, seed: tuple[float, np.ndarray] | None,
           sign: float = 1.0) -> _Walk:
     """Walk c0 + t*dc over the ascending samples ts piece by piece
     (:func:`_pattern_piece`), checking nothing yet; sign (-1.0 when dc is
-    the reverse of the line's direction) is kept for :func:`_settle`.
+    the reverse of the line's direction) is kept for :func:`_points`.
 
     seed is None or (t, y): a vector y = R'x + c whose saturation pattern
     the first piece takes as given from the path parameter t <= ts[0].
@@ -449,59 +455,6 @@ def _walk(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, seed: tuple[float, 
         seed, restarts = (ts[i], net.R.T @ out[i].x_min + c), 0
         i += 1
     return _Walk(sign, ts, pieces, owner, out)
-
-
-def _settle(net: _Network, c0: np.ndarray, dc: np.ndarray, walks: list[_Walk]) -> list[list[EquilibriumSet]]:
-    """Certify the walks on the line c0 + t*dc, and return their answers.
-
-    Every covered sample of every walk is checked in one vectorised pass
-    (:func:`_certify`), with the tests a cold answer meets; a walk against
-    the line's direction enters it with its pieces and samples reversed,
-    which changes no bit.  The samples that fail go to :func:`_retry`
-    (the walk's next piece, else the cold solver): every answer is certified.
-    """
-    ts, pieces, ks, walked = [], [], [], []
-    for walk in walks:
-        walked.append(np.flatnonzero(walk.owner >= 0))
-        ts.append(walk.sign * walk.ts[walked[-1]])
-        ks.append(walk.owner[walked[-1]] + len(pieces))
-        pieces += walk.pieces if walk.sign > 0 else [piece.reversed() for piece in walk.pieces]
-    ts = np.concatenate(ts)
-    if ts.size:
-        ok, lows, highs = _certify(net, c0, dc, ts, pieces, np.concatenate(ks))
-        start = 0
-        for walk, js in zip(walks, walked):
-            part = slice(start, start + js.size)
-            start = part.stop
-            _accept(walk.out, js, ok[part], lows[part], highs[part])
-            failed = ~ok[part]
-            if failed.any():
-                _retry(net, c0, walk.sign * dc, walk.ts, walk.pieces, js[failed], walk.owner[js[failed]], walk.out)
-    return [walk.out for walk in walks]
-
-
-def _accept(out: list, js: np.ndarray, ok: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> None:
-    """Put the Point of each certified sample js[ok] into out."""
-    for j, lo, hi in zip(js[ok], lows[ok], highs[ok]):
-        out[j] = EquilibriumSet(kind=POINT, x_min=lo, x_max=hi)
-
-
-def _retry(net: _Network, c0: np.ndarray, dc: np.ndarray, ts: np.ndarray, pieces: list[_Piece],
-           failed: np.ndarray, k: np.ndarray, out: list) -> None:
-    """Answer into out the samples ts[failed] (ascending) that failed their
-    certificate, each on pieces[k].
-
-    A sample that rounding put just past a breakpoint fails on the piece
-    before it and is certified on the walk's next piece; any other is
-    answered cold by :func:`_point`.
-    """
-    ok = np.zeros(failed.size, dtype=bool)
-    later = k + 1 < len(pieces)
-    if later.any():
-        ok[later], lows, highs = _certify(net, c0, dc, ts[failed[later]], pieces, k[later] + 1)
-        _accept(out, failed[later], ok[later], lows, highs)
-    for j in failed[~ok]:
-        out[j] = _point(net, c0 + ts[j] * dc)
 
 
 def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: np.ndarray,
@@ -606,7 +559,7 @@ def _certify(net: _Network, c0: np.ndarray, dc: np.ndarray, ts: np.ndarray, piec
 
 def _endpoint_seed(line, w: np.ndarray, dc: np.ndarray) -> np.ndarray:
     """A seed for a walk c* + t*dc that leaves a critical demand c*
-    (:func:`_points_outward`): R'x + c* = x at the segment endpoint the walk
+    (:func:`_points`): R'x + c* = x at the segment endpoint the walk
     leaves, x_max when the total demand rises (sum(dc) > 0) and x_min when
     it falls, from the line data (pi, Hc, alpha_min, alpha_max) of c*, with
     the cell that bounds alpha put exactly on its bound.  Its pattern holds

@@ -24,10 +24,9 @@ which the cold solver answers.  One linear solve gives a whole piece, and
 a breakpoint between samples starts the next piece.  The walks come
 first and their samples are certified after them, all in one vectorised
 pass per call, where a sample on a breakpoint fits the pieces on both
-sides of it; a sample that fails there is tried on its walk's next piece
-and then on the cold solver.  The other samples take the cold solver.
-The answers are those of :func:`satflow.equilibria.equilibrium_set` at
-each demand, up to rounding.
+sides of it.  The cold solver answers a sample that fails there, and the
+samples that are not walked.  The answers are those of
+:func:`satflow.equilibria.equilibrium_set` at each demand, up to rounding.
 """
 
 from __future__ import annotations
@@ -45,16 +44,10 @@ from .equilibria import (
     _line,
     _Network,
     _network,
-    _points_along,
-    _points_outward,
+    _points,
     _segment,
 )
 from .model import NetworkSpec, _zero_sum_rows, is_zero_sum, validate, zero_sum_tol
-
-#: condition values at most this times |w|_1 are flagged marginal, not
-#: classified; the condition value is the l1 length of the segment, so the
-#: flag does not depend on units
-MARGINAL_TOL = 1e-10
 
 #: slack in the path parameter s when a zero-sum root is matched to [0, 1]
 #: and a change of kind between two samples to a critical point
@@ -95,13 +88,11 @@ class SweepRow:
     x_max: np.ndarray
     condition_value: float | None
     on_manifold: bool
-    marginal: bool = False
 
 
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
-    critical_points: list[dict] = field(default_factory=list)  # {"s_lo", "s_hi"}: s -/+ the grid spacing, per critical point
     jumps: list[dict] = field(default_factory=list)  # {"s", "magnitude"} per critical point, 0 at an edge
     unresolved: list[dict] = field(default_factory=list)  # {"s_lo", "s_hi"}: kind changes no critical point explains
 
@@ -160,20 +151,6 @@ def _jump(net: _Network, line) -> float:
     return float(np.abs(eq.x_max - eq.x_min).sum())
 
 
-def _row(s, c, eq: EquilibriumSet, marginal_tol: float) -> SweepRow:
-    value = eq.condition_value
-    return SweepRow(
-        s=float(s),
-        c=c,
-        kind=eq.kind,
-        x_min=eq.x_min,
-        x_max=eq.x_max,
-        condition_value=value,
-        on_manifold=eq.kind == SEGMENT,
-        marginal=value is not None and abs(value) <= marginal_tol,
-    )
-
-
 def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     """Classify the equilibrium set along a demand path and locate crossings.
 
@@ -183,14 +160,16 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     demands are one (samples, n) array with the bits of path.c_at, and one
     pass over it picks the samples with a unique equilibrium off the
     zero-sum hyperplane.  Those are walked one saturation pattern at a time
-    and certified once the walk is done, in one pass (see
-    :mod:`satflow.equilibria`).  Where the path crosses the critical set,
-    at s*, the walk goes outward from s*: the samples up to s* in
-    descending s from the segment endpoint that the path approaches, and
-    those past it in ascending s from the endpoint that the path leaves,
-    with no cold solve.  A path that does not cross is walked from its
-    first walkable sample, which the cold solver answers.  Zero-sum samples
-    and reducible routing take the cold path one sample at a time.
+    and certified once the walk is done, in one pass; the cold solver
+    answers a sample that the certificate refuses, and a certified row is
+    clamped onto [0, w] (see :mod:`satflow.equilibria`).  Where the path
+    crosses the critical set, at s*, the walk goes outward from s*: the
+    samples up to s* in descending s from the segment endpoint that the
+    path approaches, and those past it in ascending s from the endpoint
+    that the path leaves, with no cold solve.  A path that does not cross
+    is walked from its first walkable sample, which the cold solver
+    answers.  Zero-sum samples and reducible routing take the cold path
+    one sample at a time.
 
     The critical points come from the path's ends, not from its samples.
     Off the hyperplane the total demand is affine in s, and its zero s*
@@ -214,16 +193,17 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     slope = float(path.c_end.sum()) - sig0
     scale_tol = zero_sum_tol(path.c_start) + zero_sum_tol(path.c_end)
     # the critical points with their line data where already solved (None
-    # at an edge), and whether the path crosses the critical set off the
-    # zero-sum hyperplane, at the one critical point s*
-    critical, crossing = [], False
+    # at an edge), and (s*, line data) where the path crosses the critical
+    # set off the zero-sum hyperplane, at its one critical point s*
+    critical, crossing = [], None
     if net.stochastic and abs(slope) > scale_tol and -MATCH_TOL <= -sig0 / slope <= 1 + MATCH_TOL:
         # an end that is zero-sum is s* itself, not the root's rounding of it
         s_star = 0.0 if is_zero_sum(path.c_start) else 1.0 if is_zero_sum(path.c_end) else (
             min(max(-sig0 / slope, 0.0), 1.0))
         line = _critical_line(net, path.c_at(s_star))
         if line is not None:
-            critical, crossing = [(s_star, line)], True
+            crossing = (s_star, line)
+            critical = [crossing]
     elif net.stochastic and max(abs(slope), abs(sig0)) <= scale_tol:
         lo, hi, line = _critical_stretch(net, path.c_start, path.c_end)
         if lo < hi:  # an empty stretch meets nothing
@@ -237,17 +217,12 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
         eqs[i] = _equilibrium(net, cs[i])
     walked = np.flatnonzero(walkable)
     # a crossing path is walked outward from s*, both ways; any other from its first sample, answered cold
-    points = (_points_outward(net, path.c_start, dc, grid[walked], *critical[0]) if crossing
-              else _points_along(net, path.c_start, dc, grid[walked], None))
-    for i, eq in zip(walked, points):
+    for i, eq in zip(walked, _points(net, path.c_start, dc, grid[walked], crossing)):
         eqs[i] = eq
-    marginal_tol = MARGINAL_TOL * float(net.w.sum())
-    rows = [_row(s, c, eq, marginal_tol) for s, c, eq in zip(grid, cs, eqs)]
-    result = SweepResult(rows=rows)
-    ds = float(grid[1] - grid[0])
-    for s, line in critical:
-        result.critical_points.append({"s_lo": max(0.0, s - ds), "s_hi": min(1.0, s + ds)})
-        result.jumps.append({"s": s, "magnitude": _jump(net, line)})
+    rows = [SweepRow(s=float(s), c=c, kind=eq.kind, x_min=eq.x_min, x_max=eq.x_max,
+                     condition_value=eq.condition_value, on_manifold=eq.kind == SEGMENT)
+            for s, c, eq in zip(grid, cs, eqs)]
+    result = SweepResult(rows=rows, jumps=[{"s": s, "magnitude": _jump(net, line)} for s, line in critical])
     for i in range(grid.size - 1):
         if rows[i].kind != rows[i + 1].kind and not any(
                 grid[i] - MATCH_TOL <= s <= grid[i + 1] + MATCH_TOL for s, _ in critical):
@@ -291,15 +266,23 @@ def directional_limits(
     it approaches (x_min below, x_max above, from the line data of
     c_star), so for small epsilons one linear solve gives them all; a
     breakpoint between two epsilons starts a new piece.  Both sides are
-    certified in one pass once they are walked, and an epsilon that fails
-    there falls back to its side's next piece and then to the cold solver.
+    certified in one pass once they are walked, and the cold solver
+    answers an epsilon that fails there.  A c_star off the critical set is
+    refused with the number that puts it off: sum(c_star) and its zero-sum
+    tolerance, or the condition value when c_star is zero-sum.
     """
     d = np.asarray(direction, dtype=float)
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=c_star))
     net = _network(spec.routing, spec.capacity, "directional_limits")
-    line = _critical_line(net, spec.demand)
+    c = spec.demand
+    line = _critical_line(net, c)
     if line is None:
-        raise PreconditionError("c_star is not on the critical set")
+        if is_zero_sum(c):
+            _, _, alpha_min, alpha_max = _line(net, c)
+            raise PreconditionError(
+                f"c_star is not on the critical set: its condition value {alpha_max - alpha_min:.3g} is not positive")
+        raise PreconditionError(f"c_star is not on the critical set: sum(c_star) = {c.sum():.3g}, "
+                                f"not within its zero-sum tolerance {zero_sum_tol(c):.3g}")
     if d.shape != (spec.n,) or not np.all(np.isfinite(d)) or d.sum() <= 0:
         raise PreconditionError(f"direction must be a finite vector of length {spec.n} with positive total sum")
     eps_list = sorted(set(float(e) for e in epsilons), reverse=True)
@@ -308,13 +291,13 @@ def directional_limits(
 
     # c_star - eps*d and c_star + eps*d for each eps in turn, one row each
     offsets = np.outer([sign * eps for eps in eps_list for sign in (-1.0, 1.0)], d)
-    zero_sum = _zero_sum_rows(spec.demand + offsets)
+    zero_sum = _zero_sum_rows(c + offsets)
     if zero_sum.any():
         raise PreconditionError(f"perturbed demand at eps={eps_list[int(np.argmax(zero_sum)) // 2]:g} "
                                 "is unexpectedly zero-sum")
     # t = -eps below c_star and +eps above it, ascending: c_star + (-eps)*d
     # has the bits of c_star - eps*d
     m = len(eps_list)
-    points = _points_outward(net, spec.demand, d, [-eps for eps in eps_list] + eps_list[::-1], 0.0, line)
+    points = _points(net, c, d, [-eps for eps in eps_list] + eps_list[::-1], (0.0, line))
     table = [(eps, lo.x_min, hi.x_min) for eps, lo, hi in zip(eps_list, points[:m], points[m:][::-1])]
     return DirectionalLimits(from_below=table[-1][1], from_above=table[-1][2], table=table)

@@ -131,10 +131,13 @@ class TestIntegrate:
         assert len(traj.times) == 1
 
     def test_rejects_state_outside_lattice(self, spec3):
-        with pytest.raises(PreconditionError, match="lattice"):
-            integrate(spec3, np.array([-1.0, 0.0, 0.0]))
-        with pytest.raises(PreconditionError, match="lattice"):
-            integrate(spec3, W3 + 1)
+        # the message names the first cell outside, 1-based, how far past its
+        # bound it is, and the slack 1e-9 max(1, |w|_inf) = 6e-9
+        cases = (([-1.0, 0.0, 0.0], 1, "1"), (W3 + [0.0, 0.0, 2.0], 3, "2"), ([0.0, 0.0, -1e-8], 3, "1e-08"))
+        for x0, cell, past in cases:
+            with pytest.raises(PreconditionError, match=rf"^initial state outside the lattice \[0, w\]: cell {cell} "
+                                                        rf"is {past} outside, beyond the slack 6e-09$"):
+                integrate(spec3, np.array(x0))
 
     def test_times_strictly_increasing(self, spec3):
         traj = integrate(spec3, np.zeros(3), IntegratorConfig(t_end=5.0))

@@ -397,7 +397,7 @@ def test_single_cell_sweep():
     # c(s) = 4s - 1: the equilibrium clip(4s - 1, 0, 2) has no jump
     ss = np.linspace(0.0, 1.0, 9)
     result = sweep(ONE, W_ONE, DemandPath([-1.0], [3.0], 9))
-    assert result.jumps == [] and result.critical_points == [] and result.unresolved == []
+    assert result.jumps == [] and result.unresolved == []
     for s, row in zip(ss, result.rows):
         assert row.kind == POINT and row.condition_value is None and not row.on_manifold
         assert abs(row.x_min[0] - min(max(4 * s - 1, 0.0), 2.0)) <= 1e-12

@@ -74,9 +74,14 @@ class TestSweep:
         jump = result.jumps[0]
         assert abs(9 * jump["s"] - 1.0) < 1e-6
         assert abs(jump["magnitude"] - COND3) < 1e-6
-        assert len(result.critical_points) == 1
-        bracket = result.critical_points[0]
-        assert bracket["s_lo"] <= jump["s"] <= bracket["s_hi"]
+
+    def test_rows_lie_in_the_lattice(self):
+        # the demo sweep starts at [0, -1, 0], whose equilibrium 0 is on a
+        # breakpoint; the piece's solve gives x_max = -8.3e-17 on cell 3
+        # there, and a certified row is clamped onto [0, w]
+        for row in sweep(R3, W3, DemandPath([0.0, -1.0, 0.0], [3.0, -1.0, 6.0], 91)).rows:
+            for x in (row.x_min, row.x_max):
+                assert np.all(x >= 0.0) and np.all(x <= W3)
 
     def test_point_rows_have_tight_min_max(self):
         path = DemandPath([0.0, -1.0, 0.0], [3.0, -1.0, 6.0], 31)
@@ -96,7 +101,7 @@ class TestSweep:
     def test_path_without_crossing(self):
         path = DemandPath([0.0, -1.0, 0.0], [0.0, -2.0, 0.0], 11)
         result = sweep(R3, W3, path)
-        assert not result.jumps and not result.critical_points
+        assert not result.jumps
         for row in result.rows:
             assert row.kind == POINT
             assert np.abs(row.x_max - row.x_min).sum() < 1e-8
@@ -139,7 +144,7 @@ class TestSweep:
         assert [row.kind for row in result.rows] == [POINT, POINT]
         assert [jump["s"] for jump in result.jumps] == pytest.approx([0.3, 0.7775], rel=0, abs=1e-12)
         assert all(jump["magnitude"] <= 1e-12 * W3.sum() for jump in result.jumps)
-        assert len(result.critical_points) == 2 and not result.unresolved
+        assert not result.unresolved
 
     def test_path_critical_end_to_end_reports_its_start(self):
         # t = 0.5 -> 1 lies inside the critical stretch -4 < t < 5.55 of t*C3
@@ -151,7 +156,7 @@ class TestSweep:
     def test_zero_sum_crossing_off_the_critical_set_is_not_a_critical_point(self):
         # the path crosses the hyperplane at 10*C3, condition value 534/40 - 890/37 = -10.70
         result = sweep(R3, W3, DemandPath(10 * C3 - np.ones(3), 10 * C3 + np.ones(3), 11))
-        assert result.critical_points == [] and result.jumps == [] and result.unresolved == []
+        assert result.jumps == [] and result.unresolved == []
 
     @pytest.mark.parametrize("ends, samples, solves", [
         # the demo path crosses c* between samples: one solve finds that s*
@@ -168,10 +173,10 @@ class TestSweep:
         assert len(result.jumps) == 1
         assert len(calls) == solves
 
-    def test_critical_point_brackets_are_floats(self):
+    def test_jump_fields_are_floats(self):
         result = sweep(R3, W3, DemandPath([0.0, -1.0, 0.0], [3.0, -1.0, 6.0], 91))
-        assert len(result.critical_points) == 1
-        assert all(type(v) is float for v in result.critical_points[0].values())
+        assert len(result.jumps) == 1
+        assert all(type(v) is float for v in result.jumps[0].values())
 
     def test_no_critical_set_for_out_connected_routing(self):
         R = np.array([[0.0, 0.5], [0.5, 0.0]])
@@ -189,17 +194,6 @@ class TestSweep:
         xs = np.array([row.x_min for row in rows])
         second = xs[2:] - 2 * xs[1:-1] + xs[:-2]
         assert np.abs(second).sum(axis=1).max() < 1e-6
-
-
-@pytest.mark.parametrize("t, marginal", [(1.0, False), (5.55, True)])
-def test_marginal_flag_does_not_depend_on_units(t, marginal):
-    # the condition value of t*C3 is 356/37 up to t = 1.55 and
-    # 534/40 - 89 t/37 after, zero at t = 5.55: the flag compares it with
-    # MARGINAL_TOL ||w||_1, so scaling (w, c) by k leaves it unchanged
-    for k in (1e-12, 1e-9, 1.0, 1e6):
-        row = sweep(R3, k * W3, DemandPath(k * t * C3, k * t * C3, 2)).rows[0]
-        assert row.condition_value is not None
-        assert row.marginal is marginal
 
 
 class TestDirectionalLimits:
@@ -225,8 +219,16 @@ class TestDirectionalLimits:
         assert np.all(np.diff(below, axis=0) >= -1e-9)
 
     def test_requires_critical_demand(self):
-        with pytest.raises(PreconditionError, match="critical"):
+        # off the zero-sum hyperplane the message names sum(c*) and its tolerance
+        with pytest.raises(PreconditionError, match=r"^c_star is not on the critical set: sum\(c_star\) = -1, "
+                                                    r"not within its zero-sum tolerance 1e-12$"):
             directional_limits(R3, W3, np.array([0.0, -1.0, 0.0]), np.ones(3))
+
+    def test_zero_sum_demand_off_the_critical_set_names_its_condition_value(self):
+        # 10*C3 is zero-sum with condition value 534/40 - 890/37 = -10.7
+        with pytest.raises(PreconditionError, match=r"^c_star is not on the critical set: its condition value -10\.7 "
+                                                    r"is not positive$"):
+            directional_limits(R3, W3, 10 * C3, np.ones(3))
 
     def test_rejects_bad_direction(self):
         with pytest.raises(PreconditionError, match="direction"):
@@ -355,7 +357,6 @@ class TestContinuation:
                 m.setattr(equilibria, "_pattern_piece", lambda *args, **kwargs: (None, 0, None))
                 cold_sweep = sweep(R, w, path)
             assert result.jumps == cold_sweep.jumps
-            assert result.critical_points == cold_sweep.critical_points
             assert result.unresolved == cold_sweep.unresolved
             for jump in result.jumps:
                 eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=path.c_at(jump["s"]))))
@@ -405,54 +406,52 @@ class TestContinuation:
         assert len(result.jumps) == 1
         assert len(cold) == 0
 
-    # the reference path with every sample refused on every try; the
-    # longest piece refused but its first sample, as a piece whose
-    # extrapolation lost accuracy would be, alone (a = 2.2 -> 8) and before
-    # a piece of another pattern that refuses them too (a = 8 -> 1.1); the
-    # ten samples before the crossing of a = 0.5 -> 2 at s* = 1/3, the last
-    # piece of the backward walk; and the breakpoint a = 0.5 of the two-cell
-    # network, on a sample that the next piece certifies
-    @pytest.mark.parametrize("R, w, ends, samples, refuse, every_try, refused, cold", [
-        (R3, W3, ([0.0, -1.0, 0.0], [3.0, -1.0, 6.0]), 31, "all", True, 31, 31),
-        (R3, W3, ([2.2 / 3, -1.0, 4.4 / 3], [8 / 3, -1.0, 16 / 3]), 25, "longest", False, 23, 23),
-        (R3, W3, ([8 / 3, -1.0, 16 / 3], [1.1 / 3, -1.0, 2.2 / 3]), 31, "longest", False, 24, 24),
-        (R3, W3, ([0.5 / 3, -1.0, 1 / 3], [2 / 3, -1.0, 4 / 3]), 30, "before_crossing", False, 10, 10),
-        (_R2, _W2, ([0.25, 0.25], [0.75, 0.75]), 5, "breakpoint", False, 1, 0),
+    # the reference path with every sample refused; the longest piece
+    # refused but its first sample, as a piece whose extrapolation lost
+    # accuracy would be, alone (a = 2.2 -> 8) and before a piece of another
+    # pattern (a = 8 -> 1.1); the ten samples before the crossing of
+    # a = 0.5 -> 2 at s* = 1/3, the last piece of the backward walk; and the
+    # sample on the breakpoint a = 0.5 of the two-cell network
+    @pytest.mark.parametrize("R, w, ends, samples, refuse, refused", [
+        (R3, W3, ([0.0, -1.0, 0.0], [3.0, -1.0, 6.0]), 31, "all", 31),
+        (R3, W3, ([2.2 / 3, -1.0, 4.4 / 3], [8 / 3, -1.0, 16 / 3]), 25, "longest", 23),
+        (R3, W3, ([8 / 3, -1.0, 16 / 3], [1.1 / 3, -1.0, 2.2 / 3]), 31, "longest", 24),
+        (R3, W3, ([0.5 / 3, -1.0, 1 / 3], [2 / 3, -1.0, 4 / 3]), 30, "before_crossing", 10),
+        (_R2, _W2, ([0.25, 0.25], [0.75, 0.75]), 5, "breakpoint", 1),
     ], ids=["every_sample", "one_piece", "two_pieces", "before_the_crossing", "on_a_breakpoint"])
     def test_walk_that_certifies_nothing_answers_every_sample_cold(self, monkeypatch, calls, R, w, ends, samples,
-                                                                    refuse, every_try, refused, cold):
-        # a refused sample is tried on its walk's next piece, which certifies
-        # it only on a breakpoint, and otherwise answered by one _point: those
-        # rows are equilibrium_set's, bit for bit.  The stretch before a
-        # crossing is walked in descending s, so cold answers are matched by
-        # demand
+                                                                    refuse, refused):
+        # the walk is certified in one pass, and each sample it refuses is
+        # answered by one _point: those rows are equilibrium_set's, bit for
+        # bit.  The stretch before a crossing is walked in descending s, so
+        # cold answers are matched by demand
         path = DemandPath(*ends, samples)
         calls.watch("_pattern_piece", "_point")
         expected = sweep(R, w, path).rows
         walked = calls.names
         del calls[:]
-        real_certify, demands = equilibria._certify, set()
+        real_certify, passes, demands = equilibria._certify, [], set()
 
         def certify(net, c0, dc, ts, pieces, k):
             ok, lows, highs = real_certify(net, c0, dc, ts, pieces, k)
-            if every_try or not demands:
-                out = _REFUSED[refuse](ts, k)
-                demands.update(c.tobytes() for c in c0 + ts[out, None] * dc)
-                ok[out] = False
+            out = _REFUSED[refuse](ts, k)
+            passes.append(ts.size)
+            demands.update(c.tobytes() for c in c0 + ts[out, None] * dc)
+            ok[out] = False
             return ok, lows, highs
 
         monkeypatch.setattr(equilibria, "_certify", certify)
         rows = sweep(R, w, path).rows
         monkeypatch.undo()
-        assert len(demands) == refused
-        assert calls.names == walked + ["_point"] * cold
+        assert len(passes) == 1 and len(demands) == refused
+        assert calls.names == walked + ["_point"] * refused
         answered = [args[1].tobytes() for args in calls.args("_point")[walked.count("_point"):]]
-        assert len(set(answered)) == cold and demands.issuperset(answered)
+        assert set(answered) == demands
         tol = 1e-10 * max(1.0, w.max())
         for row, want in zip(rows, expected):
             assert np.abs(row.x_min - want.x_min).sum() <= tol
             assert np.abs(row.x_max - want.x_max).sum() <= tol
-            if row.c.tobytes() in answered:
+            if row.c.tobytes() in demands:
                 eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=row.c)))
                 assert np.array_equal(row.x_min, eq.x_min) and np.array_equal(row.x_max, eq.x_max)
 
@@ -493,8 +492,8 @@ class TestContinuation:
         net = equilibria._network(R3, W3)
         line = transitions._critical_line(net, C_STAR)
         for side, sign in ((1, -1.0), (2, 1.0)):
-            seed = (0.0, equilibria._endpoint_seed(line, W3, sign * d))
-            points = equilibria._points_along(net, C_STAR, sign * d, sorted(eps), seed)
+            # every sample past the crossing at t = 0: one walk, forward from its endpoint
+            points = equilibria._points(net, C_STAR, sign * d, sorted(eps), (0.0, line))
             for row, eq in zip(lim.table, points[::-1]):
                 assert row[side].tobytes() == eq.x_min.tobytes()
 
@@ -618,8 +617,10 @@ class TestContinuation:
         cold = []
         real = equilibria._point
         monkeypatch.setattr(equilibria, "_point", lambda *a, **k: cold.append(1) or real(*a, **k))
-        eq, = equilibria._points_along(equilibria._network(R, w), c, np.zeros(n), [0.0], (0.0, y))
+        walk = equilibria._walk(equilibria._network(R, w), c, np.zeros(n), [0.0], (0.0, y))
         assert cold == [1]
+        assert walk.pieces == [] and walk.owner.tolist() == [-1]
+        eq, = walk.out
         assert eq.kind == POINT
         assert np.allclose(eq.x_min, 0.99 ** np.arange(n), rtol=0, atol=1e-14)
         assert np.array_equal(eq.x_min, equilibrium_set(spec).x_min)
@@ -640,7 +641,9 @@ class TestContinuation:
                                          np.zeros(1)) == (None, 0, None)
         assert solves == []
         monkeypatch.undo()
-        eq, = equilibria._points_along(equilibria._network(R3, W3), spec.demand, np.zeros(3), [0.0], (0.0, y))
+        walk = equilibria._walk(equilibria._network(R3, W3), spec.demand, np.zeros(3), [0.0], (0.0, y))
+        assert walk.pieces == [] and walk.owner.tolist() == [-1]  # answered cold
+        eq, = walk.out
         ref = equilibrium_set(spec)
         assert eq.kind == POINT
         assert np.array_equal(eq.x_min, ref.x_min) and np.array_equal(eq.x_max, ref.x_max)
