@@ -14,18 +14,18 @@ map of the state, so is a whole sample interval of steps, and so is a run
 of many intervals: the sample states are the powers of the interval map
 applied to the run's first state.  integrate takes a run of intervals at a
 time.  The powers, built by doubling (Higham, Functions of Matrices, SIAM
-2008, sec. 4), give every sample state of the run in one product, and one
-vectorised pass certifies each interval as if it were taken alone.  An
-interval whose stages leave the pattern runs stage by stage.
+2008, sec. 4) in one stack with the map, give every sample state of the
+run in one product, and one vectorised pass certifies each interval as if
+it were taken alone.  An interval whose stages leave the pattern runs
+stage by stage.
 
-The maps and their powers depend on the network, dt and the guard floor
+The maps and their stacks depend on the network, dt and the guard floor
 alone, so they are kept between calls: each thread keeps those of the last
 network it integrated, and the next call on the same network (another
-start, say) reuses them.  Every power is one fixed product of two others,
-whatever order the stack grew in, and how a call splits its runs depends
-on that call alone, so a call that finds the maps built returns the same
-bits as one that builds them.  After a call returns the maps hold at most
-_MAP_BYTES.
+start, say) reuses them.  A run's length depends on its map and on the
+intervals left, not on what earlier calls did, so a call that finds the
+maps built returns the same bits as one that builds them.  After a call
+returns the maps hold at most _MAP_BYTES.
 
 Tolerances on states scale with max(1, |w|_inf) (model.tolerance_scale),
 because (kw, kc) has k times the trajectories of (w, c).  So does the
@@ -37,7 +37,6 @@ large units stop at the same relative distance from equilibrium.
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -79,7 +78,8 @@ _RUN_BYTES = 2**18
 
 #: bound on the entries of a map's powers, so that the product of two stays
 #: finite; the powers of an expanding map (RK4 with too long a step) pass
-#: it, and its stack stops growing or its intervals run stage by stage
+#: it, and its stack ends before the first that does, or its intervals run
+#: stage by stage
 _POWER_MAX = 1e100
 
 #: the _IntervalMaps of the last network integrated, one slot per thread
@@ -164,8 +164,9 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
     R'x + c at the run's start.  Per pattern and interval length one affine
     map is built on first use: it gives every RK4 stage pre-activation and
     every state of the interval from the state at its start.  Its powers,
-    stacked by doubling while runs take all of them, give the state after
-    each interval of a run in one product.  A run ends at the first sample
+    stacked by doubling when the map is built, give the state after each
+    interval of a run in one product; a run tries as many intervals as are
+    left, up to the stack's length.  A run ends at the first sample
     that converges or shows another pattern; each of its intervals is kept
     only if each pre-activation lies in the pattern's closed region, each
     state within the roundoff floor of [0, w], and the sample within that
@@ -179,8 +180,8 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
     integrated, keyed by the exact bytes of R, c and w with dt and the
     guard floor; they hold at most _MAP_BYTES when the call returns.  A
     later call on the same network, from any start, reuses them and
-    returns the same bits as a call that builds them anew: how many powers
-    a run may use is decided by the call, not by the stack it finds.
+    returns the same bits as a call that builds them anew: a stack's
+    length depends on its map alone.
 
     Above n = 64 (_AFFINE_MAX_N) every interval runs stage by stage.
     Measured with dt = 0.05, sample_every = 10, t_end = 40 on random leaky
@@ -217,7 +218,6 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
     R_t = np.ascontiguousarray(spec.routing.T)
     c = spec.demand
     maps = None
-    stacks: dict[tuple, tuple[int, bool]] = {}  # this call's stack length and grow flag per map
     if spec.n <= _AFFINE_MAX_N and _IntervalMaps.nbytes(spec.n, cfg.sample_every) <= _MAP_BYTES:
         maps = _IntervalMaps.kept(R_t, c, w, dt, floor)
 
@@ -231,7 +231,7 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
         steps, count = (cfg.sample_every, full) if full else (n_steps - k, 1)
         rejected = maps is None
         if not rejected:
-            xs, zs, rs, rejected = maps.run(x, z, steps, count, residual_tol, stacks)
+            xs, zs, rs, rejected = maps.run(x, z, steps, count, residual_tol)
             if len(rs):
                 times.extend((k + steps * np.arange(1, len(rs) + 1)) * dt)
                 states.extend(xs)
@@ -292,35 +292,28 @@ def _rk4_steps(R_t: np.ndarray, c: np.ndarray, w: np.ndarray, dt: float, floor: 
 
 class _Map:
     """One interval map (A', b, lo, hi) of _IntervalMaps._build and the
-    stack T of its powers: T[j] maps [x; 1] to [state after j + 1
-    intervals; 1].  cap is the most powers the stack may hold: 1 if the
-    map's own entries pass _POWER_MAX, else the powers before the first
-    that passes it, once a growth has met it."""
+    stack T of its powers (_IntervalMaps._stack): T[j] maps [x; 1] to
+    [state after j + 1 intervals; 1]."""
 
-    __slots__ = ("At", "b", "lo", "hi", "T", "nbytes", "fresh", "cap")
+    __slots__ = ("At", "b", "lo", "hi", "T", "nbytes", "fresh")
 
-    def __init__(self, built: tuple[np.ndarray, ...], nbytes: int):
+    def __init__(self, built: tuple[np.ndarray, ...], T: np.ndarray, nbytes: int):
         self.At, self.b, self.lo, self.hi = built
-        n = self.At.shape[0]
-        self.T = np.eye(n + 1)[None]
-        self.T[0, :n, :n] = self.At[:, -n:].T
-        self.T[0, :n, n] = self.b[-n:]
+        self.T = T
         self.nbytes = nbytes
         self.fresh = True  # no interval accepted yet
-        self.cap = sys.maxsize if np.abs(self.T).max() <= _POWER_MAX else 1
 
 
 class _IntervalMaps:
     """RK4 sample intervals of one network as affine maps of the state, one
-    per saturation pattern and interval length, built on first use, each
-    with a stack of its powers.
+    per saturation pattern and interval length, each built on first use
+    together with its whole stack of powers.
 
-    The stacks are shared by the calls on the network; how many powers a
-    run uses is the calling integrate's own state, `stacks`: per map the
-    powers its runs may use, 1 at first, and whether the last run took
-    them all, in which case the next one may use min(count, most) of them
-    (_most).  A map evicted or dropped within a call is rebuilt with as
-    many powers as the call had."""
+    A stack holds max(1, _most) powers, fewer only where a power passes
+    _POWER_MAX, and a run through it tries min(intervals left, stack
+    length) intervals, so what a run does depends on its map, not on the
+    calls before it.  A map evicted or dropped is rebuilt with the same
+    bits."""
 
     def __init__(self, R_t: np.ndarray, c: np.ndarray, w: np.ndarray, dt: float, floor: float):
         self.R_t, self.c, self.w, self.dt, self.floor = R_t, c, w, dt, floor
@@ -348,42 +341,36 @@ class _IntervalMaps:
 
     @classmethod
     def _most(cls, n: int, steps: int) -> int:
-        """The most powers a run may use: within _RUN_BYTES, and within
-        _MAP_BYTES for the map alone."""
+        """The most powers a stack may hold: within _RUN_BYTES, and within
+        _MAP_BYTES for the map alone; 0 where one power's run would pass
+        _RUN_BYTES."""
         base = cls.nbytes(n, steps, 0)
         return min(_RUN_BYTES, _MAP_BYTES - base) // (cls.nbytes(n, steps, 1) - base)
 
-    def run(self, x: np.ndarray, z: np.ndarray, steps: int, count: int, tol: float,
-            stacks: dict[tuple, tuple[int, bool]]):
+    def run(self, x: np.ndarray, z: np.ndarray, steps: int, count: int, tol: float):
         """Up to `count` sample intervals of `steps` RK4 steps from x, whose
         pre-activation is z, taken together while z's saturation pattern
         holds: (states, pre-activations, residuals, rejected).
 
         One product with the stack of powers gives every sample state.  The
         run ends at the first sample whose residual is below tol or whose
-        pattern differs from z's, or where the call's powers end, and one
-        pass certifies the intervals up to there, each as the stage-by-stage
+        pattern differs from z's, or where the stack ends, and one pass
+        certifies the intervals up to there, each as the stage-by-stage
         certificate of its start would: every stage pre-activation in the
         pattern's closed region, every state within the guard's roundoff
         floor of [0, w], and the sample state within that floor of the
         interval map of the previous one.  The run keeps the intervals
         before the first that fails, their states clamped onto [0, w] as a
         step would clamp them; rejected says that one failed and must run
-        stage by stage.  stacks is the calling integrate's state (see the
-        class).
+        stage by stage.
         """
         n, w = x.size, self.w
         low, high = z < 0.0, z > w
         key = (steps, low.tobytes(), high.tobytes())
-        length, grow = stacks.get(key, (1, False))
-        entry = self._entry(key, low, high, steps, length)
+        entry = self._entry(key, low, high, steps)
         if entry is None:
             return np.empty((0, n)), np.empty((0, n)), np.empty(0), True
-        if grow:
-            target = min(count, self._most(n, steps))
-            self._grow(key, entry, steps, target)
-            length = max(length, min(target, len(entry.T)))
-        J = min(count, length)
+        J = min(count, len(entry.T))
         X = (entry.T[:J].reshape(J * (n + 1), n + 1) @ np.append(x, 1.0)).reshape(J, n + 1)[:, :n]
         Xc = np.minimum(np.maximum(X, 0.0), w)
         Z = Xc @ self.R_t.T + self.c
@@ -402,57 +389,50 @@ class _IntervalMaps:
             del self.maps[key]
             self.held -= entry.nbytes
         entry.fresh = entry.fresh and r == 0
-        stacks[key] = (length, r == J == length and not stop[-1])
         return Xc[:r], Z[:r], res[:r], r < m
 
-    def _entry(self, key: tuple, low: np.ndarray, high: np.ndarray, steps: int, length: int) -> _Map | None:
-        """The map of this pattern and interval length, built on first use
-        with a stack of `length` powers; the cache is cleared first if it
-        would exceed _MAP_BYTES."""
+    def _entry(self, key: tuple, low: np.ndarray, high: np.ndarray, steps: int) -> _Map | None:
+        """The map of this pattern and interval length with its stack of
+        max(1, _most) powers, built together on first use; the cache is
+        cleared first if they would take it past _MAP_BYTES."""
         if key not in self.maps:
-            size = self.nbytes(low.size, steps)
-            if self.held + size > _MAP_BYTES:
+            n = low.size
+            most = max(1, self._most(n, steps))
+            if self.held + self.nbytes(n, steps, most) > _MAP_BYTES:
                 self.maps.clear()
                 self.held = 0
             built = self._build(low, high, steps)
-            self.maps[key] = entry = None if built is None else _Map(built, size)
-            if entry is not None:
-                self.held += size
-                self._grow(key, entry, steps, length)
+            entry = None
+            if built is not None:
+                T = self._stack(built[0], built[1], most)
+                entry = _Map(built, T, self.nbytes(n, steps, len(T)))
+                self.held += entry.nbytes
+            self.maps[key] = entry
         return self.maps[key]
 
-    def _grow(self, key: tuple, entry: _Map, steps: int, target: int) -> None:
-        """Extend entry's stack to `target` powers within entry.cap, after
-        evicting the other maps if _MAP_BYTES would be exceeded.  Power p is
-        power p - P times power P, P the largest power of two below p: one
-        matmul per doubling, T[P:2P] = T[:P] T[P - 1], which takes each
-        block as a matrix product of its own, so a power's bits do not
-        depend on how far the stack had grown before.  A power past
-        _POWER_MAX ends the stack before it and sets entry.cap."""
-        n1 = self.w.size + 1
-        L = len(entry.T)
-        target = min(target, entry.cap)
-        if target <= L:
-            return
-        base = self.nbytes(n1 - 1, steps, 0)
-        per = self.nbytes(n1 - 1, steps, 1) - base
-        if self.held + (target - L) * per > _MAP_BYTES:
-            self.maps = {key: entry}
-            self.held = entry.nbytes
-        T = np.empty((target, n1, n1))
-        T[:L] = entry.T
-        P, p = 1 << (L.bit_length() - 1), L  # p powers are in T
-        while p < target:
-            end = min(2 * P, target)
-            np.matmul(T[p - P:end - P], T[P - 1], out=T[p:end])
-            passed = ~(np.abs(T[p:end]).max(axis=(1, 2)) <= _POWER_MAX)
+    @staticmethod
+    def _stack(At: np.ndarray, b: np.ndarray, most: int) -> np.ndarray:
+        """The first `most` powers of the interval map whose state rows are
+        the last n of A' and b, each a map of [x; 1].  Power p is power
+        p - P times power P, P the largest power of two below p: one matmul
+        per doubling, T[P:2P] = T[:P] T[P - 1].  The stack ends before the
+        first power past _POWER_MAX, and holds the map itself whatever its
+        entries."""
+        n = At.shape[0]
+        T = np.empty((most, n + 1, n + 1))
+        T[0] = np.eye(n + 1)
+        T[0, :n, :n] = At[:, -n:].T
+        T[0, :n, n] = b[-n:]
+        end = most if np.abs(T[0]).max() <= _POWER_MAX else 1
+        P = 1
+        while P < end:
+            top = min(2 * P, end)
+            np.matmul(T[:top - P], T[P - 1], out=T[P:top])
+            passed = ~(np.abs(T[P:top]).max(axis=(1, 2)) <= _POWER_MAX)
             if passed.any():
-                p = entry.cap = p + int(passed.argmax())
-                break
-            p, P = end, 2 * P
-        entry.T = T if p == target else T[:p].copy()
-        self.held += base + p * per - entry.nbytes
-        entry.nbytes = base + p * per
+                end = P + int(passed.argmax())
+            P = top
+        return T if end == most else T[:end].copy()
 
     def _build(self, low: np.ndarray, high: np.ndarray, steps: int) -> tuple[np.ndarray, ...] | None:
         """(A', b, lo, hi), A' the transpose of A: A x + b stacks, for each

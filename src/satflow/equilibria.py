@@ -371,11 +371,9 @@ class _Piece(NamedTuple):
 
 class _Walk(NamedTuple):
     """A walk c0 + t*dc over ascending samples ts before its certificate:
-    sign is 1.0 when dc is the line's direction and -1.0 when the walk runs
-    against it, owner the piece that covers each sample (-1 where answered
-    cold), and out the answers so far."""
+    owner is the piece that covers each sample (-1 where answered cold),
+    and out the answers so far."""
 
-    sign: float
     ts: np.ndarray
     pieces: list[_Piece]
     owner: np.ndarray
@@ -406,10 +404,10 @@ def _points(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, crossing=None) ->
         split = int(ts.searchsorted(t_star, side="right"))
     for sign, part in ((-1.0, ts[:split][::-1]), (1.0, ts[split:])):
         seed = None if crossing is None else (sign * t_star, _endpoint_seed(line, net.w, sign * dc))
-        walks.append(_walk(net, c0, sign * dc, sign * part, seed, sign))
+        walks.append(_walk(net, c0, sign * dc, sign * part, seed))
     # the samples of both walks in walk order, in the line's own t and on the line's pieces
     out = walks[0].out + walks[1].out
-    line_ts = np.concatenate([walk.sign * walk.ts for walk in walks])
+    line_ts = np.concatenate([-walks[0].ts, walks[1].ts])
     owner = np.concatenate([walks[0].owner, np.where(walks[1].owner >= 0, walks[1].owner + len(walks[0].pieces), -1)])
     pieces = [piece.reversed() for piece in walks[0].pieces] + walks[1].pieces
     walked = np.flatnonzero(owner >= 0)
@@ -421,11 +419,9 @@ def _points(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, crossing=None) ->
     return out[:split][::-1] + out[split:]
 
 
-def _walk(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, seed: tuple[float, np.ndarray] | None,
-          sign: float = 1.0) -> _Walk:
+def _walk(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, seed: tuple[float, np.ndarray] | None) -> _Walk:
     """Walk c0 + t*dc over the ascending samples ts piece by piece
-    (:func:`_pattern_piece`), checking nothing yet; sign (-1.0 when dc is
-    the reverse of the line's direction) is kept for :func:`_points`.
+    (:func:`_pattern_piece`), checking nothing yet.
 
     seed is None or (t, y): a vector y = R'x + c whose saturation pattern
     the first piece takes as given from the path parameter t <= ts[0].
@@ -454,7 +450,7 @@ def _walk(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, seed: tuple[float, 
         out[i] = _point(net, c)
         seed, restarts = (ts[i], net.R.T @ out[i].x_min + c), 0
         i += 1
-    return _Walk(sign, ts, pieces, owner, out)
+    return _Walk(ts, pieces, owner, out)
 
 
 def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: np.ndarray,

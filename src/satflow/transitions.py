@@ -219,9 +219,13 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     # a crossing path is walked outward from s*, both ways; any other from its first sample, answered cold
     for i, eq in zip(walked, _points(net, path.c_start, dc, grid[walked], crossing)):
         eqs[i] = eq
-    rows = [SweepRow(s=float(s), c=c, kind=eq.kind, x_min=eq.x_min, x_max=eq.x_max,
-                     condition_value=eq.condition_value, on_manifold=eq.kind == SEGMENT)
-            for s, c, eq in zip(grid, cs, eqs)]
+    rows = []
+    for s, c, eq in zip(grid, cs, eqs):
+        x_min, x_max = eq.x_min, eq.x_max
+        if eq.kind == SEGMENT:  # hc + alpha*pi can round past [0, w]; the line data keep their bits
+            x_min, x_max = (np.minimum(np.maximum(x, 0.0), net.w) for x in (x_min, x_max))
+        rows.append(SweepRow(s=float(s), c=c, kind=eq.kind, x_min=x_min, x_max=x_max,
+                             condition_value=eq.condition_value, on_manifold=eq.kind == SEGMENT))
     result = SweepResult(rows=rows, jumps=[{"s": s, "magnitude": _jump(net, line)} for s, line in critical])
     for i in range(grid.size - 1):
         if rows[i].kind != rows[i + 1].kind and not any(

@@ -308,22 +308,35 @@ class TestAgainstStageByStageOracle:
 
 @pytest.fixture
 def runs(monkeypatch):
-    """Every run integrate takes, as (steps, stack length J, kept, rejected,
-    converged): J intervals were tried, the first `kept` kept.  J is the
-    length the calling integrate let the run use, whatever the shared
-    stack holds."""
+    """Every run integrate takes, as (steps, J, kept, rejected, converged):
+    J intervals were tried, the first `kept` kept.  J is min(count, stack
+    length) for a map that stays, and min(count, max(1, _most)) for one
+    dropped at its first interval."""
     seen = []
     run = dynamics._IntervalMaps.run
 
-    def spy(self, x, z, steps, count, tol, stacks):
+    def spy(self, x, z, steps, count, tol):
         key = (steps, (z < 0.0).tobytes(), (z > self.w).tobytes())
-        xs, zs, rs, rejected = run(self, x, z, steps, count, tol, stacks)
-        J = min(count, stacks.get(key, (1, False))[0])  # the powers this call let the run use
+        xs, zs, rs, rejected = run(self, x, z, steps, count, tol)
+        entry = self.maps.get(key)
+        J = min(count, len(entry.T) if entry is not None else max(1, dynamics._IntervalMaps._most(x.size, steps)))
         seen.append((steps, J, len(rs), rejected, bool(len(rs)) and rs[-1] < tol))
         return xs, zs, rs, rejected
 
     monkeypatch.setattr(dynamics._IntervalMaps, "run", spy)
     return seen
+
+
+def assert_stack_is_complete(entry, steps):
+    """entry's stack holds max(1, _most) powers, or ends right before the
+    first power past _POWER_MAX, the one that doubling would make next."""
+    L, most = len(entry.T), max(1, dynamics._IntervalMaps._most(entry.At.shape[0], steps))
+    assert np.abs(entry.T[1:]).max(initial=0.0) <= dynamics._POWER_MAX
+    if L < most:
+        P = 1 << (L.bit_length() - 1)
+        assert not np.abs(entry.T[L - P] @ entry.T[P - 1]).max() <= dynamics._POWER_MAX
+    else:
+        assert L == most
 
 
 def chain_spec(c_last=-10.0):
@@ -357,14 +370,12 @@ class TestRuns:
         traj = assert_matches_oracle(spec3, 0.5 * W3, cfg)
         assert traj.times[-1] == 67 * 0.05 and not traj.converged
         assert traj.affine_steps == 67
-        assert runs[-1][:3] == (7, 1, 1)
-        assert max(J for steps, J, *_ in runs if steps == 10) > 1
+        assert runs == [(10, 6, 6, False, False), (7, 1, 1, False, False)]
 
     @pytest.mark.parametrize("where", ["first", "middle"])
     def test_convergence_inside_a_run(self, spec2_leaky, runs, where):
-        # the first run takes one interval, the second all the rest; the
-        # tolerance puts convergence at the second run's first sample or
-        # at its fifth
+        # one run tries every interval; the tolerance puts convergence at
+        # its second sample or at its sixth
         x0 = np.array([0.1, 0.9])
         _, _, _, residuals = rk4(spec2_leaky, x0, IntegratorConfig(dt=0.05, t_end=20.0, residual_tol=1e-300))
         sample = 2 if where == "first" else 6
@@ -372,24 +383,25 @@ class TestRuns:
         tol = float(np.sqrt(residuals[sample - 1] * residuals[sample]))
         traj = assert_matches_oracle(spec2_leaky, x0, IntegratorConfig(dt=0.05, t_end=20.0, residual_tol=tol))
         assert traj.converged and len(traj.times) == sample + 1
-        assert [run[1:] for run in runs] == [(1, 1, False, False), (runs[1][1], sample - 1, False, True)]
-        assert runs[1][1] > sample - 1
+        assert [run[1:] for run in runs] == [(runs[0][1], sample, False, True)]
+        assert runs[0][1] > sample
 
     def test_pattern_change_in_the_middle_of_a_run(self, runs):
         # cell 3's pre-activation crosses 0 between the last stage of the
         # fourth interval and its end, so every stage of that interval stays
-        # in the pattern and the fourth sample starts a new one
+        # in the pattern and the fourth sample starts a new one, whose first
+        # run takes every interval left
         _, states, _, _ = rk4(chain_spec(), np.zeros(4), IntegratorConfig(dt=0.05, t_end=2.0, residual_tol=1e-300))
         spec = chain_spec(-0.9 * states[4, 2] + 5e-7)
         traj = assert_matches_oracle(spec, np.zeros(4), IntegratorConfig(dt=0.05, t_end=30.0))
         assert traj.affine_steps == round(traj.times[-1] / 0.05)
         ended = [(J, kept) for _, J, kept, rejected, converged in runs if not rejected and not converged and kept < J]
-        assert ended == [(ended[0][0], 3)] and ended[0][0] > 3
-        assert runs[2][1:3] == (1, 1)  # the new pattern's first run
+        assert ended == [(ended[0][0], 4)] and ended[0][0] > 4
+        assert runs[1][1] == runs[1][2] == round(traj.times[-1] / 0.5) - 4  # the new pattern's first run
 
     def test_eviction_counts_the_stacks(self, spec3, monkeypatch, runs):
-        # room for one map with a stack of 4 powers: the stack stops at 4,
-        # and every build after the first clears the cache
+        # room for one map with a stack of 4 powers: every stack is built
+        # with 4, and every build after the first clears the cache
         monkeypatch.setattr(dynamics, "_MAP_BYTES", dynamics._IntervalMaps.nbytes(3, 10, 4))
         held = []
         run = dynamics._IntervalMaps.run
@@ -407,17 +419,14 @@ class TestRuns:
 
     def test_expanding_map_stack_stays_finite(self):
         # at dt = 20, one cell with f(x) = 0.5 - x has an RK4 factor of 5.5e3
-        # per step; its fixed point keeps every run's pattern, so the stack
-        # grows until its powers pass _POWER_MAX, without overflowing
+        # per step; its fixed point keeps the run's pattern, and the stack
+        # ends before its first power past _POWER_MAX, without overflowing
         w, c = np.ones(1), np.array([0.5])
         maps = dynamics._IntervalMaps(np.zeros((1, 1)), c, w, 20.0, 1e-12)
-        x, stacks = np.array([0.5]), {}
-        for _ in range(8):
-            maps.run(x, c.copy(), 3, 1000, 0.0, stacks)
+        maps.run(np.array([0.5]), c.copy(), 3, 1000, 0.0)
         (entry,) = maps.maps.values()
-        ((length, _),) = stacks.values()
-        assert entry.cap == len(entry.T) == length and 1 < length < 1000
-        assert np.abs(entry.T).max() <= dynamics._POWER_MAX
+        assert 1 < len(entry.T) < dynamics._IntervalMaps._most(1, 3)
+        assert_stack_is_complete(entry, 3)
 
     def test_map_rejected_at_its_first_interval_is_dropped(self, monkeypatch):
         # from 0 with saturating demands several patterns are left within
@@ -429,10 +438,10 @@ class TestRuns:
         record = []  # (new map, kept, rejected, map kept in the cache)
         run = dynamics._IntervalMaps.run
 
-        def spy(self, x, z, steps, count, tol, stacks):
+        def spy(self, x, z, steps, count, tol):
             key = (steps, (z < 0.0).tobytes(), (z > self.w).tobytes())
             new = key not in self.maps
-            xs, zs, rs, rejected = run(self, x, z, steps, count, tol, stacks)
+            xs, zs, rs, rejected = run(self, x, z, steps, count, tol)
             record.append((new, len(rs), rejected, key in self.maps))
             return xs, zs, rs, rejected
 
@@ -450,13 +459,28 @@ class TestRuns:
         R_t = np.array([[0.0, 0.0], [0.0, 0.9]])
         c, w, floor = np.array([0.5, 0.05]), np.ones(2), 1e-12
         maps = dynamics._IntervalMaps(R_t, c, w, 4.6, floor)
-        x, stacks = np.array([0.5, 0.2]), {}
-        xs, _, _, rejected = maps.run(x, R_t @ x + c, 1, 1000, 0.0, stacks)
-        assert len(xs) == 1 and not rejected
-        xs, _, _, rejected = maps.run(xs[-1], R_t @ xs[-1] + c, 1, 1000, 0.0, stacks)
-        ((length, _),) = stacks.values()
-        assert rejected and 1 < len(xs) < length
+        x = np.array([0.5, 0.2])
+        xs, _, _, rejected = maps.run(x, R_t @ x + c, 1, 1000, 0.0)
+        (entry,) = maps.maps.values()
+        assert rejected and 1 < len(xs) < len(entry.T)
         assert np.abs(xs[:, 0] - 0.5).max() <= 10 * floor
+
+    def test_one_power_where_a_run_passes_the_run_bytes(self):
+        # at n = 20 with sample_every = 600 one power's run takes more than
+        # _RUN_BYTES, so _most is 0: each stack still holds the map itself,
+        # and its runs take one interval each
+        rng = np.random.default_rng(20)
+        n = 20
+        R = random_substochastic(rng, n, 0.3, 0.6)
+        w = rng.uniform(1.0, 5.0, n)
+        x = w * rng.uniform(0.4, 0.6, n)
+        spec = validate(NetworkSpec(routing=R, capacity=w, demand=x - R.T @ x))
+        cfg = IntegratorConfig(dt=0.05, t_end=100.0, sample_every=600)
+        assert dynamics._IntervalMaps._most(n, 600) == 0
+        traj = assert_matches_oracle(spec, x + 0.05 * w * rng.uniform(-1.0, 1.0, n), cfg)
+        assert traj.affine_steps > 0
+        entries = [e for e in dynamics._last.maps.maps.values() if e is not None]
+        assert entries and all(len(e.T) == 1 for e in entries)
 
     def test_expanding_map_runs_stage_by_stage(self):
         # the powers of 100 steps of the map above would overflow: the
@@ -560,14 +584,12 @@ class TestKeptMaps:
             assert_same_bits(integrate(spec, x0, cfg), expected)
 
     @pytest.mark.parametrize("n", [3, 17, 24, 33, 40])
-    def test_calls_of_other_lengths_extend_the_stacks(self, n):
+    def test_calls_of_other_lengths_match_cold_calls(self, n):
         # near an interior equilibrium every interval keeps the free
-        # pattern: a short call stops its stack at 6 powers, and a longer
-        # call on the same network extends it, to 8 powers at n = 40 and
-        # 59 at n = 3, with the bits of the powers the longer call alone
-        # builds from 1 by doubling; at n >= 16 a product of several
-        # stacked powers at once can round its rows otherwise than one of
-        # fewer
+        # pattern: a short call's runs take its 7 intervals, a longer one's
+        # 60 or the stack's length (184 powers at n = 3, 8 at n = 40), from
+        # the same kept map; at n >= 16 a product of several stacked powers
+        # at once can round its rows otherwise than one of fewer
         rng = np.random.default_rng(n)
         R = random_substochastic(rng, n, 0.3, 0.6)
         w = rng.uniform(1.0, 5.0, n)
@@ -597,6 +619,40 @@ class TestKeptMaps:
             for x0 in starts:
                 integrate(spec, x0, cfg)
                 assert_held_is_counted_and_bounded()
+
+    def test_kept_maps_hold_complete_stacks(self):
+        # a map keeps the stack it was built with, whatever the calls did
+        for spec, starts, cfg in kept_maps_cases():
+            for x0 in starts:
+                integrate(spec, x0, cfg)
+                kept = [(key[0], e) for key, e in dynamics._last.maps.maps.items() if e is not None]
+                assert kept
+                for steps, entry in kept:
+                    assert_stack_is_complete(entry, steps)
+
+    def test_warm_first_run_takes_as_many_intervals_as_a_cold_one(self, spec3, monkeypatch, runs):
+        # from 0 on the reference network no map is dropped: after another
+        # start the call finds its maps built, builds none, and its runs,
+        # the first included, are a cold call's, every interval left up to
+        # the stack's length
+        builds = []
+        build = dynamics._IntervalMaps._build
+
+        def counted(self, low, high, steps):
+            builds.append(steps)
+            return build(self, low, high, steps)
+
+        monkeypatch.setattr(dynamics._IntervalMaps, "_build", counted)
+        cfg = IntegratorConfig(dt=0.05)
+        integrate_cold(spec3, np.zeros(3), cfg)
+        cold = runs[:]
+        integrate(spec3, W3, cfg)
+        runs.clear()
+        builds.clear()
+        integrate(spec3, np.zeros(3), cfg)
+        assert runs == cold and not builds
+        steps, J = runs[0][:2]
+        assert J == min(round(cfg.t_end / cfg.dt) // steps, dynamics._IntervalMaps._most(3, steps)) > 1
 
     def test_demand_changed_in_place_is_a_new_network(self):
         # the maps are keyed by the bytes of the demand, not by the array

@@ -375,6 +375,21 @@ class TestContinuation:
         assert counts["_solve_free"] <= 2961
         assert counts["_point"] <= 1543
 
+    def test_sweep_rows_lie_in_the_box(self):
+        # a Segment's ends hc + alpha*pi can round past [0, w], by up to
+        # 8.9e-16 on these 600 sweeps; its rows are clamped onto [0, w], as
+        # walked Point rows are, and every row lies there exactly
+        segments = 0
+        for seed in (67, 68, 69):
+            rng = np.random.default_rng(seed)
+            for trial in range(200):
+                R, w, path = _random_path(rng, trial)
+                for row in sweep(R, w, path).rows:
+                    segments += row.kind == SEGMENT
+                    for x in (row.x_min, row.x_max):
+                        assert np.all((0.0 <= x) & (x <= w))
+        assert segments > 100
+
     def test_one_piece_per_affine_stretch(self, monkeypatch):
         # a in [2.2, 8] of the reference path lies inside one affine piece
         # (see TestSweep.test_piecewise_linear_between_transitions): the
