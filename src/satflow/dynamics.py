@@ -88,7 +88,7 @@ _last = threading.local()
 
 def in_lattice(x: np.ndarray, w: np.ndarray, tol: float = LATTICE_TOL) -> bool:
     x = np.asarray(x, dtype=float)
-    return bool(np.all(x >= -tol) and np.all(x <= np.asarray(w) + tol))
+    return bool((x >= -tol).all() and (x <= np.asarray(w) + tol).all())
 
 
 def net_flow(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
@@ -111,11 +111,12 @@ class IntegratorConfig:
     residual_tol: float = 1e-10
 
     def __post_init__(self):
+        # bool is an Integral, but True is no step length or count
         for name in ("dt", "t_end", "residual_tol"):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and 0 < value < math.inf):
+            if isinstance(value, bool) or not (isinstance(value, Real) and 0 < value < math.inf):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        if not isinstance(self.sample_every, Integral) or self.sample_every < 1:
+        if isinstance(self.sample_every, bool) or not isinstance(self.sample_every, Integral) or self.sample_every < 1:
             raise ValueError(f"sample_every must be a positive integer, got {self.sample_every!r}")
         if self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end")
@@ -174,7 +175,8 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
     the stage-by-stage ones up to roundoff and no clamp can reach the guard.
     The first interval that fails runs stage by stage, and a map whose
     first interval fails is dropped at once.  A single interval is a run
-    of length 1.
+    of length 1.  Each run and each interval stage by stage adds one block
+    of states and one of residuals, joined once when the call returns.
 
     The maps are kept after the call, per thread for the last network
     integrated, keyed by the exact bytes of R, c and w with dt and the
@@ -194,11 +196,16 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
     one starts inside the box with an interior equilibrium.  Those figures
     are for one map per interval; runs, measured the same way from 0 and
     w, made integrate another 1.04-1.45x faster at n = 30, 50 and 64, and
-    2.2x on the transient benchmark's n = 2-6 networks.
+    2.2x on the transient benchmark's n = 2-6 networks.  There (seed 61,
+    fastest of 30 rounds of its 120 calls, same VM) a call takes ~225 us:
+    0.45 map builds with their stacks ~54 us, 1.1 runs ~104 us, 0.12
+    intervals stage by stage ~27 us, and the call's own entry and blocks
+    ~41 us.  A run's cost is mostly its certificate, 5 n steps
+    comparisons per interval; a build's, one small matmul per power.
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.array(x0, dtype=float)
     w = spec.capacity
     if x.shape != w.shape:
         raise PreconditionError(f"initial state must have length {spec.n}")
@@ -215,15 +222,17 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
     w_max = float(w.max())
     residual_tol = max(cfg.residual_tol * min(1.0, w_max), _RESIDUAL_ROUNDOFF * spec.n * w_max)
     floor = _GUARD_FLOOR * scale
-    R_t = np.ascontiguousarray(spec.routing.T)
     c = spec.demand
     maps = None
     if spec.n <= _AFFINE_MAX_N and _IntervalMaps.nbytes(spec.n, cfg.sample_every) <= _MAP_BYTES:
-        maps = _IntervalMaps.kept(R_t, c, w, dt, floor)
+        maps = _IntervalMaps.kept(spec.routing, c, w, dt, floor)
+    R_t = np.ascontiguousarray(spec.routing.T) if maps is None else maps.R_t
 
     z = R_t @ x + c
     residual = _residual(z, x, w)
-    times, states, residuals = [0.0], [x], [residual]
+    # the step index of each sample, and one block of states and one of
+    # residuals per run or stage-by-stage interval
+    ks, xs, rs = [0], [x[None]], [(residual,)]
     converged = residual < residual_tol
     k = affine_steps = 0
     while not converged and k < n_steps:
@@ -231,31 +240,32 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
         steps, count = (cfg.sample_every, full) if full else (n_steps - k, 1)
         rejected = maps is None
         if not rejected:
-            xs, zs, rs, rejected = maps.run(x, z, steps, count, residual_tol)
-            if len(rs):
-                times.extend((k + steps * np.arange(1, len(rs) + 1)) * dt)
-                states.extend(xs)
-                residuals.extend(rs)
-                k += steps * len(rs)
-                affine_steps += steps * len(rs)
-                x, z, residual = xs[-1], zs[-1], float(rs[-1])
+            X, Z, res, rejected = maps.run(x, z, steps, count, residual_tol)
+            r = len(res)
+            if r:
+                ks.extend(range(k + steps, k + steps * r + 1, steps))
+                xs.append(X)
+                rs.append(res)
+                k += steps * r
+                affine_steps += steps * r
+                x, z, residual = X[-1], Z[-1], float(res[-1])
                 converged = residual < residual_tol
         if rejected:
             x = _rk4_steps(R_t, c, w, dt, floor, x, k, steps)
             k += steps
             z = R_t @ x + c
             residual = _residual(z, x, w)
-            times.append(k * dt)
-            states.append(x)
-            residuals.append(residual)
+            ks.append(k)
+            xs.append(x[None])
+            rs.append((residual,))
             converged = residual < residual_tol
 
     return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
+        times=np.array(ks) * dt,
+        states=np.concatenate(xs),
         converged=converged,
         final_residual=residual,
-        residuals=np.asarray(residuals),
+        residuals=np.concatenate(rs),
         affine_steps=affine_steps,
     )
 
@@ -270,22 +280,25 @@ def _rk4_steps(R_t: np.ndarray, c: np.ndarray, w: np.ndarray, dt: float, floor: 
     """The state after RK4 steps k0 + 1 .. k0 + steps from x, stage by
     stage, each clamped back onto the lattice within the guard."""
 
+    half, sixth, guard_factor = 0.5 * dt, dt / 6.0, 10.0 * dt * dt
+
     def rhs(y):
-        return np.clip(R_t @ y + c, 0.0, w) - y
+        return np.minimum(np.maximum(R_t @ y + c, 0.0), w) - y  # np.clip, without its dispatch cost
 
     for k in range(k0 + 1, k0 + steps + 1):
         k1 = rhs(x)
-        k2 = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2)
+        k2 = rhs(x + half * k1)
+        k3 = rhs(x + half * k2)
         k4 = rhs(x + dt * k3)
-        x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x_new)):
-            raise NumericalError(f"non-finite state at t={k * dt:.6g}")
-        clamped = np.clip(x_new, 0.0, w)
+        x_new = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        clamped = np.minimum(np.maximum(x_new, 0.0), w)
         clamp_mag = float(np.abs(clamped - x_new).max())
-        guard = 10.0 * dt * dt * float(np.abs(k1).max()) + floor
-        if clamp_mag > guard:
-            raise NumericalError(f"lattice clamp {clamp_mag:.3g} exceeds guard {guard:.3g} at t={k * dt:.6g}")
+        if not clamp_mag <= floor:  # the guard is at least the floor; a non-finite x_new gives inf or NaN
+            if not np.isfinite(x_new).all():
+                raise NumericalError(f"non-finite state at t={k * dt:.6g}")
+            guard = guard_factor * float(np.abs(k1).max()) + floor
+            if clamp_mag > guard:
+                raise NumericalError(f"lattice clamp {clamp_mag:.3g} exceeds guard {guard:.3g} at t={k * dt:.6g}")
         x = clamped
     return x
 
@@ -318,17 +331,18 @@ class _IntervalMaps:
     def __init__(self, R_t: np.ndarray, c: np.ndarray, w: np.ndarray, dt: float, floor: float):
         self.R_t, self.c, self.w, self.dt, self.floor = R_t, c, w, dt, floor
         self.key = (R_t.tobytes(), c.tobytes(), w.tobytes(), dt, floor)
+        self.G = np.hstack([R_t, c[:, None]])  # z = G [y; 1]
         self.maps: dict[tuple, _Map | None] = {}  # None: the map's powers overflow
         self.held = 0  # bytes in self.maps
 
     @classmethod
-    def kept(cls, R_t: np.ndarray, c: np.ndarray, w: np.ndarray, dt: float, floor: float) -> _IntervalMaps:
-        """The maps this thread keeps if they are of this network, dt and
-        floor, else new ones (on copies of the arrays) that it keeps in
-        their place."""
+    def kept(cls, R: np.ndarray, c: np.ndarray, w: np.ndarray, dt: float, floor: float) -> _IntervalMaps:
+        """The maps this thread keeps if they are of this network (routing
+        R), dt and floor, else new ones (on copies of the arrays) that it
+        keeps in their place."""
         maps = getattr(_last, "maps", None)
-        if maps is None or maps.key != (R_t.tobytes(), c.tobytes(), w.tobytes(), dt, floor):
-            maps = _last.maps = cls(R_t.copy(), c.copy(), w.copy(), dt, floor)
+        if maps is None or maps.key != (R.T.tobytes(), c.tobytes(), w.tobytes(), dt, floor):
+            maps = _last.maps = cls(np.array(R.T, order="C"), c.copy(), w.copy(), dt, floor)
         return maps
 
     @staticmethod
@@ -371,18 +385,28 @@ class _IntervalMaps:
         if entry is None:
             return np.empty((0, n)), np.empty((0, n)), np.empty(0), True
         J = min(count, len(entry.T))
-        X = (entry.T[:J].reshape(J * (n + 1), n + 1) @ np.append(x, 1.0)).reshape(J, n + 1)[:, :n]
+        xe = np.empty(n + 1)  # [x; 1]
+        xe[:n] = x
+        xe[n] = 1.0
+        X = (entry.T[:J].reshape(J * (n + 1), n + 1) @ xe).reshape(J, n + 1)[:, :n]
         Xc = np.minimum(np.maximum(X, 0.0), w)
         Z = Xc @ self.R_t.T + self.c
         res = np.abs(np.minimum(np.maximum(Z, 0.0), w) - Xc).sum(axis=1)
         stop = (((Z < 0.0) != low) | ((Z > w) != high)).any(axis=1) | (res < tol)
-        m = int(stop.argmax()) + 1 if stop.any() else J
-        Y = np.vstack([x, Xc[:m - 1]]) @ entry.At  # row j: interval j's certificate
+        m = int(stop.argmax()) + 1
+        if not stop[m - 1]:
+            m = J
+        starts = np.empty((m, n))  # row j: the state at the start of interval j
+        starts[0] = x
+        starts[1:] = Xc[:m - 1]
+        Y = starts @ entry.At  # row j: interval j's certificate
         Y += entry.b
         ok = ((Y >= entry.lo) & (Y <= entry.hi)).all(axis=1)
         if m > 1:  # interval 0 starts at x, where Y[0] and X[0] are one map
             ok[1:] &= (np.abs(Y[1:, -n:] - X[1:m]) <= self.floor).all(axis=1)
-        r = m if ok.all() else int(ok.argmin())
+        r = int(ok.argmin())
+        if ok[r]:
+            r = m
         if r == 0 and entry.fresh:
             # the pattern was left within its first interval: the trajectory
             # has moved on, and the next map can reuse this one's pages
@@ -415,9 +439,10 @@ class _IntervalMaps:
         """The first `most` powers of the interval map whose state rows are
         the last n of A' and b, each a map of [x; 1].  Power p is power
         p - P times power P, P the largest power of two below p: one matmul
-        per doubling, T[P:2P] = T[:P] T[P - 1].  The stack ends before the
-        first power past _POWER_MAX, and holds the map itself whatever its
-        entries."""
+        per doubling, T[P:2P] = T[:P] T[P - 1], checked against _POWER_MAX
+        by one max, and power by power only where that fails.  The stack ends
+        before the first power past _POWER_MAX, and holds the map itself
+        whatever its entries."""
         n = At.shape[0]
         T = np.empty((most, n + 1, n + 1))
         T[0] = np.eye(n + 1)
@@ -428,9 +453,8 @@ class _IntervalMaps:
         while P < end:
             top = min(2 * P, end)
             np.matmul(T[:top - P], T[P - 1], out=T[P:top])
-            passed = ~(np.abs(T[P:top]).max(axis=(1, 2)) <= _POWER_MAX)
-            if passed.any():
-                end = P + int(passed.argmax())
+            if not np.abs(T[P:top]).max() <= _POWER_MAX:  # then find the first power past it
+                end = P + int((~(np.abs(T[P:top]).max(axis=(1, 2)) <= _POWER_MAX)).argmax())
             P = top
         return T if end == most else T[:end].copy()
 
@@ -444,37 +468,46 @@ class _IntervalMaps:
         R_t, c, w, dt, floor = self.R_t, self.c, self.w, self.dt, self.floor
         n = w.size
         free = ~(low | high)
+        capped = np.where(high, w, 0.0)
 
         # every map below takes [x; 1] for x the state at the start of a step;
         # the square ones give [y; 1], or [f(y); 0] for the stage slopes
         E = np.eye(n + 1)
         F = np.zeros((n + 1, n + 1))  # f(y) = F [y; 1] on this pattern
-        F[:n, :n] = R_t * free[:, None] - np.eye(n)
-        F[:n, n] = np.where(free, c, np.where(high, w, 0.0))
+        F[:n, :n] = R_t * free[:, None] - E[:n, :n]
+        F[:n, n] = np.where(free, c, capped)
+        Y = np.empty((4, n + 1, n + 1))  # the stage inputs [y; 1] of a step
+        Y[0] = E
         K1 = F
-        Y2 = E + 0.5 * dt * K1
-        K2 = F @ Y2
-        Y3 = E + 0.5 * dt * K2
-        K3 = F @ Y3
-        Y4 = E + dt * K3
-        K4 = F @ Y4
+        np.add(E, 0.5 * dt * K1, out=Y[1])
+        K2 = F @ Y[1]
+        np.add(E, 0.5 * dt * K2, out=Y[2])
+        K3 = F @ Y[2]
+        np.add(E, dt * K3, out=Y[3])
+        K4 = F @ Y[3]
         S = E + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-        G = np.hstack([R_t, c[:, None]])  # z = G [y; 1]
-        step = np.vstack([(G @ np.stack([E, Y2, Y3, Y4])).reshape(4 * n, n + 1), S[:n]])
+        step = np.empty((5 * n, n + 1))
+        step[:4 * n] = (self.G @ Y).reshape(4 * n, n + 1)
+        step[4 * n:] = S[:n]
 
         # powers[j] maps [x; 1] at the start of the interval to [x; 1] after
         # j steps; their entries are at most |S|_inf^j, checked only where
         # that bound passes _POWER_MAX
-        check = (steps - 1) * np.log(np.abs(S).sum(axis=1).max()) > np.log(_POWER_MAX)
-        powers = [E]
-        for _ in range(steps - 1):
-            powers.append(S @ powers[-1])
-            if check and not np.abs(powers[-1]).max() <= _POWER_MAX:
+        check = (steps - 1) * math.log(np.abs(S).sum(axis=1).max()) > math.log(_POWER_MAX)
+        powers = np.empty((steps, n + 1, n + 1))
+        powers[0] = E
+        for j in range(1, steps):
+            np.matmul(S, powers[j - 1], out=powers[j])
+            if check and not np.abs(powers[j]).max() <= _POWER_MAX:
                 return None
-        M = step @ np.stack(powers)  # M[j] maps [x; 1] to the rows of step j
+        M = step @ powers  # M[j] maps [x; 1] to the rows of step j
 
-        lo_z = np.where(low, -np.inf, np.where(high, w, 0.0))
-        hi_z = np.where(low, 0.0, np.where(high, np.inf, w))
-        lo = np.tile(np.concatenate([lo_z, lo_z, lo_z, lo_z, np.full(n, -floor)]), steps)
-        hi = np.tile(np.concatenate([hi_z, hi_z, hi_z, hi_z, w + floor]), steps)
-        return M[:, :, :n].transpose(2, 0, 1).reshape(n, -1), M[:, :, n].reshape(-1), lo, hi
+        # the closed region of the pattern for the stage rows, [0, w] widened
+        # by the floor for the state rows, in the row order of M
+        lo = np.empty((steps, 5, n))
+        hi = np.empty((steps, 5, n))
+        lo[:, :4] = np.where(low, -np.inf, capped)
+        hi[:, :4] = np.where(low, 0.0, np.where(high, np.inf, w))
+        lo[:, 4] = -floor
+        hi[:, 4] = w + floor
+        return M[:, :, :n].transpose(2, 0, 1).reshape(n, -1), M[:, :, n].reshape(-1), lo.reshape(-1), hi.reshape(-1)

@@ -316,11 +316,7 @@ def _decomposed(net: _Network, c: np.ndarray) -> EquilibriumSet:
     irreducible network with demand c_C + R_TC' x_T, a point or a segment,
     whose line data the result keeps."""
     R, w = net.R, net.w
-    adj = R > 0
-    classes, stranded = [], ~_reached(adj.T, _leaky_mask(R))
-    while stranded.any():
-        classes.append(_closed_subset(R, int(np.argmax(stranded))))
-        stranded &= ~_reached(adj.T, classes[-1])
+    classes = _closed_classes(R)
     x_min, x_max = np.zeros(w.size), np.zeros(w.size)
     T = ~np.logical_or.reduce(classes)
     if T.any():  # x_T is unique: x_min, which _point cross-checks with x_max, serves both
@@ -338,6 +334,18 @@ def _decomposed(net: _Network, c: np.ndarray) -> EquilibriumSet:
     unknown = gap > POINT_AGREEMENT_TOL * float(w.max())
     return EquilibriumSet(kind=MINMAX_ONLY, x_min=x_min, x_max=x_max, unknown_between=unknown,
                           _segments=tuple(segments))
+
+
+def _closed_classes(R: np.ndarray) -> list[np.ndarray]:
+    """The masks of the closed classes of R, the sink strongly connected
+    components among the cells that cannot reach a leaky cell; the other
+    cells drain."""
+    adj = R > 0
+    classes, stranded = [], ~_reached(adj.T, _leaky_mask(R))
+    while stranded.any():
+        classes.append(_closed_subset(R, int(np.argmax(stranded))))
+        stranded &= ~_reached(adj.T, classes[-1])
+    return classes
 
 
 def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -> EquilibriumSet:

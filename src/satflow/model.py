@@ -364,7 +364,7 @@ def tolerance_scale(w: np.ndarray) -> float:
     equilibria: (kw, kc) has k times the trajectories and equilibria of
     (w, c), so their errors scale with w; at unit scale and below the
     tolerances are the bare constants."""
-    return max(1.0, float(np.max(w)))
+    return max(1.0, float(np.asarray(w).max()))
 
 
 def zero_sum_tol(v: np.ndarray) -> float:

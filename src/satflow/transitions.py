@@ -40,6 +40,7 @@ from .errors import PreconditionError
 from .equilibria import (
     SEGMENT,
     EquilibriumSet,
+    _closed_classes,
     _equilibrium,
     _line,
     _Network,
@@ -47,7 +48,7 @@ from .equilibria import (
     _points,
     _segment,
 )
-from .model import NetworkSpec, _zero_sum_rows, is_zero_sum, validate, zero_sum_tol
+from .model import OTHER, NetworkSpec, _zero_sum_rows, is_zero_sum, validate, zero_sum_tol
 
 #: slack in the path parameter s when a zero-sum root is matched to [0, 1]
 #: and a change of kind between two samples to a critical point
@@ -94,7 +95,9 @@ class SweepRow:
 class SweepResult:
     rows: list[SweepRow]
     jumps: list[dict] = field(default_factory=list)  # {"s", "magnitude"} per critical point, 0 at an edge
-    unresolved: list[dict] = field(default_factory=list)  # {"s_lo", "s_hi"}: kind changes no critical point explains
+    #: {"s_lo", "s_hi"}: kind changes no critical point explains, and sign
+    #: changes of a closed class's total demand on reducible routing
+    unresolved: list[dict] = field(default_factory=list)
 
 
 def on_critical_manifold(R: np.ndarray, w: np.ndarray, c: np.ndarray) -> bool:
@@ -182,7 +185,10 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     of the segment of the line data that found s* or the critical start,
     so no jump takes a solve of its own.  A change
     of kind between two samples that no critical point explains is
-    reported unresolved, never guessed.
+    reported unresolved, never guessed.  On reducible routing every row is
+    MinMaxOnly, and a pair of samples between which a closed class's
+    total demand changes sign (:func:`_class_sign_changes`) is reported
+    unresolved: that class meets its critical set there.
     """
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=path.c_start))
     validate(NetworkSpec(routing=spec.routing, capacity=spec.capacity, demand=path.c_end))
@@ -231,7 +237,29 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
         if rows[i].kind != rows[i + 1].kind and not any(
                 grid[i] - MATCH_TOL <= s <= grid[i + 1] + MATCH_TOL for s, _ in critical):
             result.unresolved.append({"s_lo": float(grid[i]), "s_hi": float(grid[i + 1])})
+    if net.routing_class.tag == OTHER:
+        for i in np.flatnonzero(_class_sign_changes(net.R, cs, np.array([row.x_min for row in rows]))):
+            result.unresolved.append({"s_lo": float(grid[i]), "s_hi": float(grid[i + 1])})
     return result
+
+
+def _class_sign_changes(R: np.ndarray, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Whether, between samples i and i + 1 of a reducible network, the
+    sign of sum(e_C) changes for some closed class C, with the demands cs
+    and the states xs of the samples as rows.
+
+    e_C = c_C + R_TC' x_T is the demand that C sees, with x_T on the cells
+    T that drain (unique, so x_min gives it), and C is critical where
+    sum(e_C) = 0; a sum within zero_sum_tol(e_C) has sign 0.
+    """
+    classes = _closed_classes(R)
+    T = ~np.logical_or.reduce(classes)
+    changed = np.zeros(len(cs) - 1, dtype=bool)
+    for C in classes:
+        E = cs[:, C] + xs[:, T] @ R[np.ix_(T, C)]
+        sign = np.where(_zero_sum_rows(E), 0.0, np.sign(E.sum(axis=1)))
+        changed |= sign[1:] != sign[:-1]
+    return changed
 
 
 @dataclass

@@ -248,7 +248,10 @@ class TestSimulate:
         ({"sample_every": 2.5}, "sample_every"),
         ({"sample_every": 10.0}, "sample_every"),
         ({"residual_tol": "1e-10"}, "residual_tol"),
-    ], ids=["t_end_1e308", "sample_every_2.5", "sample_every_10.0", "residual_tol_string"])
+        ({"sample_every": True}, "sample_every"),
+        ({"dt": True}, "dt"),
+    ], ids=["t_end_1e308", "sample_every_2.5", "sample_every_10.0", "residual_tol_string", "sample_every_true",
+            "dt_true"])
     def test_bad_integrator_setting_names_the_field(self, capsys, tmp_path, settings, field):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"routing": R3.tolist(), "capacity": W3.tolist(), "demand": C3.tolist(),

@@ -104,10 +104,14 @@ class TestIntegratorConfig:
     @pytest.mark.parametrize("field, value", [
         ("dt", np.nan), ("dt", np.inf), ("t_end", np.nan), ("t_end", np.inf),
         ("residual_tol", np.nan), ("residual_tol", np.inf), ("sample_every", 2.5), ("sample_every", "10"),
+        ("dt", True), ("t_end", True), ("residual_tol", True), ("sample_every", True), ("sample_every", np.True_),
     ])
     def test_rejection_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be "):
             IntegratorConfig(**{field: value})
+
+    def test_numpy_integers_count_steps(self):
+        assert IntegratorConfig(sample_every=np.int64(5)).sample_every == 5
 
     def test_rejects_a_step_count_that_overflows(self):
         with pytest.raises(ValueError, match=r"^t_end / dt must be finite"):
@@ -124,6 +128,24 @@ class TestIntegrate:
         traj = integrate(spec3, W3)
         assert traj.converged
         assert np.abs(traj.final_state - XMAX3).sum() < 1e-6
+
+    def test_trajectory_contract_of_runs_and_stepped_intervals(self, spec3):
+        # from w the reference network leaves a pattern within an interval,
+        # so the call takes runs and an interval stage by stage
+        cfg = IntegratorConfig()
+        traj = integrate(spec3, W3, cfg)
+        steps = cfg.sample_every * np.arange(len(traj.times))
+        assert traj.converged and 0 < traj.affine_steps < steps[-1]
+        assert traj.times.dtype == np.float64
+        assert traj.times.tolist() == (steps * cfg.dt).tolist()
+        assert traj.states.dtype == np.float64 and traj.states.flags.c_contiguous
+        assert traj.states.shape == (len(traj.times), 3)
+        f = np.clip(traj.states @ R3 + C3, 0.0, W3) - traj.states
+        assert np.abs(traj.residuals - np.abs(f).sum(axis=1)).max() <= 1e-14 * 3 * W3.max()
+        assert traj.final_residual == traj.residuals[-1]
+        # final_state is the last row of states itself, not a copy
+        assert traj.final_state.base is traj.states
+        assert traj.final_state.tobytes() == traj.states[-1].tobytes()
 
     def test_constant_at_equilibrium(self, spec3):
         traj = integrate(spec3, XMIN3)

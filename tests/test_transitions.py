@@ -185,6 +185,28 @@ class TestSweep:
         assert not result.jumps
         assert all(not row.on_manifold for row in result.rows)
 
+    def test_reducible_class_crossing_its_critical_set_is_reported(self):
+        # two closed 2-cycles, {1, 2} and {3, 4}: the demand on the first sums
+        # to s - 0.4, so its x_min jumps from [0, 0.1] to [2, 2] at s = 0.4;
+        # the second is zero-sum all along
+        R = np.zeros((4, 4))
+        R[0, 1] = R[1, 0] = R[2, 3] = R[3, 2] = 1.0
+        w = np.array([2.0, 2.0, 3.0, 3.0])
+        result = sweep(R, w, DemandPath([-0.5, 0.1, 0.2, -0.2], [0.5, 0.1, 0.2, -0.2], 11))
+        assert result.rows[3].x_min[:2].tolist() == pytest.approx([0.0, 0.1])
+        assert result.rows[5].x_min[:2].tolist() == [2.0, 2.0]
+        assert result.jumps == []
+        assert result.unresolved == [{"s_lo": 0.30000000000000004, "s_hi": 0.4}, {"s_lo": 0.4, "s_hi": 0.5}]
+
+    def test_reducible_class_demand_counts_the_draining_cells(self):
+        # leaky cell 1 sends half its state into the closed 2-cycle {2, 3}:
+        # x_1 = s, so the class's demand sums to -0.3 + 0.5 s, zero at s = 0.6
+        R = np.zeros((3, 3))
+        R[0, 1] = 0.5
+        R[1, 2] = R[2, 1] = 1.0
+        result = sweep(R, np.full(3, 2.0), DemandPath([0.0, -0.5, 0.2], [1.0, -0.5, 0.2], 5))
+        assert result.unresolved == [{"s_lo": 0.5, "s_hi": 0.75}]
+
     def test_piecewise_linear_between_transitions(self):
         # the equilibrium curve has an active-set breakpoint at a = 31/15
         # (cell 3 reaches capacity); a in [2.2, 8] lies inside one linear
