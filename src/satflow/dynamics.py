@@ -103,7 +103,7 @@ def net_flow(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     return f
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorConfig:
     dt: float = 0.01
     t_end: float = 200.0

@@ -18,24 +18,25 @@ Reducible routing is solved class by class by the same solvers; Picard
 iteration to convergence (picard_min, picard_max) is only a test oracle.
 
 Each public entry point classifies R once, into a private network object
-(R, w and the routing class) that every solver below takes with the
-demand c; a caller that solves many demands on one routing matrix (a
-demand sweep, one-sided limits) thus classifies it once.  Where the class
-makes the equilibrium unique, sub-stochastic out-connected routing or
-stochastic irreducible routing off the zero-sum hyperplane (one rule,
-:meth:`_Network.walkable`), such a caller walks an affine demand path
-c0 + t*dc first, one saturation pattern at a time, and then certifies it
-once (:func:`_points`).  The equilibrium is affine in t while its
+that every solver below takes with the demand c: R, w, the routing class
+and, for reducible R, its draining cells and closed classes with their
+sub-networks.  A caller that solves many demands on one routing matrix (a
+demand sweep, one-sided limits) thus classifies and decomposes it once.
+Where the class makes the equilibrium unique, sub-stochastic out-connected
+routing or stochastic irreducible routing off the zero-sum hyperplane (one
+rule, :meth:`_Network.walkable`), such a caller walks an affine demand
+path c0 + t*dc first, one saturation pattern at a time, and then certifies
+it once (:func:`_points`).  The equilibrium is affine in t while its
 pattern (Z = {R'x + c <= 0} at 0, U = {R'x + c >= w} at w, the rest free)
 holds, so one linear solve of the free cells, with the mirrored system and
 the direction as further right-hand sides, gives x_min(t) and x_max(t) on
 a whole piece (:func:`_pattern_piece`).  A ratio test on R'x(t) + c(t),
-affine on the piece, finds where the path leaves the pattern, and the
-next piece starts just past it: the continuation of parametric LCP (Murty
-1988, ch. 5) and of homotopy paths (Efron et al., Ann. Statist. 32(2),
-2004).  Only then is every sample of the walk checked, in one vectorised
-pass with the tests a cold answer meets (:func:`_certify`), where a sample
-on a breakpoint fits the closed regions of the pieces on both sides of it
+affine on the piece, finds where the path leaves the pattern, and the next
+piece starts just past it: the continuation of parametric LCP (Murty 1988,
+ch. 5) and of homotopy paths (Efron et al., Ann. Statist. 32(2), 2004).
+Only then is every sample of the walk checked, in one vectorised pass with
+the tests a cold answer meets (:func:`_certify`), where a sample on a
+breakpoint fits the closed regions of the pieces on both sides of it
 (:func:`_outside`).  The cold pattern iteration above answers each sample
 that fails.  A path that crosses the critical set is walked outward from
 the crossing both ways, each way from the segment endpoint that its
@@ -68,6 +69,7 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .model import (
+    OTHER,
     STOCHASTIC_IRREDUCIBLE,
     SUBSTOCHASTIC_OUT_CONNECTED,
     NetworkSpec,
@@ -171,11 +173,15 @@ def _segment_distance(x: np.ndarray, pi: np.ndarray, hc: np.ndarray, alpha_min: 
 
 class _Network(NamedTuple):
     """Routing R, capacities w and the class of R, decided once per call of
-    a public entry point; the private solvers take it with the demand c."""
+    a public entry point; the private solvers take it with the demand c.
+    parts is () unless R is of class Other, whose decomposition it holds:
+    the mask T of the cells that drain, their network, and (C, the network
+    of C, R[np.ix_(T, C)]) for the mask C of each closed class."""
 
     R: np.ndarray
     w: np.ndarray
     routing_class: RoutingClass
+    parts: tuple = ()
 
     @property
     def stochastic(self) -> bool:
@@ -196,8 +202,21 @@ class _Network(NamedTuple):
 
 
 def _network(R: np.ndarray, w: np.ndarray, op: str | None = None) -> _Network:
-    """R, w and the class of R; op names a caller that requires stochastic irreducible R, else PreconditionError."""
-    return _Network(R, w, classify_routing(R) if op is None else _require_stochastic_irreducible(R, op))
+    """R, w, the class of R and its parts; the closed classes of R are the
+    sink strongly connected components of the cells that reach no leaky
+    cell.  op names a caller that requires stochastic irreducible R, else PreconditionError."""
+    routing_class = classify_routing(R) if op is None else _require_stochastic_irreducible(R, op)
+    if routing_class.tag != OTHER:
+        return _Network(R, w, routing_class)
+    adj = R > 0
+    classes, stranded = [], ~_reached(adj.T, _leaky_mask(R))
+    while stranded.any():
+        classes.append(_closed_subset(R, int(np.argmax(stranded))))
+        stranded &= ~_reached(adj.T, classes[-1])
+    T = ~np.logical_or.reduce(classes)
+    drain = _Network(R[np.ix_(T, T)], w[T], RoutingClass(SUBSTOCHASTIC_OUT_CONNECTED))
+    return _Network(R, w, routing_class, (T, drain, tuple(
+        (C, _Network(R[np.ix_(C, C)], w[C], RoutingClass(STOCHASTIC_IRREDUCIBLE)), R[np.ix_(T, C)]) for C in classes)))
 
 
 def _picard(R_t: np.ndarray, w: np.ndarray, c: np.ndarray, x0: np.ndarray, increment_tol: float,
@@ -310,42 +329,26 @@ def _segment(net: _Network, pi: np.ndarray, hc: np.ndarray, alpha_min: float, al
 
 
 def _decomposed(net: _Network, c: np.ndarray) -> EquilibriumSet:
-    """Reducible routing class by class (Kemeny & Snell, Finite Markov
-    Chains, 1960): the cells T in no closed class drain, into a leaky cell
-    or a class, so x_T is unique; each closed class C is then a stochastic
-    irreducible network with demand c_C + R_TC' x_T, a point or a segment,
-    whose line data the result keeps."""
-    R, w = net.R, net.w
-    classes = _closed_classes(R)
-    x_min, x_max = np.zeros(w.size), np.zeros(w.size)
-    T = ~np.logical_or.reduce(classes)
+    """Reducible routing class by class on net.parts (Kemeny & Snell, Finite
+    Markov Chains, 1960): the cells T in no closed class drain, into a leaky
+    cell or a class, so x_T is unique; each closed class C is then a
+    stochastic irreducible network with demand c_C + R_TC' x_T, a point or
+    a segment, whose line data the result keeps."""
+    T, drain, classes = net.parts
+    x_min, x_max = np.zeros(net.w.size), np.zeros(net.w.size)
     if T.any():  # x_T is unique: x_min, which _point cross-checks with x_max, serves both
-        drain = _Network(R[np.ix_(T, T)], w[T], RoutingClass(SUBSTOCHASTIC_OUT_CONNECTED))
         x_min[T] = x_max[T] = _point(drain, c[T]).x_min
     segments = []
-    for C in classes:
-        eq = _equilibrium(_Network(R[np.ix_(C, C)], w[C], RoutingClass(STOCHASTIC_IRREDUCIBLE)),
-                          c[C] + R[np.ix_(T, C)].T @ x_min[T])
+    for C, part, R_TC in classes:
+        eq = _equilibrium(part, c[C] + R_TC.T @ x_min[T])
         x_min[C], x_max[C] = eq.x_min, eq.x_max
         if eq.kind == SEGMENT:
             segments.append((np.flatnonzero(C), eq.pi, eq.hc, eq.alpha_min, eq.alpha_max))
     # relative with no floor at 1, so that units do not decide the flag
     gap = float(np.abs(x_max - x_min).sum())
-    unknown = gap > POINT_AGREEMENT_TOL * float(w.max())
+    unknown = gap > POINT_AGREEMENT_TOL * float(net.w.max())
     return EquilibriumSet(kind=MINMAX_ONLY, x_min=x_min, x_max=x_max, unknown_between=unknown,
                           _segments=tuple(segments))
-
-
-def _closed_classes(R: np.ndarray) -> list[np.ndarray]:
-    """The masks of the closed classes of R, the sink strongly connected
-    components among the cells that cannot reach a leaky cell; the other
-    cells drain."""
-    adj = R > 0
-    classes, stranded = [], ~_reached(adj.T, _leaky_mask(R))
-    while stranded.any():
-        classes.append(_closed_subset(R, int(np.argmax(stranded))))
-        stranded &= ~_reached(adj.T, classes[-1])
-    return classes
 
 
 def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -> EquilibriumSet:

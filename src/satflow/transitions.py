@@ -40,7 +40,6 @@ from .errors import PreconditionError
 from .equilibria import (
     SEGMENT,
     EquilibriumSet,
-    _closed_classes,
     _equilibrium,
     _line,
     _Network,
@@ -48,14 +47,14 @@ from .equilibria import (
     _points,
     _segment,
 )
-from .model import OTHER, NetworkSpec, _zero_sum_rows, is_zero_sum, validate, zero_sum_tol
+from .model import NetworkSpec, _zero_sum_rows, is_zero_sum, validate, zero_sum_tol
 
 #: slack in the path parameter s when a zero-sum root is matched to [0, 1]
 #: and a change of kind between two samples to a critical point
 MATCH_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class DemandPath:
     """Affine demand path c(s) = c_start + s*(c_end - c_start), s in [0, 1],
     evaluated on a uniform grid of ``samples`` points."""
@@ -65,8 +64,8 @@ class DemandPath:
     samples: int
 
     def __post_init__(self):
-        self.c_start = np.asarray(self.c_start, dtype=float)
-        self.c_end = np.asarray(self.c_end, dtype=float)
+        object.__setattr__(self, "c_start", np.asarray(self.c_start, dtype=float))
+        object.__setattr__(self, "c_end", np.asarray(self.c_end, dtype=float))
         if self.c_start.shape != self.c_end.shape or self.c_start.ndim != 1:
             raise ValueError("c_start and c_end must be 1-d vectors of equal length")
         if not isinstance(self.samples, Integral) or isinstance(self.samples, bool) or self.samples < 2:
@@ -237,26 +236,25 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
         if rows[i].kind != rows[i + 1].kind and not any(
                 grid[i] - MATCH_TOL <= s <= grid[i + 1] + MATCH_TOL for s, _ in critical):
             result.unresolved.append({"s_lo": float(grid[i]), "s_hi": float(grid[i + 1])})
-    if net.routing_class.tag == OTHER:
-        for i in np.flatnonzero(_class_sign_changes(net.R, cs, np.array([row.x_min for row in rows]))):
+    if net.parts:  # reducible routing
+        for i in np.flatnonzero(_class_sign_changes(net, cs, np.array([row.x_min for row in rows]))):
             result.unresolved.append({"s_lo": float(grid[i]), "s_hi": float(grid[i + 1])})
     return result
 
 
-def _class_sign_changes(R: np.ndarray, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _class_sign_changes(net: _Network, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Whether, between samples i and i + 1 of a reducible network, the
-    sign of sum(e_C) changes for some closed class C, with the demands cs
-    and the states xs of the samples as rows.
+    sign of sum(e_C) changes for some closed class C of net.parts, with the
+    demands cs and the states xs of the samples as rows.
 
     e_C = c_C + R_TC' x_T is the demand that C sees, with x_T on the cells
     T that drain (unique, so x_min gives it), and C is critical where
     sum(e_C) = 0; a sum within zero_sum_tol(e_C) has sign 0.
     """
-    classes = _closed_classes(R)
-    T = ~np.logical_or.reduce(classes)
+    T, _, classes = net.parts
     changed = np.zeros(len(cs) - 1, dtype=bool)
-    for C in classes:
-        E = cs[:, C] + xs[:, T] @ R[np.ix_(T, C)]
+    for C, _, R_TC in classes:
+        E = cs[:, C] + xs[:, T] @ R_TC
         sign = np.where(_zero_sum_rows(E), 0.0, np.sign(E.sum(axis=1)))
         changed |= sign[1:] != sign[:-1]
     return changed
@@ -307,14 +305,13 @@ def directional_limits(
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=c_star))
     net = _network(spec.routing, spec.capacity, "directional_limits")
     c = spec.demand
-    line = _critical_line(net, c)
-    if line is None:
-        if is_zero_sum(c):
-            _, _, alpha_min, alpha_max = _line(net, c)
-            raise PreconditionError(
-                f"c_star is not on the critical set: its condition value {alpha_max - alpha_min:.3g} is not positive")
+    if not is_zero_sum(c):
         raise PreconditionError(f"c_star is not on the critical set: sum(c_star) = {c.sum():.3g}, "
                                 f"not within its zero-sum tolerance {zero_sum_tol(c):.3g}")
+    line = _line(net, c)
+    if not line[3] - line[2] > 0:
+        raise PreconditionError(
+            f"c_star is not on the critical set: its condition value {line[3] - line[2]:.3g} is not positive")
     if d.shape != (spec.n,) or not np.all(np.isfinite(d)) or d.sum() <= 0:
         raise PreconditionError(f"direction must be a finite vector of length {spec.n} with positive total sum")
     eps_list = sorted(set(float(e) for e in epsilons), reverse=True)

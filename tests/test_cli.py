@@ -39,6 +39,13 @@ def run(capsys, argv):
     return code, out
 
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+# demos/two_classes.json: a leaky cell 1 that sends 0.3 of its flow to
+# each of two closed 2-cycles {2, 3} and {4, 5}; at its demand the first
+# class sees zero total demand and has a segment, the second a point at 0
+TWO_CLASSES = str(DEMOS / "two_classes.json")
+
+
 class TestCheck:
     def test_reference_network(self, capsys, scenario3):
         code, out = run(capsys, ["check", scenario3])
@@ -54,6 +61,15 @@ class TestCheck:
         report = json.loads(out)
         assert report["class"] == "SubStochasticOutConnected"
         assert report["leaky_nodes"] == [1, 2]
+        assert "pi" not in report
+
+    def test_reducible_demo(self, capsys):
+        code, out = run(capsys, ["check", TWO_CLASSES])
+        assert code == 0
+        report = json.loads(out)
+        assert report["class"] == "Other"
+        assert report["detail"] == "cells [2, 3, 4, 5] cannot reach a leaky cell"
+        assert report["leaky_nodes"] == [1]
         assert "pi" not in report
 
     def test_pi_round_trips(self, capsys, scenario3):
@@ -303,6 +319,14 @@ class TestEquilibria:
         assert report["kind"] == "Point"
         assert np.abs(np.array(report["x_min"]) - 0.6).max() < 1e-10
 
+    def test_reducible_demo(self, capsys):
+        code, out = run(capsys, ["equilibria", TWO_CLASSES])
+        assert code == 0
+        report = json.loads(out)
+        # MinMaxOnly carries no line data: the segment of class {2, 3} is the gap between the ends
+        assert report == {"kind": "MinMaxOnly", "x_min": [1.0, 0.0, 0.0, 0.0, 0.0],
+                          "x_max": [1.0, 1.0, 1.0, 0.0, 0.0]}
+
 
 class TestSweep:
     def test_reference_sweep(self, capsys, scenario3, tmp_path):
@@ -331,6 +355,19 @@ class TestSweep:
         assert json.loads(out)["rows"] == 91
         golden = (demos / "three_cell.critical.json").read_bytes()
         assert (tmp_path / "three_cell.critical.json").read_bytes() == golden
+
+    def test_reducible_demo_sidecar_is_golden(self, capsys, tmp_path):
+        # class {2, 3} sees the total demand c2 + c3 + 0.3 go from -0.5 to
+        # 0.5, through 0 at s = 1/2, between the samples 4/9 and 5/9:
+        # demos/two_classes.critical.json brackets it as unresolved
+        code, out = run(capsys, ["sweep", TWO_CLASSES, "--c-start", "1,-0.8,0,-1,0",
+                                 "--c-end", "1,0.2,0,-1,0", "--samples", "10",
+                                 "--out", str(tmp_path / "two_classes.csv")])
+        assert code == 0
+        assert json.loads(out)["rows"] == 10 and json.loads(out)["critical_points"] == 0
+        golden = (DEMOS / "two_classes.critical.json").read_bytes()
+        assert (tmp_path / "two_classes.critical.json").read_bytes() == golden
+        assert json.loads(golden) == {"critical": [], "unresolved": [{"s_lo": 4 / 9, "s_hi": 5 / 9}]}
 
     @pytest.mark.parametrize("start_critical", [True, False])
     def test_sidecar_puts_a_critical_end_at_its_s(self, capsys, scenario3, tmp_path, start_critical):

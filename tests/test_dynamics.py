@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import sys
 import threading
@@ -116,6 +117,18 @@ class TestIntegratorConfig:
     def test_rejects_a_step_count_that_overflows(self):
         with pytest.raises(ValueError, match=r"^t_end / dt must be finite"):
             IntegratorConfig(dt=1e-320, t_end=1.0)
+
+    @pytest.mark.parametrize("field, value", [("dt", True), ("t_end", 1.0), ("sample_every", 0),
+                                              ("residual_tol", 1e-8)])
+    def test_fields_cannot_be_assigned(self, field, value):
+        # the checks run when a config is built, so a config never changes
+        # after them; dataclasses.replace builds a new one, checked again
+        cfg = IntegratorConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert cfg == IntegratorConfig()
+        with pytest.raises(ValueError, match="^sample_every must be "):
+            dataclasses.replace(cfg, sample_every=0)
 
 
 class TestIntegrate:

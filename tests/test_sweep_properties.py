@@ -4,9 +4,10 @@ labels, and the walk of paths that cross the critical set.
 (kw, kc) has k times the equilibria of (w, c), and relabelling the cells
 relabels the equilibria, so a sweep of the scaled or permuted path must
 give the same rows, scaled or permuted, and the same jumps, for paths
-that cross the zero-sum hyperplane and for paths inside it.  A path that
-crosses the critical set is walked from the crossing without the cold
-solver, and its rows are those of equilibrium_set, as are the rows of
+that cross the zero-sum hyperplane, for paths inside it, and for paths
+on reducible routing, whose unresolved brackets stay where they are.  A
+path that crosses the critical set is walked from the crossing without the
+cold solver, and its rows are those of equilibrium_set, as are the rows of
 paths between rational demands, whose breakpoints fall on samples.  The examples come
 from the loaded Hypothesis profile (see conftest.py).
 """
@@ -19,7 +20,7 @@ import pytest
 
 from satflow import DemandPath, NetworkSpec, equilibria, equilibrium_set, on_critical_manifold, sweep, validate
 
-from conftest import R3, W3, random_stochastic_irreducible, random_substochastic
+from conftest import R3, W3, random_reducible, random_stochastic_irreducible, random_substochastic, reducible_demand
 
 
 @st.composite
@@ -69,6 +70,21 @@ def in_hyperplane_sweeps(draw):
     return R, w, path
 
 
+@st.composite
+def reducible_sweeps(draw):
+    """Random reducible routing (conftest.random_reducible: 1-2 closed
+    classes beside 0-5 draining cells, labels permuted) and a path between
+    two of its random demands (conftest.reducible_demand, some with a
+    segment in a class that nothing feeds).  Every row is MinMaxOnly, and a
+    pair of samples between which a closed class's total demand changes
+    sign is reported unresolved."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R, unfed = random_reducible(rng)
+    w = rng.uniform(0.5, 5.0, R.shape[0])
+    c_start, c_end = (reducible_demand(rng, R, w, unfed) for _ in range(2))
+    return R, w, DemandPath(c_start, c_end, draw(st.integers(2, 25)))
+
+
 def _assert_same_jumps(jumps, ref, k, edges_below=None):
     """Same positions, and magnitudes scaled by k; with edges_below (paths
     inside the hyperplane) both edges of the critical set are there, and
@@ -96,7 +112,7 @@ def _check_scaling(case, log_k, edges):
         assert np.abs(row.x_min - k * ref.x_min).sum() <= tol
         assert np.abs(row.x_max - k * ref.x_max).sum() <= tol
     _assert_same_jumps(scaled.jumps, base.jumps, k, 1e-12 * w.sum() if edges else None)
-    assert len(scaled.unresolved) == len(base.unresolved)
+    assert scaled.unresolved == base.unresolved
 
 
 def _check_permutation(case, random, edges):
@@ -110,7 +126,7 @@ def _check_permutation(case, random, edges):
         assert np.abs(row.x_min - ref.x_min[perm]).sum() <= tol
         assert np.abs(row.x_max - ref.x_max[perm]).sum() <= tol
     _assert_same_jumps(permuted.jumps, base.jumps, 1.0, 1e-12 * w.sum() if edges else None)
-    assert len(permuted.unresolved) == len(base.unresolved)
+    assert permuted.unresolved == base.unresolved
 
 
 @given(crossing_sweeps(), st.floats(-9.0, 9.0))
@@ -131,6 +147,16 @@ def test_permuting_cells_permutes_rows(case, random):
 @given(in_hyperplane_sweeps(), st.randoms(use_true_random=False))
 def test_permuting_cells_keeps_the_edges_of_an_in_hyperplane_path(case, random):
     _check_permutation(case, random, edges=True)
+
+
+@given(reducible_sweeps(), st.floats(-9.0, 9.0))
+def test_scaling_scales_every_row_of_a_reducible_path(case, log_k):
+    _check_scaling(case, log_k, edges=False)
+
+
+@given(reducible_sweeps(), st.randoms(use_true_random=False))
+def test_permuting_cells_permutes_rows_of_a_reducible_path(case, random):
+    _check_permutation(case, random, edges=False)
 
 
 def _check_walkable_rows(R, w, path):

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from satflow import (
     DemandPath,
     NetworkSpec,
+    NumericalError,
     PreconditionError,
     directional_limits,
     equilibrium_set,
@@ -18,7 +20,8 @@ import satflow
 from satflow import cli, dynamics, equilibria, model, transitions
 from satflow.equilibria import POINT, SEGMENT
 
-from conftest import C3, C_STAR, COND3, R3, W3, random_stochastic_irreducible, random_substochastic
+from conftest import (C3, C_STAR, COND3, R3, W3, random_reducible, random_stochastic_irreducible, random_substochastic,
+                      reducible_demand)
 
 
 class TestOnCriticalManifold:
@@ -60,6 +63,16 @@ class TestDemandPath:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             DemandPath([0.0, 1.0], [1.0], 5)
+
+    @pytest.mark.parametrize("field, value", [("samples", 1), ("c_start", [0.0, 1.0]), ("c_end", [1.0])])
+    def test_fields_cannot_be_assigned(self, field, value):
+        # samples = 1 assigned after the checks once gave a sweep of one row
+        # with a jump at s = 0.5, off its grid
+        path = DemandPath([0.1, 0.0, 0.0], [-0.1, 0.0, 0.0], 5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(path, field, value)
+        assert path.samples == 5 and path.c_start.tolist() == [0.1, 0.0, 0.0]
+        assert path.c_end.dtype == float and len(path.grid) == 5
 
 
 class TestSweep:
@@ -207,6 +220,37 @@ class TestSweep:
         result = sweep(R, np.full(3, 2.0), DemandPath([0.0, -0.5, 0.2], [1.0, -0.5, 0.2], 5))
         assert result.unresolved == [{"s_lo": 0.5, "s_hi": 0.75}]
 
+    @pytest.mark.parametrize("samples", [2, 10, 100])
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_reducible_classes_are_found_once_per_sweep(self, calls, samples, seed):
+        # the closed classes of R are searched for once per routing matrix,
+        # as in one equilibrium_set call, not once per sample; seed None is
+        # two closed 2-cycles fed by a leaky cell (demos/two_classes.json)
+        if seed is None:
+            R, w, c0, c1 = _TWO_CLASSES, np.array([2.0, 1.0, 1.0, 1.0, 1.0]), [1, -0.8, 0, -1, 0], [1, 0.2, 0, -1, 0]
+        else:
+            rng = np.random.default_rng(seed)
+            R, unfed = random_reducible(rng, classes=2)
+            w = rng.uniform(0.5, 5.0, R.shape[0])
+            c0, c1 = (reducible_demand(rng, R, w, unfed) for _ in range(2))
+        calls.watch("_closed_subset", "_reached")
+        equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=np.asarray(c0, dtype=float))))
+        once = Counter(calls.names)
+        assert once["_closed_subset"] == 2
+        calls.clear()
+        sweep(R, w, DemandPath(c0, c1, samples))
+        assert Counter(calls.names) == once
+
+    @pytest.mark.xfail(strict=True, raises=NumericalError, reason=(
+        "the class demand e_C = c_C + R_TC' x_T is tested for zero sum relative to |e_C| alone, so the "
+        "rounding left where its terms cancel puts it off the hyperplane, where x_min and x_max disagree"))
+    def test_class_demand_that_cancels_to_rounding_is_zero_sum(self):
+        # at s = 1/2, c_2 = -0.8 + 0.5 rounds to -0.30000000000000004, and the
+        # class {2, 3} sees the demand [-5.6e-17, 0] in place of 0
+        result = sweep(_TWO_CLASSES, np.array([2.0, 1.0, 1.0, 1.0, 1.0]),
+                       DemandPath([1, -0.8, 0, -1, 0], [1, 0.2, 0, -1, 0], 11))
+        assert result.rows[5].x_max[1:3].tolist() == pytest.approx([1.0, 1.0])
+
     def test_piecewise_linear_between_transitions(self):
         # the equilibrium curve has an active-set breakpoint at a = 31/15
         # (cell 3 reaches capacity); a in [2.2, 8] lies inside one linear
@@ -252,6 +296,17 @@ class TestDirectionalLimits:
                                                     r"is not positive$"):
             directional_limits(R3, W3, 10 * C3, np.ones(3))
 
+    @pytest.mark.parametrize("c_star, solves", [(10 * C3, 1), (np.array([0.0, -1.0, 0.0]), 0)],
+                             ids=["zero_sum", "off_the_hyperplane"])
+    def test_refusal_solves_the_line_at_most_once(self, monkeypatch, c_star, solves):
+        # the zero-sum test comes first, and the one line solve both decides
+        # that c_star is not critical and names its condition value
+        calls, real = [], model._pi_and_h
+        monkeypatch.setattr(equilibria, "_pi_and_h", lambda R, v: calls.append(1) or real(R, v))
+        with pytest.raises(PreconditionError, match="^c_star is not on the critical set: "):
+            directional_limits(R3, W3, c_star, np.ones(3))
+        assert len(calls) == solves
+
     def test_rejects_bad_direction(self):
         with pytest.raises(PreconditionError, match="direction"):
             directional_limits(R3, W3, C_STAR, np.zeros(3))
@@ -279,6 +334,11 @@ class TestDirectionalLimits:
         # eps*sum(d) = 3e-20 is below 1e-12*|c_star +/- eps*d|_1: still zero-sum
         with pytest.raises(PreconditionError, match="at eps=1e-20 is unexpectedly zero-sum"):
             directional_limits(R3, W3, C_STAR, np.ones(3), epsilons=(1e-2, 1e-20, 1e-3))
+
+
+# a leaky cell sending 0.3 of its flow into each of two closed 2-cycles
+_TWO_CLASSES = np.array([[0.0, 0.3, 0.0, 0.3, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 0.0]])
 
 
 def _reducible_routing():
@@ -695,6 +755,7 @@ _CLASSIFIED_CALLS = {
     "sweep_crossing": lambda: sweep(R3, W3, DemandPath([0.0, -1.0, 0.0], [3.0, -1.0, 6.0], 31)),
     "sweep_in_hyperplane": lambda: sweep(R3, W3, DemandPath([0.0, -1.0, 1.0], [0.0, -6.0, 6.0], 31)),
     "sweep_leaky": lambda: sweep(_LEAKY, np.ones(2), DemandPath([0.0, 0.0], [1.0, 1.0], 11)),
+    "sweep_reducible": lambda: sweep(_TWO_CLASSES, np.ones(5), DemandPath([1, -0.8, 0, -1, 0], [1, 0.2, 0, -1, 0], 10)),
     "directional_limits": lambda: directional_limits(R3, W3, C_STAR, np.ones(3)),
     "on_critical_manifold": lambda: on_critical_manifold(R3, W3, C3),
     "invariant_vector": lambda: satflow.invariant_vector(R3),
