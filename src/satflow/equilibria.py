@@ -19,9 +19,10 @@ iteration to convergence (picard_min, picard_max) is only a test oracle.
 
 Each public entry point classifies R once, into a private network object
 that every solver below takes with the demand c: R, w, the routing class
-and, for reducible R, its draining cells and closed classes with their
-sub-networks.  A caller that solves many demands on one routing matrix (a
-demand sweep, one-sided limits) thus classifies and decomposes it once.
+and, for reducible R, its draining cells and the closed classes that the
+classification found, with their sub-networks and one rule for the demand
+of each (:func:`_class_demands`).  A caller that solves many demands on
+one routing matrix (a sweep, one-sided limits) classifies it once.
 Where the class makes the equilibrium unique, sub-stochastic out-connected
 routing or stochastic irreducible routing off the zero-sum hyperplane (one
 rule, :meth:`_Network.walkable`), such a caller walks an affine demand
@@ -63,7 +64,7 @@ constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -72,12 +73,10 @@ from .model import (
     OTHER,
     STOCHASTIC_IRREDUCIBLE,
     SUBSTOCHASTIC_OUT_CONNECTED,
+    _ZERO_SUM_RTOL,
     NetworkSpec,
     RoutingClass,
-    _closed_subset,
-    _leaky_mask,
     _pi_and_h,
-    _reached,
     _require_stochastic_irreducible,
     _zero_sum_rows,
     classify_routing,
@@ -202,17 +201,13 @@ class _Network(NamedTuple):
 
 
 def _network(R: np.ndarray, w: np.ndarray, op: str | None = None) -> _Network:
-    """R, w, the class of R and its parts; the closed classes of R are the
-    sink strongly connected components of the cells that reach no leaky
-    cell.  op names a caller that requires stochastic irreducible R, else PreconditionError."""
+    """R, w, the class of R and its parts, built from the closed classes
+    that :func:`satflow.model.classify_routing` found, with no search of
+    its own.  op names a caller that requires stochastic irreducible R, else PreconditionError."""
     routing_class = classify_routing(R) if op is None else _require_stochastic_irreducible(R, op)
     if routing_class.tag != OTHER:
         return _Network(R, w, routing_class)
-    adj = R > 0
-    classes, stranded = [], ~_reached(adj.T, _leaky_mask(R))
-    while stranded.any():
-        classes.append(_closed_subset(R, int(np.argmax(stranded))))
-        stranded &= ~_reached(adj.T, classes[-1])
+    classes = routing_class._classes
     T = ~np.logical_or.reduce(classes)
     drain = _Network(R[np.ix_(T, T)], w[T], RoutingClass(SUBSTOCHASTIC_OUT_CONNECTED))
     return _Network(R, w, routing_class, (T, drain, tuple(
@@ -299,8 +294,12 @@ def _equilibrium(net: _Network, c: np.ndarray) -> EquilibriumSet:
     """:func:`equilibrium_set` at demand c on a classified network."""
     if net.walkable(c):
         return _point(net, c)
-    if not net.stochastic:
-        return _decomposed(net, c)
+    return _on_hyperplane(net, c) if net.stochastic else _decomposed(net, c)
+
+
+def _on_hyperplane(net: _Network, c: np.ndarray) -> EquilibriumSet:
+    """:func:`equilibrium_set` at a demand c taken as zero-sum on a stochastic
+    irreducible network: the segment of its line, or a point where that has no length."""
     pi, hc, alpha_min, alpha_max = _line(net, c)
     value = alpha_max - alpha_min
     if value > 0:
@@ -332,15 +331,16 @@ def _decomposed(net: _Network, c: np.ndarray) -> EquilibriumSet:
     """Reducible routing class by class on net.parts (Kemeny & Snell, Finite
     Markov Chains, 1960): the cells T in no closed class drain, into a leaky
     cell or a class, so x_T is unique; each closed class C is then a
-    stochastic irreducible network with demand c_C + R_TC' x_T, a point or
-    a segment, whose line data the result keeps."""
+    stochastic irreducible network with demand c_C + R_TC' x_T
+    (:func:`_class_demands`), a point or a segment, whose line data the
+    result keeps."""
     T, drain, classes = net.parts
     x_min, x_max = np.zeros(net.w.size), np.zeros(net.w.size)
     if T.any():  # x_T is unique: x_min, which _point cross-checks with x_max, serves both
         x_min[T] = x_max[T] = _point(drain, c[T]).x_min
     segments = []
-    for C, part, R_TC in classes:
-        eq = _equilibrium(part, c[C] + R_TC.T @ x_min[T])
+    for (C, part, _), (e, zero) in zip(classes, _class_demands(net, c[None], x_min[None])):
+        eq = _on_hyperplane(part, e[0]) if zero[0] else _point(part, e[0])
         x_min[C], x_max[C] = eq.x_min, eq.x_max
         if eq.kind == SEGMENT:
             segments.append((np.flatnonzero(C), eq.pi, eq.hc, eq.alpha_min, eq.alpha_max))
@@ -349,6 +349,19 @@ def _decomposed(net: _Network, c: np.ndarray) -> EquilibriumSet:
     unknown = gap > POINT_AGREEMENT_TOL * float(net.w.max())
     return EquilibriumSet(kind=MINMAX_ONLY, x_min=x_min, x_max=x_max, unknown_between=unknown,
                           _segments=tuple(segments))
+
+
+def _class_demands(net: _Network, cs: np.ndarray, xs: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The demand e_C = c_C + R_TC' x_T of each closed class C of net.parts
+    at each row of the demands cs and states xs, x_T on the draining cells
+    T, and whether each row is zero-sum: |sum(e_C)| within _ZERO_SUM_RTOL
+    of |c_C|_1 + |R_TC' x_T|_1, the size of its terms, not of e_C, which
+    is only rounding where they cancel."""
+    T, _, classes = net.parts
+    for C, _, R_TC in classes:
+        c, inflow = cs[:, C], xs[:, T] @ R_TC
+        E, size = c + inflow, np.abs(c).sum(axis=1) + np.abs(inflow).sum(axis=1)
+        yield E, np.abs(E.sum(axis=1)) <= _ZERO_SUM_RTOL * size
 
 
 def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -> EquilibriumSet:

@@ -14,15 +14,15 @@ The structural dichotomy that drives everything downstream:
   leaky cell, so the network drains and equilibria are unique;
 * anything else (reducible)      -> draining cells and closed classes.
 
-Classes are decided by frontier searches on the support digraph of R; pi
-and H come from one square solve with M = I - R' + 1 1', each certified by
-its residual.
+classify_routing finds the closed classes of R once, by frontier searches
+on its support digraph, and the class follows from them; pi and H come
+from one square solve with M = I - R' + 1 1', each certified by its residual.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -58,6 +58,8 @@ class RoutingClass:
 
     tag: str
     detail: str = ""
+    #: Other: the mask of each closed class, in the order classify_routing finds them
+    _classes: tuple = field(default=(), repr=False, compare=False)
 
 
 def _floats(value) -> np.ndarray:
@@ -214,13 +216,9 @@ def row_sums(R: np.ndarray) -> np.ndarray:
     return np.asarray(R, dtype=float).sum(axis=1)
 
 
-def _leaky_mask(R: np.ndarray) -> np.ndarray:
-    return row_sums(R) < 1 - ROW_SUM_TOL
-
-
 def leaky_nodes(R: np.ndarray) -> list[int]:
     """0-based indices of rows with sum strictly below 1 - ROW_SUM_TOL."""
-    return [int(i) for i in np.flatnonzero(_leaky_mask(R))]
+    return [int(i) for i in np.flatnonzero(row_sums(R) < 1 - ROW_SUM_TOL)]
 
 
 def _reached(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -244,10 +242,9 @@ def is_out_connected(R: np.ndarray) -> bool:
 
     A cell with row sum strictly below 1 counts as reaching itself
     (zero-length path), so e.g. the all-zero matrix is out-connected.
-    One backward search from the leaky cells decides it.
+    Read from :func:`classify_routing`: R has no closed class.
     """
-    R = np.asarray(R, dtype=float)
-    return bool(np.all(_reached((R > 0).T, _leaky_mask(R))))
+    return classify_routing(R).tag == SUBSTOCHASTIC_OUT_CONNECTED
 
 
 def is_irreducible(R: np.ndarray) -> bool:
@@ -255,12 +252,10 @@ def is_irreducible(R: np.ndarray) -> bool:
 
     For stochastic R this is equivalent to strong connectivity of the
     support digraph: a closed subset is exactly a subset with no outgoing
-    edge and full internal row mass.  Strong connectivity holds iff cell 1
-    reaches every cell and every cell reaches cell 1 (a forward and a
-    backward search).  Raises PreconditionError if some row leaks (the
-    subset condition is defined only for stochastic matrices).
+    edge and full internal row mass.  Read from :func:`classify_routing`:
+    one closed class holds every cell.  Raises PreconditionError if some
+    row leaks (the subset condition is defined only for stochastic matrices).
     """
-    R = np.asarray(R, dtype=float)
     sums = row_sums(R)
     if np.any(sums < 1 - ROW_SUM_TOL):
         i = int(np.argmax(sums < 1 - ROW_SUM_TOL))
@@ -268,48 +263,52 @@ def is_irreducible(R: np.ndarray) -> bool:
             f"is_irreducible requires a stochastic matrix; row {i + 1} "
             f"sums to {sums[i]:.17g}"
         )
-    adj = R > 0
-    first = np.arange(R.shape[0]) == 0
-    return bool(np.all(_reached(adj, first)) and np.all(_reached(adj.T, first)))
+    return classify_routing(R).tag == STOCHASTIC_IRREDUCIBLE
 
 
-def _closed_subset(R: np.ndarray, start: int) -> np.ndarray:
-    """Mask of a closed subset reachable from cell ``start`` (0-based) when
-    no cell reachable from it leaks: a sink strongly-connected component.
+def _closed_subset(adj: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of a closed subset reachable from cell ``start`` (0-based)
+    along the boolean adjacency ``adj``, when no cell reachable from it
+    leaks: a sink strongly-connected component; and of the cells that reach it.
 
     From ``start``, move to a reachable cell that does not reach back until
     every reachable cell reaches back; each move shrinks the reachable set.
     """
-    adj = np.asarray(R) > 0
     cells = np.arange(adj.shape[0])
     i = start
     while True:
-        reached = _reached(adj, cells == i)
-        escape = reached & ~_reached(adj.T, cells == i)
+        reached, reaching = _reached(adj, cells == i), _reached(adj.T, cells == i)
+        escape = reached & ~reaching
         if not escape.any():
-            return reached
+            return reached, reaching
         i = int(np.argmax(escape))
 
 
 def classify_routing(R: np.ndarray) -> RoutingClass:
-    """Classify a validated sub-stochastic routing matrix.
+    """Classify a validated sub-stochastic routing matrix by its closed classes.
 
-    Returns StochasticIrreducible, SubStochasticOutConnected, or Other
-    with a reason.  The first two tags are mutually exclusive: a
-    stochastic matrix has no leaky row, hence cannot be out-connected.
+    A backward search from the leaky cells finds the stranded cells; the
+    closed class that the lowest of them reaches (:func:`_closed_subset`)
+    and the cells that reach it leave them, until none is left.  No class
+    is SubStochasticOutConnected, one of every cell with stochastic rows
+    StochasticIrreducible, and anything else Other, which keeps the masks.
     """
     R = np.asarray(R, dtype=float)
-    sums = row_sums(R)
-    if np.all(np.abs(sums - 1) <= ROW_SUM_TOL):
-        if is_irreducible(R):
-            return RoutingClass(STOCHASTIC_IRREDUCIBLE, "all rows stochastic, support digraph strongly connected")
-        closed = np.flatnonzero(_closed_subset(R, 0)) + 1
-        return RoutingClass(OTHER, f"stochastic but reducible: closed subset {{{', '.join(map(str, closed))}}}")
-    draining = _reached((R > 0).T, _leaky_mask(R))
-    if np.all(draining):
-        return RoutingClass(SUBSTOCHASTIC_OUT_CONNECTED, f"leaky rows {[i + 1 for i in leaky_nodes(R)]} reachable from every cell")
-    stranded = [int(i) + 1 for i in np.flatnonzero(~draining)]
-    return RoutingClass(OTHER, f"cells {stranded} cannot reach a leaky cell")
+    adj, sums = R > 0, row_sums(R)
+    leaky, stochastic = sums < 1 - ROW_SUM_TOL, np.all(np.abs(sums - 1) <= ROW_SUM_TOL)
+    stranded = ~_reached(adj.T, leaky)
+    classes, left = [], stranded
+    while left.any():
+        closed, reaching = _closed_subset(adj, int(np.argmax(left)))
+        classes.append(closed)
+        left = left & ~reaching
+    if not classes:
+        return RoutingClass(SUBSTOCHASTIC_OUT_CONNECTED, f"leaky rows {(np.flatnonzero(leaky) + 1).tolist()} reachable from every cell")
+    if stochastic and classes[0].all():
+        return RoutingClass(STOCHASTIC_IRREDUCIBLE, "all rows stochastic, support digraph strongly connected")
+    cells = np.flatnonzero(classes[0] if stochastic else stranded) + 1
+    return RoutingClass(OTHER, f"stochastic but reducible: closed subset {{{', '.join(map(str, cells))}}}" if stochastic
+                        else f"cells {cells.tolist()} cannot reach a leaky cell", tuple(classes))
 
 
 def _require_stochastic_irreducible(R: np.ndarray, op: str) -> RoutingClass:

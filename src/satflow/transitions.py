@@ -40,6 +40,7 @@ from .errors import PreconditionError
 from .equilibria import (
     SEGMENT,
     EquilibriumSet,
+    _class_demands,
     _equilibrium,
     _line,
     _Network,
@@ -186,8 +187,8 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     of kind between two samples that no critical point explains is
     reported unresolved, never guessed.  On reducible routing every row is
     MinMaxOnly, and a pair of samples between which a closed class's
-    total demand changes sign (:func:`_class_sign_changes`) is reported
-    unresolved: that class meets its critical set there.
+    total demand changes sign (:func:`satflow.equilibria._class_demands`)
+    is reported unresolved: that class meets its critical set there.
     """
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=path.c_start))
     validate(NetworkSpec(routing=spec.routing, capacity=spec.capacity, demand=path.c_end))
@@ -236,28 +237,13 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
         if rows[i].kind != rows[i + 1].kind and not any(
                 grid[i] - MATCH_TOL <= s <= grid[i + 1] + MATCH_TOL for s, _ in critical):
             result.unresolved.append({"s_lo": float(grid[i]), "s_hi": float(grid[i + 1])})
-    if net.parts:  # reducible routing
-        for i in np.flatnonzero(_class_sign_changes(net, cs, np.array([row.x_min for row in rows]))):
-            result.unresolved.append({"s_lo": float(grid[i]), "s_hi": float(grid[i + 1])})
+    if net.parts:  # reducible routing: x_T is unique, so x_min gives each class's demand
+        changed = np.zeros(grid.size - 1, dtype=bool)
+        for E, zero in _class_demands(net, cs, np.array([row.x_min for row in rows])):
+            sign = np.where(zero, 0.0, np.sign(E.sum(axis=1)))
+            changed |= sign[1:] != sign[:-1]
+        result.unresolved += [{"s_lo": float(grid[i]), "s_hi": float(grid[i + 1])} for i in np.flatnonzero(changed)]
     return result
-
-
-def _class_sign_changes(net: _Network, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Whether, between samples i and i + 1 of a reducible network, the
-    sign of sum(e_C) changes for some closed class C of net.parts, with the
-    demands cs and the states xs of the samples as rows.
-
-    e_C = c_C + R_TC' x_T is the demand that C sees, with x_T on the cells
-    T that drain (unique, so x_min gives it), and C is critical where
-    sum(e_C) = 0; a sum within zero_sum_tol(e_C) has sign 0.
-    """
-    T, _, classes = net.parts
-    changed = np.zeros(len(cs) - 1, dtype=bool)
-    for C, _, R_TC in classes:
-        E = cs[:, C] + xs[:, T] @ R_TC
-        sign = np.where(_zero_sum_rows(E), 0.0, np.sign(E.sum(axis=1)))
-        changed |= sign[1:] != sign[:-1]
-    return changed
 
 
 @dataclass

@@ -41,20 +41,21 @@ def cold_interval_maps():
 
 
 class Calls(list):
-    """The calls to the satflow.equilibria functions named in watch(), in
-    order, one (name, args) pair each; each call goes on to the function."""
+    """The calls to the functions named in watch(), of satflow.equilibria
+    unless another module is given, in order, one (name, args) pair each;
+    each call goes on to the function."""
 
     def __init__(self, monkeypatch):
         super().__init__()
         self._monkeypatch = monkeypatch
 
-    def watch(self, *names: str) -> None:
+    def watch(self, *names: str, module=equilibria) -> None:
         for name in names:
-            def recorded(*args, _name=name, _real=getattr(equilibria, name), **kwargs):
+            def recorded(*args, _name=name, _real=getattr(module, name), **kwargs):
                 self.append((_name, args))
                 return _real(*args, **kwargs)
 
-            self._monkeypatch.setattr(equilibria, name, recorded)
+            self._monkeypatch.setattr(module, name, recorded)
 
     @property
     def names(self) -> list[str]:

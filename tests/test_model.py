@@ -15,6 +15,7 @@ from satflow import (
     is_out_connected,
     validate,
 )
+from satflow.equilibria import _network
 from satflow.model import (
     OTHER,
     STOCHASTIC_IRREDUCIBLE,
@@ -231,6 +232,15 @@ def assert_classification_matches_closure(R):
     draining = closure[:, leaky].any(axis=1)
     cls = classify_routing(R)
     cells = [int(k) - 1 for k in re.findall(r"\d+", cls.detail)]
+    # a cell is in a closed class iff it reaches no leaky cell and every cell
+    # it reaches reaches it back; the classes group the cells that reach each other
+    closed = ~draining & np.all(~closure | closure.T, axis=1)
+    expected = {tuple(np.flatnonzero(closure[i] & closure[:, i])) for i in np.flatnonzero(closed)}
+    found = [tuple(np.flatnonzero(C)) for C in cls._classes] if cls.tag == OTHER else (
+        [tuple(range(R.shape[0]))] if cls.tag == STOCHASTIC_IRREDUCIBLE else [])
+    assert len(found) == len(expected) and set(found) == expected
+    if cls.tag == OTHER:  # the cells in no closed class are the ones the solvers drain
+        assert np.array_equal(_network(R, np.ones(R.shape[0])).parts[0], ~closed)
     assert is_out_connected(R) == bool(draining.all())
     if leaky.any():
         with pytest.raises(PreconditionError):

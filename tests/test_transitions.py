@@ -8,7 +8,6 @@ import pytest
 from satflow import (
     DemandPath,
     NetworkSpec,
-    NumericalError,
     PreconditionError,
     directional_limits,
     equilibrium_set,
@@ -202,10 +201,8 @@ class TestSweep:
         # two closed 2-cycles, {1, 2} and {3, 4}: the demand on the first sums
         # to s - 0.4, so its x_min jumps from [0, 0.1] to [2, 2] at s = 0.4;
         # the second is zero-sum all along
-        R = np.zeros((4, 4))
-        R[0, 1] = R[1, 0] = R[2, 3] = R[3, 2] = 1.0
         w = np.array([2.0, 2.0, 3.0, 3.0])
-        result = sweep(R, w, DemandPath([-0.5, 0.1, 0.2, -0.2], [0.5, 0.1, 0.2, -0.2], 11))
+        result = sweep(_TWO_CYCLES, w, DemandPath([-0.5, 0.1, 0.2, -0.2], [0.5, 0.1, 0.2, -0.2], 11))
         assert result.rows[3].x_min[:2].tolist() == pytest.approx([0.0, 0.1])
         assert result.rows[5].x_min[:2].tolist() == [2.0, 2.0]
         assert result.jumps == []
@@ -221,19 +218,22 @@ class TestSweep:
         assert result.unresolved == [{"s_lo": 0.5, "s_hi": 0.75}]
 
     @pytest.mark.parametrize("samples", [2, 10, 100])
-    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    @pytest.mark.parametrize("seed", ["demo", "two_cycles", 0, 1, 2])
     def test_reducible_classes_are_found_once_per_sweep(self, calls, samples, seed):
         # the closed classes of R are searched for once per routing matrix,
-        # as in one equilibrium_set call, not once per sample; seed None is
-        # two closed 2-cycles fed by a leaky cell (demos/two_classes.json)
-        if seed is None:
+        # one _closed_subset call per class, as in one equilibrium_set call,
+        # not once per sample; "demo" is two closed 2-cycles fed by a leaky
+        # cell (demos/two_classes.json), "two_cycles" two closed 2-cycles alone
+        if seed == "demo":
             R, w, c0, c1 = _TWO_CLASSES, np.array([2.0, 1.0, 1.0, 1.0, 1.0]), [1, -0.8, 0, -1, 0], [1, 0.2, 0, -1, 0]
+        elif seed == "two_cycles":
+            R, w, c0, c1 = _TWO_CYCLES, np.array([2.0, 2.0, 3.0, 3.0]), [-0.5, 0.1, 0.2, -0.2], [0.5, 0.1, 0.2, -0.2]
         else:
             rng = np.random.default_rng(seed)
             R, unfed = random_reducible(rng, classes=2)
             w = rng.uniform(0.5, 5.0, R.shape[0])
             c0, c1 = (reducible_demand(rng, R, w, unfed) for _ in range(2))
-        calls.watch("_closed_subset", "_reached")
+        calls.watch("_closed_subset", "_reached", module=model)
         equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=np.asarray(c0, dtype=float))))
         once = Counter(calls.names)
         assert once["_closed_subset"] == 2
@@ -241,12 +241,10 @@ class TestSweep:
         sweep(R, w, DemandPath(c0, c1, samples))
         assert Counter(calls.names) == once
 
-    @pytest.mark.xfail(strict=True, raises=NumericalError, reason=(
-        "the class demand e_C = c_C + R_TC' x_T is tested for zero sum relative to |e_C| alone, so the "
-        "rounding left where its terms cancel puts it off the hyperplane, where x_min and x_max disagree"))
     def test_class_demand_that_cancels_to_rounding_is_zero_sum(self):
         # at s = 1/2, c_2 = -0.8 + 0.5 rounds to -0.30000000000000004, and the
-        # class {2, 3} sees the demand [-5.6e-17, 0] in place of 0
+        # class {2, 3} sees the demand [-5.6e-17, 0]: zero-sum against the
+        # size of its terms, so the class has a segment there
         result = sweep(_TWO_CLASSES, np.array([2.0, 1.0, 1.0, 1.0, 1.0]),
                        DemandPath([1, -0.8, 0, -1, 0], [1, 0.2, 0, -1, 0], 11))
         assert result.rows[5].x_max[1:3].tolist() == pytest.approx([1.0, 1.0])
@@ -339,6 +337,8 @@ class TestDirectionalLimits:
 # a leaky cell sending 0.3 of its flow into each of two closed 2-cycles
 _TWO_CLASSES = np.array([[0.0, 0.3, 0.0, 0.3, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0],
                          [0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 0.0]])
+# two closed 2-cycles, {1, 2} and {3, 4}, and no leaky cell
+_TWO_CYCLES = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
 
 
 def _reducible_routing():
