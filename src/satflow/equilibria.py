@@ -17,12 +17,15 @@ y = w - x.  Every result is certified by its residual ||T(x) - x||_1.
 Reducible routing is solved class by class by the same solvers; Picard
 iteration to convergence (picard_min, picard_max) is only a test oracle.
 
-Each public entry point classifies R once, into a private network object
-that every solver below takes with the demand c: R, w, the routing class
-and, for reducible R, its draining cells and the closed classes that the
+R is classified into a private network object that every solver below
+takes with the demand c: R, w, the routing class, w - R'w and, for
+reducible R, its draining cells and the closed classes that the
 classification found, with their sub-networks and one rule for the demand
-of each (:func:`_class_demands`).  A caller that solves many demands on
-one routing matrix (a sweep, one-sided limits) classifies it once.
+of each (:func:`_class_demands`).  These depend on (R, w) alone, so each
+thread keeps the last network it classified (:func:`_network`), and every
+public entry point here and in :mod:`satflow.transitions` on the same
+(R, w) takes it: a sweep, the one-sided limits after it and an
+equilibrium_set of one of its demands classify R once between them.
 Where the class makes the equilibrium unique, sub-stochastic out-connected
 routing or stochastic irreducible routing off the zero-sum hyperplane (one
 rule, :meth:`_Network.walkable`), such a caller walks an affine demand
@@ -63,6 +66,7 @@ constants.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -98,6 +102,14 @@ POINT_AGREEMENT_TOL = 1e-6
 
 # a returned equilibrium x has ||T(x) - x||_1 below this, times max(1, |w|_inf)
 _FIXED_POINT_TOL = 1e-10
+
+#: bytes the network kept by one thread may hold: its copy of R and, for
+#: reducible R, the blocks of parts, disjoint blocks of R that take at most
+#: R's bytes together (see _network)
+_KEPT_BYTES = 32 * 2**20
+
+#: the last network classified on this thread, with its own copy of R
+_last = threading.local()
 
 
 class PicardResult(NamedTuple):
@@ -171,15 +183,18 @@ def _segment_distance(x: np.ndarray, pi: np.ndarray, hc: np.ndarray, alpha_min: 
 
 
 class _Network(NamedTuple):
-    """Routing R, capacities w and the class of R, decided once per call of
-    a public entry point; the private solvers take it with the demand c.
-    parts is () unless R is of class Other, whose decomposition it holds:
-    the mask T of the cells that drain, their network, and (C, the network
-    of C, R[np.ix_(T, C)]) for the mask C of each closed class."""
+    """Routing R, capacities w and the class of R, decided once per routing
+    matrix (:func:`_network`); the private solvers take it with the demand
+    c.  mirror is w - R'w, so that the mirrored system of y = w - x has the
+    demand mirror - c.  parts is () unless R is of class Other, whose
+    decomposition it holds: the mask T of the cells that drain, their
+    network, and (C, the network of C, R[np.ix_(T, C)]) for the mask C of
+    each closed class."""
 
     R: np.ndarray
     w: np.ndarray
     routing_class: RoutingClass
+    mirror: np.ndarray
     parts: tuple = ()
 
     @property
@@ -201,17 +216,51 @@ class _Network(NamedTuple):
 
 
 def _network(R: np.ndarray, w: np.ndarray, op: str | None = None) -> _Network:
+    """The classified network of R and w, the one this thread keeps if it
+    is of the same (R, w), else a new one that it keeps in its place.
+
+    The key is the strides of R and w, since a product's rounding can
+    depend on them, and their bits: those of w first, those of R only where
+    w's match.  The thread keeps its own copy of R, in the buffer of the
+    last copy where the shapes match.  A network whose R takes more than
+    half of _KEPT_BYTES is built on every call.  The network returned holds
+    the caller's R and w, so a kept one gives the bits of a new one.  op
+    names a caller that requires stochastic irreducible R, else
+    PreconditionError with the class and its detail, kept or not."""
+    key = R.strides, w.strides, w.tobytes()
+    kept = getattr(_last, "net", None)
+    # the bits of R, not its values: -0.0 and 0.0 are equal values that a product can tell apart
+    if kept is not None and _last.key == key and np.array_equal(kept.R.view(np.uint64), R.view(np.uint64)):
+        net = _Network(R, w, *kept[2:])
+    else:
+        net = _classified(R, w)
+        _last.net = None
+        if 2 * R.nbytes <= _KEPT_BYTES:
+            copy = kept.R if kept is not None and kept.R.shape == R.shape else np.empty(R.shape)
+            np.copyto(copy, R)
+            _last.net, _last.key = net._replace(R=copy, w=w.copy()), key
+    if op is not None:
+        _require_stochastic_irreducible(net.routing_class, op)
+    return net
+
+
+def _classified(R: np.ndarray, w: np.ndarray) -> _Network:
     """R, w, the class of R and its parts, built from the closed classes
     that :func:`satflow.model.classify_routing` found, with no search of
-    its own.  op names a caller that requires stochastic irreducible R, else PreconditionError."""
-    routing_class = classify_routing(R) if op is None else _require_stochastic_irreducible(R, op)
+    its own."""
+    routing_class = classify_routing(R)
     if routing_class.tag != OTHER:
-        return _Network(R, w, routing_class)
+        return _Network(R, w, routing_class, w - R.T @ w)
     classes = routing_class._classes
     T = ~np.logical_or.reduce(classes)
-    drain = _Network(R[np.ix_(T, T)], w[T], RoutingClass(SUBSTOCHASTIC_OUT_CONNECTED))
-    return _Network(R, w, routing_class, (T, drain, tuple(
-        (C, _Network(R[np.ix_(C, C)], w[C], RoutingClass(STOCHASTIC_IRREDUCIBLE)), R[np.ix_(T, C)]) for C in classes)))
+    return _Network(R, w, routing_class, w - R.T @ w, (T, _part(R, w, T, SUBSTOCHASTIC_OUT_CONNECTED), tuple(
+        (C, _part(R, w, C, STOCHASTIC_IRREDUCIBLE), R[np.ix_(T, C)]) for C in classes)))
+
+
+def _part(R: np.ndarray, w: np.ndarray, cells: np.ndarray, tag: str) -> _Network:
+    """The network of the cells of a mask, known to be of class tag."""
+    R_part, w_part = R[np.ix_(cells, cells)], w[cells]
+    return _Network(R_part, w_part, RoutingClass(tag), w_part - R_part.T @ w_part)
 
 
 def _picard(R_t: np.ndarray, w: np.ndarray, c: np.ndarray, x0: np.ndarray, increment_tol: float,
@@ -283,9 +332,10 @@ def equilibrium_set(spec: NetworkSpec) -> EquilibriumSet:
     * reducible routing -> the min/max pair, from a point on the draining
       cells and a point or segment on each closed class.
 
-    The routing matrix is classified once.  On zero-sum demand pi and Hc
-    come from one square solve with M = I - R' + 1 1' and two right-hand
-    sides, and feed both the condition value and the segment.
+    The routing matrix is classified once per thread and network
+    (:func:`_network`).  On zero-sum demand pi and Hc come from one square
+    solve with M = I - R' + 1 1' and two right-hand sides, and feed both
+    the condition value and the segment.
     """
     return _equilibrium(_network(spec.routing, spec.capacity), spec.demand)
 
@@ -333,7 +383,8 @@ def _decomposed(net: _Network, c: np.ndarray) -> EquilibriumSet:
     cell or a class, so x_T is unique; each closed class C is then a
     stochastic irreducible network with demand c_C + R_TC' x_T
     (:func:`_class_demands`), a point or a segment, whose line data the
-    result keeps."""
+    result keeps.  x_min and x_max are clamped onto [0, w] once, since a
+    segment's hc + alpha*pi can round past it; the line data keep their bits."""
     T, drain, classes = net.parts
     x_min, x_max = np.zeros(net.w.size), np.zeros(net.w.size)
     if T.any():  # x_T is unique: x_min, which _point cross-checks with x_max, serves both
@@ -344,6 +395,8 @@ def _decomposed(net: _Network, c: np.ndarray) -> EquilibriumSet:
         x_min[C], x_max[C] = eq.x_min, eq.x_max
         if eq.kind == SEGMENT:
             segments.append((np.flatnonzero(C), eq.pi, eq.hc, eq.alpha_min, eq.alpha_max))
+    for x in (x_min, x_max):
+        np.minimum(np.maximum(x, 0.0, out=x), net.w, out=x)
     # relative with no floor at 1, so that units do not decide the flag
     gap = float(np.abs(x_max - x_min).sum())
     unknown = gap > POINT_AGREEMENT_TOL * float(net.w.max())
@@ -510,7 +563,7 @@ def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: 
     c = c0 + t0 * dc
     # column 0 is the system for x, column 1 the mirrored one for w - x, column 2 the direction
     demands = np.empty((w.size, 3))
-    demands[:, 0], demands[:, 1], demands[:, 2] = c, w - R_t @ w - c, dc
+    demands[:, 0], demands[:, 1], demands[:, 2] = c, net.mirror - c, dc
     held = np.zeros((w.size, 3))
     held[:, 0], held[:, 1] = w * cap, w * zero
     if not _solve_free(R_t, ~(zero | cap), demands, held):
@@ -610,7 +663,7 @@ def _extreme(net: _Network, c: np.ndarray, side: str) -> np.ndarray:
     networks that contract fast never reach a solve.
     """
     R_t, w = net.R.T, net.w
-    b = c if side == "min" else w - R_t @ w - c
+    b = c if side == "min" else net.mirror - c
     # relative to |w|_inf with no floor: an absolute increment would stop
     # the warm-up of a network with small capacities far from its limit
     warm = _picard(R_t, w, b, np.zeros(w.size), 1e-12 * float(w.max()), max_iter=w.size)

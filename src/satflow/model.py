@@ -174,12 +174,10 @@ def validate(spec: NetworkSpec) -> NetworkSpec:
     n = R.shape[0]
     if n == 0:
         raise ScenarioError("network must have at least one cell")
-    for name, vec in (("capacity", w), ("demand", c)):
-        if vec.shape != (n,):
-            raise ScenarioError(f"{name} must have length {n}, got shape {vec.shape}")
-    for name, arr in (("routing", R), ("capacity", w), ("demand", c)):
-        if not np.all(np.isfinite(arr)):
-            raise ScenarioError(f"{name} contains non-finite entries")
+    if not np.all(np.isfinite(R)):
+        raise ScenarioError("routing contains non-finite entries")
+    _check_vector("capacity", w, n)
+    _check_vector("demand", c, n)
     if np.any(R < 0):
         i, j = np.argwhere(R < 0)[0]
         raise ScenarioError(f"routing entry ({i + 1},{j + 1}) is negative")
@@ -210,6 +208,14 @@ def validate(spec: NetworkSpec) -> NetworkSpec:
                 f"demand of cell {i + 1} ({c[i]:.17g}) must equal inflow - outflow ({lam[i] - mu[i]:.17g})"
             )
     return spec
+
+
+def _check_vector(name: str, vec: np.ndarray, n: int) -> None:
+    """validate's checks of a vector on n cells: its length, then its entries finite."""
+    if vec.shape != (n,):
+        raise ScenarioError(f"{name} must have length {n}, got shape {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise ScenarioError(f"{name} contains non-finite entries")
 
 
 def row_sums(R: np.ndarray) -> np.ndarray:
@@ -311,11 +317,10 @@ def classify_routing(R: np.ndarray) -> RoutingClass:
                         else f"cells {cells.tolist()} cannot reach a leaky cell", tuple(classes))
 
 
-def _require_stochastic_irreducible(R: np.ndarray, op: str) -> RoutingClass:
-    cls = classify_routing(R)
+def _require_stochastic_irreducible(cls: RoutingClass, op: str) -> None:
+    """PreconditionError naming op, the class and its detail, unless cls is StochasticIrreducible."""
     if cls.tag != STOCHASTIC_IRREDUCIBLE:
         raise PreconditionError(f"{op} requires a stochastic irreducible routing matrix ({cls.tag}: {cls.detail})")
-    return cls
 
 
 def _pi_and_h(R: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +359,7 @@ def invariant_vector(R: np.ndarray) -> np.ndarray:
     certified: pi > 0 and |pi - R' pi|_1 below RESIDUAL_TOL.
     """
     R = np.asarray(R, dtype=float)
-    _require_stochastic_irreducible(R, "invariant_vector")
+    _require_stochastic_irreducible(classify_routing(R), "invariant_vector")
     return _pi_and_h(R, np.zeros(R.shape[0]))[0]
 
 
@@ -393,7 +398,7 @@ def h_operator(R: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     R = np.asarray(R, dtype=float)
     v = np.asarray(v, dtype=float)
-    _require_stochastic_irreducible(R, "h_operator")
+    _require_stochastic_irreducible(classify_routing(R), "h_operator")
     if not is_zero_sum(v):
         raise PreconditionError(f"h_operator requires a zero-sum vector, got sum {v.sum():.3g}")
     return _pi_and_h(R, v)[1]

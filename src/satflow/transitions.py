@@ -14,18 +14,21 @@ segment has shrunk to a point and the state does not jump.
 
 Away from the critical set the unique equilibrium moves piecewise
 affinely in c, with a fixed saturation pattern on each piece.  Each entry
-point builds the classified network of :mod:`satflow.equilibria` once.
-A sweep builds its sample demands as one array, and the network's rule
-decides in one pass which samples are walked.  A path that crosses the
-critical set is walked outward from the crossing, both ways, each way
-from the segment endpoint that its equilibria approach, so no sample
-needs the cold solver; any other path is walked from its first sample,
-which the cold solver answers.  One linear solve gives a whole piece, and
-a breakpoint between samples starts the next piece.  The walks come
-first and their samples are certified after them, all in one vectorised
-pass per call, where a sample on a breakpoint fits the pieces on both
-sides of it.  The cold solver answers a sample that fails there, and the
-samples that are not walked.  The answers are those of
+point takes the classified network of :mod:`satflow.equilibria`, which
+each thread keeps for the last (R, w) it classified, so a sweep and the
+limits at its jump classify R once between them.  A sweep validates the
+network once, and c_end with the same checks.  A sweep builds its sample
+demands as one array, and the network's rule decides in one pass which
+samples are walked.  A path that crosses the critical set is walked
+outward from the crossing, both ways, each way from the segment endpoint
+that its equilibria approach, so no sample needs the cold solver; any
+other path is walked from its first sample, which the cold solver
+answers.  One linear solve gives a whole piece, and a breakpoint between
+samples starts the next piece.  The walks come first and their samples
+are certified after them, all in one vectorised pass per call, where a
+sample on a breakpoint fits the pieces on both sides of it.  The cold
+solver answers a sample that fails there, and the samples that are not
+walked.  The answers are those of
 :func:`satflow.equilibria.equilibrium_set` at each demand, up to rounding.
 """
 
@@ -48,7 +51,7 @@ from .equilibria import (
     _points,
     _segment,
 )
-from .model import NetworkSpec, _zero_sum_rows, is_zero_sum, validate, zero_sum_tol
+from .model import NetworkSpec, _check_vector, _zero_sum_rows, is_zero_sum, validate, zero_sum_tol
 
 #: slack in the path parameter s when a zero-sum root is matched to [0, 1]
 #: and a change of kind between two samples to a critical point
@@ -104,9 +107,9 @@ def on_critical_manifold(R: np.ndarray, w: np.ndarray, c: np.ndarray) -> bool:
     """True iff c is zero-sum (within :func:`satflow.model.zero_sum_tol`)
     and the condition value is positive.
 
-    The routing matrix is classified once; the condition value of the
-    zero-sum projection c - mean(c) comes from the same line data as in
-    :func:`satflow.equilibria.equilibrium_set`.
+    The routing matrix is classified once per thread and network; the
+    condition value of the zero-sum projection c - mean(c) comes from the
+    same line data as in :func:`satflow.equilibria.equilibrium_set`.
     """
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=c))
     return _critical_line(_network(spec.routing, spec.capacity, "on_critical_manifold"), spec.demand) is not None
@@ -157,8 +160,9 @@ def _jump(net: _Network, line) -> float:
 def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     """Classify the equilibrium set along a demand path and locate crossings.
 
-    The routing matrix is classified once for the whole path, and each grid
-    sample gets the equilibrium set
+    The routing matrix is classified once for the whole path, or not at
+    all where this thread kept its network from an earlier call, and each
+    grid sample gets the equilibrium set
     :func:`satflow.equilibria.equilibrium_set` would give.  The sample
     demands are one (samples, n) array with the bits of path.c_at, and one
     pass over it picks the samples with a unique equilibrium off the
@@ -191,7 +195,7 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     is reported unresolved: that class meets its critical set there.
     """
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=path.c_start))
-    validate(NetworkSpec(routing=spec.routing, capacity=spec.capacity, demand=path.c_end))
+    _check_vector("demand", path.c_end, spec.n)
     net = _network(spec.routing, spec.capacity)
     grid = path.grid
     dc = path.c_end - path.c_start
@@ -275,11 +279,12 @@ def directional_limits(
     eps shrinks, the equilibrium below approaches the segment's lower
     endpoint and the one above its upper endpoint.
 
-    The routing matrix is classified once.  The line c_star + t*d is
-    walked outward from t = 0 both ways, as a sweep walks a crossing (see
-    :mod:`satflow.equilibria`): each side goes through the epsilons from
-    the smallest up, and its first pattern is that of the segment endpoint
-    it approaches (x_min below, x_max above, from the line data of
+    The routing matrix is classified once, or not at all where this thread
+    kept its network from an earlier call (a sweep of the same network).
+    The line c_star + t*d is walked outward from t = 0 both ways, as a
+    sweep walks a crossing (see :mod:`satflow.equilibria`): each side goes
+    through the epsilons from the smallest up, and its first pattern is
+    that of the segment endpoint it approaches (x_min below, x_max above, from the line data of
     c_star), so for small epsilons one linear solve gives them all; a
     breakpoint between two epsilons starts a new piece.  Both sides are
     certified in one pass once they are walked, and the cold solver

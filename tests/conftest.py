@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -34,10 +36,12 @@ C_STAR = np.array([1 / 3, -1.0, 2 / 3])
 
 
 @pytest.fixture(autouse=True)
-def cold_interval_maps():
+def cold_slots():
     """Every test starts without the interval maps that integrate keeps
-    from the last network it integrated on this thread."""
+    from the last network it integrated on this thread, and without the
+    classified network that the equilibria entry points keep."""
     vars(dynamics._last).clear()
+    vars(equilibria._last).clear()
 
 
 class Calls(list):
@@ -70,6 +74,23 @@ class Calls(list):
 def calls(monkeypatch):
     """A :class:`Calls` record; monkeypatch.undo() stops it."""
     return Calls(monkeypatch)
+
+
+def bits(x):
+    """The exact bits of a result, for ==: arrays as their dtype, shape and
+    bytes, floats as their 8 bytes (so -0.0 is not 0.0), dataclasses field
+    by field, private fields included, and containers item by item."""
+    if isinstance(x, np.ndarray):
+        return "array", x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return "float", struct.pack("d", x)
+    if dataclasses.is_dataclass(x):
+        return tuple((f.name, bits(getattr(x, f.name))) for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return tuple(map(bits, x))
+    if isinstance(x, dict):
+        return tuple((k, bits(v)) for k, v in x.items())
+    return x
 
 
 @pytest.fixture

@@ -1,16 +1,21 @@
 import re
+import threading
 
 import numpy as np
 import pytest
 
 from satflow import (
+    DemandPath,
     IntegratorConfig,
     NetworkSpec,
     NumericalError,
     PreconditionError,
+    directional_limits,
     equilibrium_set,
     integrate,
     multiplicity_test,
+    on_critical_manifold,
+    sweep,
     validate,
 )
 from satflow import equilibria
@@ -18,12 +23,14 @@ from satflow.equilibria import MINMAX_ONLY, POINT, SEGMENT, EquilibriumSet, pica
 
 from conftest import (
     C3,
+    C_STAR,
     COND3,
     PI3,
     R3,
     W3,
     XMAX3,
     XMIN3,
+    bits,
     random_reducible,
     random_spec,
     random_substochastic,
@@ -324,6 +331,114 @@ def test_closed_region_of_a_pattern(y, held, outside):
     rows = equilibria._outside(np.array([[y], [1.5]]), np.array([zero, [True]]), np.array([cap, [False]]),
                                np.array([3.0]))
     assert rows.tolist() == [[outside], [True]]
+
+
+def _kept_results(R, w, cold=False):
+    """The result of each entry point that keeps its network, on copies of
+    R and w (so the key is their bits, not the objects); cold empties the
+    kept network before each call."""
+    calls = (
+        lambda R, w: equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=C3))),
+        lambda R, w: multiplicity_test(validate(NetworkSpec(routing=R, capacity=w, demand=C3))),
+        lambda R, w: sweep(R, w, DemandPath([0.0, -1.0, 0.0], [3.0, -1.0, 6.0], 31)),
+        lambda R, w: directional_limits(R, w, C_STAR, np.ones(3)),
+        lambda R, w: on_critical_manifold(R, w, C3),
+    )
+    results = []
+    for call in calls:
+        if cold:
+            vars(equilibria._last).clear()
+        results.append(call(R.copy(), w.copy()))
+    return results
+
+
+class TestKeptNetwork:
+    """The classified network each thread keeps (equilibria._network); the
+    slot is emptied before every test (conftest)."""
+
+    def test_calls_on_one_network_classify_it_once(self, calls):
+        calls.watch("classify_routing")
+        warm = _kept_results(R3, W3)
+        assert calls.names == ["classify_routing"]
+        assert bits(warm) == bits(_kept_results(R3, W3, cold=True))
+
+    @pytest.mark.parametrize("change", ["other_R", "other_w", "R_in_place"])
+    def test_each_change_of_the_network_classifies_it_once(self, calls, change):
+        R, w = R3.copy(), W3.copy()
+        calls.watch("classify_routing")
+        equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=C3)))
+        if change == "other_R":
+            R = R3.copy()
+            R[0] = [0.0, 0.25, 0.75]
+        elif change == "other_w":
+            w = 2.0 * W3
+        else:
+            R[0] = [0.0, 0.25, 0.75]  # the same array, its first row changed
+        spec = validate(NetworkSpec(routing=R, capacity=w, demand=C3))
+        warm = [equilibrium_set(spec), equilibrium_set(spec)]
+        assert len(calls) == 2
+        vars(equilibria._last).clear()
+        assert bits(warm) == bits([equilibrium_set(spec)] * 2)
+
+    def test_the_layout_of_R_is_part_of_the_key(self, calls):
+        # the same values in Fortran order: a product's rounding may differ
+        calls.watch("classify_routing")
+        spec = validate(NetworkSpec(routing=R3, capacity=W3, demand=C3 + 0.1))
+        fortran = validate(NetworkSpec(routing=np.asfortranarray(R3), capacity=W3, demand=C3 + 0.1))
+        warm = [equilibrium_set(spec), equilibrium_set(fortran), equilibrium_set(fortran)]
+        assert len(calls) == 2
+        vars(equilibria._last).clear()
+        assert bits(warm[1:]) == bits([equilibrium_set(fortran)] * 2)
+
+    def test_threads_do_not_see_each_other_s_network(self, calls):
+        calls.watch("classify_routing")
+        equilibrium_set(validate(NetworkSpec(routing=R3, capacity=W3, demand=C3)))
+        seen = []
+
+        def other():
+            seen.append(getattr(equilibria._last, "net", None))
+            equilibrium_set(validate(NetworkSpec(routing=R3, capacity=W3, demand=C3)))
+            equilibrium_set(validate(NetworkSpec(routing=TWO_CYCLES, capacity=np.ones(4), demand=np.zeros(4))))
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join()
+        assert seen == [None] and len(calls) == 3
+        # the other thread's last network, TWO_CYCLES, did not take this thread's place
+        equilibrium_set(validate(NetworkSpec(routing=R3, capacity=W3, demand=C3)))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_a_network_over_the_budget_is_not_kept(self, calls, monkeypatch, spare):
+        # the copy of R and the parts of reducible R may take twice R's bytes
+        kept = _kept_results(R3, W3)
+        vars(equilibria._last).clear()
+        monkeypatch.setattr(equilibria, "_KEPT_BYTES", 2 * R3.nbytes + spare)
+        calls.watch("classify_routing")
+        assert bits(_kept_results(R3, W3)) == bits(kept)
+        assert len(calls) == (1 if spare == 0 else 5)
+        assert (getattr(equilibria._last, "net", None) is None) == (spare < 0)
+
+    @pytest.mark.parametrize("op", ["multiplicity_test", "directional_limits", "on_critical_manifold"])
+    @pytest.mark.parametrize("R", [np.array([[0.0, 0.5], [0.5, 0.0]]), TWO_CYCLES], ids=["leaky", "reducible"])
+    def test_refusals_come_from_the_kept_class(self, calls, op, R):
+        n = R.shape[0]
+        spec = validate(NetworkSpec(routing=R, capacity=np.ones(n), demand=np.zeros(n)))
+        call = {"multiplicity_test": lambda: multiplicity_test(spec),
+                "directional_limits": lambda: directional_limits(R, np.ones(n), np.zeros(n), np.ones(n)),
+                "on_critical_manifold": lambda: on_critical_manifold(R, np.ones(n), np.zeros(n))}[op]
+        equilibrium_set(spec)
+        calls.watch("classify_routing")
+        with pytest.raises(PreconditionError) as warm:
+            call()
+        assert calls == []
+        vars(equilibria._last).clear()
+        with pytest.raises(PreconditionError) as cold:
+            call()
+        assert calls.names == ["classify_routing"]
+        assert str(warm.value) == str(cold.value)
+        tag = "SubStochasticOutConnected" if n == 2 else "Other"
+        assert str(warm.value).startswith(f"{op} requires a stochastic irreducible routing matrix ({tag}: ")
 
 
 class TestProperties:

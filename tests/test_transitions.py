@@ -9,6 +9,7 @@ from satflow import (
     DemandPath,
     NetworkSpec,
     PreconditionError,
+    ScenarioError,
     directional_limits,
     equilibrium_set,
     on_critical_manifold,
@@ -220,10 +221,12 @@ class TestSweep:
     @pytest.mark.parametrize("samples", [2, 10, 100])
     @pytest.mark.parametrize("seed", ["demo", "two_cycles", 0, 1, 2])
     def test_reducible_classes_are_found_once_per_sweep(self, calls, samples, seed):
-        # the closed classes of R are searched for once per routing matrix,
-        # one _closed_subset call per class, as in one equilibrium_set call,
-        # not once per sample; "demo" is two closed 2-cycles fed by a leaky
-        # cell (demos/two_classes.json), "two_cycles" two closed 2-cycles alone
+        # the closed classes of R are searched for once per routing matrix:
+        # a sweep runs the searches of one equilibrium_set call, one
+        # _closed_subset call per class, not one per sample, and after an
+        # equilibrium_set on the same (R, w) it runs none; "demo" is two
+        # closed 2-cycles fed by a leaky cell (demos/two_classes.json),
+        # "two_cycles" two closed 2-cycles alone
         if seed == "demo":
             R, w, c0, c1 = _TWO_CLASSES, np.array([2.0, 1.0, 1.0, 1.0, 1.0]), [1, -0.8, 0, -1, 0], [1, 0.2, 0, -1, 0]
         elif seed == "two_cycles":
@@ -234,12 +237,54 @@ class TestSweep:
             w = rng.uniform(0.5, 5.0, R.shape[0])
             c0, c1 = (reducible_demand(rng, R, w, unfed) for _ in range(2))
         calls.watch("_closed_subset", "_reached", module=model)
-        equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=np.asarray(c0, dtype=float))))
+        spec = validate(NetworkSpec(routing=R, capacity=w, demand=np.asarray(c0, dtype=float)))
+        equilibrium_set(spec)
         once = Counter(calls.names)
         assert once["_closed_subset"] == 2
         calls.clear()
         sweep(R, w, DemandPath(c0, c1, samples))
+        assert calls == []
+        vars(equilibria._last).clear()
+        sweep(R, w, DemandPath(c0, c1, samples))
         assert Counter(calls.names) == once
+        calls.clear()
+        equilibrium_set(spec)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_c_end_as_validate_does(self, bad):
+        c_end = np.array([3.0, -1.0, 6.0])
+        c_end[1] = bad
+        with pytest.raises(ScenarioError, match=r"^demand contains non-finite entries$"):
+            sweep(R3, W3, DemandPath([0.0, -1.0, 0.0], c_end, 5))
+
+    def test_refuses_a_c_end_of_the_wrong_length_as_validate_does(self):
+        with pytest.raises(ScenarioError, match=r"^demand must have length 3, got shape \(4,\)$"):
+            sweep(R3, W3, DemandPath(np.zeros(4), np.ones(4), 5))
+        # a path forged past DemandPath's own check of equal lengths
+        path = DemandPath(C3, C3, 5)
+        object.__setattr__(path, "c_end", np.ones(4))
+        with pytest.raises(ScenarioError, match=r"^demand must have length 3, got shape \(4,\)$"):
+            sweep(R3, W3, path)
+
+    def test_reducible_results_lie_in_the_lattice(self):
+        # a closed class's segment endpoints hc + alpha*pi can round past
+        # [0, w]; equilibrium_set and every sweep row clamp them, and the
+        # line data keep their bits
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            R, unfed = random_reducible(rng)
+            w = rng.uniform(0.5, 5.0, R.shape[0])
+            specs = [NetworkSpec(routing=R, capacity=w, demand=reducible_demand(rng, R, w, unfed)) for _ in range(3)]
+            eqs = [equilibrium_set(validate(spec)) for spec in specs]
+            c0, c1 = (reducible_demand(rng, R, w, unfed) for _ in range(2))
+            rows = sweep(R, w, DemandPath(c0, c1, int(rng.integers(2, 30)))).rows
+            for x in [x for eq in eqs + rows for x in (eq.x_min, eq.x_max)]:
+                assert np.all((x >= 0) & (x <= w)), seed
+            for eq in eqs:
+                for cells, pi, hc, alpha_min, alpha_max in eq._segments:
+                    for x, alpha in ((eq.x_min, alpha_min), (eq.x_max, alpha_max)):
+                        assert np.array_equal(x[cells], np.minimum(np.maximum(hc + alpha * pi, 0.0), w[cells])), seed
 
     def test_class_demand_that_cancels_to_rounding_is_zero_sum(self):
         # at s = 1/2, c_2 = -0.8 + 0.5 rounds to -0.30000000000000004, and the
@@ -764,9 +809,15 @@ _CLASSIFIED_CALLS = {
 }
 
 
+#: the calls that keep no network: they classify R on every call
+_CLASSIFIED_PER_CALL = {"invariant_vector", "h_operator", "check"}
+
+
 @pytest.mark.parametrize("name", list(_CLASSIFIED_CALLS))
 def test_routing_is_classified_once_per_call(monkeypatch, name):
-    # classify_routing is wrapped wherever a satflow module holds it
+    # classify_routing is wrapped wherever a satflow module holds it; the
+    # entry points of equilibria and transitions keep the network they
+    # classified, so the same call again classifies R no more
     real, calls = model.classify_routing, []
     wrapped = [module for module in (satflow, cli, dynamics, equilibria, model, transitions)
                if getattr(module, "classify_routing", None) is real]
@@ -775,3 +826,5 @@ def test_routing_is_classified_once_per_call(monkeypatch, name):
         monkeypatch.setattr(module, "classify_routing", lambda R: calls.append(1) or real(R))
     _CLASSIFIED_CALLS[name]()
     assert len(calls) == 1
+    _CLASSIFIED_CALLS[name]()
+    assert len(calls) == (2 if name in _CLASSIFIED_PER_CALL else 1)
