@@ -248,12 +248,12 @@ def _classified(R: np.ndarray, w: np.ndarray) -> _Network:
     """R, w, the class of R and its parts, built from the closed classes
     that :func:`satflow.model.classify_routing` found, with no search of
     its own."""
-    routing_class = classify_routing(R)
+    routing_class, mirror = classify_routing(R), w - R.T @ w
     if routing_class.tag != OTHER:
-        return _Network(R, w, routing_class, w - R.T @ w)
+        return _Network(R, w, routing_class, mirror)
     classes = routing_class._classes
     T = ~np.logical_or.reduce(classes)
-    return _Network(R, w, routing_class, w - R.T @ w, (T, _part(R, w, T, SUBSTOCHASTIC_OUT_CONNECTED), tuple(
+    return _Network(R, w, routing_class, mirror, (T, _part(R, w, T, SUBSTOCHASTIC_OUT_CONNECTED), tuple(
         (C, _part(R, w, C, STOCHASTIC_IRREDUCIBLE), R[np.ix_(T, C)]) for C in classes)))
 
 
