@@ -8,11 +8,13 @@ order mark): NaN and Infinity literals and numbers that overflow a double
 are malformed JSON.  The numeric fields take JSON numbers only: a string
 or a null in routing, capacity, demand, inflow or outflow is an invalid
 scenario naming the field (and, in routing, the entry); true and false
-read as 1 and 0.  Scenarios are parsed with orjson.  The JSON that check,
+read as 1 and 0.  Scenarios are parsed with orjson, with the cyclic
+garbage collector off (see load_scenario).  The JSON that check,
 equilibria and the sweep sidecar write has the bytes of the standard json
 module's json.dump(..., indent=2), whose float spellings (1e-05, not
-orjson's 0.00001) it keeps, but its lists of numbers go through json's C
-encoder (see _json_text).
+orjson's 0.00001) it keeps; its lists of floats go through orjson, with
+the few spellings that differ written again by json, and its other lists
+of numbers through json's C encoder (see _json_text).
 
 Exit codes: 0 success, 2 invalid scenario, 3 numerical failure,
 4 precondition violation.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import sys
 
@@ -42,7 +45,27 @@ _INTEGRATOR_KEYS = {"dt", "t_end", "sample_every", "residual_tol"}
 
 
 def load_scenario(path: str) -> tuple[model.NetworkSpec, dynamics.IntegratorConfig, str]:
-    """Parse and validate a scenario file; returns (spec, integrator, name)."""
+    """Parse and validate a scenario file; returns (spec, integrator, name).
+
+    The cyclic garbage collector is off from the parse until the parsed
+    document is freed, and is then put back as the caller left it, also
+    when the load raises.  The document is a tree of lists, which a
+    collection cannot free, but the parse of an n = 500 routing matrix
+    builds enough lists to set one off, and each walks the routing lists
+    built so far.  The collector's state is the process's, so a thread that
+    changes it while another loads may find it changed back.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_scenario(path)  # the document is freed when it returns
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_scenario(path: str) -> tuple[model.NetworkSpec, dynamics.IntegratorConfig, str]:
+    """:func:`load_scenario` with the collector as it finds it."""
     try:
         with open(path, "rb") as fh:
             doc = orjson.loads(fh.read())
@@ -71,23 +94,27 @@ def load_scenario(path: str) -> tuple[model.NetworkSpec, dynamics.IntegratorConf
     return spec, cfg, str(doc.get("name", ""))
 
 
-#: the types whose lists _json_text hands to json's C encoder whole
+#: the types of the lists that _json_text spells whole, in one encoder call
 _NUMBER_TYPES = frozenset((float, int, bool))
 
 
 def _json_text(obj, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2), with each flat list of numbers spelled by
-    json's C encoder.
+    """json.dumps(obj, indent=2), with each flat list of numbers spelled
+    whole by a C encoder: orjson for a list of floats (:func:`_floats_text`),
+    json's for any other list of numbers.
 
     With an indent, json falls back to its pure-Python encoder, which costs
-    about a microsecond more per float.  A list of numbers holds no ", "
-    but its separators, so the C encoder's one-line text only needs its
-    separators broken onto indented lines.  pad is the newline and the
-    indent of the line obj starts on; dict keys are strings.
+    about a microsecond more per float.  A list of numbers holds no ","
+    but its separators, so the one-line text only needs its separators
+    broken onto indented lines.  pad is the newline and the indent of the
+    line obj starts on; dict keys are strings.
     """
     inner = pad + "  "
     if isinstance(obj, (list, tuple)) and obj:
-        if all(type(v) in _NUMBER_TYPES for v in obj):
+        types = set(map(type, obj))
+        if types == {float}:
+            items = _floats_text(obj, "," + inner)
+        elif types <= _NUMBER_TYPES:
             items = json.dumps(obj)[1:-1].replace(", ", "," + inner)
         else:
             items = ("," + inner).join(_json_text(v, inner) for v in obj)
@@ -97,6 +124,26 @@ def _json_text(obj, pad: str = "\n") -> str:
         return "{" + inner + items + pad + "}"
     # a scalar or an empty container
     return json.dumps(obj, indent=2).replace("\n", pad)
+
+
+def _floats_text(values, sep: str) -> str:
+    """The floats of a list as json spells them, joined by sep.
+
+    orjson writes the shortest digits that round-trip, as float.__repr__
+    and so json do, an order of magnitude faster than json.  The two spell
+    the same digits alike except at 0 < |v| < 1e-4 (json 3.358e-05, orjson
+    0.00003358), at |v| >= 1e16 (json 1e+16, orjson 1e16) and for NaN and
+    +-inf (json NaN and Infinity, orjson null); json writes those again.
+    """
+    text = orjson.dumps(values).decode()[1:-1]
+    a = np.abs(np.array(values))
+    respelled = np.flatnonzero((a != 0) & ~((a >= 1e-4) & (a < 1e16)))  # NaN compares False
+    if not respelled.size:
+        return text.replace(",", sep)
+    tokens = text.split(",")
+    for i in respelled.tolist():
+        tokens[i] = json.dumps(values[i])
+    return sep.join(tokens)
 
 
 def _fmt(x: float) -> str:

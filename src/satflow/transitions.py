@@ -16,7 +16,8 @@ Away from the critical set the unique equilibrium moves piecewise
 affinely in c, with a fixed saturation pattern on each piece.  Each entry
 point takes the classified network of :mod:`satflow.equilibria`, which
 each thread keeps for the last (R, w) it classified, so a sweep and the
-limits at its jump classify R once between them.  A sweep validates the
+limits at its jump classify R once between them, and the limits take the
+line data that the sweep solved at the jump.  A sweep validates the
 network once, and c_end with the same checks.  A sweep builds its sample
 demands as one array, and the network's rule decides in one pass which
 samples are walked.  A path that crosses the critical set is walked
@@ -280,7 +281,10 @@ def directional_limits(
     endpoint and the one above its upper endpoint.
 
     The routing matrix is classified once, or not at all where this thread
-    kept its network from an earlier call (a sweep of the same network).
+    kept its network from an earlier call (a sweep of the same network),
+    and the line data of c_star are solved once, or not at all where the
+    last line solved on the kept network was at the same c_star (the jump
+    of that sweep).
     The line c_star + t*d is walked outward from t = 0 both ways, as a
     sweep walks a crossing (see :mod:`satflow.equilibria`): each side goes
     through the epsilons from the smallest up, and its first pattern is

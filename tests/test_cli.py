@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from satflow import cli
 from satflow.cli import _json_text, load_scenario, main, sidecar_path_for
+from satflow.errors import ScenarioError
 
 from conftest import C3, PI3, R3, W3, XMAX3, XMIN3
 
@@ -209,6 +211,50 @@ class TestLoadScenario:
         assert capsys.readouterr().err == "error: routing entry (1,1) is not a number\n"
 
 
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The cyclic garbage collector enabled or disabled, as the test's
+    caller would leave it; restored afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollector:
+    """load_scenario keeps the cyclic garbage collector off while it parses
+    and leaves it as the caller left it, also when the load fails."""
+
+    def test_a_load_leaves_the_collector_as_it_was(self, collector):
+        load_scenario(str(DEMOS / "three_cell.json"))
+        assert gc.isenabled() == collector
+
+    @pytest.mark.parametrize("content", [
+        "{", _scenario_text(colour='"red"'), _scenario_text(routing='[[0, "0.5"], [0.5, 0]]'),
+    ], ids=["malformed_json", "unknown_key", "string_in_routing"])
+    def test_a_failed_load_leaves_the_collector_as_it_was(self, collector, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        with pytest.raises(ScenarioError):
+            load_scenario(str(path))
+        assert gc.isenabled() == collector
+
+    def test_no_collection_runs_while_a_large_file_loads(self, tmp_path):
+        path = _sparse_segment_scenario(tmp_path / "n500.json")
+        starts = []
+        callback = lambda phase, info: phase == "start" and starts.append(info["generation"])
+        threshold = gc.get_threshold()
+        gc.callbacks.append(callback)
+        gc.set_threshold(100)  # 500 routing rows would set off several collections
+        try:
+            spec, _, _ = load_scenario(path)
+            during = len(starts)
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(callback)
+        assert spec.n == 500 and during == 0
+
+
 class TestSimulate:
     def test_from_zero(self, capsys, scenario3, tmp_path):
         out_csv = tmp_path / "traj.csv"
@@ -405,10 +451,12 @@ class TestSweep:
 
 class TestJsonText:
     """_json_text writes json.dumps(obj, indent=2)'s bytes, one flat list
-    of numbers at a time through json's C encoder."""
+    of numbers at a time through a C encoder: orjson for floats alone,
+    with json's spelling put back where the two differ."""
 
     @pytest.mark.parametrize("obj", [
         [float("nan"), float("inf"), -float("inf"), -0.0, 1e-05, 5e-324, 1.7976931348623157e308, 0.1],
+        [3.358e-05, -2.7e-09, 9.999999999999999e-05, 1e-4, 0.5, 9999999999999998.0, 1e16, -1.5e17],
         [1, 2**60, -3, True, False],
         [1.5, None, 2.5],
         None, True, 0, -0.0, 1e-05, float("nan"), "text",
@@ -446,11 +494,22 @@ def _sparse_segment_scenario(path, n=500):
 class TestOutputBytes:
     """check and equilibria print json.dumps(result, indent=2) and a newline."""
 
-    @pytest.fixture(params=["demo", "n500"])
+    @pytest.fixture(params=["demo", "n500", 1e-6, 1e17])
     def scenario(self, request, tmp_path):
         if request.param == "demo":
-            return str(Path(__file__).resolve().parents[1] / "demos" / "three_cell.json")
-        return _sparse_segment_scenario(tmp_path / "n500.json")
+            return str(DEMOS / "three_cell.json")
+        if request.param == "n500":
+            return _sparse_segment_scenario(tmp_path / "n500.json")
+        # the demo with (w, c) scaled by k has k times its segment, whose
+        # nonzero entries (0.32 to 6 at k = 1) then lie below 1e-4 or from
+        # 1e16, where json and orjson spell floats differently
+        k = request.param
+        doc = json.loads((DEMOS / "three_cell.json").read_text())
+        doc["capacity"] = [k * v for v in doc["capacity"]]
+        doc["demand"] = [k * v for v in doc["demand"]]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
 
     @pytest.mark.parametrize("command", ["check", "equilibria"])
     def test_stdout_is_json_dumps_indent_2(self, capsys, scenario, command):

@@ -419,6 +419,30 @@ class TestKeptNetwork:
         assert len(calls) == (1 if spare == 0 else 5)
         assert (getattr(equilibria._last, "net", None) is None) == (spare < 0)
 
+    def test_the_limits_at_a_sweep_s_jump_take_its_line_data(self, calls):
+        # the paper's path c(a) = [a/3, -1, 2a/3]: its jump at s = 1/3 falls between samples
+        path = DemandPath([0.0, -1.0, 0.0], [3.0, -1.0, 6.0], 41)
+        calls.watch("_pi_and_h")
+        result = sweep(R3, W3, path)
+        c_star = path.c_at(result.jumps[0]["s"])
+        warm = directional_limits(R3, W3, c_star, np.ones(3))
+        assert len(calls) == 1
+        vars(equilibria._last).clear()
+        assert bits(warm) == bits(directional_limits(R3, W3, c_star, np.ones(3)))
+        assert len(calls) == 2
+
+    def test_a_result_changed_in_place_does_not_change_a_later_call(self, calls):
+        spec = validate(NetworkSpec(routing=R3, capacity=W3, demand=C3))
+        calls.watch("_pi_and_h")
+        first = equilibrium_set(spec)
+        cold = bits(first)
+        for eq in (first, equilibrium_set(spec)):
+            for x in (eq.pi, eq.hc, eq.x_min, eq.x_max):
+                x[:] = -1.0
+            assert bits(equilibrium_set(spec)) == cold
+        assert multiplicity_test(spec) == (first.condition_value, True)
+        assert len(calls) == 1  # the line data of C3, kept with the network
+
     @pytest.mark.parametrize("op", ["multiplicity_test", "directional_limits", "on_critical_manifold"])
     @pytest.mark.parametrize("R", [np.array([[0.0, 0.5], [0.5, 0.0]]), TWO_CYCLES], ids=["leaky", "reducible"])
     def test_refusals_come_from_the_kept_class(self, calls, op, R):
