@@ -40,8 +40,7 @@ EXIT_SCENARIO = 2
 EXIT_NUMERICAL = 3
 EXIT_PRECONDITION = 4
 
-_SCENARIO_KEYS = {"routing", "capacity", "demand", "inflow", "outflow", "name", "integrator"}
-_INTEGRATOR_KEYS = {"dt", "t_end", "sample_every", "residual_tol"}
+_INTEGRATOR_KEYS = {f.name for f in dataclasses.fields(dynamics.IntegratorConfig)}
 
 
 def load_scenario(path: str) -> tuple[model.NetworkSpec, dynamics.IntegratorConfig, str]:
@@ -75,20 +74,15 @@ def _read_scenario(path: str) -> tuple[model.NetworkSpec, dynamics.IntegratorCon
         raise ScenarioError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
-    unknown = doc.keys() - _SCENARIO_KEYS
-    if unknown:
-        raise ScenarioError(f"unknown keys: {sorted(unknown)}")
-    spec = model.NetworkSpec.from_dict({k: doc[k] for k in doc if k in {"routing", "capacity", "demand", "inflow", "outflow"}})
-    cfg_kwargs = {}
+    spec = model.NetworkSpec.from_dict({k: v for k, v in doc.items() if k not in ("name", "integrator")})
     integrator = doc.get("integrator", {})
     if not isinstance(integrator, dict):
         raise ScenarioError("integrator must be an object")
     unknown = integrator.keys() - _INTEGRATOR_KEYS
     if unknown:
         raise ScenarioError(f"unknown integrator keys: {sorted(unknown)}")
-    cfg_kwargs.update(integrator)
     try:
-        cfg = dynamics.IntegratorConfig(**cfg_kwargs)
+        cfg = dynamics.IntegratorConfig(**integrator)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid integrator settings: {exc}") from exc
     return spec, cfg, str(doc.get("name", ""))

@@ -61,6 +61,9 @@ with the lattice, a segment with positive length iff
 That left-hand side (the "condition value") also equals the l1 length of
 the segment, since pi is a probability vector.
 
+Every answer lies on [0, w]: :func:`_segment`, :func:`_point` and
+:func:`_points` clamp x_min and x_max onto it after their own checks.
+
 Tolerances on equilibria scale with max(1, |w|_inf), because (kw, kc) has
 k times the equilibria of (w, c); at unit scale they are the bare
 constants.
@@ -125,15 +128,16 @@ class PicardResult(NamedTuple):
 class EquilibriumSet:
     """Either a unique equilibrium, an analytic segment, or a min/max pair.
 
-    kind == SEGMENT carries the line data: x_min = hc + alpha_min*pi and
-    x_max = hc + alpha_max*pi.  kind == MINMAX_ONLY (reducible routing)
-    has the exact x_min and x_max, and unknown_between says whether they
-    differ by more than POINT_AGREEMENT_TOL * |w|_inf, relative with no
-    floor so that scaling (w, c) does not change it.  The set between them
-    is the product of one point on the draining cells and a point or a
-    segment per closed class; the line data of each class with a segment
-    is kept privately, for distance_l1.  condition_value is present
-    whenever the demand is zero-sum on a stochastic irreducible network.
+    kind == SEGMENT carries the line data with their bits, and its ends
+    hc + alpha*pi at alpha_min and alpha_max clamped onto [0, w].  kind ==
+    MINMAX_ONLY (reducible routing) has the exact x_min and x_max, and
+    unknown_between says whether they differ by more than
+    POINT_AGREEMENT_TOL * |w|_inf, relative with no floor so that scaling
+    (w, c) does not change it.  The set between them is the product of
+    one point on the draining cells and a point or a segment per closed
+    class; the line data of each class with a segment is kept privately,
+    for distance_l1.  condition_value is present whenever the demand is
+    zero-sum on a stochastic irreducible network.
     """
 
     kind: str
@@ -373,6 +377,7 @@ def _on_hyperplane(net: _Network, c: np.ndarray) -> EquilibriumSet:
 
 
 def _segment(net: _Network, pi: np.ndarray, hc: np.ndarray, alpha_min: float, alpha_max: float) -> EquilibriumSet:
+    """The segment of the line data, its ends checked against the lattice boundary, then clamped onto [0, w]."""
     x_min = hc + alpha_min * pi
     x_max = hc + alpha_max * pi
     tol = BOUNDARY_TOL * tolerance_scale(net.w)
@@ -380,6 +385,7 @@ def _segment(net: _Network, pi: np.ndarray, hc: np.ndarray, alpha_min: float, al
         gap = float(min(np.abs(x).min(), np.abs(x - net.w).min()))  # to the nearest bound, 0 or w
         if not gap <= tol:
             raise NumericalError(f"segment endpoint {name} {gap:.3g} off the lattice boundary, not within {tol:.3g}")
+        np.minimum(np.maximum(x, 0.0, out=x), net.w, out=x)
     return EquilibriumSet(
         kind=SEGMENT,
         x_min=x_min,
@@ -398,8 +404,7 @@ def _decomposed(net: _Network, c: np.ndarray) -> EquilibriumSet:
     cell or a class, so x_T is unique; each closed class C is then a
     stochastic irreducible network with demand c_C + R_TC' x_T
     (:func:`_class_demands`), a point or a segment, whose line data the
-    result keeps.  x_min and x_max are clamped onto [0, w] once, since a
-    segment's hc + alpha*pi can round past it; the line data keep their bits."""
+    result keeps."""
     T, drain, classes = net.parts
     x_min, x_max = np.zeros(net.w.size), np.zeros(net.w.size)
     if T.any():  # x_T is unique: x_min, which _point cross-checks with x_max, serves both
@@ -410,8 +415,6 @@ def _decomposed(net: _Network, c: np.ndarray) -> EquilibriumSet:
         x_min[C], x_max[C] = eq.x_min, eq.x_max
         if eq.kind == SEGMENT:
             segments.append((np.flatnonzero(C), eq.pi, eq.hc, eq.alpha_min, eq.alpha_max))
-    for x in (x_min, x_max):
-        np.minimum(np.maximum(x, 0.0, out=x), net.w, out=x)
     # relative with no floor at 1, so that units do not decide the flag
     gap = float(np.abs(x_max - x_min).sum())
     unknown = gap > POINT_AGREEMENT_TOL * float(net.w.max())
@@ -433,13 +436,15 @@ def _class_demands(net: _Network, cs: np.ndarray, xs: np.ndarray) -> Iterator[tu
 
 
 def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -> EquilibriumSet:
-    """The unique equilibrium at c from both ends by :func:`_extreme`."""
+    """The unique equilibrium at c from both ends by :func:`_extreme`, clamped onto [0, w]."""
     x_min = _extreme(net, c, "min")
     x_max = _extreme(net, c, "max")
     gap = float(np.abs(x_max - x_min).sum())
     bound = POINT_AGREEMENT_TOL * tolerance_scale(net.w)
     if gap > bound:
         raise NumericalError(f"unique equilibrium: x_min and x_max disagree by {gap:.3g}, not within {bound:.3g}")
+    for x in (x_min, x_max):
+        np.minimum(np.maximum(x, 0.0, out=x), net.w, out=x)
     return EquilibriumSet(kind=POINT, x_min=x_min, x_max=x_max, condition_value=condition_value)
 
 

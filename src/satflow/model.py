@@ -141,15 +141,15 @@ class NetworkSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkSpec":
-        """Build and validate a spec from a parsed scenario document."""
+        """Build and validate a spec from a parsed scenario document; unknown
+        keys are refused before missing ones."""
         required = {"routing", "capacity", "demand"}
-        allowed = required | {"inflow", "outflow"}
+        unknown = data.keys() - required - {"inflow", "outflow"}
+        if unknown:
+            raise ScenarioError(f"unknown keys: {sorted(unknown)}")
         missing = required - data.keys()
         if missing:
             raise ScenarioError(f"missing keys: {sorted(missing)}")
-        unknown = data.keys() - allowed
-        if unknown:
-            raise ScenarioError(f"unknown keys: {sorted(unknown)}")
         spec = cls(
             routing=data["routing"],
             capacity=data["capacity"],

@@ -30,7 +30,8 @@ are certified after them, all in one vectorised pass per call, where a
 sample on a breakpoint fits the pieces on both sides of it.  The cold
 solver answers a sample that fails there, and the samples that are not
 walked.  The answers are those of
-:func:`satflow.equilibria.equilibrium_set` at each demand, up to rounding.
+:func:`satflow.equilibria.equilibrium_set` at each demand, up to rounding;
+they come on [0, w] from its builders, and this module clamps nothing.
 """
 
 from __future__ import annotations
@@ -169,8 +170,8 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     pass over it picks the samples with a unique equilibrium off the
     zero-sum hyperplane.  Those are walked one saturation pattern at a time
     and certified once the walk is done, in one pass; the cold solver
-    answers a sample that the certificate refuses, and a certified row is
-    clamped onto [0, w] (see :mod:`satflow.equilibria`).  Where the path
+    answers a sample that the certificate refuses.  Each row is its answer
+    as :mod:`satflow.equilibria` builds it, on [0, w].  Where the path
     crosses the critical set, at s*, the walk goes outward from s*: the
     samples up to s* in descending s from the segment endpoint that the
     path approaches, and those past it in ascending s from the endpoint
@@ -230,25 +231,21 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     # a crossing path is walked outward from s*, both ways; any other from its first sample, answered cold
     for i, eq in zip(walked, _points(net, path.c_start, dc, grid[walked], crossing)):
         eqs[i] = eq
-    rows = []
-    for s, c, eq in zip(grid, cs, eqs):
-        x_min, x_max = eq.x_min, eq.x_max
-        if eq.kind == SEGMENT:  # hc + alpha*pi can round past [0, w]; the line data keep their bits
-            x_min, x_max = (np.minimum(np.maximum(x, 0.0), net.w) for x in (x_min, x_max))
-        rows.append(SweepRow(s=float(s), c=c, kind=eq.kind, x_min=x_min, x_max=x_max,
-                             condition_value=eq.condition_value, on_manifold=eq.kind == SEGMENT))
-    result = SweepResult(rows=rows, jumps=[{"s": s, "magnitude": _jump(net, line)} for s, line in critical])
-    for i in range(grid.size - 1):
-        if rows[i].kind != rows[i + 1].kind and not any(
-                grid[i] - MATCH_TOL <= s <= grid[i + 1] + MATCH_TOL for s, _ in critical):
-            result.unresolved.append({"s_lo": float(grid[i]), "s_hi": float(grid[i + 1])})
-    if net.parts:  # reducible routing: x_T is unique, so x_min gives each class's demand
-        changed = np.zeros(grid.size - 1, dtype=bool)
+    rows = [SweepRow(s=float(s), c=c, kind=eq.kind, x_min=eq.x_min, x_max=eq.x_max,
+                     condition_value=eq.condition_value, on_manifold=eq.kind == SEGMENT)
+            for s, c, eq in zip(grid, cs, eqs)]
+    # one mask over the sample pairs: kind changes that no critical point explains and,
+    # on reducible routing (every row MinMaxOnly), sign changes of a closed class's total demand
+    unresolved = np.array([row.kind != nxt.kind for row, nxt in zip(rows, rows[1:])])
+    for s, _ in critical:
+        unresolved &= ~((grid[:-1] - MATCH_TOL <= s) & (s <= grid[1:] + MATCH_TOL))
+    if net.parts:  # x_T is unique, so x_min gives each class's demand
         for E, zero in _class_demands(net, cs, np.array([row.x_min for row in rows])):
             sign = np.where(zero, 0.0, np.sign(E.sum(axis=1)))
-            changed |= sign[1:] != sign[:-1]
-        result.unresolved += [{"s_lo": float(grid[i]), "s_hi": float(grid[i + 1])} for i in np.flatnonzero(changed)]
-    return result
+            unresolved |= sign[1:] != sign[:-1]
+    return SweepResult(rows=rows, jumps=[{"s": s, "magnitude": _jump(net, line)} for s, line in critical],
+                       unresolved=[{"s_lo": float(grid[i]), "s_hi": float(grid[i + 1])}
+                                   for i in np.flatnonzero(unresolved)])
 
 
 @dataclass

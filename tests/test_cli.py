@@ -153,6 +153,12 @@ class TestLoadScenario:
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unknown_key_is_named_before_a_missing_one(self, capsys, tmp_path):
+        path = tmp_path / "both.json"
+        path.write_text('{"routing": [[0, 0.5], [0.5, 0]], "capacity": [1, 1], "plot": true}')
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "error: unknown keys: ['plot']\n"
+
     def test_ragged_routing_names_the_row(self, capsys, tmp_path):
         path = tmp_path / "ragged.json"
         path.write_text(_scenario_text(routing="[[0, 0.5], [0.5]]"))
@@ -519,6 +525,12 @@ class TestOutputBytes:
         assert out == json.dumps(result, indent=2) + "\n"
         assert result["class" if command == "check" else "kind"] == (
             "StochasticIrreducible" if command == "check" else "Segment")
+
+    def test_demo_stdout_is_golden(self, capsys):
+        # demos/three_cell.equilibria.json is this command's stdout, kept byte for byte
+        code, out = run(capsys, ["equilibria", str(DEMOS / "three_cell.json")])
+        assert code == 0
+        assert out == (DEMOS / "three_cell.equilibria.json").read_text()
 
 
 class TestParserReuse:

@@ -100,9 +100,13 @@ class TestValidate:
                                     inflow=[0.5, 0.0], outflow=[0.0, 0.25]))
         assert spec.inflow is not None
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ScenarioError, match="unknown"):
-            NetworkSpec.from_dict({"routing": [[0]], "capacity": [1], "demand": [0], "bogus": 1})
+    @pytest.mark.parametrize("data", [{"routing": [[0]], "capacity": [1], "demand": [0], "bogus": 1},
+                                      {"routing": [[0]], "capacity": [1], "bogus": 1}],
+                             ids=["unknown", "unknown_and_missing"])
+    def test_from_dict_rejects_unknown_keys(self, data):
+        # an unknown key is named before a missing one
+        with pytest.raises(ScenarioError, match=r"^unknown keys: \['bogus'\]$"):
+            NetworkSpec.from_dict(data)
 
 
 # numbers whose float conversion has edges: ints (one beyond 53 bits),

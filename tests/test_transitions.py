@@ -20,8 +20,8 @@ import satflow
 from satflow import cli, dynamics, equilibria, model, transitions
 from satflow.equilibria import POINT, SEGMENT
 
-from conftest import (C3, C_STAR, COND3, R3, W3, random_reducible, random_stochastic_irreducible, random_substochastic,
-                      reducible_demand)
+from conftest import (C3, C_STAR, COND3, R3, W3, bits, random_reducible, random_stochastic_irreducible,
+                      random_substochastic, reducible_demand)
 
 
 class TestOnCriticalManifold:
@@ -267,24 +267,35 @@ class TestSweep:
         with pytest.raises(ScenarioError, match=r"^demand must have length 3, got shape \(4,\)$"):
             sweep(R3, W3, path)
 
-    def test_reducible_results_lie_in_the_lattice(self):
-        # a closed class's segment endpoints hc + alpha*pi can round past
-        # [0, w]; equilibrium_set and every sweep row clamp them, and the
-        # line data keep their bits
-        for seed in range(300):
-            rng = np.random.default_rng(seed)
-            R, unfed = random_reducible(rng)
-            w = rng.uniform(0.5, 5.0, R.shape[0])
-            specs = [NetworkSpec(routing=R, capacity=w, demand=reducible_demand(rng, R, w, unfed)) for _ in range(3)]
-            eqs = [equilibrium_set(validate(spec)) for spec in specs]
-            c0, c1 = (reducible_demand(rng, R, w, unfed) for _ in range(2))
-            rows = sweep(R, w, DemandPath(c0, c1, int(rng.integers(2, 30)))).rows
-            for x in [x for eq in eqs + rows for x in (eq.x_min, eq.x_max)]:
+    @pytest.mark.parametrize("inputs, seeds", [("reducible", 300), ("stochastic", 150)],
+                             ids=["reducible", "stochastic"])
+    def test_results_lie_in_the_lattice(self, inputs, seeds):
+        # a segment's endpoints hc + alpha*pi can round past [0, w]; every
+        # result is clamped onto it where equilibria builds it, the line
+        # data keep their bits, and a sweep row at a zero-sum sample is
+        # equilibrium_set's answer at its demand
+        for seed in range(seeds):
+            R, w, demands, path = (_reducible_inputs if inputs == "reducible" else _stochastic_inputs)(seed)
+            eqs = [equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=c))) for c in demands]
+            rows = sweep(R, w, path).rows
+            ends = [x for eq in eqs + rows for x in (eq.x_min, eq.x_max)]
+            if inputs == "stochastic":  # demands[0] is critical
+                ends += [x for _, *xs in directional_limits(R, w, demands[0], np.ones(w.size)).table for x in xs]
+            for x in ends:
                 assert np.all((x >= 0) & (x <= w)), seed
             for eq in eqs:
-                for cells, pi, hc, alpha_min, alpha_max in eq._segments:
+                lines = list(eq._segments)
+                if eq.kind == SEGMENT:
+                    assert bits(eq.condition_value) == bits(eq.alpha_max - eq.alpha_min), seed
+                    lines.append((np.arange(w.size), eq.pi, eq.hc, eq.alpha_min, eq.alpha_max))
+                for cells, pi, hc, alpha_min, alpha_max in lines:
                     for x, alpha in ((eq.x_min, alpha_min), (eq.x_max, alpha_max)):
-                        assert np.array_equal(x[cells], np.minimum(np.maximum(hc + alpha * pi, 0.0), w[cells])), seed
+                        assert bits(x[cells]) == bits(np.minimum(np.maximum(hc + alpha * pi, 0.0), w[cells])), seed
+            for row in rows:
+                if model.is_zero_sum(row.c):
+                    eq = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=row.c)))
+                    assert bits((row.kind, row.x_min, row.x_max, row.condition_value)) == bits(
+                        (eq.kind, eq.x_min, eq.x_max, eq.condition_value)), seed
 
     def test_class_demand_that_cancels_to_rounding_is_zero_sum(self):
         # at s = 1/2, c_2 = -0.8 + 0.5 rounds to -0.30000000000000004, and the
@@ -396,6 +407,27 @@ def _reducible_routing():
 
 # two cells feeding each other half their mass: x = min(2a, 1) on both at demand [a, a]
 _R2, _W2 = np.array([[0.0, 0.5], [0.5, 0.0]]), np.ones(2)
+
+
+def _reducible_inputs(seed):
+    """Reducible routing, capacities, three demands and a sweep path."""
+    rng = np.random.default_rng(seed)
+    R, unfed = random_reducible(rng)
+    w = rng.uniform(0.5, 5.0, R.shape[0])
+    demands = [reducible_demand(rng, R, w, unfed) for _ in range(5)]
+    return R, w, demands[:3], DemandPath(demands[3], demands[4], int(rng.integers(2, 30)))
+
+
+def _stochastic_inputs(seed):
+    """Stochastic irreducible routing, capacities, three demands (two
+    critical, with a segment through an interior point, and one off the
+    zero-sum hyperplane) and a sweep path between the critical two."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    R = random_stochastic_irreducible(rng, n)
+    w = rng.uniform(0.5, 5.0, n)
+    critical = [x - R.T @ x for x in (w * rng.uniform(0.2, 0.8, n) for _ in range(2))]
+    return R, w, critical + [rng.uniform(-1.5, 1.5, n)], DemandPath(*critical, int(rng.integers(2, 30)))
 
 
 def _longest_piece_but_its_first(ts, k):
