@@ -18,8 +18,9 @@ Reducible routing is solved class by class by the same solvers; Picard
 iteration to convergence (picard_min, picard_max) is only a test oracle.
 
 R is classified into a private network object that every solver below
-takes with the demand c: R, w, the routing class, w - R'w and, for
-reducible R, its draining cells and the closed classes that the
+takes with the demand c: R, w, the routing class, w - R'w (computed on
+first use, so a segment never computes it) and, for reducible R, its
+draining cells and the closed classes that the
 classification found, with their sub-networks and one rule for the demand
 of each (:func:`_class_demands`).  These depend on (R, w) alone, so each
 thread keeps the last network it classified (:func:`_network`), and every
@@ -36,14 +37,19 @@ it once (:func:`_points`).  The equilibrium is affine in t while its
 pattern (Z = {R'x + c <= 0} at 0, U = {R'x + c >= w} at w, the rest free)
 holds, so one linear solve of the free cells, with the mirrored system and
 the direction as further right-hand sides, gives x_min(t) and x_max(t) on
-a whole piece (:func:`_pattern_piece`).  A ratio test on R'x(t) + c(t),
-affine on the piece, finds where the path leaves the pattern, and the next
-piece starts just past it: the continuation of parametric LCP (Murty 1988,
+a whole piece (:func:`_pattern_piece`).  The piece keeps its pattern as
+the bounds lo <= R'x + c <= hi of its closed region (:func:`_region`),
+-inf and inf on the open sides.  A ratio test of R'x(t) + c(t), affine on
+the piece, against those bounds finds where the path leaves the pattern,
+and the next piece starts just past it: the continuation of parametric LCP (Murty 1988,
 ch. 5) and of homotopy paths (Efron et al., Ann. Statist. 32(2), 2004).
 Only then is every sample of the walk checked, in one vectorised pass with
 the tests a cold answer meets (:func:`_certify`), where a sample on a
 breakpoint fits the closed regions of the pieces on both sides of it
-(:func:`_outside`).  The cold pattern iteration above answers each sample
+(:func:`_outside`).  Both run on arrays of at most a few dozen numbers,
+where numpy's Python-level dispatch costs more than the arithmetic, so
+they call the ufunc reductions and np.count_nonzero directly: the same
+bits as .any(), .min() or .sum(), with less dispatch.  The cold pattern iteration above answers each sample
 that fails.  A path that crosses the critical set is walked outward from
 the crossing both ways, each way from the segment endpoint that its
 equilibria approach, with the cell that bounds the segment held, so it
@@ -191,10 +197,10 @@ def _segment_distance(x: np.ndarray, pi: np.ndarray, hc: np.ndarray, alpha_min: 
 class _Network(NamedTuple):
     """Routing R, capacities w and the class of R, decided once per routing
     matrix (:func:`_network`); the private solvers take it with the demand
-    c.  mirror is w - R'w, so that the mirrored system of y = w - x has the
-    demand mirror - c.  last_line is [] or [key, line data] of the last
-    demand :func:`_line` solved on the network, shared by every network
-    built from a kept one.  parts is () unless R is of class Other, whose
+    c.  memo holds what is solved on the network once a call needs it,
+    shared by every network built from a kept one: "mirror" (see
+    :attr:`mirror`) and "line", the key and line data of the last demand
+    :func:`_line` solved.  parts is () unless R is of class Other, whose
     decomposition it holds: the mask T of the cells that drain, their
     network, and (C, the network of C, R[np.ix_(T, C)]) for the mask C of
     each closed class."""
@@ -202,13 +208,23 @@ class _Network(NamedTuple):
     R: np.ndarray
     w: np.ndarray
     routing_class: RoutingClass
-    mirror: np.ndarray
-    last_line: list
+    memo: dict
     parts: tuple = ()
 
     @property
     def stochastic(self) -> bool:
         return self.routing_class.tag == STOCHASTIC_IRREDUCIBLE
+
+    @property
+    def mirror(self) -> np.ndarray:
+        """w - R'w, so that the mirrored system of y = w - x has the demand
+        mirror - c, computed on first use and kept in memo.  Every network
+        that shares memo holds R and w with the same bits and strides
+        (:func:`_network`), so whichever computes it gives the same bits."""
+        mirror = self.memo.get("mirror")
+        if mirror is None:
+            mirror = self.memo["mirror"] = self.w - self.R.T @ self.w
+        return mirror
 
     def walkable(self, c: np.ndarray) -> bool:
         """True iff the equilibrium at c is unique and walkable: the one-row
@@ -239,7 +255,8 @@ def _network(R: np.ndarray, w: np.ndarray, op: str | None = None) -> _Network:
     key = R.strides, w.strides, w.tobytes()
     kept = getattr(_last, "net", None)
     # the bits of R, not its values: -0.0 and 0.0 are equal values that a product can tell apart
-    if kept is not None and _last.key == key and np.array_equal(kept.R.view(np.uint64), R.view(np.uint64)):
+    if (kept is not None and _last.key == key and kept.R.shape == R.shape
+            and not np.count_nonzero(kept.R.view(np.uint64) != R.view(np.uint64))):
         net = _Network(R, w, *kept[2:])
     else:
         net = _classified(R, w)
@@ -257,19 +274,18 @@ def _classified(R: np.ndarray, w: np.ndarray) -> _Network:
     """R, w, the class of R and its parts, built from the closed classes
     that :func:`satflow.model.classify_routing` found, with no search of
     its own."""
-    routing_class, mirror = classify_routing(R), w - R.T @ w
+    routing_class = classify_routing(R)
     if routing_class.tag != OTHER:
-        return _Network(R, w, routing_class, mirror, [])
+        return _Network(R, w, routing_class, {})
     classes = routing_class._classes
     T = ~np.logical_or.reduce(classes)
-    return _Network(R, w, routing_class, mirror, [], (T, _part(R, w, T, SUBSTOCHASTIC_OUT_CONNECTED), tuple(
+    return _Network(R, w, routing_class, {}, (T, _part(R, w, T, SUBSTOCHASTIC_OUT_CONNECTED), tuple(
         (C, _part(R, w, C, STOCHASTIC_IRREDUCIBLE), R[np.ix_(T, C)]) for C in classes)))
 
 
 def _part(R: np.ndarray, w: np.ndarray, cells: np.ndarray, tag: str) -> _Network:
     """The network of the cells of a mask, known to be of class tag."""
-    R_part, w_part = R[np.ix_(cells, cells)], w[cells]
-    return _Network(R_part, w_part, RoutingClass(tag), w_part - R_part.T @ w_part, [])
+    return _Network(R[np.ix_(cells, cells)], w[cells], RoutingClass(tag), {})
 
 
 def _picard(R_t: np.ndarray, w: np.ndarray, c: np.ndarray, x0: np.ndarray, increment_tol: float,
@@ -307,18 +323,19 @@ def _line(net: _Network, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, 
     The line {Hc + a*pi} meets the lattice for a in [alpha_min, alpha_max];
     the condition value is alpha_max - alpha_min.  Callers decide whether
     the demand is zero-sum.  The network keeps the line data of the last c
-    it solved (net.last_line), keyed on the strides and the bits of c, so
+    it solved (net.memo["line"]), keyed on the strides and the bits of c, so
     a second call at the same demand makes no solve.  Every call hands out
     pi and Hc of its own, since an EquilibriumSet returned to a caller
     holds them and may be changed in place.
     """
     key = c.strides, c.tobytes()
-    if net.last_line and net.last_line[0] == key:
-        pi, hc, alpha_min, alpha_max = net.last_line[1]
+    kept = net.memo.get("line")
+    if kept is not None and kept[0] == key:
+        pi, hc, alpha_min, alpha_max = kept[1]
         return pi.copy(), hc.copy(), alpha_min, alpha_max
-    pi, hc = _pi_and_h(net.R, c - c.sum() / c.size)
-    alpha_min, alpha_max = float(-np.min(hc / pi)), float(np.min((net.w - hc) / pi))
-    net.last_line[:] = key, (pi.copy(), hc.copy(), alpha_min, alpha_max)
+    pi, hc = _pi_and_h(net.R, c - np.add.reduce(c) / c.size)
+    alpha_min, alpha_max = float(-np.minimum.reduce(hc / pi)), float(np.minimum.reduce((net.w - hc) / pi))
+    net.memo["line"] = key, (pi.copy(), hc.copy(), alpha_min, alpha_max)
     return pi, hc, alpha_min, alpha_max
 
 
@@ -382,7 +399,8 @@ def _segment(net: _Network, pi: np.ndarray, hc: np.ndarray, alpha_min: float, al
     x_max = hc + alpha_max * pi
     tol = BOUNDARY_TOL * tolerance_scale(net.w)
     for name, x in (("x_min", x_min), ("x_max", x_max)):
-        gap = float(min(np.abs(x).min(), np.abs(x - net.w).min()))  # to the nearest bound, 0 or w
+        # to the nearest bound, 0 or w
+        gap = float(min(np.minimum.reduce(np.abs(x)), np.minimum.reduce(np.abs(x - net.w))))
         if not gap <= tol:
             raise NumericalError(f"segment endpoint {name} {gap:.3g} off the lattice boundary, not within {tol:.3g}")
         np.minimum(np.maximum(x, 0.0, out=x), net.w, out=x)
@@ -448,22 +466,28 @@ def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -
     return EquilibriumSet(kind=POINT, x_min=x_min, x_max=x_max, condition_value=condition_value)
 
 
+#: the signs of a piece's columns (x, the mirrored w - x, the direction) on
+#: the same line walked the other way: only the direction turns
+_REVERSED = np.array([1.0, 1.0, -1.0])
+
+
 class _Piece(NamedTuple):
-    """One saturation pattern's stretch of a walk: the cells Z held at 0
-    and U at w, and the columns of :func:`_pattern_piece`'s solve at t0 (x,
-    the mirrored w - x and the direction dir), so that x_min(t) =
-    held[:, 0] + (t - t0)*dir and x_max(t) = (w - held[:, 1]) + (t - t0)*dir."""
+    """One saturation pattern's stretch of a walk: the closed region
+    lo <= R'x + c <= hi of the pattern (:func:`_region`), and the columns of
+    :func:`_pattern_piece`'s solve at t0 (x, the mirrored w - x and the
+    direction dir), so that x_min(t) = held[:, 0] + (t - t0)*dir and
+    x_max(t) = (w - held[:, 1]) + (t - t0)*dir."""
 
     t0: float
-    zero: np.ndarray
-    cap: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     held: np.ndarray
 
     def reversed(self) -> "_Piece":
         """The piece on the same line walked the other way, t -> -t: t0 and
         dir negated, which is exact, so it gives the same x at each demand
         to the bit."""
-        return self._replace(t0=-self.t0, held=self.held * [1.0, 1.0, -1.0])
+        return _Piece(-self.t0, self.lo, self.hi, self.held * _REVERSED)
 
 
 class _Walk(NamedTuple):
@@ -491,8 +515,9 @@ def _points(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, crossing=None) ->
     neither walk needs the cold solver to start.  The samples up to t_star
     go backward, along -dc at -t (c0 + (-t)*(-dc) has the bits of
     c0 + t*dc), and enter the certificate with their pieces reversed,
-    which changes no bit.  A certified row is clamped onto [0, w], which
-    moves it by rounding at most.
+    which changes no bit.  The certificate hands back its rows clamped
+    onto [0, w], all in one array, and each certified sample's answer
+    holds a row of it as x_min and one as x_max.
     """
     ts = np.asarray(ts, dtype=float)
     split, walks = 0, []
@@ -504,15 +529,15 @@ def _points(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, crossing=None) ->
         walks.append(_walk(net, c0, sign * dc, sign * part, seed))
     # the samples of both walks in walk order, in the line's own t and on the line's pieces
     out = walks[0].out + walks[1].out
-    line_ts = np.concatenate([-walks[0].ts, walks[1].ts])
-    owner = np.concatenate([walks[0].owner, np.where(walks[1].owner >= 0, walks[1].owner + len(walks[0].pieces), -1)])
+    line_ts = np.concatenate((-walks[0].ts, walks[1].ts))
+    owner = np.concatenate((walks[0].owner, np.where(walks[1].owner >= 0, walks[1].owner + len(walks[0].pieces), -1)))
     pieces = [piece.reversed() for piece in walks[0].pieces] + walks[1].pieces
-    walked = np.flatnonzero(owner >= 0)
+    walked = (owner >= 0).nonzero()[0]
     if walked.size:
         ok, lows, highs = _certify(net, c0, dc, line_ts[walked], pieces, owner[walked])
-        lows, highs = (np.minimum(np.maximum(X, 0.0), net.w) for X in (lows, highs))
-        for j, good, lo, hi in zip(walked, ok, lows, highs):
-            out[j] = EquilibriumSet(kind=POINT, x_min=lo, x_max=hi) if good else _point(net, c0 + line_ts[j] * dc)
+        # Python ints and bools: numpy scalars cost more to make and to test
+        for j, good, lo, hi in zip(walked.tolist(), ok.tolist(), lows, highs):
+            out[j] = EquilibriumSet(POINT, lo, hi) if good else _point(net, c0 + line_ts[j] * dc)
     return out[:split][::-1] + out[split:]
 
 
@@ -568,85 +593,113 @@ def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: 
     With stochastic R and Z, U both empty, I - R' is singular and the
     piece is skipped.
 
-    y(t) = R'x(t) + c(t) is affine on the piece, and a ratio test on it
-    (that of parametric LCP and homotopy methods) gives the parameters at
-    which cells cross their bounds; a cell already outside its region
-    leaves at t0 unless it is back inside by ts[0].  The piece covers the
-    samples up to the first crossing, and the next piece starts midway
-    between that crossing and the next one (or the next sample), where y
-    shows the pattern past the breakpoint.
+    y(t) = R'x(t) + c(t) is affine on the piece and must stay in the
+    pattern's closed region lo <= y <= hi (:func:`_region`), whose open
+    sides are -inf and inf.  A ratio test on it (that of parametric LCP and
+    homotopy methods) gives the parameter at which each cell reaches the
+    bound it moves toward (:func:`_leave`); a cell already outside the
+    region (:func:`_outside`) leaves at t0 unless it is back inside by
+    ts[0].  The piece covers the samples up to the first crossing, and the
+    next piece starts midway between that crossing and the next one (or
+    the next sample), where y shows the pattern past the breakpoint.
     """
     R_t, w = net.R.T, net.w
-    zero, cap = y <= 0, y >= w
-    if net.stochastic and not (zero.any() or cap.any()):
+    zero, cap = y <= 0.0, y >= w
+    free = ~(zero | cap)
+    # the ufunc reductions that .min() and .sum() call, and np.count_nonzero
+    # for .any() and .all() of a mask, without their dispatch cost
+    if net.stochastic and np.count_nonzero(free) == free.size:
         return None, 0, None
     c = c0 + t0 * dc
     # column 0 is the system for x, column 1 the mirrored one for w - x, column 2 the direction
-    demands = np.empty((w.size, 3))
-    demands[:, 0], demands[:, 1], demands[:, 2] = c, net.mirror - c, dc
+    demands = np.array((c, net.mirror - c, dc)).T
     held = np.zeros((w.size, 3))
-    held[:, 0], held[:, 1] = w * cap, w * zero
-    if not _solve_free(R_t, ~(zero | cap), demands, held):
+    np.multiply(w, cap, out=held[:, 0])
+    np.multiply(w, zero, out=held[:, 1])
+    if not _solve_free(R_t, free, demands, held):
         return None, 0, None
     y = R_t @ held[:, 0] + c
-    # when each cell leaves its region on the line y + (t - t0)*slope: Z
-    # cells cross 0 upward, U cells w downward, F cells reach 0 or w; a
-    # cell already outside it (the seed's pattern is not re-read) leaves at
-    # t0, unless the line brings it back by ts[0], as it does a held cell
-    # that rounding puts just past its bound
     slope = R_t @ held[:, 2] + dc
-    falling = slope < 0
-    moving = np.where(falling, ~zero, ~cap & (slope > 0))
-    bound = np.where(zero | (falling & ~cap), 0.0, w)
-    leave = np.divide(bound - y, slope, out=np.full_like(w, np.inf), where=moving)
+    lo, hi = _region(zero, cap, w)
+    leave = _leave(y, slope, lo, hi)
     leave += t0
-    outside = _outside(y, zero, cap, w)
-    if outside.any():
+    # a cell outside its region (the seed's pattern is not re-read) leaves
+    # at t0, unless the line brings it back by ts[0], as it does a held
+    # cell that rounding puts just past its bound
+    outside = _outside(y, lo, hi)
+    if np.count_nonzero(outside):
         if ts[0] == t0:
             return None, 0, None  # the guess does not fit its own sample
-        leave[outside & _outside(y + (ts[0] - t0) * slope, zero, cap, w)] = t0
-    first = leave.min()
-    piece = _Piece(t0, zero, cap, held)
+        leave[outside & _outside(y + (ts[0] - t0) * slope, lo, hi)] = t0
+    first = np.minimum.reduce(leave)
+    piece = _Piece(t0, lo, hi, held)
     covered = int(ts.searchsorted(first, side="right"))
     if covered == ts.size:
         return piece, covered, None
-    t_next = 0.5 * (first + min(leave[leave > first].min(initial=np.inf), ts[covered]))
+    t_next = 0.5 * (first + min(np.minimum.reduce(leave[leave > first], initial=np.inf), ts[covered]))
     return piece, covered, (t_next, y + (t_next - t0) * slope)
 
 
-def _outside(y: np.ndarray, zero: np.ndarray, cap: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The cells where y = R'x + c leaves the closed region of the pattern
-    that holds zero at 0, cap at w and frees the rest: y > 0 held at 0, y < w
-    held at w, y outside [0, w] free.  For x that solves the pattern, none
-    is exactly x = T(x).  Rows of y may take rows of zero and cap."""
-    return np.where(zero, y > 0, y < 0) | np.where(cap, y < w, y > w)
+def _region(zero: np.ndarray, cap: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds lo <= y <= hi of the closed region of y = R'x + c in the
+    pattern that holds zero at 0, cap at w and frees the rest: y <= 0 held
+    at 0, y >= w held at w, 0 <= y <= w free, with -inf and inf on the
+    open sides.  For x that solves the pattern, y in it is exactly x = T(x)."""
+    return np.where(zero, -np.inf, np.where(cap, w, 0.0)), np.where(cap, np.inf, np.where(zero, 0.0, w))
+
+
+def _outside(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The cells where y leaves its closed region [lo, hi]; rows of y may take rows of lo and hi."""
+    return (y < lo) | (y > hi)
+
+
+def _leave(y: np.ndarray, slope: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """dt at which each cell of the line y + dt*slope reaches the bound of
+    [lo, hi] that it moves toward, hi where it rises and lo where it falls,
+    and inf where that bound is open or the cell does not move.  From y
+    outside the region the bound it moves toward may lie behind it, at a
+    negative dt."""
+    return np.divide(np.where(slope > 0.0, hi, lo) - y, slope, out=np.full(y.shape, np.inf), where=slope != 0.0)
 
 
 def _certify(net: _Network, c0: np.ndarray, dc: np.ndarray, ts: np.ndarray, pieces: list[_Piece],
              k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whether sample ts[j] on piece pieces[k[j]] is certified, and x_min,
-    x_max there, one row per sample, in one vectorised pass.
+    x_max there clamped onto [0, w], one row per sample, in one vectorised
+    pass.
 
     A sample is accepted only if R'x_min + c is in the closed region of
     the piece's pattern, both residuals ||T(x) - x||_1 are below
     _FIXED_POINT_TOL and x_min, x_max agree within POINT_AGREEMENT_TOL,
-    each times max(1, |w|_inf).
+    each times max(1, |w|_inf).  The rows of x_min and x_max are the two
+    halves of one array, each step of the pass works in place on it or on
+    R'x + c, and the clamp comes last, after every check.
     """
     R, w = net.R, net.w
-    t0, zero, cap, held = (np.array(column)[k] for column in zip(*pieces))
-    step = (ts - t0)[:, None] * held[:, :, 2]
+    t0, lo, hi, held = (np.array(column)[k] for column in zip(*pieces))
     m = ts.size
+    step = (ts - t0)[:, None] * held[:, :, 2]
     X = np.empty((2 * m, w.size))
-    X[:m], X[m:] = held[:, :, 0] + step, (w - held[:, :, 1]) + step
+    np.add(held[:, :, 0], step, out=X[:m])
+    np.subtract(w, held[:, :, 1], out=X[m:])
+    X[m:] += step
     C = c0 + ts[:, None] * dc  # the same bits as c0 + t*dc per sample
     Y = X @ R  # R'x of each row
     Y[:m] += C
     Y[m:] += C
-    ok = ~_outside(Y[:m], zero, cap, w).any(axis=1)
+    ok = ~np.logical_or.reduce(_outside(Y[:m], lo, hi), axis=1)
     scale = tolerance_scale(w)
-    residual = np.abs(np.minimum(np.maximum(Y, 0.0), w) - X).sum(axis=1)
-    ok &= (residual[:m] < _FIXED_POINT_TOL * scale) & (residual[m:] < _FIXED_POINT_TOL * scale)
-    ok &= np.abs(X[m:] - X[:m]).sum(axis=1) <= POINT_AGREEMENT_TOL * scale
+    tol = _FIXED_POINT_TOL * scale
+    # the residual |clip(R'x + c, 0, w) - x| of each row, in Y
+    np.maximum(Y, 0.0, out=Y)
+    np.minimum(Y, w, out=Y)
+    Y -= X
+    np.abs(Y, out=Y)
+    residual = np.add.reduce(Y, axis=1)
+    ok &= (residual[:m] < tol) & (residual[m:] < tol)
+    ok &= np.add.reduce(np.abs(X[m:] - X[:m]), axis=1) <= POINT_AGREEMENT_TOL * scale
+    np.maximum(X, 0.0, out=X)
+    np.minimum(X, w, out=X)
     return ok, X[:m], X[m:]
 
 
@@ -660,13 +713,13 @@ def _endpoint_seed(line, w: np.ndarray, dc: np.ndarray) -> np.ndarray:
     equilibrium has next to the endpoint when no other cell is on a bound.
     """
     pi, hc, alpha_min, alpha_max = line
-    if dc.sum() > 0:
+    if np.add.reduce(dc) > 0:
         y = hc + alpha_max * pi
-        cell = np.argmin((w - hc) / pi)
+        cell = ((w - hc) / pi).argmin()
         y[cell] = w[cell]
     else:
         y = hc + alpha_min * pi
-        cell = np.argmin(hc / pi)
+        cell = (hc / pi).argmin()
         y[cell] = 0.0
     return y
 
@@ -745,11 +798,12 @@ def _solve_free(R_t: np.ndarray, free: np.ndarray, b: np.ndarray, x: np.ndarray)
     """Solve (I - R'_FF) x_F = b_F + R'_FH x_H into the free cells of x
     (0 on entry), each column of b and x one system, the held cells H
     taken from x; False, x unchanged, if I - R'_FF is singular."""
-    rows = R_t[free]
-    A = -rows[:, free]
-    A.flat[:: A.shape[0] + 1] += 1.0
+    cells = free.nonzero()[0]  # one index for the four gathers, not a mask read four times
+    rows = R_t[cells]
+    A = -rows[:, cells]
+    A.flat[:: cells.size + 1] += 1.0
     try:
-        x[free] = np.linalg.solve(A, b[free] + rows @ x)
+        x[cells] = np.linalg.solve(A, b[cells] + rows @ x)
     except np.linalg.LinAlgError:
         return False
     return True

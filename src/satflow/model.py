@@ -174,21 +174,25 @@ def validate(spec: NetworkSpec) -> NetworkSpec:
     n = R.shape[0]
     if n == 0:
         raise ScenarioError("network must have at least one cell")
-    if not np.all(np.isfinite(R)):
+    # np.count_nonzero for any() and all() of a mask, without their dispatch cost
+    if np.count_nonzero(np.isfinite(R)) < R.size:
         raise ScenarioError("routing contains non-finite entries")
     _check_vector("capacity", w, n)
     _check_vector("demand", c, n)
-    if np.any(R < 0):
-        i, j = np.argwhere(R < 0)[0]
+    negative = R < 0
+    if np.count_nonzero(negative):
+        i, j = np.argwhere(negative)[0]
         raise ScenarioError(f"routing entry ({i + 1},{j + 1}) is negative")
-    if np.any(np.abs(np.diag(R)) > 0):
-        i = int(np.argmax(np.abs(np.diag(R)) > 0))
+    diagonal = R.diagonal()  # finite, so nonzero is |R_ii| > 0
+    if np.count_nonzero(diagonal):
+        i = int(np.argmax(diagonal != 0))
         raise ScenarioError(f"routing diagonal entry {i + 1} must be zero")
-    sums = R.sum(axis=1)
-    if np.any(sums > 1 + ROW_SUM_TOL):
-        i = int(np.argmax(sums > 1 + ROW_SUM_TOL))
+    sums = np.add.reduce(R, axis=1)
+    over = sums > 1 + ROW_SUM_TOL
+    if np.count_nonzero(over):
+        i = int(np.argmax(over))
         raise ScenarioError(f"row {i + 1} sum exceeds 1 ({sums[i]:.17g})")
-    if np.any(w <= 0):
+    if np.count_nonzero(w <= 0):
         raise ScenarioError("capacity must be positive")
     if (spec.inflow is None) != (spec.outflow is None):
         raise ScenarioError("inflow and outflow must be given together")
@@ -214,12 +218,12 @@ def _check_vector(name: str, vec: np.ndarray, n: int) -> None:
     """validate's checks of a vector on n cells: its length, then its entries finite."""
     if vec.shape != (n,):
         raise ScenarioError(f"{name} must have length {n}, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
+    if np.count_nonzero(np.isfinite(vec)) < vec.size:
         raise ScenarioError(f"{name} contains non-finite entries")
 
 
 def row_sums(R: np.ndarray) -> np.ndarray:
-    return np.asarray(R, dtype=float).sum(axis=1)
+    return np.add.reduce(np.asarray(R, dtype=float), axis=1)
 
 
 def leaky_nodes(R: np.ndarray) -> list[int]:
@@ -237,8 +241,8 @@ def _reached(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
     """
     reached = start.copy()
     front = start
-    while front.any():
-        front = adj[front].any(axis=0) & ~reached
+    while np.count_nonzero(front):
+        front = np.logical_or.reduce(adj[front], axis=0) & ~reached
         reached |= front
     return reached
 
@@ -285,7 +289,7 @@ def _closed_subset(adj: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]
     while True:
         reached, reaching = _reached(adj, cells == i), _reached(adj.T, cells == i)
         escape = reached & ~reaching
-        if not escape.any():
+        if not np.count_nonzero(escape):
             return reached, reaching
         i = int(np.argmax(escape))
 
@@ -301,16 +305,16 @@ def classify_routing(R: np.ndarray) -> RoutingClass:
     """
     R = np.asarray(R, dtype=float)
     adj, sums = R > 0, row_sums(R)
-    leaky, stochastic = sums < 1 - ROW_SUM_TOL, np.all(np.abs(sums - 1) <= ROW_SUM_TOL)
+    leaky, stochastic = sums < 1 - ROW_SUM_TOL, np.count_nonzero(np.abs(sums - 1) <= ROW_SUM_TOL) == sums.size
     stranded = ~_reached(adj.T, leaky)
     classes, left = [], stranded
-    while left.any():
+    while np.count_nonzero(left):
         closed, reaching = _closed_subset(adj, int(np.argmax(left)))
         classes.append(closed)
         left = left & ~reaching
     if not classes:
         return RoutingClass(SUBSTOCHASTIC_OUT_CONNECTED, f"leaky rows {(np.flatnonzero(leaky) + 1).tolist()} reachable from every cell")
-    if stochastic and classes[0].all():
+    if stochastic and np.count_nonzero(classes[0]) == classes[0].size:
         return RoutingClass(STOCHASTIC_IRREDUCIBLE, "all rows stochastic, support digraph strongly connected")
     cells = np.flatnonzero(classes[0] if stochastic else stranded) + 1
     return RoutingClass(OTHER, f"stochastic but reducible: closed subset {{{', '.join(map(str, cells))}}}" if stochastic
@@ -340,13 +344,13 @@ def _pi_and_h(R: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     M.flat[:: n + 1] += 1.0
     M = M.T
     sol = np.linalg.solve(M, np.column_stack([np.ones(n), v]))
-    pi = sol[:, 0] / sol[:, 0].sum()
+    pi = sol[:, 0] / np.add.reduce(sol[:, 0])
     hv = sol[:, 1]
-    residual = np.abs(pi - R.T @ pi).sum()
-    if residual >= RESIDUAL_TOL or np.any(pi <= 0):
+    residual = np.add.reduce(np.abs(pi - R.T @ pi))
+    if residual >= RESIDUAL_TOL or np.count_nonzero(pi <= 0):
         raise NumericalError(f"invariant vector residual {residual:.3g} not within {RESIDUAL_TOL:.3g}")
-    residual = max(np.abs(hv - R.T @ hv - v).max(), abs(hv.sum()))
-    bound = RESIDUAL_TOL * max(1.0, np.abs(v).max())
+    residual = max(np.maximum.reduce(np.abs(hv - R.T @ hv - v)), abs(np.add.reduce(hv)))
+    bound = RESIDUAL_TOL * max(1.0, np.maximum.reduce(np.abs(v)))
     if residual >= bound:
         raise NumericalError(f"H solve residual {residual:.3g} not within {bound:.3g}")
     return pi, hv
@@ -368,13 +372,13 @@ def tolerance_scale(w: np.ndarray) -> float:
     equilibria: (kw, kc) has k times the trajectories and equilibria of
     (w, c), so their errors scale with w; at unit scale and below the
     tolerances are the bare constants."""
-    return max(1.0, float(np.asarray(w).max()))
+    return max(1.0, float(np.maximum.reduce(w, axis=None)))
 
 
 def zero_sum_tol(v: np.ndarray) -> float:
     """Tolerance on the zero-sum condition sum(v) = 0, relative to |v|_1
     with no floor, so that scaling v does not decide the answer."""
-    return _ZERO_SUM_RTOL * np.abs(v).sum()
+    return _ZERO_SUM_RTOL * np.add.reduce(np.abs(v), axis=None)
 
 
 def is_zero_sum(v: np.ndarray) -> bool:
@@ -386,7 +390,7 @@ def is_zero_sum(v: np.ndarray) -> bool:
 def _zero_sum_rows(V: np.ndarray) -> np.ndarray:
     """Whether sum(v) = 0 within :func:`zero_sum_tol` for each row v of a
     2-d V, in one pass; the one rule behind :func:`is_zero_sum`."""
-    return np.abs(V.sum(axis=1)) <= _ZERO_SUM_RTOL * np.abs(V).sum(axis=1)
+    return np.abs(np.add.reduce(V, axis=1)) <= _ZERO_SUM_RTOL * np.add.reduce(np.abs(V), axis=1)
 
 
 def h_operator(R: np.ndarray, v: np.ndarray) -> np.ndarray:

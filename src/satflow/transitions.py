@@ -156,7 +156,7 @@ def _jump(net: _Network, line) -> float:
     if line is None:
         return 0.0
     eq = _segment(net, *line)
-    return float(np.abs(eq.x_max - eq.x_min).sum())
+    return float(np.add.reduce(np.abs(eq.x_max - eq.x_min)))
 
 
 def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
@@ -201,8 +201,8 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     net = _network(spec.routing, spec.capacity)
     grid = path.grid
     dc = path.c_end - path.c_start
-    sig0 = float(path.c_start.sum())
-    slope = float(path.c_end.sum()) - sig0
+    sig0 = float(np.add.reduce(path.c_start))
+    slope = float(np.add.reduce(path.c_end)) - sig0
     scale_tol = zero_sum_tol(path.c_start) + zero_sum_tol(path.c_end)
     # the critical points with their line data where already solved (None
     # at an edge), and (s*, line data) where the path crosses the critical
@@ -225,15 +225,15 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
     cs = path.c_start + grid[:, None] * dc  # one row per sample, the bits of path.c_at
     eqs: list[EquilibriumSet | None] = [None] * grid.size
     walkable = net.walkable_rows(cs)  # the samples with a unique equilibrium off the zero-sum hyperplane
-    for i in np.flatnonzero(~walkable):
+    for i in (~walkable).nonzero()[0].tolist():
         eqs[i] = _equilibrium(net, cs[i])
-    walked = np.flatnonzero(walkable)
+    walked = walkable.nonzero()[0]
     # a crossing path is walked outward from s*, both ways; any other from its first sample, answered cold
-    for i, eq in zip(walked, _points(net, path.c_start, dc, grid[walked], crossing)):
+    for i, eq in zip(walked.tolist(), _points(net, path.c_start, dc, grid[walked], crossing)):
         eqs[i] = eq
-    rows = [SweepRow(s=float(s), c=c, kind=eq.kind, x_min=eq.x_min, x_max=eq.x_max,
+    rows = [SweepRow(s=s, c=c, kind=eq.kind, x_min=eq.x_min, x_max=eq.x_max,
                      condition_value=eq.condition_value, on_manifold=eq.kind == SEGMENT)
-            for s, c, eq in zip(grid, cs, eqs)]
+            for s, c, eq in zip(grid.tolist(), cs, eqs)]
     # one mask over the sample pairs: kind changes that no critical point explains and,
     # on reducible routing (every row MinMaxOnly), sign changes of a closed class's total demand
     unresolved = np.array([row.kind != nxt.kind for row, nxt in zip(rows, rows[1:])])
@@ -245,7 +245,7 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
             unresolved |= sign[1:] != sign[:-1]
     return SweepResult(rows=rows, jumps=[{"s": s, "magnitude": _jump(net, line)} for s, line in critical],
                        unresolved=[{"s_lo": float(grid[i]), "s_hi": float(grid[i + 1])}
-                                   for i in np.flatnonzero(unresolved)])
+                                   for i in unresolved.nonzero()[0]])
 
 
 @dataclass
@@ -304,16 +304,16 @@ def directional_limits(
     if not line[3] - line[2] > 0:
         raise PreconditionError(
             f"c_star is not on the critical set: its condition value {line[3] - line[2]:.3g} is not positive")
-    if d.shape != (spec.n,) or not np.all(np.isfinite(d)) or d.sum() <= 0:
+    if d.shape != (spec.n,) or np.count_nonzero(np.isfinite(d)) < d.size or np.add.reduce(d) <= 0:
         raise PreconditionError(f"direction must be a finite vector of length {spec.n} with positive total sum")
     eps_list = sorted(set(float(e) for e in epsilons), reverse=True)
     if not eps_list or not all(0 < e < np.inf for e in eps_list):
         raise PreconditionError("epsilons must be positive and finite")
 
     # c_star - eps*d and c_star + eps*d for each eps in turn, one row each
-    offsets = np.outer([sign * eps for eps in eps_list for sign in (-1.0, 1.0)], d)
+    offsets = np.multiply.outer([sign * eps for eps in eps_list for sign in (-1.0, 1.0)], d)
     zero_sum = _zero_sum_rows(c + offsets)
-    if zero_sum.any():
+    if np.count_nonzero(zero_sum):
         raise PreconditionError(f"perturbed demand at eps={eps_list[int(np.argmax(zero_sum)) // 2]:g} "
                                 "is unexpectedly zero-sum")
     # t = -eps below c_star and +eps above it, ascending: c_star + (-eps)*d

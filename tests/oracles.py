@@ -1,6 +1,7 @@
 """Independent reference implementations used only by the tests: an
-entrywise clamp, the unsaturated field, the averaged power series of H and
-a stage-by-stage RK4 integrator."""
+entrywise clamp, the unsaturated field, the averaged power series of H, a
+stage-by-stage RK4 integrator, and the ratio test and region check of a
+saturation pattern stated on its masks."""
 
 import numpy as np
 
@@ -90,3 +91,22 @@ def rk4(spec, x0, cfg):
                 converged = True
                 break
     return np.asarray(times), np.asarray(states), converged, np.asarray(residuals)
+
+
+def pattern_leave(y, slope, zero, cap, w):
+    """dt at which each cell of the line y + dt*slope leaves the closed
+    region of the pattern that holds zero at 0, cap at w and frees the
+    rest, inf where it never does, from the masks: cells held at 0 cross 0
+    upward, cells held at w cross w downward, free cells reach 0 or w."""
+    falling = slope < 0
+    moving = np.where(falling, ~zero, ~cap & (slope > 0))
+    bound = np.where(zero | (falling & ~cap), 0.0, w)
+    return np.divide(bound - y, slope, out=np.full_like(w, np.inf), where=moving)
+
+
+def pattern_outside(y, zero, cap, w):
+    """The cells where y = R'x + c leaves the closed region of the pattern
+    that holds zero at 0, cap at w and frees the rest: y > 0 held at 0,
+    y < w held at w, y outside [0, w] free.  Rows of y may take rows of
+    zero and cap."""
+    return np.where(zero, y > 0, y < 0) | np.where(cap, y < w, y > w)

@@ -398,7 +398,7 @@ class TestSweep:
 
     def test_demo_sidecar_is_golden(self, capsys, tmp_path):
         # demos/three_cell.critical.json is this command's sidecar, kept byte
-        # for byte; the CSV beside it may differ in the last ulps
+        # for byte (the CSV beside it is golden too: TestOutputBytes)
         demos = Path(__file__).resolve().parents[1] / "demos"
         code, out = run(capsys, ["sweep", str(demos / "three_cell.json"), "--c-start", "0,-1,0",
                                  "--c-end", "3,-1,6", "--samples", "91",
@@ -531,6 +531,15 @@ class TestOutputBytes:
         code, out = run(capsys, ["equilibria", str(DEMOS / "three_cell.json")])
         assert code == 0
         assert out == (DEMOS / "three_cell.equilibria.json").read_text()
+
+    def test_demo_sweep_csv_is_golden(self, capsys, tmp_path):
+        # demos/three_cell.sweep.csv is the 91-sample sweep of the demo across
+        # its critical point, kept byte for byte: every row's bits, walked or cold
+        code, out = run(capsys, ["sweep", str(DEMOS / "three_cell.json"), "--c-start", "0,-1,0",
+                                 "--c-end", "3,-1,6", "--samples", "91",
+                                 "--out", str(tmp_path / "three_cell.csv")])
+        assert code == 0
+        assert (tmp_path / "three_cell.csv").read_bytes() == (DEMOS / "three_cell.sweep.csv").read_bytes()
 
 
 class TestParserReuse:

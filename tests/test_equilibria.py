@@ -35,6 +35,7 @@ from conftest import (
     random_spec,
     random_substochastic,
 )
+from oracles import pattern_leave, pattern_outside
 
 TWO_CYCLES = np.array([
     [0, 1, 0, 0],
@@ -326,11 +327,47 @@ _PAST = {0.0: np.nextafter(0.0, -1.0), 3.0: np.nextafter(3.0, 4.0)}  # one ulp o
 ])
 def test_closed_region_of_a_pattern(y, held, outside):
     zero, cap = np.array([held == "zero"]), np.array([held == "cap"])
-    assert equilibria._outside(np.array([y]), zero, cap, np.array([3.0])).tolist() == [outside]
-    # rows of y take rows of the pattern: 1.5 is outside a cell held at 0
-    rows = equilibria._outside(np.array([[y], [1.5]]), np.array([zero, [True]]), np.array([cap, [False]]),
-                               np.array([3.0]))
+    lo, hi = equilibria._region(zero, cap, np.array([3.0]))
+    assert equilibria._outside(np.array([y]), lo, hi).tolist() == [outside]
+    # rows of y take rows of the region: 1.5 is outside a cell held at 0
+    held_lo, held_hi = equilibria._region(np.array([True]), np.array([False]), np.array([3.0]))
+    rows = equilibria._outside(np.array([[y], [1.5]]), np.array([lo, held_lo]), np.array([hi, held_hi]))
     assert rows.tolist() == [[outside], [True]]
+
+
+def _pattern_cases(case, rng, n=7):
+    """(y, slope, zero, cap, w) of a random pattern on n cells, with the
+    feature that names the case: random draws; y exactly 0 or w; slope
+    exactly 0 (either sign of zero); y outside its region; every cell held
+    at 0 or w; every cell free."""
+    w = rng.uniform(0.5, 5.0, n)
+    pattern = rng.integers(1, 3, n) if case == "all_held" else np.zeros(n, int) if case == "all_free" else (
+        rng.integers(0, 3, n))
+    zero, cap = pattern == 1, pattern == 2
+    y, slope = w * rng.uniform(-1.5, 2.5, n), rng.normal(size=n)
+    if case == "on_bounds":
+        y = np.where(rng.random(n) < 0.5, rng.choice([0.0, -0.0], n), w)
+    elif case == "flat":
+        slope[rng.random(n) < 0.5] = rng.choice([0.0, -0.0])
+    elif case == "outside":
+        # above 0 held at 0, below w held at w, off [0, w] free
+        off = np.where(rng.random(n) < 0.5, -rng.uniform(0.01, 1.0, n) * w, w + rng.uniform(0.01, 1.0, n) * w)
+        y = np.where(zero, rng.uniform(0.01, 2.0, n) * w, np.where(cap, rng.uniform(-1.0, 0.99, n) * w, off))
+    return y, slope, zero, cap, w
+
+
+@pytest.mark.parametrize("case", ["random", "on_bounds", "flat", "outside", "all_held", "all_free"])
+def test_region_bounds_match_the_pattern_masks(case):
+    # the walk's ratio test and region check, on the bounds lo <= y <= hi of
+    # the pattern, give the bits of the same tests stated on its masks
+    rng = np.random.default_rng(list(map(ord, case)))
+    for _ in range(200):
+        y, slope, zero, cap, w = _pattern_cases(case, rng)
+        lo, hi = equilibria._region(zero, cap, w)
+        assert equilibria._leave(y, slope, lo, hi).tobytes() == pattern_leave(y, slope, zero, cap, w).tobytes()
+        assert np.array_equal(equilibria._outside(y, lo, hi), pattern_outside(y, zero, cap, w))
+        if case == "outside":
+            assert equilibria._outside(y, lo, hi).all()
 
 
 def _kept_results(R, w, cold=False):

@@ -5,8 +5,9 @@ each thread classified (equilibria._network), so a call can find the
 network of an earlier one.  Any sequence of calls over a few networks,
 with routing matrices that are copies, Fortran-ordered copies or changed
 in place, must give each call the bits, or the refusal, that the same call
-gives from an empty slot.  The examples come from the loaded Hypothesis
-profile (see conftest.py).
+gives from an empty slot.  w - R'w is built on a kept network's first use
+of it and kept, so a call that needs none builds none.  The examples come
+from the loaded Hypothesis profile (see conftest.py).
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from satflow import (
     validate,
 )
 from satflow import equilibria
+from satflow.equilibria import SEGMENT
 
 from conftest import R3, W3, bits, random_reducible, random_stochastic_irreducible, random_substochastic
 
@@ -85,3 +87,21 @@ def test_each_call_gives_the_bits_of_an_empty_slot(seed, steps):
         warm = _call(name, R, w, np.random.default_rng(call_seed))
         vars(equilibria._last).clear()
         assert bits(warm) == bits(_call(name, R, w, np.random.default_rng(call_seed))), (name, k, change)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12))
+def test_mirror_is_built_on_first_use(seed, n):
+    # a segment takes no w - R'w; the point after it on the kept network
+    # builds it and has the bits of the same point on a new network
+    rng = np.random.default_rng(seed)
+    R, w = random_stochastic_irreducible(rng, n), rng.uniform(0.5, 5.0, n)
+    x = w * rng.uniform(0.2, 0.8, n)
+    vars(equilibria._last).clear()
+    segment = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=x - R.T @ x)))
+    assert segment.kind == SEGMENT
+    assert "mirror" not in equilibria._last.net.memo
+    spec = validate(NetworkSpec(routing=R, capacity=w, demand=x - R.T @ x + rng.uniform(0.01, 0.1, n)))
+    warm = equilibrium_set(spec)
+    assert "mirror" in equilibria._last.net.memo
+    vars(equilibria._last).clear()
+    assert bits(warm) == bits(equilibrium_set(spec))

@@ -713,7 +713,7 @@ class TestContinuation:
         monkeypatch.setattr(equilibria, "_pattern_piece", lambda *a: pieces.append((a[3], real(*a))) or pieces[-1][1])
         result = sweep(R3, W3, DemandPath([3.0, -1.0, 6.0], [0.0, -1.0, 0.0], 11))
         (piece, covered, _), = [out for t0, out in pieces if t0 == result.jumps[0]["s"]]
-        assert piece.zero.tolist() == [False, True, False]
+        assert (piece.hi == 0.0).tolist() == [False, True, False]  # the region of cell 2 held at 0 is y <= 0
         assert covered == 2
 
     def test_sample_past_a_breakpoint_is_not_extrapolated(self):
