@@ -4,16 +4,27 @@ Equilibria of the saturated flow dynamics are exactly the fixed points of
 the monotone map T(x) = clip(R'x + c, 0, w).  The least one, x_min, and the
 greatest one, x_max, bound every other.
 
-When the equilibrium is unique (a Point) both are computed exactly by a
-finite pattern iteration.  Up to n Picard steps from 0 give a subsolution
-x <= T(x); if they converge, that is the answer.  Otherwise the cells with
-(R'x + c)_i <= 0 are held at 0 and Howard's policy iteration solves the
-one-obstacle problem v = min(w, R'v + c) on the rest: a policy is the set
-of cells at w, and the free cells F solve one linear system with the
-M-matrix I - R'_FF.  The solution is again a subsolution below every fixed
-point, so the cells held at 0 only ever leave, and when none leaves the
-iterate is x_min.  x_max is the same climb in the mirrored coordinates
-y = w - x.  Every result is certified by its residual ||T(x) - x||_1.
+When the equilibrium is unique (a Point) both are computed exactly from
+both ends at once (:func:`_point`).  The Picard iterations from 0 and from
+w run in lockstep, one (2, n) @ R product per step.  The lower iterate
+stays below every fixed point and the upper one above, and R' >= 0, so
+R'x + c at every fixed point lies between their two values.  Once these
+show the same saturation pattern (Z = {R'x + c <= 0} at 0,
+U = {R'x + c >= w} at w, the rest free), every equilibrium has it, and one
+solve of the free cells gives it exactly: a pattern piece, certified as a
+walked sample is (below).  A pattern that fails its solve or its
+certificate is not tried again.  Where the patterns never agree, as where
+R'x + c is exactly 0 or w on a cell at the equilibrium, a side stops when
+its increment does; if it converges, that is the answer.  A side still
+moving after n steps holds at a subsolution x <= T(x), from which it
+climbs: the cells with (R'x + c)_i <= 0 are held at 0 and Howard's policy
+iteration solves the one-obstacle problem v = min(w, R'v + c) on the rest:
+a policy is the set of cells at w, and the free cells F solve one linear
+system with the M-matrix I - R'_FF.  The solution is again a subsolution
+below every fixed point, so the cells held at 0 only ever leave, and when
+none leaves the iterate is x_min.  x_max is the same climb in the mirrored
+coordinates y = w - x.  Every result is certified by its residual
+||T(x) - x||_1.
 Reducible routing is solved class by class by the same solvers; Picard
 iteration to convergence (picard_min, picard_max) is only a test oracle.
 
@@ -362,9 +373,9 @@ def equilibrium_set(spec: NetworkSpec) -> EquilibriumSet:
     * stochastic irreducible, zero-sum demand, positive condition value ->
       the analytic segment;
     * stochastic irreducible otherwise, or sub-stochastic out-connected ->
-      a unique point: x_min and x_max each by the exact pattern iteration
-      of the module docstring, certified by their residuals and
-      cross-checked against each other;
+      a unique point: x_min and x_max from both ends at once by the exact
+      pattern iteration of the module docstring, certified by their
+      residuals and cross-checked against each other;
     * reducible routing -> the min/max pair, from a point on the draining
       cells and a point or segment on each closed class.
 
@@ -454,9 +465,59 @@ def _class_demands(net: _Network, cs: np.ndarray, xs: np.ndarray) -> Iterator[tu
 
 
 def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -> EquilibriumSet:
-    """The unique equilibrium at c from both ends by :func:`_extreme`, clamped onto [0, w]."""
-    x_min = _extreme(net, c, "min")
-    x_max = _extreme(net, c, "max")
+    """The unique equilibrium at c, from both ends at once, on stochastic
+    irreducible or sub-stochastic out-connected routing.
+
+    y = w - x turns T into clip(R'y + w - R'w - c, 0, w) and reverses the
+    order, so x_max is w minus the least fixed point of the map with the
+    mirrored demand w - R'w - c.  Row 0 of X is the Picard iteration from 0
+    toward x_min, row 1 the mirrored one from 0 toward w - x_max, and each
+    step takes one (2, n) @ R product for both.  Row 0 of Y = X @ R + B
+    is R'x + c at a state below every equilibrium, w minus row 1 at one
+    above, and R' >= 0, so R'x + c at every equilibrium lies between them
+    (:func:`_agreement`).  Where they show the same saturation pattern,
+    every equilibrium has it, and one pattern solve gives it exactly: the
+    piece of a walk with dc = 0 at its one sample t = 0
+    (:func:`_pattern_piece`), certified as a walked sample is
+    (:func:`_certify`), whose clamped rows answer.  A pattern whose solve or
+    certificate fails is not tried again, and the steps go on.  A side
+    whose increment falls below 1e-12 |w|_inf stops there, and a side still
+    moving after n steps climbs from its iterate (:func:`_end`).  The two
+    ends must then agree within POINT_AGREEMENT_TOL before they are
+    clamped onto [0, w].
+    """
+    R, w, n = net.R, net.w, net.w.size
+    B = np.array((c, net.mirror - c))
+    X, Y = np.zeros(B.shape), np.empty(B.shape)
+    # relative to |w|_inf with no floor: an absolute increment would stop
+    # the warm-up of a network with small capacities far from its limit
+    tol = 1e-12 * float(w.max())
+    steps, moving, tried = [n, n], [True, True], set()
+    rows = slice(0, 2)  # the sides still moving, as one block of rows
+    for step in range(1, n + 1):
+        np.matmul(X[rows], R, out=Y[rows])
+        Y[rows] += B[rows]
+        pattern = _agreement(Y, w)
+        if pattern is not None and pattern not in tried:
+            tried.add(pattern)
+            dc, at = np.zeros(n), np.zeros(1)
+            piece = _pattern_piece(net, c, dc, 0.0, Y[0], at)[0]
+            if piece is not None:
+                ok, lows, highs = _certify(net, c, dc, at, [piece], np.zeros(1, dtype=int))
+                if ok[0]:
+                    return EquilibriumSet(POINT, lows[0], highs[0], condition_value=condition_value)
+        x = np.minimum(np.maximum(Y[rows], 0.0), w)  # np.clip, without its dispatch cost
+        increments = np.add.reduce(np.abs(x - X[rows]), axis=1).tolist()
+        X[rows] = x
+        for side, increment in zip(range(rows.start, rows.stop), increments):
+            if increment < tol:
+                steps[side], moving[side] = step, False
+        live = [side for side in (0, 1) if moving[side]]
+        if not live:
+            break
+        rows = slice(live[0], live[-1] + 1)
+    x_min = _end(net, c, 0, X[0], steps[0], moving[0])
+    x_max = _end(net, c, 1, X[1], steps[1], moving[1])
     gap = float(np.abs(x_max - x_min).sum())
     bound = POINT_AGREEMENT_TOL * tolerance_scale(net.w)
     if gap > bound:
@@ -724,33 +785,41 @@ def _endpoint_seed(line, w: np.ndarray, dc: np.ndarray) -> np.ndarray:
     return y
 
 
-def _extreme(net: _Network, c: np.ndarray, side: str) -> np.ndarray:
-    """x_min (side "min") or x_max (side "max") at demand c, exactly, on
-    stochastic irreducible or sub-stochastic out-connected routing.
+def _agreement(Y: np.ndarray, w: np.ndarray) -> bytes | None:
+    """The saturation pattern that both rows of :func:`_point`'s Y show, as
+    the bytes of its masks Z and U, or None where they differ.
 
-    y = w - x turns T into clip(R'y + w - R'w - c, 0, w) and reverses the
-    order, so x_max is w minus the least fixed point of the map with the
-    mirrored demand w - R'w - c, and both sides are one climb: at most n
-    Picard steps from 0, then :func:`_climb` from where they stopped.  n
-    Picard steps cost about as much as 7-9 dense solves (at n = 500 with
-    one BLAS thread, a step is a matrix-vector product of 50-80 us and a
-    solve takes 3-5 ms), so networks that contract fast never reach a
-    solve.
-    """
+    Row 0 is R'x + c of the lower iterate, and R'x + c of the upper one is
+    w minus row 1, so the upper one has Z where row 1 is >= w and U where it
+    is <= 0.  Both bound R'x + c at every equilibrium, entry by entry, so a
+    cell in the same one of Z, U and the free cells on both sides is there
+    at every equilibrium too."""
+    zero = Y[0] <= 0.0
+    if np.count_nonzero(zero != (Y[1] >= w)):
+        return None
+    cap = Y[0] >= w
+    if np.count_nonzero(cap != (Y[1] <= 0.0)):
+        return None
+    return zero.tobytes() + cap.tobytes()
+
+
+def _end(net: _Network, c: np.ndarray, side: int, y: np.ndarray, steps: int, moving: bool) -> np.ndarray:
+    """x_min (side 0) or x_max (side 1) at demand c from its side's last
+    warm-up iterate y, mirrored to w - x for side 1, after steps Picard
+    steps of :func:`_point`: y itself where the warm-up stopped, else the
+    least fixed point that :func:`_climb` reaches from it, certified by its
+    residual ||T(x) - x||_1."""
     R_t, w = net.R.T, net.w
-    b = c if side == "min" else net.mirror - c
-    # relative to |w|_inf with no floor: an absolute increment would stop
-    # the warm-up of a network with small capacities far from its limit
-    warm = _picard(R_t, w, b, np.zeros(w.size), 1e-12 * float(w.max()), max_iter=w.size)
-    y, rounds, solves = warm.x, 0, 0
-    if not warm.converged:
-        y, rounds, solves = _climb(net, b, warm.x)
-    x = y if side == "min" else w - y
+    b = c if side == 0 else net.mirror - c
+    rounds = solves = 0
+    if moving:
+        y, rounds, solves = _climb(net, b, y)
+    x = y if side == 0 else w - y
     residual = float(np.abs(np.clip(R_t @ x + c, 0.0, w) - x).sum())
     bound = _FIXED_POINT_TOL * tolerance_scale(w)
     if not residual < bound:
         raise NumericalError(
-            f"x_{side} residual {residual:.3g} not within {bound:.3g} after {warm.iterations} "
+            f"x_{('min', 'max')[side]} residual {residual:.3g} not within {bound:.3g} after {steps} "
             f"Picard steps, {rounds} pattern rounds and {solves} linear solves"
         )
     return x
@@ -800,7 +869,8 @@ def _solve_free(R_t: np.ndarray, free: np.ndarray, b: np.ndarray, x: np.ndarray)
     taken from x; False, x unchanged, if I - R'_FF is singular."""
     cells = free.nonzero()[0]  # one index for the four gathers, not a mask read four times
     rows = R_t[cells]
-    A = -rows[:, cells]
+    A = rows[:, cells]
+    np.negative(A, out=A)  # in place: no second block of |F| x |F|
     A.flat[:: cells.size + 1] += 1.0
     try:
         x[cells] = np.linalg.solve(A, b[cells] + rows @ x)

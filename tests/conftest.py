@@ -44,26 +44,41 @@ def cold_slots():
     vars(equilibria._last).clear()
 
 
+class _Inner(tuple):
+    """A (name, args) pair of a call that another watched call made."""
+
+
 class Calls(list):
     """The calls to the functions named in watch(), of satflow.equilibria
     unless another module is given, in order, one (name, args) pair each;
-    each call goes on to the function."""
+    each call goes on to the function.  depth is the number of watched
+    calls in progress."""
 
     def __init__(self, monkeypatch):
         super().__init__()
         self._monkeypatch = monkeypatch
+        self.depth = 0
 
     def watch(self, *names: str, module=equilibria) -> None:
         for name in names:
             def recorded(*args, _name=name, _real=getattr(module, name), **kwargs):
-                self.append((_name, args))
-                return _real(*args, **kwargs)
+                self.append(_Inner((_name, args)) if self.depth else (_name, args))
+                self.depth += 1
+                try:
+                    return _real(*args, **kwargs)
+                finally:
+                    self.depth -= 1
 
             self._monkeypatch.setattr(module, name, recorded)
 
     @property
     def names(self) -> list[str]:
         return [name for name, _ in self]
+
+    @property
+    def outer(self) -> list[str]:
+        """The names of the calls that no other watched call made."""
+        return [call[0] for call in self if not isinstance(call, _Inner)]
 
     def args(self, name: str) -> list[tuple]:
         """The arguments of each call to name, in order."""

@@ -532,6 +532,14 @@ class TestOutputBytes:
         assert code == 0
         assert out == (DEMOS / "three_cell.equilibria.json").read_text()
 
+    def test_reducible_demo_stdout_is_golden(self, capsys):
+        # demos/two_classes.equilibria.json is this command's stdout, kept
+        # byte for byte: its draining cell and its class with a nonzero total
+        # demand are unique points, the other class a segment
+        code, out = run(capsys, ["equilibria", TWO_CLASSES])
+        assert code == 0
+        assert out == (DEMOS / "two_classes.equilibria.json").read_text()
+
     def test_demo_sweep_csv_is_golden(self, capsys, tmp_path):
         # demos/three_cell.sweep.csv is the 91-sample sweep of the demo across
         # its critical point, kept byte for byte: every row's bits, walked or cold

@@ -291,10 +291,12 @@ class TestEquilibriumSet:
         assert float(bound) == pytest.approx(equilibria.BOUNDARY_TOL * 12.0, rel=1e-3)
 
     def test_point_disagreement_names_its_gap_and_bound(self, monkeypatch):
-        # x_max moved up by 1e-3 per cell on two cells with capacities 10
-        real = equilibria._extreme
-        monkeypatch.setattr(equilibria, "_extreme",
-                            lambda net, c, side: real(net, c, side) + (1e-3 if side == "max" else 0.0))
+        # x_max moved up by 1e-3 per cell on two cells with capacities 10,
+        # with no pattern piece to answer before both ends are certified
+        real = equilibria._end
+        monkeypatch.setattr(equilibria, "_pattern_piece", lambda *args: (None, 0, None))
+        monkeypatch.setattr(equilibria, "_end",
+                            lambda net, c, side, *args: real(net, c, side, *args) + (1e-3 if side == 1 else 0.0))
         spec = validate(NetworkSpec(routing=np.array([[0.0, 0.5], [0.5, 0.0]]), capacity=np.array([10.0, 10.0]),
                                     demand=np.array([0.3, 0.3])))
         with pytest.raises(NumericalError, match="unique equilibrium: x_min and x_max disagree by") as info:
@@ -312,6 +314,62 @@ class TestEquilibriumSet:
         assert np.abs(eq.x_min - k * base.x_min).max() <= 1e-12 * k
         assert np.abs(eq.x_max - k * base.x_max).max() <= 1e-12 * k
         assert abs(eq.condition_value - k * base.condition_value) <= 1e-12 * k
+
+
+class TestPointFromBothEnds:
+    """A unique equilibrium from the Picard iterations from 0 and from w in
+    lockstep: one pattern solve once both show the same saturation pattern,
+    the climb of the side still moving after n steps where they never do."""
+
+    def test_tie_that_never_agrees_keeps_its_bits(self, calls):
+        # x* = (0, 0.5) has R'x* + c = 0 exactly on cell 1: the lower
+        # iterate has it at 0 (in Z), the upper one above 0 (free), so no
+        # pattern piece is built and the upper side climbs
+        spec = validate(NetworkSpec(routing=np.array([[0.0, 0.5], [0.5, 0.0]]), capacity=np.ones(2),
+                                    demand=np.array([-0.25, 0.5])))
+        calls.watch("_pattern_piece", "_climb")
+        eq = equilibrium_set(spec)
+        assert calls.names == ["_climb"]
+        assert eq.kind == POINT
+        assert eq.x_min.tolist() == [0.0, 0.5] and eq.x_max.tolist() == [0.0, 0.5]
+
+    def test_near_critical_point_climbs_with_its_bits(self, calls):
+        # 1e-6 past the reference critical demand neither side converges in
+        # n = 3 steps nor do their patterns agree: both climb, to these bits
+        spec = validate(NetworkSpec(routing=R3, capacity=W3, demand=C_STAR + 1e-6 * np.array([1 / 3, 0.0, 2 / 3])))
+        calls.watch("_pattern_piece", "_climb")
+        eq = equilibrium_set(spec)
+        assert calls.names == ["_climb", "_climb"]
+        assert [v.hex() for v in eq.x_min.tolist()] == ["0x1.dfb63c697ea1dp+0", "0x1.0000000000000p+2",
+                                                         "0x1.48a6113d1684ep+2"]
+        assert [v.hex() for v in eq.x_max.tolist()] == ["0x1.dfb63c697ea1cp+0", "0x1.0000000000000p+2",
+                                                         "0x1.48a6113d1684ep+2"]
+
+    def test_generic_point_is_one_pattern_solve(self, calls):
+        # a leaky network at n = 50: the patterns agree long before either
+        # side converges, one free-cell solve answers, nothing climbs, and
+        # every product with R (the steps, the piece and its certificate)
+        # takes fewer than n passes over it
+        n = 50
+        spec = random_spec(np.random.default_rng(50), n)
+        products = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(1)
+                if out is not None:
+                    kwargs["out"] = tuple(x.view(np.ndarray) for x in out)
+                return getattr(ufunc, method)(*(x.view(np.ndarray) if isinstance(x, Counted) else x
+                                                for x in inputs), **kwargs)
+
+        net = equilibria._network(spec.routing.view(Counted), spec.capacity)
+        calls.watch("_solve_free", "_climb")
+        eq = equilibria._point(net, spec.demand)
+        assert calls.names == ["_solve_free"]
+        assert 0 < len(products) < n, len(products)
+        ref = equilibrium_set(spec)
+        assert bits(eq) == bits(ref)
 
 
 _PAST = {0.0: np.nextafter(0.0, -1.0), 3.0: np.nextafter(3.0, 4.0)}  # one ulp outside [0, 3]

@@ -3,16 +3,19 @@
 (kw, kc) has k times the equilibria of (w, c), and relabelling the cells
 relabels them, so equilibrium_set must return the same kind, k times (or
 the permutation of) x_min and x_max, and k times the condition value, on
-every routing class; scaling also keeps the unknown_between flag.  The
-examples come from the loaded Hypothesis profile (see conftest.py).
+every routing class; scaling also keeps the unknown_between flag.  A
+unique equilibrium must also match Picard iteration to convergence from 0
+and from w.  The examples come from the loaded Hypothesis profile (see
+conftest.py).
 """
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satflow import NetworkSpec, equilibrium_set, validate
-from satflow.model import OTHER, STOCHASTIC_IRREDUCIBLE, SUBSTOCHASTIC_OUT_CONNECTED, classify_routing
+from satflow import NetworkSpec, equilibria, equilibrium_set, validate
+from satflow.equilibria import POINT, picard_max, picard_min
+from satflow.model import OTHER, STOCHASTIC_IRREDUCIBLE, SUBSTOCHASTIC_OUT_CONNECTED, classify_routing, tolerance_scale
 
 from conftest import (
     random_reducible,
@@ -27,8 +30,9 @@ TAGS = {"out_connected": SUBSTOCHASTIC_OUT_CONNECTED, "reducible": OTHER}
 
 
 @st.composite
-def networks(draw):
-    """A random network of one routing class, n <= 8 cells (13 reducible):
+def networks(draw, cases=CASES):
+    """A random network of one of the routing classes of cases, n <= 8
+    cells (13 reducible):
     sub-stochastic out-connected; stochastic irreducible with a demand off
     the zero-sum hyperplane, with a random zero-sum one, or with
     c = (I - R')x for an interior x (a segment through x); or reducible,
@@ -36,7 +40,7 @@ def networks(draw):
     random_reducible), each class that nothing feeds with such a c half
     the time."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    case = draw(st.sampled_from(CASES))
+    case = draw(st.sampled_from(cases))
     if case == "out_connected":
         n = draw(st.integers(1, 8))
         R = random_substochastic(rng, n, 0.05, 1.0)
@@ -88,3 +92,14 @@ def test_permuting_cells_permutes_the_equilibrium_set(spec, random):
     permuted = equilibrium_set(validate(NetworkSpec(routing=spec.routing[np.ix_(perm, perm)],
                                                     capacity=spec.capacity[perm], demand=spec.demand[perm])))
     _assert_same_set(permuted, base, 1.0, perm, 1e-10 * spec.capacity.sum())
+
+
+@given(networks(("out_connected", "stochastic")))
+def test_unique_equilibrium_matches_the_picard_oracles(spec):
+    # out-connected routing, and stochastic routing off the zero-sum
+    # hyperplane: each end within the residual bound that certifies it
+    eq = equilibrium_set(spec)
+    assert eq.kind == POINT
+    tol = equilibria._FIXED_POINT_TOL * tolerance_scale(spec.capacity)
+    assert np.abs(eq.x_min - picard_min(spec).x).sum() <= tol
+    assert np.abs(eq.x_max - picard_max(spec).x).sum() <= tol

@@ -596,18 +596,21 @@ class TestContinuation:
     def test_walk_that_certifies_nothing_answers_every_sample_cold(self, monkeypatch, calls, R, w, ends, samples,
                                                                     refuse, refused):
         # the walk is certified in one pass, and each sample it refuses is
-        # answered by one _point: those rows are equilibrium_set's, bit for
-        # bit.  The stretch before a crossing is walked in descending s, so
-        # cold answers are matched by demand
+        # answered by one _point, which makes and certifies its own piece:
+        # those rows are equilibrium_set's, bit for bit.  The stretch before
+        # a crossing is walked in descending s, so cold answers are matched
+        # by demand
         path = DemandPath(*ends, samples)
         calls.watch("_pattern_piece", "_point")
         expected = sweep(R, w, path).rows
-        walked = calls.names
+        walked = calls.outer
         del calls[:]
         real_certify, passes, demands = equilibria._certify, [], set()
 
         def certify(net, c0, dc, ts, pieces, k):
             ok, lows, highs = real_certify(net, c0, dc, ts, pieces, k)
+            if calls.depth:
+                return ok, lows, highs  # a cold _point's own piece, not the walk's pass
             out = _REFUSED[refuse](ts, k)
             passes.append(ts.size)
             demands.update(c.tobytes() for c in c0 + ts[out, None] * dc)
@@ -618,7 +621,7 @@ class TestContinuation:
         rows = sweep(R, w, path).rows
         monkeypatch.undo()
         assert len(passes) == 1 and len(demands) == refused
-        assert calls.names == walked + ["_point"] * refused
+        assert calls.outer == walked + ["_point"] * refused
         answered = [args[1].tobytes() for args in calls.args("_point")[walked.count("_point"):]]
         assert set(answered) == demands
         tol = 1e-10 * max(1.0, w.max())
@@ -682,7 +685,7 @@ class TestContinuation:
         # without the cold solver
         calls.watch("_pattern_piece", "_point")
         rows = sweep(_R2, _W2, DemandPath([0.25, 0.25], [c_end, c_end], samples)).rows
-        assert calls.names == walk
+        assert calls.outer == walk  # the cold first sample's own piece is inside its _point
         assert np.array_equal(rows[0].x_min, [0.5, 0.5])
         for row in rows[1:]:
             assert np.array_equal(row.x_min, _W2) and np.array_equal(row.x_max, _W2)
