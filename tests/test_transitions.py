@@ -596,10 +596,10 @@ class TestContinuation:
     def test_walk_that_certifies_nothing_answers_every_sample_cold(self, monkeypatch, calls, R, w, ends, samples,
                                                                     refuse, refused):
         # the walk is certified in one pass, and each sample it refuses is
-        # answered by one _point, which makes and certifies its own piece:
-        # those rows are equilibrium_set's, bit for bit.  The stretch before
-        # a crossing is walked in descending s, so cold answers are matched
-        # by demand
+        # answered by one _point, which may make and certify a piece of its
+        # own: those rows are equilibrium_set's, bit for bit.  The stretch
+        # before a crossing is walked in descending s, so cold answers are
+        # matched by demand
         path = DemandPath(*ends, samples)
         calls.watch("_pattern_piece", "_point")
         expected = sweep(R, w, path).rows
