@@ -88,16 +88,25 @@ _last = threading.local()
 
 def in_lattice(x: np.ndarray, w: np.ndarray, tol: float = LATTICE_TOL) -> bool:
     x = np.asarray(x, dtype=float)
-    return bool((x >= -tol).all() and (x <= np.asarray(w) + tol).all())
+    inside = (x >= -tol) & (x <= np.asarray(w) + tol)
+    return np.count_nonzero(inside) == inside.size
 
 
 def net_flow(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     """Net flow f(x) = clamp(R'x + c, 0, w) - x.
 
-    The flow constraints -x <= f <= w - x hold exactly (the clamp output
-    lies in [0, w]); asserted here so debug runs catch any regression.
+    x must be a finite state of length n (PreconditionError otherwise).
+    The flow constraints -x <= f <= w - x then hold exactly (the clamp
+    output lies in [0, w]); asserted here so debug runs catch any
+    regression.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != spec.capacity.shape:
+        raise PreconditionError(f"state must have length {spec.n}, got shape {x.shape}")
+    finite = np.isfinite(x)
+    if np.count_nonzero(finite) < x.size:
+        i = int(np.argmin(finite))
+        raise PreconditionError(f"state must be finite: cell {i + 1} is {x[i]}")
     f = np.clip(spec.routing.T @ x + spec.demand, 0.0, spec.capacity) - x
     assert np.all(f >= -x) and np.all(f <= spec.capacity - x)
     return f
@@ -219,7 +228,7 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
 
     dt = cfg.dt
     n_steps = max(1, int(round(cfg.t_end / dt)))
-    w_max = float(w.max())
+    w_max = float(np.maximum.reduce(w))
     residual_tol = max(cfg.residual_tol * min(1.0, w_max), _RESIDUAL_ROUNDOFF * spec.n * w_max)
     floor = _GUARD_FLOOR * scale
     c = spec.demand
@@ -272,7 +281,7 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
 
 def _residual(z: np.ndarray, x: np.ndarray, w: np.ndarray) -> float:
     """||clamp(z, 0, w) - x||_1 for z = R'x + c, i.e. ||f(x)||_1."""
-    return float(np.abs(np.minimum(np.maximum(z, 0.0), w) - x).sum())
+    return float(np.add.reduce(np.abs(np.minimum(np.maximum(z, 0.0), w) - x)))
 
 
 def _rk4_steps(R_t: np.ndarray, c: np.ndarray, w: np.ndarray, dt: float, floor: float,
@@ -292,7 +301,7 @@ def _rk4_steps(R_t: np.ndarray, c: np.ndarray, w: np.ndarray, dt: float, floor: 
         k4 = rhs(x + dt * k3)
         x_new = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         clamped = np.minimum(np.maximum(x_new, 0.0), w)
-        clamp_mag = float(np.abs(clamped - x_new).max())
+        clamp_mag = float(np.maximum.reduce(np.abs(clamped - x_new)))
         if not clamp_mag <= floor:  # the guard is at least the floor; a non-finite x_new gives inf or NaN
             if not np.isfinite(x_new).all():
                 raise NumericalError(f"non-finite state at t={k * dt:.6g}")
@@ -377,6 +386,14 @@ class _IntervalMaps:
         before the first that fails, their states clamped onto [0, w] as a
         step would clamp them; rejected says that one failed and must run
         stage by stage.
+
+        The region is decided for all intervals at once, from the column
+        extremes of Y = S A', S the starts.  Rounding is monotone, so
+        fl(min_j Y_j + b) = min_j fl(Y_j + b), and likewise for the max:
+        every row of Y + b lies in [lo, hi] exactly when both extremes do,
+        and a NaN fails both.  Only where an extreme fails are the rows
+        tested one by one, to find the first interval that fails.  The
+        floor check, on the n state rows, is made row by row.
         """
         n, w = x.size, self.w
         low, high = z < 0.0, z > w
@@ -391,19 +408,23 @@ class _IntervalMaps:
         X = (entry.T[:J].reshape(J * (n + 1), n + 1) @ xe).reshape(J, n + 1)[:, :n]
         Xc = np.minimum(np.maximum(X, 0.0), w)
         Z = Xc @ self.R_t.T + self.c
-        res = np.abs(np.minimum(np.maximum(Z, 0.0), w) - Xc).sum(axis=1)
-        stop = (((Z < 0.0) != low) | ((Z > w) != high)).any(axis=1) | (res < tol)
+        res = np.add.reduce(np.abs(np.minimum(np.maximum(Z, 0.0), w) - Xc), axis=1)
+        stop = np.logical_or.reduce(((Z < 0.0) != low) | ((Z > w) != high), axis=1) | (res < tol)
         m = int(stop.argmax()) + 1
         if not stop[m - 1]:
             m = J
         starts = np.empty((m, n))  # row j: the state at the start of interval j
         starts[0] = x
         starts[1:] = Xc[:m - 1]
-        Y = starts @ entry.At  # row j: interval j's certificate
-        Y += entry.b
-        ok = ((Y >= entry.lo) & (Y <= entry.hi)).all(axis=1)
+        Y = starts @ entry.At  # row j, plus b: interval j's certificate
+        b, lo, hi = entry.b, entry.lo, entry.hi
+        ok = np.ones(m, dtype=bool)
         if m > 1:  # interval 0 starts at x, where Y[0] and X[0] are one map
-            ok[1:] &= (np.abs(Y[1:, -n:] - X[1:m]) <= self.floor).all(axis=1)
+            ok[1:] = np.logical_and.reduce(np.abs(Y[1:, -n:] + b[-n:] - X[1:m]) <= self.floor, axis=1)
+        if not (np.logical_and.reduce(lo <= np.minimum.reduce(Y) + b)
+                and np.logical_and.reduce(np.maximum.reduce(Y) + b <= hi)):  # then find the rows that fail
+            Y += b
+            ok &= np.logical_and.reduce((Y >= lo) & (Y <= hi), axis=1)
         r = int(ok.argmin())
         if ok[r]:
             r = m
@@ -442,19 +463,29 @@ class _IntervalMaps:
         per doubling, T[P:2P] = T[:P] T[P - 1], checked against _POWER_MAX
         by one max, and power by power only where that fails.  The stack ends
         before the first power past _POWER_MAX, and holds the map itself
-        whatever its entries."""
+        whatever its entries.
+
+        No entry of power p exceeds |T[0]|_inf^p.  A computed product has
+        an inf-norm within a factor 1 + (n + 1) eps of the product of its
+        factors' norms, and a power takes at most log2(most) + 1 products
+        in turn, so where |T[0]|_inf^most <= _POWER_MAX / 2 no check could
+        fail: none is made, and the stack has the same bits and length.
+        """
         n = At.shape[0]
         T = np.empty((most, n + 1, n + 1))
         T[0] = np.eye(n + 1)
         T[0, :n, :n] = At[:, -n:].T
         T[0, :n, n] = b[-n:]
-        end = most if np.abs(T[0]).max() <= _POWER_MAX else 1
+        norm = float(np.maximum.reduce(np.add.reduce(np.abs(T[0]), axis=1)))  # >= 1, from the row [0, 1]
+        checked = not most * math.log(norm) <= math.log(0.5 * _POWER_MAX)  # NaN or inf: checked
+        end = most if not checked or np.maximum.reduce(np.abs(T[0]), axis=None) <= _POWER_MAX else 1
         P = 1
         while P < end:
             top = min(2 * P, end)
             np.matmul(T[:top - P], T[P - 1], out=T[P:top])
-            if not np.abs(T[P:top]).max() <= _POWER_MAX:  # then find the first power past it
-                end = P + int((~(np.abs(T[P:top]).max(axis=(1, 2)) <= _POWER_MAX)).argmax())
+            if checked and not np.maximum.reduce(np.abs(T[P:top]), axis=None) <= _POWER_MAX:
+                # then find the first power past it
+                end = P + int((~(np.maximum.reduce(np.abs(T[P:top]), axis=(1, 2)) <= _POWER_MAX)).argmax())
             P = top
         return T if end == most else T[:end].copy()
 
@@ -493,7 +524,7 @@ class _IntervalMaps:
         # powers[j] maps [x; 1] at the start of the interval to [x; 1] after
         # j steps; their entries are at most |S|_inf^j, checked only where
         # that bound passes _POWER_MAX
-        check = (steps - 1) * math.log(np.abs(S).sum(axis=1).max()) > math.log(_POWER_MAX)
+        check = (steps - 1) * math.log(np.maximum.reduce(np.add.reduce(np.abs(S), axis=1))) > math.log(_POWER_MAX)
         powers = np.empty((steps, n + 1, n + 1))
         powers[0] = E
         for j in range(1, steps):

@@ -5,8 +5,10 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from satflow import NetworkSpec, dynamics, equilibria, validate
+from satflow.model import OTHER, STOCHASTIC_IRREDUCIBLE, SUBSTOCHASTIC_OUT_CONNECTED, classify_routing
 
 # Hypothesis profiles of the property tests.  tier1, the default, is
 # derandomized: the same 25 examples on every run, so a failure is never
@@ -196,3 +198,43 @@ def reducible_demand(rng, R, w, unfed):
             x = w[C] * rng.uniform(0.2, 0.8, C.size)
             c[C] = x - R[np.ix_(C, C)].T @ x
     return c
+
+
+CASES = ("out_connected", "stochastic", "zero_sum", "critical", "reducible")
+TAGS = {"out_connected": SUBSTOCHASTIC_OUT_CONNECTED, "reducible": OTHER}
+
+
+@st.composite
+def networks(draw, cases=CASES):
+    """A random network of one of the routing classes of cases, n <= 8
+    cells (13 reducible):
+    sub-stochastic out-connected; stochastic irreducible with a demand off
+    the zero-sum hyperplane, with a random zero-sum one, or with
+    c = (I - R')x for an interior x (a segment through x); or reducible,
+    one or two closed classes beside leaky or stranded cells (see
+    random_reducible), each class that nothing feeds with such a c half
+    the time."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    case = draw(st.sampled_from(cases))
+    if case == "out_connected":
+        n = draw(st.integers(1, 8))
+        R = random_substochastic(rng, n, 0.05, 1.0)
+    elif case == "reducible":
+        R, unfed = random_reducible(rng, draw(st.integers(1, 2)))
+        n = R.shape[0]
+    else:
+        n = draw(st.integers(2, 8))
+        R = random_stochastic_irreducible(rng, n)
+    w = rng.uniform(0.5, 5.0, n)
+    if case == "zero_sum":
+        c = random_zero_sum(rng, n)
+    elif case == "critical":
+        x = w * rng.uniform(0.2, 0.8, n)
+        c = x - R.T @ x
+    elif case == "reducible":
+        c = reducible_demand(rng, R, w, unfed)
+    else:
+        c = rng.uniform(-1.5, 1.5, n)
+    spec = validate(NetworkSpec(routing=R, capacity=w, demand=c))
+    assert classify_routing(R).tag == TAGS.get(case, STOCHASTIC_IRREDUCIBLE)
+    return spec

@@ -1,10 +1,12 @@
 """Independent reference implementations used only by the tests: an
 entrywise clamp, the unsaturated field, the averaged power series of H, a
-stage-by-stage RK4 integrator, and the ratio test and region check of a
-saturation pattern stated on its masks."""
+stage-by-stage RK4 integrator, a run of interval maps certified row by
+row and a stack of powers checked at every doubling, and the ratio test
+and region check of a saturation pattern stated on its masks."""
 
 import numpy as np
 
+from satflow import dynamics
 from satflow.errors import NumericalError
 
 
@@ -91,6 +93,60 @@ def rk4(spec, x0, cfg):
                 converged = True
                 break
     return np.asarray(times), np.asarray(states), converged, np.asarray(residuals)
+
+
+def run_rows(maps, entry, x, z, count, tol):
+    """What satflow.dynamics._IntervalMaps.run returns for a run from x
+    (pre-activation z) through entry, a map of maps, with the same
+    products, and each interval's certificate tested on its own row:
+    every entry of A' s + b, s the interval's start, within [lo, hi], and
+    its state rows within the guard floor of the sample.  Leaves the maps
+    and the entry as they are."""
+    n, w = x.size, maps.w
+    low, high = z < 0.0, z > w
+    J = min(count, len(entry.T))
+    X = (entry.T[:J].reshape(J * (n + 1), n + 1) @ np.append(x, 1.0)).reshape(J, n + 1)[:, :n]
+    Xc = np.minimum(np.maximum(X, 0.0), w)
+    Z = Xc @ maps.R_t.T + maps.c
+    res = np.abs(np.minimum(np.maximum(Z, 0.0), w) - Xc).sum(axis=1)
+    m = J
+    for j in range(J):
+        if np.any((Z[j] < 0.0) != low) or np.any((Z[j] > w) != high) or res[j] < tol:
+            m = j + 1
+            break
+    Y = np.vstack([x, Xc[:m - 1]]) @ entry.At + entry.b  # row j: interval j's certificate
+    r = m
+    for j in range(m):
+        inside = np.all((Y[j] >= entry.lo) & (Y[j] <= entry.hi))
+        if not inside or (j > 0 and not np.all(np.abs(Y[j, -n:] - X[j]) <= maps.floor)):
+            r = j
+            break
+    return Xc[:r], Z[:r], res[:r], r < m
+
+
+def stack_checked(At, b, most):
+    """The stack of satflow.dynamics._IntervalMaps._stack with every
+    doubling checked against _POWER_MAX: the first `most` powers of the
+    map whose state rows are the last n of A' and b, power P + j the
+    product of power j + 1 and power P (P a power of two), ending before
+    the first power past _POWER_MAX and holding the map itself whatever
+    its entries."""
+    n = At.shape[0]
+    T = np.empty((most, n + 1, n + 1))
+    T[0] = np.eye(n + 1)
+    T[0, :n, :n] = At[:, -n:].T
+    T[0, :n, n] = b[-n:]
+    end = most if np.abs(T[0]).max() <= dynamics._POWER_MAX else 1
+    P = 1
+    while P < end:
+        top = min(2 * P, end)
+        for p in range(P, top):
+            T[p] = T[p - P] @ T[P - 1]
+            if not np.abs(T[p]).max() <= dynamics._POWER_MAX:
+                end = p
+                break
+        P = top
+    return T[:end].copy()
 
 
 def pattern_leave(y, slope, zero, cap, w):

@@ -250,6 +250,9 @@ class TestCollector:
         starts = []
         callback = lambda phase, info: phase == "start" and starts.append(info["generation"])
         threshold = gc.get_threshold()
+        # the allocations earlier tests left pending would set off a
+        # collection before the load turns the collector off
+        gc.collect()
         gc.callbacks.append(callback)
         gc.set_threshold(100)  # 500 routing rows would set off several collections
         try:
@@ -531,6 +534,15 @@ class TestOutputBytes:
         code, out = run(capsys, ["equilibria", str(DEMOS / "three_cell.json")])
         assert code == 0
         assert out == (DEMOS / "three_cell.equilibria.json").read_text()
+
+    def test_demo_trajectory_csv_is_golden(self, capsys, tmp_path):
+        # demos/three_cell.trajectory.csv is the demo's trajectory from w, kept
+        # byte for byte: the interval maps take 3310 of its 3320 steps, in
+        # runs, and one interval runs stage by stage
+        out = tmp_path / "three_cell.trajectory.csv"
+        code, _ = run(capsys, ["simulate", str(DEMOS / "three_cell.json"), "--x0", "cap", "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (DEMOS / "three_cell.trajectory.csv").read_bytes()
 
     def test_reducible_demo_stdout_is_golden(self, capsys):
         # demos/two_classes.equilibria.json is this command's stdout, kept

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import math
 import re
 import sys
 import threading
@@ -18,8 +20,19 @@ from satflow import (
 from satflow import dynamics
 from satflow.dynamics import in_lattice
 
-from conftest import C3, C_STAR, R3, W3, XMAX3, XMIN3, random_spec, random_stochastic_irreducible, random_substochastic
-from oracles import linear_rhs, rk4, saturate
+from conftest import (
+    C3,
+    C_STAR,
+    R3,
+    W3,
+    XMAX3,
+    XMIN3,
+    bits,
+    random_spec,
+    random_stochastic_irreducible,
+    random_substochastic,
+)
+from oracles import linear_rhs, rk4, run_rows, saturate, stack_checked
 
 
 class TestSaturate:
@@ -72,6 +85,16 @@ class TestNetFlow:
             x = rng.random(spec.n) * spec.capacity
             f = net_flow(spec, x)
             assert np.all(f >= -x) and np.all(f <= spec.capacity - x)
+
+    @pytest.mark.parametrize("x, message", [
+        ([0.0, 0.0], r"^state must have length 3, got shape \(2,\)$"),
+        ([[0.0, 0.0, 0.0]], r"^state must have length 3, got shape \(1, 3\)$"),
+        ([0.0, np.nan, 1.0], r"^state must be finite: cell 2 is nan$"),
+        ([0.0, 1.0, -np.inf], r"^state must be finite: cell 3 is -inf$"),
+    ], ids=["short", "row", "nan", "inf"])
+    def test_rejects_a_state_it_cannot_take(self, spec3, x, message):
+        with pytest.raises(PreconditionError, match=message):
+            net_flow(spec3, x)
 
 
 class TestLinearRhs:
@@ -523,6 +546,109 @@ class TestRuns:
         spec = validate(NetworkSpec(routing=np.zeros((1, 1)), capacity=np.ones(1), demand=[0.5]))
         cfg = IntegratorConfig(dt=20.0, t_end=2500.0, sample_every=100)
         assert assert_matches_oracle(spec, np.array([0.5 + 1e-5]), cfg) is None
+
+
+def norm_bound_holds(At, b, most):
+    """Whether |T[0]|_inf^most, T[0] the map of the stack, is at most
+    _POWER_MAX / 2, so that no entry of the stack's powers can pass
+    _POWER_MAX."""
+    n = At.shape[0]
+    T0 = np.eye(n + 1)
+    T0[:n, :n] = At[:, -n:].T
+    T0[:n, n] = b[-n:]
+    norm = float(np.abs(T0).sum(axis=1).max())
+    return most * math.log(norm) <= math.log(0.5 * dynamics._POWER_MAX)
+
+
+class TestAgainstTheRowByRowRules:
+    """Every run and every stack that integrate makes has the bits of the
+    rules that a run's certificate from its column extremes and a stack's
+    norm bound stand in for: each interval's certificate tested on its own
+    row (oracles.run_rows) and each doubling checked against _POWER_MAX
+    (oracles.stack_checked).  Runs whose extremes pass, runs whose
+    certificate fails after some intervals or at the first, stacks whose
+    bound holds and stacks whose bound fails all occur."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        seen = collections.Counter()
+        run, stack = dynamics._IntervalMaps.run, dynamics._IntervalMaps._stack
+
+        def checked_run(self, x, z, steps, count, tol):
+            low, high = z < 0.0, z > self.w
+            entry = self._entry((steps, low.tobytes(), high.tobytes()), low, high, steps)
+            expected = None if entry is None else run_rows(self, entry, x, z, count, tol)
+            got = run(self, x, z, steps, count, tol)
+            if expected is not None:
+                assert bits(got) == bits(expected)
+                kept, rejected = len(got[2]), got[3]
+                seen["whole" if not rejected else "cut" if kept else "first"] += 1
+            return got
+
+        def checked_stack(At, b, most):
+            T = stack(At, b, most)
+            assert bits(T) == bits(stack_checked(At, b, most))
+            seen["bound holds" if norm_bound_holds(At, b, most) else "bound fails"] += 1
+            return T
+
+        monkeypatch.setattr(dynamics._IntervalMaps, "run", checked_run)
+        monkeypatch.setattr(dynamics._IntervalMaps, "_stack", staticmethod(checked_stack))
+        return seen
+
+    def test_small_networks(self, seen):
+        # n = 2-6 from 0, w, the faces and inside, with dt up to 0.5, where
+        # the norm of an interval map of 10 steps passes its bound
+        rng = np.random.default_rng(26)
+        for trial in range(40):
+            n = 2 + trial % 5
+            R = random_stochastic_irreducible(rng, n) if trial % 3 == 0 else random_substochastic(rng, n, 0.3, 0.9)
+            w = rng.uniform(1.0, 5.0, n)
+            spec = validate(NetworkSpec(routing=R, capacity=w, demand=rng.uniform(-3.0, 6.0, n)))
+            x0 = [np.zeros(n), w.copy(), np.choose(rng.integers(0, 3, n), [np.zeros(n), w, rng.random(n) * w]),
+                  rng.random(n) * w][trial % 4]
+            cfg = IntegratorConfig(dt=[0.05, 0.2, 0.5][trial % 3], t_end=40.0)
+            integrate_cold(spec, x0, cfg)
+        assert all(seen[kind] for kind in ("whole", "cut", "first", "bound holds", "bound fails"))
+
+    def test_larger_network_from_saturated_starts(self, seen):
+        # n = 30 with the demands of the stage-by-stage test of that name
+        rng = np.random.default_rng(29)
+        n = 30
+        spec = validate(NetworkSpec(routing=random_substochastic(rng, n, 0.3, 0.6),
+                                    capacity=rng.uniform(1.0, 5.0, n), demand=rng.uniform(-3.0, 6.0, n)))
+        for x0 in (np.zeros(n), spec.capacity.copy()):
+            integrate_cold(spec, x0, IntegratorConfig(dt=0.05, t_end=40.0))
+        assert seen["whole"] and seen["cut"] and seen["first"]
+
+    def test_run_cut_by_the_guard_floor(self, seen):
+        # the run of TestRuns.test_stack_states_agree_with_the_interval_map:
+        # every stage stays in the pattern, and a state leaves the floor of
+        # the interval map of the sample before it
+        R_t = np.array([[0.0, 0.0], [0.0, 0.9]])
+        c = np.array([0.5, 0.05])
+        maps = dynamics._IntervalMaps(R_t, c, np.ones(2), 4.6, 1e-12)
+        x = np.array([0.5, 0.2])
+        maps.run(x, R_t @ x + c, 1, 1000, 0.0)
+        assert seen["cut"] == 1
+
+    def test_stack_whose_bound_fails_stays_complete(self):
+        # one cell with x -> 0.9 x + 0.5 per interval: the powers converge,
+        # but |T[0]|_inf = 1.4 passes the bound for 2520 powers
+        most = dynamics._IntervalMaps._most(1, 1)
+        At, b = np.array([[0.9]]), np.array([0.5])
+        assert most == 2520 and not norm_bound_holds(At, b, most)
+        T = dynamics._IntervalMaps._stack(At, b, most)
+        assert bits(T) == bits(stack_checked(At, b, most))
+        entry = dynamics._Map((At, b, None, None), T, 0)
+        assert_stack_is_complete(entry, 1)
+
+    def test_stack_whose_bound_fails_ends_before_its_overflow(self):
+        # x -> 2 x per interval: power 333 is the first past _POWER_MAX
+        most = dynamics._IntervalMaps._most(1, 1)
+        At, b = np.array([[2.0]]), np.array([0.0])
+        T = dynamics._IntervalMaps._stack(At, b, most)
+        assert len(T) == 332 and bits(T) == bits(stack_checked(At, b, most))
+        assert_stack_is_complete(dynamics._Map((At, b, None, None), T, 0), 1)
 
 
 def test_unit_scale_stops_at_the_configured_tolerance(spec3):

@@ -1,5 +1,9 @@
-"""Properties of integrate: kept interval maps, units and cell labels.
+"""Properties of integrate: stability, kept interval maps, units and cell
+labels.
 
+The equilibrium set is globally asymptotically stable (the paper's first
+result), so a trajectory from any start in [0, w] must converge, and end
+next to the set that equilibrium_set computes by its own solvers.
 integrate keeps the interval maps of the last network it integrated, and
 a call that finds them built must return the bits of a call that builds
 them, whatever start came before.  (kw, kc) has k times the trajectories
@@ -14,10 +18,16 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satflow import NetworkSpec, dynamics, validate
+from satflow import NetworkSpec, dynamics, equilibrium_set, validate
 from satflow.dynamics import IntegratorConfig, integrate
+from satflow.model import tolerance_scale
 
-from conftest import random_stochastic_irreducible, random_substochastic
+from conftest import networks, random_stochastic_irreducible, random_substochastic
+
+#: l1 distance from a converged trajectory's end to the equilibrium set,
+#: times max(1, |w|_inf): the worst of 23,000 random cases of the property
+#: below was 4.4e-10, so this leaves a margin of 23
+STABLE_TOL = 1e-8
 
 
 @st.composite
@@ -47,6 +57,14 @@ def runs(draw):
     return spec, x0, x1, cfg
 
 
+def _start(spec, seed, kind):
+    """A start in [0, w]: 0, w, inside the box or on its saturated faces."""
+    rng = np.random.default_rng(seed)
+    n, w = spec.n, spec.capacity
+    return {"zero": np.zeros(n), "capacity": w.copy(), "inside": rng.random(n) * w,
+            "faces": np.choose(rng.integers(0, 3, n), [np.zeros(n), w, rng.random(n) * w])}[kind]
+
+
 def _cold(spec, x0, cfg):
     """integrate with no interval maps kept from an earlier call."""
     vars(dynamics._last).clear()
@@ -59,6 +77,18 @@ def _assert_close(traj, base, scale, tol, perm=slice(None)):
     m = min(len(traj.times), len(base.times))
     assert np.array_equal(traj.times[:m], base.times[:m])
     assert np.abs(traj.states[:m] - scale * base.states[:m][:, perm]).max() <= tol
+
+
+@given(networks(("out_connected", "stochastic", "critical", "reducible")), st.integers(0, 2**32 - 1),
+       st.sampled_from(["zero", "capacity", "inside", "faces"]))
+def test_trajectories_end_in_the_equilibrium_set(spec, seed, kind):
+    # every routing class, critical demands (a segment) included; off the
+    # zero-sum hyperplane the total mass of a closed class moves at its
+    # total demand until cells saturate, which can take thousands of time
+    # units where that demand is small, hence the long horizon
+    traj = integrate(spec, _start(spec, seed, kind), IntegratorConfig(dt=0.05, t_end=1e5))
+    assert traj.converged
+    assert equilibrium_set(spec).distance_l1(traj.final_state) <= STABLE_TOL * tolerance_scale(spec.capacity)
 
 
 @given(runs())

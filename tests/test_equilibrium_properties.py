@@ -15,55 +15,9 @@ from hypothesis import strategies as st
 
 from satflow import NetworkSpec, equilibria, equilibrium_set, validate
 from satflow.equilibria import POINT, picard_max, picard_min
-from satflow.model import OTHER, STOCHASTIC_IRREDUCIBLE, SUBSTOCHASTIC_OUT_CONNECTED, classify_routing, tolerance_scale
+from satflow.model import tolerance_scale
 
-from conftest import (
-    random_reducible,
-    random_stochastic_irreducible,
-    random_substochastic,
-    random_zero_sum,
-    reducible_demand,
-)
-
-CASES = ("out_connected", "stochastic", "zero_sum", "critical", "reducible")
-TAGS = {"out_connected": SUBSTOCHASTIC_OUT_CONNECTED, "reducible": OTHER}
-
-
-@st.composite
-def networks(draw, cases=CASES):
-    """A random network of one of the routing classes of cases, n <= 8
-    cells (13 reducible):
-    sub-stochastic out-connected; stochastic irreducible with a demand off
-    the zero-sum hyperplane, with a random zero-sum one, or with
-    c = (I - R')x for an interior x (a segment through x); or reducible,
-    one or two closed classes beside leaky or stranded cells (see
-    random_reducible), each class that nothing feeds with such a c half
-    the time."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    case = draw(st.sampled_from(cases))
-    if case == "out_connected":
-        n = draw(st.integers(1, 8))
-        R = random_substochastic(rng, n, 0.05, 1.0)
-    elif case == "reducible":
-        R, unfed = random_reducible(rng, draw(st.integers(1, 2)))
-        n = R.shape[0]
-    else:
-        n = draw(st.integers(2, 8))
-        R = random_stochastic_irreducible(rng, n)
-    w = rng.uniform(0.5, 5.0, n)
-    if case == "zero_sum":
-        c = random_zero_sum(rng, n)
-    elif case == "critical":
-        x = w * rng.uniform(0.2, 0.8, n)
-        c = x - R.T @ x
-    elif case == "reducible":
-        c = reducible_demand(rng, R, w, unfed)
-    else:
-        c = rng.uniform(-1.5, 1.5, n)
-    spec = validate(NetworkSpec(routing=R, capacity=w, demand=c))
-    assert classify_routing(R).tag == TAGS.get(case, STOCHASTIC_IRREDUCIBLE)
-    return spec
-
+from conftest import networks
 
 def _assert_same_set(eq, ref, k, perm, tol):
     assert eq.kind == ref.kind
