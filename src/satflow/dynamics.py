@@ -206,11 +206,13 @@ def integrate(spec: NetworkSpec, x0: np.ndarray, cfg: IntegratorConfig | None = 
     are for one map per interval; runs, measured the same way from 0 and
     w, made integrate another 1.04-1.45x faster at n = 30, 50 and 64, and
     2.2x on the transient benchmark's n = 2-6 networks.  There (seed 61,
-    fastest of 30 rounds of its 120 calls, same VM) a call takes ~225 us:
-    0.45 map builds with their stacks ~54 us, 1.1 runs ~104 us, 0.12
-    intervals stage by stage ~27 us, and the call's own entry and blocks
-    ~41 us.  A run's cost is mostly its certificate, 5 n steps
-    comparisons per interval; a build's, one small matmul per power.
+    fastest of 40 rounds of its 120 calls, same VM) a call takes ~155 us:
+    0.45 map builds ~23 us and their stacks ~12 us, 1.1 runs ~72 us, 0.12
+    intervals stage by stage ~20 us, and the call's own entry and blocks
+    ~30 us.  A run that accepts 75 intervals at n = 5 takes ~64 us, of
+    which its certificate is ~31 us: the product with A' ~9 us, the
+    column extremes ~15 us and the floor check ~7 us.  A stack is one
+    small matmul per doubling, its overflow settled by one norm bound.
     """
     if cfg is None:
         cfg = IntegratorConfig()
