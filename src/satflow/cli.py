@@ -216,7 +216,8 @@ def _equilibrium_json(eq: equilibria.EquilibriumSet) -> dict:
 
 def cmd_equilibria(args) -> int:
     spec, _, _ = load_scenario(args.scenario)
-    eq = equilibria.equilibrium_set(spec)
+    # equilibrium_set's solver path on a network this thread does not keep: no later call here reads it
+    eq = equilibria._equilibrium(equilibria._classified(spec.routing, spec.capacity), spec.demand)
     sys.stdout.write(_json_text(_equilibrium_json(eq)) + "\n")
     return EXIT_OK
 

@@ -60,14 +60,20 @@ breakpoint fits the closed regions of the pieces on both sides of it
 (:func:`_outside`).  Both run on arrays of at most a few dozen numbers,
 where numpy's Python-level dispatch costs more than the arithmetic, so
 they call the ufunc reductions and np.count_nonzero directly: the same
-bits as .any(), .min() or .sum(), with less dispatch.  The cold pattern iteration above answers each sample
-that fails.  A path that crosses the critical set is walked outward from
-the crossing both ways, each way from the segment endpoint that its
-equilibria approach, with the cell that bounds the segment held, so it
-needs no cold answer to start: the way back runs along -dc at -t, which
-gives the same demands to the bit.  Its pieces enter the one certificate
-pass reversed, t0 and the direction negated, which is exact.  Only a path
-that does not cross starts from a cold answer.
+bits as .any(), .min() or .sum(), with less dispatch.  For the same
+reason a piece fills its three demands into one array, reads its region
+off the held values before the solve and fills its ratio test's array
+itself, and the walk hands back its answers as two arrays of rows, x_min
+and x_max, with no EquilibriumSet per sample; every step keeps its
+operands and their order, so every bit is kept.  The cold pattern
+iteration above answers each sample that fails.  A path that crosses
+the critical set is walked outward from the crossing both ways, each way
+from the segment endpoint that its equilibria approach, with the cell
+that bounds the segment held, so it needs no cold answer to start: the
+way back runs along -dc at -t, which gives the same demands to the bit.
+Its pieces enter the one certificate pass as they are, and the pass
+negates their t0 and direction once on its stacked arrays, which is
+exact.  Only a path that does not cross starts from a cold answer.
 
 For stochastic irreducible routing with zero-sum demand the full set of
 equilibria is known analytically: it is the line {Hc + a*pi} intersected
@@ -503,9 +509,9 @@ def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -
             dc, at = np.zeros(n), np.zeros(1)
             piece = _pattern_piece(net, c, dc, 0.0, Y[0], at)[0]
             if piece is not None:
-                ok, lows, highs = _certify(net, c, dc, at, [piece], np.zeros(1, dtype=int))
+                ok, X = _certify(net, c, dc, at, [piece], np.zeros(1, dtype=int))
                 if ok[0]:
-                    return EquilibriumSet(POINT, lows[0], highs[0], condition_value=condition_value)
+                    return EquilibriumSet(POINT, X[0], X[1], condition_value=condition_value)
         x = np.minimum(np.maximum(Y[rows], 0.0), w)  # np.clip, without its dispatch cost
         increments = np.add.reduce(np.abs(x - X[rows]), axis=1).tolist()
         X[rows] = x
@@ -527,11 +533,6 @@ def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -
     return EquilibriumSet(kind=POINT, x_min=x_min, x_max=x_max, condition_value=condition_value)
 
 
-#: the signs of a piece's columns (x, the mirrored w - x, the direction) on
-#: the same line walked the other way: only the direction turns
-_REVERSED = np.array([1.0, 1.0, -1.0])
-
-
 class _Piece(NamedTuple):
     """One saturation pattern's stretch of a walk: the closed region
     lo <= R'x + c <= hi of the pattern (:func:`_region`), and the columns of
@@ -544,17 +545,11 @@ class _Piece(NamedTuple):
     hi: np.ndarray
     held: np.ndarray
 
-    def reversed(self) -> "_Piece":
-        """The piece on the same line walked the other way, t -> -t: t0 and
-        dir negated, which is exact, so it gives the same x at each demand
-        to the bit."""
-        return _Piece(-self.t0, self.lo, self.hi, self.held * _REVERSED)
-
 
 class _Walk(NamedTuple):
     """A walk c0 + t*dc over ascending samples ts before its certificate:
     owner is the piece that covers each sample (-1 where answered cold),
-    and out the answers so far."""
+    and out the cold answers (None where a piece covers the sample)."""
 
     ts: np.ndarray
     pieces: list[_Piece]
@@ -562,9 +557,10 @@ class _Walk(NamedTuple):
     out: list[EquilibriumSet | None]
 
 
-def _points(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, crossing=None) -> list[EquilibriumSet]:
-    """The unique equilibria at the demands c0 + t*dc for ascending ts, all
-    of them walkable (:meth:`_Network.walkable`): walk the path first
+def _points(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, crossing=None) -> tuple[np.ndarray, np.ndarray]:
+    """x_min and x_max of the unique equilibria at the demands c0 + t*dc
+    for ascending ts, all of them walkable (:meth:`_Network.walkable`), as
+    two (len(ts), n) arrays with one row per sample: walk the path first
     (:func:`_walk`), then certify every walked sample in one pass
     (:func:`_certify`), and answer each sample it refuses cold (:func:`_point`).
 
@@ -575,12 +571,15 @@ def _points(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, crossing=None) ->
     endpoint that its equilibria approach (:func:`_endpoint_seed`), so
     neither walk needs the cold solver to start.  The samples up to t_star
     go backward, along -dc at -t (c0 + (-t)*(-dc) has the bits of
-    c0 + t*dc), and enter the certificate with their pieces reversed,
-    which changes no bit.  The certificate hands back its rows clamped
-    onto [0, w], all in one array, and each certified sample's answer
-    holds a row of it as x_min and one as x_max.
+    c0 + t*dc), and the certificate negates the t0 and the direction of
+    that walk's pieces on its stacked arrays, which changes no bit.  The
+    certified rows come clamped onto [0, w], as the cold answers do, whose
+    rows are copied in among them.
     """
     ts = np.asarray(ts, dtype=float)
+    m, n = ts.size, net.w.size
+    if not m:
+        return np.empty((0, n)), np.empty((0, n))
     split, walks = 0, []
     if crossing is not None:
         t_star, line = crossing
@@ -588,18 +587,29 @@ def _points(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, crossing=None) ->
     for sign, part in ((-1.0, ts[:split][::-1]), (1.0, ts[split:])):
         seed = None if crossing is None else (sign * t_star, _endpoint_seed(line, net.w, sign * dc))
         walks.append(_walk(net, c0, sign * dc, sign * part, seed))
-    # the samples of both walks in walk order, in the line's own t and on the line's pieces
-    out = walks[0].out + walks[1].out
-    line_ts = np.concatenate((-walks[0].ts, walks[1].ts))
-    owner = np.concatenate((walks[0].owner, np.where(walks[1].owner >= 0, walks[1].owner + len(walks[0].pieces), -1)))
-    pieces = [piece.reversed() for piece in walks[0].pieces] + walks[1].pieces
+    back, ahead = walks
+    # the samples of both walks in walk order, in the line's own t and on the line's pieces;
+    # rows j and m + j of X are x_min and x_max at walk sample j
+    line_ts = np.concatenate((-back.ts, ahead.ts))
+    owner = np.concatenate((back.owner, np.where(ahead.owner >= 0, ahead.owner + len(back.pieces), -1)))
     walked = (owner >= 0).nonzero()[0]
-    if walked.size:
-        ok, lows, highs = _certify(net, c0, dc, line_ts[walked], pieces, owner[walked])
-        # Python ints and bools: numpy scalars cost more to make and to test
-        for j, good, lo, hi in zip(walked.tolist(), ok.tolist(), lows, highs):
-            out[j] = EquilibriumSet(POINT, lo, hi) if good else _point(net, c0 + line_ts[j] * dc)
-    return out[:split][::-1] + out[split:]
+    pieces = back.pieces + ahead.pieces
+    if walked.size == m:  # no cold answer yet: the certified rows are all the rows
+        ok, X = _certify(net, c0, dc, line_ts, pieces, owner, len(back.pieces))
+    else:
+        X, ok = np.empty((2 * m, n)), np.zeros(0, dtype=bool)
+        for j, eq in enumerate(back.out + ahead.out):
+            if eq is not None:
+                X[j], X[m + j] = eq.x_min, eq.x_max
+        if walked.size:
+            ok, rows = _certify(net, c0, dc, line_ts[walked], pieces, owner[walked], len(back.pieces))
+            X[np.concatenate((walked, walked + m))] = rows
+    for j in walked[~ok].tolist():
+        eq = _point(net, c0 + line_ts[j] * dc)
+        X[j], X[m + j] = eq.x_min, eq.x_max
+    if split:  # the backward walk took the samples up to t_star in descending t
+        X = np.concatenate((X[:split][::-1], X[split:m], X[m:m + split][::-1], X[m + split:]))
+    return X[:m], X[m:]
 
 
 def _walk(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, seed: tuple[float, np.ndarray] | None) -> _Walk:
@@ -617,7 +627,8 @@ def _walk(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, seed: tuple[float, 
     """
     ts = np.asarray(ts, dtype=float)
     pieces: list[_Piece] = []
-    owner = np.full(ts.size, -1)
+    owner = np.empty(ts.size, dtype=int)
+    owner.fill(-1)
     out: list[EquilibriumSet | None] = [None] * ts.size
     i = restarts = 0
     while i < ts.size:
@@ -646,7 +657,9 @@ def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: 
     The pattern (Z = {y <= 0} at 0, U = {y >= w} at w, F the rest) gives
     x_F from (I - R'_FF) x_F = c_F + R'_FU w_U at t0; the same solve takes
     the mirrored system of w - x (Z at w, U at 0) and the direction dc_F
-    as further columns.  The pattern is taken as given, from a guess or a
+    as further columns.  The three demands are the rows of one (3, n)
+    array, c = c0 + t0*dc, mirror - c and dc, whose transpose the solve
+    takes.  The pattern is taken as given, from a guess or a
     known point (a segment endpoint, the last piece, a cold answer); a
     guess it does not fit at its own sample gives nothing, and the caller
     answers that sample cold.  On the piece x(t) = x(t0) + (t - t0)*dir on both
@@ -655,7 +668,8 @@ def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: 
     piece is skipped.
 
     y(t) = R'x(t) + c(t) is affine on the piece and must stay in the
-    pattern's closed region lo <= y <= hi (:func:`_region`), whose open
+    pattern's closed region lo <= y <= hi (:func:`_region`, read off the
+    held columns before the solve fills the free cells), whose open
     sides are -inf and inf.  A ratio test on it (that of parametric LCP and
     homotopy methods) gives the parameter at which each cell reaches the
     bound it moves toward (:func:`_leave`); a cell already outside the
@@ -671,17 +685,20 @@ def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: 
     # for .any() and .all() of a mask, without their dispatch cost
     if net.stochastic and np.count_nonzero(free) == free.size:
         return None, 0, None
-    c = c0 + t0 * dc
-    # column 0 is the system for x, column 1 the mirrored one for w - x, column 2 the direction
-    demands = np.array((c, net.mirror - c, dc)).T
+    # row 0 is the demand of the system for x, row 1 the mirrored one for w - x, row 2 the direction
+    demands = np.empty((3, w.size))
+    c = np.multiply(dc, t0, out=demands[0])
+    c += c0  # the bits of c0 + t0*dc
+    np.subtract(net.mirror, c, out=demands[1])
+    demands[2] = dc
     held = np.zeros((w.size, 3))
     np.multiply(w, cap, out=held[:, 0])
     np.multiply(w, zero, out=held[:, 1])
-    if not _solve_free(R_t, free, demands, held):
+    lo, hi = _region(zero, cap, w, held)
+    if not _solve_free(R_t, free, demands.T, held):
         return None, 0, None
     y = R_t @ held[:, 0] + c
     slope = R_t @ held[:, 2] + dc
-    lo, hi = _region(zero, cap, w)
     leave = _leave(y, slope, lo, hi)
     leave += t0
     # a cell outside its region (the seed's pattern is not re-read) leaves
@@ -701,12 +718,19 @@ def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: 
     return piece, covered, (t_next, y + (t_next - t0) * slope)
 
 
-def _region(zero: np.ndarray, cap: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _region(zero: np.ndarray, cap: np.ndarray, w: np.ndarray,
+            held: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The bounds lo <= y <= hi of the closed region of y = R'x + c in the
     pattern that holds zero at 0, cap at w and frees the rest: y <= 0 held
     at 0, y >= w held at w, 0 <= y <= w free, with -inf and inf on the
-    open sides.  For x that solves the pattern, y in it is exactly x = T(x)."""
-    return np.where(zero, -np.inf, np.where(cap, w, 0.0)), np.where(cap, np.inf, np.where(zero, 0.0, w))
+    open sides.  For x that solves the pattern, y in it is exactly x = T(x).
+    held holds the pattern's held values in its first two columns, w*cap
+    for x and w*zero for the mirrored w - x, as :func:`_pattern_piece`
+    fills them before its solve; lo is w*cap off zero and hi is
+    w - w*zero off cap, the bits of w or 0.0 (w > 0)."""
+    if held is None:
+        held = np.stack((w * cap, w * zero), axis=1)
+    return np.where(zero, -np.inf, held[:, 0]), np.where(cap, np.inf, w - held[:, 1])
 
 
 def _outside(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -720,24 +744,33 @@ def _leave(y: np.ndarray, slope: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> 
     and inf where that bound is open or the cell does not move.  From y
     outside the region the bound it moves toward may lie behind it, at a
     negative dt."""
-    return np.divide(np.where(slope > 0.0, hi, lo) - y, slope, out=np.full(y.shape, np.inf), where=slope != 0.0)
+    leave = np.empty(y.shape)
+    leave.fill(np.inf)  # np.full, without its dispatch cost
+    return np.divide(np.where(slope > 0.0, hi, lo) - y, slope, out=leave, where=slope != 0.0)
 
 
 def _certify(net: _Network, c0: np.ndarray, dc: np.ndarray, ts: np.ndarray, pieces: list[_Piece],
-             k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             k: np.ndarray, back: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Whether sample ts[j] on piece pieces[k[j]] is certified, and x_min,
-    x_max there clamped onto [0, w], one row per sample, in one vectorised
-    pass.
+    x_max there clamped onto [0, w]: rows j and m + j of one (2m, n) array
+    for m samples, in one vectorised pass.
 
-    A sample is accepted only if R'x_min + c is in the closed region of
-    the piece's pattern, both residuals ||T(x) - x||_1 are below
-    _FIXED_POINT_TOL and x_min, x_max agree within POINT_AGREEMENT_TOL,
-    each times max(1, |w|_inf).  The rows of x_min and x_max are the two
-    halves of one array, each step of the pass works in place on it or on
+    The first back pieces were walked backward, along -dc at -t: their t0
+    and direction are negated on the stacked arrays before the samples
+    take them, which is exact, so each gives the same x at its demand to
+    the bit as the line's own piece would.  A sample is accepted only if
+    R'x_min + c is in the closed region of the piece's pattern, both
+    residuals ||T(x) - x||_1 are below _FIXED_POINT_TOL and x_min, x_max
+    agree within POINT_AGREEMENT_TOL, each times max(1, |w|_inf).  Each
+    step of the pass works in place on the array of x_min and x_max or on
     R'x + c, and the clamp comes last, after every check.
     """
     R, w = net.R, net.w
-    t0, lo, hi, held = (np.array(column)[k] for column in zip(*pieces))
+    t0, lo, hi, held = (np.array(column) for column in zip(*pieces))
+    if back:
+        np.negative(t0[:back], out=t0[:back])
+        np.negative(held[:back, :, 2], out=held[:back, :, 2])
+    t0, lo, hi, held = t0[k], lo[k], hi[k], held[k]
     m = ts.size
     step = (ts - t0)[:, None] * held[:, :, 2]
     X = np.empty((2 * m, w.size))
@@ -761,7 +794,7 @@ def _certify(net: _Network, c0: np.ndarray, dc: np.ndarray, ts: np.ndarray, piec
     ok &= np.add.reduce(np.abs(X[m:] - X[:m]), axis=1) <= POINT_AGREEMENT_TOL * scale
     np.maximum(X, 0.0, out=X)
     np.minimum(X, w, out=X)
-    return ok, X[:m], X[m:]
+    return ok, X
 
 
 def _endpoint_seed(line, w: np.ndarray, dc: np.ndarray) -> np.ndarray:

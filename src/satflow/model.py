@@ -284,10 +284,11 @@ def _closed_subset(adj: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]
     From ``start``, move to a reachable cell that does not reach back until
     every reachable cell reaches back; each move shrinks the reachable set.
     """
-    cells = np.arange(adj.shape[0])
     i = start
     while True:
-        reached, reaching = _reached(adj, cells == i), _reached(adj.T, cells == i)
+        cell = np.zeros(adj.shape[0], dtype=bool)
+        cell[i] = True
+        reached, reaching = _reached(adj, cell), _reached(adj.T, cell)
         escape = reached & ~reaching
         if not np.count_nonzero(escape):
             return reached, reaching
@@ -343,7 +344,10 @@ def _pi_and_h(R: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     M = 1.0 - R
     M.flat[:: n + 1] += 1.0
     M = M.T
-    sol = np.linalg.solve(M, np.column_stack([np.ones(n), v]))
+    b = np.empty((n, 2))  # the right-hand sides [1, v]
+    b[:, 0] = 1.0
+    b[:, 1] = v
+    sol = np.linalg.solve(M, b)
     pi = sol[:, 0] / np.add.reduce(sol[:, 0])
     hv = sol[:, 1]
     residual = np.add.reduce(np.abs(pi - R.T @ pi))

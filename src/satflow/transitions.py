@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .equilibria import (
+    POINT,
     SEGMENT,
-    EquilibriumSet,
     _class_demands,
     _equilibrium,
     _line,
@@ -223,17 +223,17 @@ def sweep(R: np.ndarray, w: np.ndarray, path: DemandPath) -> SweepResult:
                 [(0.0, line)] if lo <= 0.0 and hi >= 1.0 else [])
 
     cs = path.c_start + grid[:, None] * dc  # one row per sample, the bits of path.c_at
-    eqs: list[EquilibriumSet | None] = [None] * grid.size
+    ss = grid.tolist()
+    rows: list[SweepRow | None] = [None] * grid.size
     walkable = net.walkable_rows(cs)  # the samples with a unique equilibrium off the zero-sum hyperplane
     for i in (~walkable).nonzero()[0].tolist():
-        eqs[i] = _equilibrium(net, cs[i])
+        eq = _equilibrium(net, cs[i])
+        rows[i] = SweepRow(ss[i], cs[i], eq.kind, eq.x_min, eq.x_max, eq.condition_value, eq.kind == SEGMENT)
     walked = walkable.nonzero()[0]
     # a crossing path is walked outward from s*, both ways; any other from its first sample, answered cold
-    for i, eq in zip(walked.tolist(), _points(net, path.c_start, dc, grid[walked], crossing)):
-        eqs[i] = eq
-    rows = [SweepRow(s=s, c=c, kind=eq.kind, x_min=eq.x_min, x_max=eq.x_max,
-                     condition_value=eq.condition_value, on_manifold=eq.kind == SEGMENT)
-            for s, c, eq in zip(grid.tolist(), cs, eqs)]
+    lows, highs = _points(net, path.c_start, dc, grid[walked], crossing)
+    for i, x_min, x_max in zip(walked.tolist(), lows, highs):
+        rows[i] = SweepRow(ss[i], cs[i], POINT, x_min, x_max, None, False)
     # one mask over the sample pairs: kind changes that no critical point explains and,
     # on reducible routing (every row MinMaxOnly), sign changes of a closed class's total demand
     unresolved = np.array([row.kind != nxt.kind for row, nxt in zip(rows, rows[1:])])
@@ -319,6 +319,6 @@ def directional_limits(
     # t = -eps below c_star and +eps above it, ascending: c_star + (-eps)*d
     # has the bits of c_star - eps*d
     m = len(eps_list)
-    points = _points(net, c, d, [-eps for eps in eps_list] + eps_list[::-1], (0.0, line))
-    table = [(eps, lo.x_min, hi.x_min) for eps, lo, hi in zip(eps_list, points[:m], points[m:][::-1])]
+    lows, _ = _points(net, c, d, [-eps for eps in eps_list] + eps_list[::-1], (0.0, line))
+    table = list(zip(eps_list, lows[:m], lows[m:][::-1]))
     return DirectionalLimits(from_below=table[-1][1], from_above=table[-1][2], table=table)

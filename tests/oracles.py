@@ -1,12 +1,17 @@
 """Independent reference implementations used only by the tests: an
 entrywise clamp, the unsaturated field, the averaged power series of H, a
 stage-by-stage RK4 integrator, a run of interval maps certified row by
-row and a stack of powers checked at every doubling, and the ratio test
-and region check of a saturation pattern stated on its masks."""
+row and a stack of powers checked at every doubling, the ratio test
+and region check of a saturation pattern stated on its masks, and the
+pattern walk of a demand path stated plainly: one pattern piece built as
+its formula reads and one certificate pass over pieces reversed one by
+one."""
+
+from typing import NamedTuple
 
 import numpy as np
 
-from satflow import dynamics
+from satflow import dynamics, equilibria
 from satflow.errors import NumericalError
 
 
@@ -166,3 +171,123 @@ def pattern_outside(y, zero, cap, w):
     y < w held at w, y outside [0, w] free.  Rows of y may take rows of
     zero and cap."""
     return np.where(zero, y > 0, y < 0) | np.where(cap, y < w, y > w)
+
+
+class Piece(NamedTuple):
+    """t0, the region bounds lo <= R'x + c <= hi and the solve's columns
+    held (x, the mirrored w - x, the direction), as equilibria._Piece."""
+
+    t0: float
+    lo: np.ndarray
+    hi: np.ndarray
+    held: np.ndarray
+
+    def reversed(self):
+        """The piece on the same line walked the other way, t -> -t."""
+        return Piece(-self.t0, self.lo, self.hi, self.held * np.array([1.0, 1.0, -1.0]))
+
+
+def pattern_piece(net, c0, dc, t0, y, ts):
+    """equilibria._pattern_piece as its formula reads: the three demands
+    stacked by np.array, the region by nested np.where on the masks, the
+    ratio test into np.full, the same free-cell solve."""
+    R_t, w = net.R.T, net.w
+    zero, cap = y <= 0.0, y >= w
+    free = ~(zero | cap)
+    if net.stochastic and free.all():
+        return None, 0, None
+    c = c0 + t0 * dc
+    demands = np.array((c, net.mirror - c, dc)).T
+    held = np.zeros((w.size, 3))
+    held[:, 0] = w * cap
+    held[:, 1] = w * zero
+    if not equilibria._solve_free(R_t, free, demands, held):
+        return None, 0, None
+    y = R_t @ held[:, 0] + c
+    slope = R_t @ held[:, 2] + dc
+    lo = np.where(zero, -np.inf, np.where(cap, w, 0.0))
+    hi = np.where(cap, np.inf, np.where(zero, 0.0, w))
+    leave = np.divide(np.where(slope > 0.0, hi, lo) - y, slope, out=np.full(y.shape, np.inf), where=slope != 0.0)
+    leave += t0
+    outside = (y < lo) | (y > hi)
+    if outside.any():
+        if ts[0] == t0:
+            return None, 0, None
+        later = y + (ts[0] - t0) * slope
+        leave[outside & ((later < lo) | (later > hi))] = t0
+    first = leave.min()
+    piece = Piece(t0, lo, hi, held)
+    covered = int(ts.searchsorted(first, side="right"))
+    if covered == ts.size:
+        return piece, covered, None
+    t_next = 0.5 * (first + min(leave[leave > first].min(initial=np.inf), ts[covered]))
+    return piece, covered, (t_next, y + (t_next - t0) * slope)
+
+
+def walk(net, c0, dc, ts, seed):
+    """equilibria._walk on pattern_piece: (pieces, owner, cold answers)."""
+    ts = np.asarray(ts, dtype=float)
+    pieces, owner, out = [], np.full(ts.size, -1), [None] * ts.size
+    i = restarts = 0
+    while i < ts.size:
+        if seed is not None and restarts <= 2 * net.w.size:
+            piece, covered, seed = pattern_piece(net, c0, dc, *seed, ts[i:])
+            if piece is not None:
+                owner[i:i + covered] = len(pieces)
+                pieces.append(piece)
+                i += covered
+                restarts = 0 if covered else restarts + 1
+            continue
+        c = c0 + ts[i] * dc
+        out[i] = equilibria._point(net, c)
+        seed, restarts = (ts[i], net.R.T @ out[i].x_min + c), 0
+        i += 1
+    return pieces, owner, out
+
+
+def certify(net, c0, dc, ts, pieces, k):
+    """equilibria._certify on pieces already on the line's own t: whether
+    each sample is certified, and its x_min and x_max clamped onto [0, w]."""
+    R, w = net.R, net.w
+    t0, lo, hi, held = (np.array(column)[k] for column in zip(*pieces))
+    m = ts.size
+    step = (ts - t0)[:, None] * held[:, :, 2]
+    X = np.concatenate((held[:, :, 0] + step, (w - held[:, :, 1]) + step))
+    C = c0 + ts[:, None] * dc
+    Y = X @ R
+    Y[:m] += C
+    Y[m:] += C
+    ok = ~((Y[:m] < lo) | (Y[:m] > hi)).any(axis=1)
+    scale = max(1.0, float(w.max()))
+    residual = np.abs(np.minimum(np.maximum(Y, 0.0), w) - X).sum(axis=1)
+    tol = equilibria._FIXED_POINT_TOL * scale
+    ok &= (residual[:m] < tol) & (residual[m:] < tol)
+    ok &= np.abs(X[m:] - X[:m]).sum(axis=1) <= equilibria.POINT_AGREEMENT_TOL * scale
+    X = np.minimum(np.maximum(X, 0.0), w)
+    return ok, X[:m], X[m:]
+
+
+def walked_points(net, c0, dc, ts, crossing=None):
+    """equilibria._points as (x_min, x_max) pairs, one per sample of the
+    ascending ts: the backward walk's pieces reversed one by one before
+    the one certificate pass, and each refused sample answered cold."""
+    ts = np.asarray(ts, dtype=float)
+    split, walks = 0, []
+    if crossing is not None:
+        t_star, line = crossing
+        split = int(ts.searchsorted(t_star, side="right"))
+    for sign, part in ((-1.0, ts[:split][::-1]), (1.0, ts[split:])):
+        seed = None if crossing is None else (sign * t_star, equilibria._endpoint_seed(line, net.w, sign * dc))
+        walks.append(walk(net, c0, sign * dc, sign * part, seed))
+    (back, back_owner, back_out), (ahead, ahead_owner, ahead_out) = walks
+    out = [None if eq is None else (eq.x_min, eq.x_max) for eq in back_out + ahead_out]
+    line_ts = np.concatenate((ts[:split][::-1], ts[split:]))  # -(-t) is t, to the bit
+    owner = np.concatenate((back_owner, np.where(ahead_owner >= 0, ahead_owner + len(back), -1)))
+    walked = np.flatnonzero(owner >= 0)
+    if walked.size:
+        pieces = [piece.reversed() for piece in back] + ahead
+        ok, lows, highs = certify(net, c0, dc, line_ts[walked], pieces, owner[walked])
+        for j, good, lo, hi in zip(walked, ok, lows, highs):
+            eq = None if good else equilibria._point(net, c0 + line_ts[j] * dc)
+            out[j] = (lo, hi) if good else (eq.x_min, eq.x_max)
+    return out[:split][::-1] + out[split:]

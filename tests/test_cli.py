@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from satflow import cli
+from satflow import cli, equilibria
 from satflow.cli import _json_text, load_scenario, main, sidecar_path_for
 from satflow.errors import ScenarioError
 
@@ -381,6 +381,18 @@ class TestEquilibria:
         # MinMaxOnly carries no line data: the segment of class {2, 3} is the gap between the ends
         assert report == {"kind": "MinMaxOnly", "x_min": [1.0, 0.0, 0.0, 0.0, 0.0],
                           "x_max": [1.0, 1.0, 1.0, 0.0, 0.0]}
+
+    @pytest.mark.parametrize("kept", [False, True], ids=["nothing_kept", "another_network_kept"])
+    def test_leaves_the_kept_network_as_it_found_it(self, capsys, scenario2, scenario3, kept):
+        # the command answers without keeping its network: the thread's slot
+        # holds what it held before, here nothing or the two-cell network
+        if kept:
+            equilibria.equilibrium_set(load_scenario(scenario2)[0])
+        before = dict(vars(equilibria._last))
+        code, out = run(capsys, ["equilibria", scenario3])
+        assert code == 0 and json.loads(out)["kind"] == "Segment"
+        assert vars(equilibria._last).keys() == before.keys()
+        assert all(vars(equilibria._last)[key] is value for key, value in before.items())
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,41 @@ class TestDirectionalLimits:
         assert np.all(lim.from_below >= eq.x_min - 1e-2)
         assert np.all(lim.from_above <= eq.x_max + 1e-2)
 
+    @pytest.mark.parametrize("d", [[1 / 3, 0.0, 2 / 3], [1.0, 1.0, 1.0], [0.5, -0.2, 1.0], [0.0, 1.0, 0.0],
+                                   [2.0, -1.0, 0.5]])
+    def test_limits_approach_the_exact_segment_ends_linearly(self, d):
+        # at C3 the segment's ends are XMAX3 = (60, 148, 200)/37, cell 2 at
+        # w, and XMIN3 = (12, 0, 40)/37, cell 2 at 0, cells 1 and 3 free on
+        # both; near them the equilibrium keeps that pattern, so
+        # x(+eps) = XMAX3 + eps*v and x(-eps) = XMIN3 - eps*v, with v_2 = 0
+        # and (I - R'_FF) v_F = d_F on F = {1, 3}, in exact rationals.  The
+        # worst of 505 directions at these epsilons was 2 ulp of |w|_inf = 6
+        # from the exact x and 1.5 ulp/eps between the slopes (x - XMAX3)/eps;
+        # the bounds are 8 and 6
+        d = np.array(d)
+        q = [Fraction(v) for v in d.tolist()]
+        r13, r31 = Fraction(1, 4), Fraction(3, 10)  # R3[0, 2] and R3[2, 0]
+        det = 1 - r13 * r31
+        v = [(q[0] + r31 * q[2]) / det, Fraction(0), (q[2] + r13 * q[0]) / det]
+        x_min = [Fraction(12, 37), Fraction(0), Fraction(40, 37)]
+        x_max = [Fraction(60, 37), Fraction(4), Fraction(200, 37)]
+        ulp = np.spacing(W3.max())
+        lim = directional_limits(R3, W3, C3, d, epsilons=(1e-3, 1e-5, 1e-7))
+        slopes = {1: [], 2: []}
+        for eps, below, above in lim.table:
+            e = Fraction(eps)
+            for side, x, ends, sign in ((1, below, x_min, -1), (2, above, x_max, 1)):
+                exact = np.array([float(end + sign * e * vi) for end, vi in zip(ends, v)])
+                assert np.abs(x - exact).max() <= 8 * ulp
+                slopes[side].append(((x - np.array([float(end) for end in ends])) / eps, eps))
+        for side in slopes:
+            first = slopes[side][0][0]
+            for slope, eps in slopes[side][1:]:
+                assert np.abs(slope - first).max() <= 6 * ulp / eps
+        # at eps = 1e-7 the limits are 1e-7 of the jump 356/37 from the ends
+        assert np.abs(lim.from_above - np.array([float(e) for e in x_max])).sum() < 1e-6
+        assert np.abs(lim.from_below - np.array([float(e) for e in x_min])).sum() < 1e-6
+
     def test_uniform_direction_ordering(self):
         lim = directional_limits(R3, W3, C_STAR, np.ones(3))
         assert np.all(lim.from_below <= lim.from_above + 1e-10)
@@ -607,15 +643,15 @@ class TestContinuation:
         del calls[:]
         real_certify, passes, demands = equilibria._certify, [], set()
 
-        def certify(net, c0, dc, ts, pieces, k):
-            ok, lows, highs = real_certify(net, c0, dc, ts, pieces, k)
+        def certify(net, c0, dc, ts, pieces, k, back=0):
+            ok, X = real_certify(net, c0, dc, ts, pieces, k, back)
             if calls.depth:
-                return ok, lows, highs  # a cold _point's own piece, not the walk's pass
+                return ok, X  # a cold _point's own piece, not the walk's pass
             out = _REFUSED[refuse](ts, k)
             passes.append(ts.size)
             demands.update(c.tobytes() for c in c0 + ts[out, None] * dc)
             ok[out] = False
-            return ok, lows, highs
+            return ok, X
 
         monkeypatch.setattr(equilibria, "_certify", certify)
         rows = sweep(R, w, path).rows
@@ -670,9 +706,9 @@ class TestContinuation:
         line = transitions._critical_line(net, C_STAR)
         for side, sign in ((1, -1.0), (2, 1.0)):
             # every sample past the crossing at t = 0: one walk, forward from its endpoint
-            points = equilibria._points(net, C_STAR, sign * d, sorted(eps), (0.0, line))
-            for row, eq in zip(lim.table, points[::-1]):
-                assert row[side].tobytes() == eq.x_min.tobytes()
+            lows, _ = equilibria._points(net, C_STAR, sign * d, sorted(eps), (0.0, line))
+            for row, x_min in zip(lim.table, lows[::-1]):
+                assert row[side].tobytes() == x_min.tobytes()
 
     @pytest.mark.parametrize("c_end, samples, walk", [
         (0.75, 3, ["_point", "_pattern_piece", "_pattern_piece"]),
