@@ -12,9 +12,12 @@ covered count, every next seed and every row must agree bit for bit, on
 random patterns and on the ones that end a piece early: a stochastic
 pattern with every cell free, a guess that does not fit its own sample,
 cells outside their region, a singular free block, and cells exactly on
-their bounds.  The examples come from the loaded Hypothesis profile (see
+their bounds; and on walks whose certificate refuses samples or whose
+pieces give up, so that samples are answered cold.  The examples come from the loaded Hypothesis profile (see
 conftest.py).
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -111,42 +114,39 @@ def test_each_piece_case_has_its_feature(monkeypatch, case):
         elif case in ("guess_fails", "singular"):
             assert piece is None and solves == [1]
         elif case == "outside":
-            assert covered == 0 and np.all(R_x_plus_c(net, c0, dc, t0, piece) > piece.hi)
+            assert covered == 0 and np.all(_y_at(net, c0, dc, t0, piece) > piece.hi)
         elif case == "on_bounds":
             assert np.count_nonzero((y == 0.0) | (y == net.w))
     if case in ("random", "on_bounds"):
         assert 0 < pieces < 100
 
 
-def R_x_plus_c(net, c0, dc, t, piece):
+def _y_at(net, c0, dc, t, piece):
     """R'x + c at t on a piece, as its columns give it."""
     x = piece.held[:, 0] + (t - piece.t0) * piece.held[:, 2]
     return net.R.T @ x + (c0 + t * dc)
 
 
-@st.composite
-def walks(draw):
-    """(net, c0, dc, ts, crossing) of one call of _points: a stochastic
-    irreducible network with a line through a critical c* = (I - R')x,
-    walked outward from it (crossing at t_star between or beside the
-    samples), or any network with unique equilibria walked from its first
-    sample, answered cold."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    crossing = draw(st.booleans())
-    stochastic = crossing or draw(st.booleans())
-    n = draw(st.integers(2 if stochastic else 1, 8))
+def _walk_case(rng, crossing):
+    """(net, c0, dc, ts, crossing) of one call of _points: with crossing, a
+    stochastic irreducible network with a line through a critical
+    c* = (I - R')x, walked outward from it (t_star = 0 between or beside
+    the samples); else any network with unique equilibria, walked from its
+    first sample, answered cold."""
+    stochastic = crossing or rng.random() < 0.5
+    n = int(rng.integers(2 if stochastic else 1, 9))
     R = random_stochastic_irreducible(rng, n) if stochastic else random_substochastic(rng, n, 0.05, 1.0)
     w = rng.uniform(0.5, 5.0, n)
     net = equilibria._network(R, w)
-    m = draw(st.integers(1, 25))
+    m = int(rng.integers(1, 26))
     if crossing:
         x = w * rng.uniform(0.2, 0.8, n)
         c_star = x - R.T @ x
         dc = rng.uniform(-0.3, 1.0, n)
         dc[0] += abs(dc.sum()) + 0.1
-        if draw(st.booleans()):
+        if rng.random() < 0.5:
             dc = -dc
-        ts = np.sort(rng.uniform(-2.0, 2.0, m) * draw(st.sampled_from([1e-6, 1e-2, 1.0])))
+        ts = np.sort(rng.uniform(-2.0, 2.0, m) * rng.choice([1e-6, 1e-2, 1.0]))
         ts = ts[ts != 0.0]  # c* itself is zero-sum, not walkable
         return net, c_star, dc, ts, (0.0, equilibria._line(net, c_star))
     c0 = rng.uniform(-1.5, 1.5, n)
@@ -154,12 +154,12 @@ def walks(draw):
         c0[0] += abs(c0.sum()) + 0.1  # off the zero-sum hyperplane all along the path
     dc = rng.uniform(-1.0, 1.0, n)
     dc[0] = abs(dc[0]) + abs(dc.sum())
-    return net, c0, dc, np.linspace(0.0, draw(st.sampled_from([0.5, 2.0, 8.0])), m), None
+    return net, c0, dc, np.linspace(0.0, rng.choice([0.5, 2.0, 8.0]), m), None
 
 
 def _refusing(certify, every):
-    """certify with every sample at a position in its pass divisible by
-    every refused (never, for every = 0)."""
+    """certify, refusing the samples at positions 0, every, 2*every, ... of
+    each pass (none for every = 0)."""
     def refused(*args):
         ok, *rows = certify(*args)
         if every:
@@ -168,20 +168,69 @@ def _refusing(certify, every):
     return refused
 
 
-@given(walks(), st.sampled_from([0, 0, 3]))
-def test_points_keep_the_bits_of_the_walk_as_stated(walk, every):
-    # every refused sample is answered cold in both, by the same _point
+def _giving_up(every):
+    """A wrapper for pattern-piece functions that share one count of calls:
+    each wrapped function gives up, as a piece whose pattern gives nothing
+    does, on the calls numbered every, 2*every, ... (none for every = 0),
+    so that its walk answers that sample cold and goes on."""
+    calls = itertools.count(1)
+
+    def wrap(piece):
+        def gave_up(*args):
+            if every and next(calls) % every == 0:
+                return None, 0, None
+            return piece(*args)
+        return gave_up
+    return wrap
+
+
+def _outcome(points, *args):
+    """What points(*args) returns, or the message of its NumericalError."""
+    try:
+        return points(*args)
+    except NumericalError as error:
+        return str(error)
+
+
+def _assert_points_keep_their_bits(walk, every, give_up):
+    """_points and oracles.walked_points give the same rows bit for bit, or
+    the same NumericalError, with the certificate refusing samples and the
+    pieces giving up as _refusing and _giving_up say.  The pieces give up
+    on the same calls in both, counted over the walks and the cold answers
+    alike, and every such sample is answered cold by the same _point."""
     net, c0, dc, ts, crossing = walk
+    piece = equilibria._pattern_piece
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(equilibria, "_certify", _refusing(equilibria._certify, every))
         mp.setattr(oracles, "certify", _refusing(oracles.certify, every))
-        try:
-            lows, highs = equilibria._points(net, c0, dc, ts, crossing)
-        except NumericalError as error:
-            with pytest.raises(NumericalError, match=str(error)):
-                oracles.walked_points(net, c0, dc, ts, crossing)
-            return
-        want = oracles.walked_points(net, c0, dc, ts, crossing)
+        mp.setattr(equilibria, "_pattern_piece", _giving_up(give_up)(piece))
+        got = _outcome(equilibria._points, net, c0, dc, ts, crossing)
+        wrap = _giving_up(give_up)
+        mp.setattr(equilibria, "_pattern_piece", wrap(piece))
+        mp.setattr(oracles, "pattern_piece", wrap(oracles.pattern_piece))
+        want = _outcome(oracles.walked_points, net, c0, dc, ts, crossing)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    lows, highs = got
     assert lows.shape == highs.shape == (ts.size, net.w.size)
     for x_min, x_max, (want_min, want_max) in zip(lows, highs, want):
         assert _same_bits(x_min, want_min) and _same_bits(x_max, want_max)
+
+
+@given(st.booleans(), st.integers(0, 2**32 - 1), st.sampled_from([0, 0, 3]), st.sampled_from([0, 0, 2]))
+def test_points_keep_the_bits_of_the_walk_as_stated(crossing, seed, every, give_up):
+    _assert_points_keep_their_bits(_walk_case(np.random.default_rng(seed), crossing), every, give_up)
+
+
+def test_crossing_walks_with_cold_samples_keep_their_bits(monkeypatch):
+    # a crossing walk whose pieces give up answers samples cold on both
+    # sides of the crossing, so its certificate takes the walked samples
+    # alone, the backward walk's pieces among them
+    cold = []
+    real = equilibria._point
+    monkeypatch.setattr(equilibria, "_point", lambda *a, **k: cold.append(1) or real(*a, **k))
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        _assert_points_keep_their_bits(_walk_case(rng, True), 0, 2)
+    assert len(cold) > 30
