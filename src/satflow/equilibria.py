@@ -14,9 +14,11 @@ U = {R'x + c >= w} at w, the rest free), every equilibrium has it, and one
 solve of the free cells gives it exactly: a pattern piece, certified as a
 walked sample is (below).  A pattern that fails its solve or its
 certificate is not tried again.  Where the patterns never agree, as where
-R'x + c is exactly 0 or w on a cell at the equilibrium, a side stops when
-its increment does; if it converges, that is the answer.  A side still
-moving after n steps holds at a subsolution x <= T(x), from which it
+R'x + c is exactly 0 or w on a cell at the equilibrium, both sides step
+on until neither moves or n steps pass; T is l1-nonexpansive, since the
+column sums of R' are the row sums of R, at most 1, so a side's
+increments never grow, and a side that has stopped is its answer.  A side
+still moving after n steps holds at a subsolution x <= T(x), from which it
 climbs: the cells with (R'x + c)_i <= 0 are held at 0 and Howard's policy
 iteration solves the one-obstacle problem v = min(w, R'v + c) on the rest:
 a policy is the set of cells at w, and the free cells F solve one linear
@@ -42,7 +44,7 @@ network also keeps the line data of the last zero-sum demand solved on it
 (:func:`_line`), so the limits at a sweep's jump solve no line of their own.
 Where the class makes the equilibrium unique, sub-stochastic out-connected
 routing or stochastic irreducible routing off the zero-sum hyperplane (one
-rule, :meth:`_Network.walkable`), such a caller walks an affine demand
+rule, :meth:`_Network.walkable_rows`), such a caller walks an affine demand
 path c0 + t*dc first, one saturation pattern at a time, and then certifies
 it once (:func:`_points`).  The equilibrium is affine in t while its
 pattern (Z = {R'x + c <= 0} at 0, U = {R'x + c >= w} at w, the rest free)
@@ -243,11 +245,6 @@ class _Network(NamedTuple):
             mirror = self.memo["mirror"] = self.w - self.R.T @ self.w
         return mirror
 
-    def walkable(self, c: np.ndarray) -> bool:
-        """True iff the equilibrium at c is unique and walkable: the one-row
-        case of :meth:`walkable_rows`, so that both always decide alike."""
-        return bool(self.walkable_rows(c[None])[0])
-
     def walkable_rows(self, C: np.ndarray) -> np.ndarray:
         """Whether the equilibrium at each row c of C is unique and walkable,
         in one pass: sub-stochastic out-connected routing, or stochastic
@@ -395,7 +392,7 @@ def equilibrium_set(spec: NetworkSpec) -> EquilibriumSet:
 
 def _equilibrium(net: _Network, c: np.ndarray) -> EquilibriumSet:
     """:func:`equilibrium_set` at demand c on a classified network."""
-    if net.walkable(c):
+    if net.walkable_rows(c[None])[0]:
         return _point(net, c)
     return _on_hyperplane(net, c) if net.stochastic else _decomposed(net, c)
 
@@ -486,11 +483,13 @@ def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -
     piece of a walk with dc = 0 at its one sample t = 0
     (:func:`_pattern_piece`), certified as a walked sample is
     (:func:`_certify`), whose clamped rows answer.  A pattern whose solve or
-    certificate fails is not tried again, and the steps go on.  A side
-    whose increment falls below 1e-12 |w|_inf stops there, and a side still
-    moving after n steps climbs from its iterate (:func:`_end`).  The two
-    ends must then agree within POINT_AGREEMENT_TOL before they are
-    clamped onto [0, w].
+    certificate fails is not tried again, and the steps go on, both rows
+    in every step, until the l1 increments of both fall below
+    1e-12 |w|_inf or n steps pass.  Then each side still moving climbs from
+    its iterate to the least fixed point of its map (:func:`_climb`), and
+    each side is certified by its residual ||T(x) - x||_1 in x, the
+    mirrored one as w minus its row.  The two ends must then agree within
+    POINT_AGREEMENT_TOL before the block of both is clamped onto [0, w].
     """
     R, w, n = net.R, net.w, net.w.size
     B = np.array((c, net.mirror - c))
@@ -498,39 +497,44 @@ def _point(net: _Network, c: np.ndarray, condition_value: float | None = None) -
     # relative to |w|_inf with no floor: an absolute increment would stop
     # the warm-up of a network with small capacities far from its limit
     tol = 1e-12 * float(w.max())
-    steps, moving, tried = [n, n], [True, True], set()
-    rows = slice(0, 2)  # the sides still moving, as one block of rows
+    tried = set()
     for step in range(1, n + 1):
-        np.matmul(X[rows], R, out=Y[rows])
-        Y[rows] += B[rows]
+        np.matmul(X, R, out=Y)
+        Y += B
         pattern = _agreement(Y, w)
         if pattern is not None and pattern not in tried:
             tried.add(pattern)
             dc, at = np.zeros(n), np.zeros(1)
             piece = _pattern_piece(net, c, dc, 0.0, Y[0], at)[0]
             if piece is not None:
-                ok, X = _certify(net, c, dc, at, [piece], np.zeros(1, dtype=int))
+                ok, rows = _certify(net, c, dc, at, [piece], np.zeros(1, dtype=int))
                 if ok[0]:
-                    return EquilibriumSet(POINT, X[0], X[1], condition_value=condition_value)
-        x = np.minimum(np.maximum(Y[rows], 0.0), w)  # np.clip, without its dispatch cost
-        increments = np.add.reduce(np.abs(x - X[rows]), axis=1).tolist()
-        X[rows] = x
-        for side, increment in zip(range(rows.start, rows.stop), increments):
-            if increment < tol:
-                steps[side], moving[side] = step, False
-        live = [side for side in (0, 1) if moving[side]]
-        if not live:
+                    return EquilibriumSet(POINT, rows[0], rows[1], condition_value=condition_value)
+        x = np.minimum(np.maximum(Y, 0.0), w)  # np.clip, without its dispatch cost
+        moving = (~(np.add.reduce(np.abs(x - X), axis=1) < tol)).tolist()
+        X = x
+        if not any(moving):
             break
-        rows = slice(live[0], live[-1] + 1)
-    x_min = _end(net, c, 0, X[0], steps[0], moving[0])
-    x_max = _end(net, c, 1, X[1], steps[1], moving[1])
-    gap = float(np.abs(x_max - x_min).sum())
-    bound = POINT_AGREEMENT_TOL * tolerance_scale(net.w)
+    scale = tolerance_scale(w)
+    bound = _FIXED_POINT_TOL * scale
+    for side in (0, 1):
+        rounds = solves = 0
+        if moving[side]:
+            X[side], rounds, solves = _climb(net, B[side], X[side])
+        if side:
+            X[1] = w - X[1]
+        residual = float(np.abs(np.clip(R.T @ X[side] + c, 0.0, w) - X[side]).sum())
+        if not residual < bound:
+            raise NumericalError(
+                f"x_{('min', 'max')[side]} residual {residual:.3g} not within {bound:.3g} after {step} "
+                f"Picard steps, {rounds} pattern rounds and {solves} linear solves"
+            )
+    gap = float(np.abs(X[1] - X[0]).sum())
+    bound = POINT_AGREEMENT_TOL * scale
     if gap > bound:
         raise NumericalError(f"unique equilibrium: x_min and x_max disagree by {gap:.3g}, not within {bound:.3g}")
-    for x in (x_min, x_max):
-        np.minimum(np.maximum(x, 0.0, out=x), net.w, out=x)
-    return EquilibriumSet(kind=POINT, x_min=x_min, x_max=x_max, condition_value=condition_value)
+    np.minimum(np.maximum(X, 0.0, out=X), w, out=X)
+    return EquilibriumSet(kind=POINT, x_min=X[0], x_max=X[1], condition_value=condition_value)
 
 
 class _Piece(NamedTuple):
@@ -559,7 +563,7 @@ class _Walk(NamedTuple):
 
 def _points(net: _Network, c0: np.ndarray, dc: np.ndarray, ts, crossing=None) -> tuple[np.ndarray, np.ndarray]:
     """x_min and x_max of the unique equilibria at the demands c0 + t*dc
-    for ascending ts, all of them walkable (:meth:`_Network.walkable`), as
+    for ascending ts, all of them walkable (:meth:`_Network.walkable_rows`), as
     two (len(ts), n) arrays with one row per sample: walk the path first
     (:func:`_walk`), then certify every walked sample in one pass
     (:func:`_certify`), and answer each sample it refuses cold (:func:`_point`).
@@ -718,8 +722,7 @@ def _pattern_piece(net: _Network, c0: np.ndarray, dc: np.ndarray, t0: float, y: 
     return piece, covered, (t_next, y + (t_next - t0) * slope)
 
 
-def _region(zero: np.ndarray, cap: np.ndarray, w: np.ndarray,
-            held: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _region(zero: np.ndarray, cap: np.ndarray, w: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The bounds lo <= y <= hi of the closed region of y = R'x + c in the
     pattern that holds zero at 0, cap at w and frees the rest: y <= 0 held
     at 0, y >= w held at w, 0 <= y <= w free, with -inf and inf on the
@@ -728,8 +731,6 @@ def _region(zero: np.ndarray, cap: np.ndarray, w: np.ndarray,
     for x and w*zero for the mirrored w - x, as :func:`_pattern_piece`
     fills them before its solve; lo is w*cap off zero and hi is
     w - w*zero off cap, the bits of w or 0.0 (w > 0)."""
-    if held is None:
-        held = np.stack((w * cap, w * zero), axis=1)
     return np.where(zero, -np.inf, held[:, 0]), np.where(cap, np.inf, w - held[:, 1])
 
 
@@ -834,28 +835,6 @@ def _agreement(Y: np.ndarray, w: np.ndarray) -> bytes | None:
     if np.count_nonzero(cap != (Y[1] <= 0.0)):
         return None
     return zero.tobytes() + cap.tobytes()
-
-
-def _end(net: _Network, c: np.ndarray, side: int, y: np.ndarray, steps: int, moving: bool) -> np.ndarray:
-    """x_min (side 0) or x_max (side 1) at demand c from its side's last
-    warm-up iterate y, mirrored to w - x for side 1, after steps Picard
-    steps of :func:`_point`: y itself where the warm-up stopped, else the
-    least fixed point that :func:`_climb` reaches from it, certified by its
-    residual ||T(x) - x||_1."""
-    R_t, w = net.R.T, net.w
-    b = c if side == 0 else net.mirror - c
-    rounds = solves = 0
-    if moving:
-        y, rounds, solves = _climb(net, b, y)
-    x = y if side == 0 else w - y
-    residual = float(np.abs(np.clip(R_t @ x + c, 0.0, w) - x).sum())
-    bound = _FIXED_POINT_TOL * tolerance_scale(w)
-    if not residual < bound:
-        raise NumericalError(
-            f"x_{('min', 'max')[side]} residual {residual:.3g} not within {bound:.3g} after {steps} "
-            f"Picard steps, {rounds} pattern rounds and {solves} linear solves"
-        )
-    return x
 
 
 def _climb(net: _Network, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int, int]:

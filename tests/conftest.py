@@ -201,7 +201,7 @@ def reducible_demand(rng, R, w, unfed):
 
 
 CASES = ("out_connected", "stochastic", "zero_sum", "critical", "reducible")
-TAGS = {"out_connected": SUBSTOCHASTIC_OUT_CONNECTED, "reducible": OTHER}
+TAGS = {"out_connected": SUBSTOCHASTIC_OUT_CONNECTED, "ties": SUBSTOCHASTIC_OUT_CONNECTED, "reducible": OTHER}
 
 
 @st.composite
@@ -213,10 +213,13 @@ def networks(draw, cases=CASES):
     c = (I - R')x for an interior x (a segment through x); or reducible,
     one or two closed classes beside leaky or stranded cells (see
     random_reducible), each class that nothing feeds with such a c half
-    the time."""
+    the time.  cases may also name "ties", which CASES leaves out:
+    sub-stochastic out-connected routing whose equilibrium x has cells at
+    exactly 0 and at exactly w, where R'x + c is 0 or w up to rounding, so
+    that the iterations from 0 and from w need not agree on its pattern."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     case = draw(st.sampled_from(cases))
-    if case == "out_connected":
+    if case in ("out_connected", "ties"):
         n = draw(st.integers(1, 8))
         R = random_substochastic(rng, n, 0.05, 1.0)
     elif case == "reducible":
@@ -233,6 +236,13 @@ def networks(draw, cases=CASES):
         c = x - R.T @ x
     elif case == "reducible":
         c = reducible_demand(rng, R, w, unfed)
+    elif case == "ties":
+        # each cell free, at 0 or at w; c = x - R'x on the free cells, -R'x
+        # on those at 0 and w - R'x on those at w
+        held = rng.integers(0, 3, n)
+        x = np.where(held == 1, 0.0, np.where(held == 2, w, w * rng.uniform(0.2, 0.8, n)))
+        y = R.T @ x
+        c = np.where(held == 1, -y, np.where(held == 2, w - y, x - y))
     else:
         c = rng.uniform(-1.5, 1.5, n)
     spec = validate(NetworkSpec(routing=R, capacity=w, demand=c))

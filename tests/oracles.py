@@ -2,7 +2,8 @@
 entrywise clamp, the unsaturated field, the averaged power series of H, a
 stage-by-stage RK4 integrator, a run of interval maps certified row by
 row and a stack of powers checked at every doubling, the ratio test
-and region check of a saturation pattern stated on its masks, and the
+and region check of a saturation pattern stated on its masks, the region
+bounds of a pattern from its masks alone, and the
 pattern walk of a demand path stated plainly: one pattern piece built as
 its formula reads and one certificate pass over pieces reversed one by
 one."""
@@ -171,6 +172,13 @@ def pattern_outside(y, zero, cap, w):
     y < w held at w, y outside [0, w] free.  Rows of y may take rows of
     zero and cap."""
     return np.where(zero, y > 0, y < 0) | np.where(cap, y < w, y > w)
+
+
+def pattern_region(zero, cap, w):
+    """equilibria._region of the pattern that holds zero at 0, cap at w and
+    frees the rest, given the held values that equilibria._pattern_piece
+    fills in before its solve: w*cap for x and w*zero for w - x."""
+    return equilibria._region(zero, cap, w, np.stack((w * cap, w * zero), axis=1))
 
 
 class Piece(NamedTuple):

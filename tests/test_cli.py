@@ -573,6 +573,16 @@ class TestOutputBytes:
         assert code == 0
         assert (tmp_path / "three_cell.csv").read_bytes() == (DEMOS / "three_cell.sweep.csv").read_bytes()
 
+    def test_reducible_demo_sweep_csv_is_golden(self, capsys, tmp_path):
+        # demos/two_classes.sweep.csv is the 10-sample sweep of the reducible
+        # demo, kept byte for byte: every sample is answered class by class
+        # with 30 unique points, 10 from an agreed pattern and 20 whose ends
+        # never agree on one, where one end converges and the other climbs
+        code, _ = run(capsys, ["sweep", TWO_CLASSES, "--c-start", "1,-0.8,0,-1,0", "--c-end", "1,0.2,0,-1,0",
+                               "--samples", "10", "--out", str(tmp_path / "two_classes.csv")])
+        assert code == 0
+        assert (tmp_path / "two_classes.csv").read_bytes() == (DEMOS / "two_classes.sweep.csv").read_bytes()
+
 
 class TestParserReuse:
     """main parses with one parser built on first use; build_parser still

@@ -10,12 +10,14 @@ them, whatever start came before.  (kw, kc) has k times the trajectories
 of (w, c), and relabelling the cells relabels the trajectory, so a run of
 the scaled or permuted network from the scaled or permuted start must
 give the same sample times and the scaled or permuted states, up to
-roundoff.  The examples come from the loaded Hypothesis profile (see
-conftest.py).
+roundoff.  Near the critical set the approach slows down: the time to
+converge times the distance ε from a critical demand tends to the jump
+there, the condition value.  The examples come from the loaded
+Hypothesis profile (see conftest.py).
 """
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satflow import NetworkSpec, dynamics, equilibrium_set, validate
@@ -55,6 +57,20 @@ def runs(draw):
     cfg = IntegratorConfig(dt=dt, t_end=draw(st.integers(5, 150)) * dt, sample_every=draw(st.integers(1, 10)),
                            residual_tol=draw(st.sampled_from([1e-300, 1e-10, 1e-4])))
     return spec, x0, x1, cfg
+
+
+@st.composite
+def critical_demands(draw):
+    """A stochastic irreducible network with 3-6 cells, the critical demand
+    c* = (I - R')x of an interior x (a segment through x) and a direction
+    d >= 0 with sum(d) = 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 6))
+    R = random_stochastic_irreducible(rng, n)
+    w = rng.uniform(0.5, 5.0, n)
+    x = w * rng.uniform(0.2, 0.8, n)
+    d = rng.random(n)
+    return R, w, x - R.T @ x, d / d.sum()
 
 
 def _start(spec, seed, kind):
@@ -119,3 +135,27 @@ def test_relabelled_cells_relabel_the_trajectory(run, random):
                                       demand=spec.demand[perm]))
     tol = 1e-12 * max(1.0, float(spec.capacity.max()))
     _assert_close(_cold(relabelled, x0[perm], cfg), _cold(spec, x0, cfg), 1.0, tol, perm)
+
+
+# each example integrates four times, at most ~35 ms each, so this property
+# draws a quarter of the profile's examples
+@settings(max_examples=max(1, settings.default.max_examples // 4))
+@given(critical_demands())
+def test_time_to_converge_near_the_critical_set_tends_to_the_jump(case):
+    # critical slowing down: at c* + εd the total mass grows at rate ε, so
+    # the state from 0 drifts along the segment of c*, whose l1 length is
+    # the condition value L, to its far end, and the time T to converge
+    # has Tε -> L as ε -> 0; likewise from w at c* - εd.  On 400 runs (200
+    # networks, both sides) |Tε - L| fell 5.04- to 10.8-fold from ε = 1e-2
+    # to 1e-3 and was at most 0.063 L at 1e-3: margins of 1.7 and 2.4 below
+    R, w, c, d = case
+    L = equilibrium_set(validate(NetworkSpec(routing=R, capacity=w, demand=c))).condition_value
+    for sign, x0 in ((1.0, np.zeros(w.size)), (-1.0, w)):
+        errors = []
+        for eps in (1e-2, 1e-3):
+            spec = validate(NetworkSpec(routing=R, capacity=w, demand=c + sign * eps * d))
+            traj = integrate(spec, x0, IntegratorConfig(dt=0.05, t_end=50 / eps, residual_tol=1e-10))
+            assert traj.converged
+            errors.append(abs(traj.times[-1] * eps - L))
+        assert errors[1] <= 0.15 * L
+        assert errors[0] >= 3.0 * errors[1]

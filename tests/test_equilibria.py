@@ -35,7 +35,7 @@ from conftest import (
     random_spec,
     random_substochastic,
 )
-from oracles import pattern_leave, pattern_outside
+from oracles import pattern_leave, pattern_outside, pattern_region
 
 TWO_CYCLES = np.array([
     [0, 1, 0, 0],
@@ -291,12 +291,19 @@ class TestEquilibriumSet:
         assert float(bound) == pytest.approx(equilibria.BOUNDARY_TOL * 12.0, rel=1e-3)
 
     def test_point_disagreement_names_its_gap_and_bound(self, monkeypatch):
-        # x_max moved up by 1e-3 per cell on two cells with capacities 10,
-        # with no pattern piece to answer before both ends are certified
-        real = equilibria._end
+        # x_max moved up by 1e-3 per cell on two cells with capacities 10:
+        # the mirrored end w - x_max climbs to 1e-3 per cell below its
+        # answer, with no pattern piece to answer first and a residual
+        # bound that the moved end meets, so that the two ends disagree
+        real = equilibria._climb
+
+        def climb(net, b, y):
+            y, rounds, solves = real(net, b, y)
+            return (y if np.array_equal(b, spec.demand) else y - 1e-3), rounds, solves
+
         monkeypatch.setattr(equilibria, "_pattern_piece", lambda *args: (None, 0, None))
-        monkeypatch.setattr(equilibria, "_end",
-                            lambda net, c, side, *args: real(net, c, side, *args) + (1e-3 if side == 1 else 0.0))
+        monkeypatch.setattr(equilibria, "_climb", climb)
+        monkeypatch.setattr(equilibria, "_FIXED_POINT_TOL", 1.0)
         spec = validate(NetworkSpec(routing=np.array([[0.0, 0.5], [0.5, 0.0]]), capacity=np.array([10.0, 10.0]),
                                     demand=np.array([0.3, 0.3])))
         with pytest.raises(NumericalError, match="unique equilibrium: x_min and x_max disagree by") as info:
@@ -345,6 +352,20 @@ class TestPointFromBothEnds:
         assert [v.hex() for v in eq.x_max.tolist()] == ["0x1.dfb63c697ea1cp+0", "0x1.0000000000000p+2",
                                                          "0x1.48a6113d1684ep+2"]
 
+    def test_uncertified_end_names_its_side_bound_and_counts(self, monkeypatch):
+        # the near-critical point above, with a residual bound that nothing
+        # meets: the lower end, which climbed after the n = 3 joint steps,
+        # names itself, the bound and the work that went into it
+        monkeypatch.setattr(equilibria, "_FIXED_POINT_TOL", 0.0)
+        spec = validate(NetworkSpec(routing=R3, capacity=W3, demand=C_STAR + 1e-6 * np.array([1 / 3, 0.0, 2 / 3])))
+        with pytest.raises(NumericalError, match="^x_min residual ") as info:
+            equilibrium_set(spec)
+        bound, steps, rounds, solves = re.search(
+            r"not within (\S+) after (\d+) Picard steps, (\d+) pattern rounds and (\d+) linear solves$",
+            str(info.value)).groups()
+        assert float(bound) == 0.0 and int(steps) == 3
+        assert int(rounds) >= 1 and int(solves) >= int(rounds)
+
     def test_generic_point_is_one_pattern_solve(self, calls):
         # a leaky network at n = 50: the patterns agree long before either
         # side converges, one free-cell solve answers, nothing climbs, and
@@ -385,10 +406,10 @@ _PAST = {0.0: np.nextafter(0.0, -1.0), 3.0: np.nextafter(3.0, 4.0)}  # one ulp o
 ])
 def test_closed_region_of_a_pattern(y, held, outside):
     zero, cap = np.array([held == "zero"]), np.array([held == "cap"])
-    lo, hi = equilibria._region(zero, cap, np.array([3.0]))
+    lo, hi = pattern_region(zero, cap, np.array([3.0]))
     assert equilibria._outside(np.array([y]), lo, hi).tolist() == [outside]
     # rows of y take rows of the region: 1.5 is outside a cell held at 0
-    held_lo, held_hi = equilibria._region(np.array([True]), np.array([False]), np.array([3.0]))
+    held_lo, held_hi = pattern_region(np.array([True]), np.array([False]), np.array([3.0]))
     rows = equilibria._outside(np.array([[y], [1.5]]), np.array([lo, held_lo]), np.array([hi, held_hi]))
     assert rows.tolist() == [[outside], [True]]
 
@@ -421,7 +442,7 @@ def test_region_bounds_match_the_pattern_masks(case):
     rng = np.random.default_rng(list(map(ord, case)))
     for _ in range(200):
         y, slope, zero, cap, w = _pattern_cases(case, rng)
-        lo, hi = equilibria._region(zero, cap, w)
+        lo, hi = pattern_region(zero, cap, w)
         assert equilibria._leave(y, slope, lo, hi).tobytes() == pattern_leave(y, slope, zero, cap, w).tobytes()
         assert np.array_equal(equilibria._outside(y, lo, hi), pattern_outside(y, zero, cap, w))
         if case == "outside":

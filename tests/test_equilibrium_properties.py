@@ -30,6 +30,15 @@ def _assert_same_set(eq, ref, k, perm, tol):
 
 @given(networks(), st.floats(-12.0, 12.0))
 def test_scaling_scales_the_equilibrium_set(spec, log_k):
+    _check_scaling(spec, log_k)
+
+
+@given(networks(("ties",)), st.floats(-12.0, 12.0))
+def test_scaling_scales_the_equilibrium_set_at_ties(spec, log_k):
+    _check_scaling(spec, log_k)
+
+
+def _check_scaling(spec, log_k):
     k = 10.0**log_k
     base = equilibrium_set(spec)
     scaled = equilibrium_set(validate(NetworkSpec(routing=spec.routing, capacity=k * spec.capacity,
@@ -52,6 +61,17 @@ def test_permuting_cells_permutes_the_equilibrium_set(spec, random):
 def test_unique_equilibrium_matches_the_picard_oracles(spec):
     # out-connected routing, and stochastic routing off the zero-sum
     # hyperplane: each end within the residual bound that certifies it
+    _check_picard(spec)
+
+
+@given(networks(("ties",)))
+def test_unique_equilibrium_at_ties_matches_the_picard_oracles(spec):
+    # cells at exactly 0 or w, where the two ends may never agree on a
+    # pattern and one of them may climb
+    _check_picard(spec)
+
+
+def _check_picard(spec):
     eq = equilibrium_set(spec)
     assert eq.kind == POINT
     tol = equilibria._FIXED_POINT_TOL * tolerance_scale(spec.capacity)

@@ -162,18 +162,19 @@ def test_permuting_cells_permutes_rows_of_a_reducible_path(case, random):
 def _check_walkable_rows(R, w, path):
     """sweep decides which samples to walk in one pass over its (samples, n)
     demands: each row must have path.c_at's bits and get the decision of
-    _Network.walkable on it (its one-row case, so that one rule decides)."""
+    walkable_rows on it alone (the one-row case that equilibrium_set
+    takes, so that one rule decides)."""
     seen, real = [], equilibria._Network.walkable_rows
     with pytest.MonkeyPatch.context() as m:
         m.setattr(equilibria._Network, "walkable_rows",
                   lambda net, C: seen.append((net, C.copy(), real(net, C))) or seen[-1][2])
         sweep(R, w, path)
-    # the one pass over every sample, not _Network.walkable's one-row calls
+    # the one pass over every sample, not the one-row calls of _equilibrium
     (net, C, walkable), = [call for call in seen if len(call[1]) > 1]
     assert C.shape == (path.samples, w.size)
     for s, c, walk in zip(path.grid, C, walkable):
         assert np.array_equal(c, path.c_at(s))
-        assert walk == net.walkable(path.c_at(s))
+        assert walk == net.walkable_rows(path.c_at(s)[None])[0]
 
 
 @given(crossing_sweeps())
